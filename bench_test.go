@@ -46,6 +46,7 @@ func buildGraph(b *testing.B, name string) *svfg.Graph {
 func BenchmarkTable2Build(b *testing.B) {
 	for _, name := range benchProfiles {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			p := workload.ProfileByName(name)
 			for i := 0; i < b.N; i++ {
 				prog := p.Build()
@@ -63,6 +64,7 @@ func BenchmarkTable2Build(b *testing.B) {
 func BenchmarkTable3Andersen(b *testing.B) {
 	for _, name := range benchProfiles {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			p := workload.ProfileByName(name)
 			progs := make([]*ir.Program, b.N)
 			for i := range progs {
@@ -79,6 +81,7 @@ func BenchmarkTable3Andersen(b *testing.B) {
 func BenchmarkTable3SFS(b *testing.B) {
 	for _, name := range benchProfiles {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			g := buildGraph(b, name)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -91,6 +94,7 @@ func BenchmarkTable3SFS(b *testing.B) {
 func BenchmarkTable3VSFS(b *testing.B) {
 	for _, name := range benchProfiles {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			g := buildGraph(b, name)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -155,6 +155,70 @@ func FuzzSparseLaws(f *testing.F) {
 	})
 }
 
+// FuzzUnionInPlace checks the in-place UnionWith against the map model
+// on destinations that reach its different paths: a plain clone, a
+// clone left with spare capacity by a Clear that compacted a word away
+// (so growth reuses stale storage), and the set itself. For each, the
+// result must match the model, the source must be untouched, the return
+// value must be !src ⊆ dst-before, and AllocatedWords must advance by
+// exactly the number of words the union added.
+func FuzzUnionInPlace(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 2, 0, 2, 2, 1, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 200, 2, 0, 100, 2, 1, 0, 2, 0, 1})
+	f.Add([]byte{0, 0, 5, 0, 1, 5, 0, 2, 5, 2, 0, 70, 2, 1, 70, 2, 3, 70})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b, _, _ := decodeOps(data)
+		bBefore := b.Clone()
+
+		check := func(name string, dst, src *Sparse) {
+			t.Helper()
+			before := dst.Clone()
+			model := map[uint32]bool{}
+			before.ForEach(func(id uint32) { model[id] = true })
+			src.ForEach(func(id uint32) { model[id] = true })
+
+			words := AllocatedWords()
+			changed := dst.UnionWith(src)
+			charged := AllocatedWords() - words
+
+			if want := fromModel(model); !dst.Equal(want) {
+				t.Fatalf("%s: union = %v, model %v", name, dst, want)
+			}
+			if want := !src.SubsetOf(before); changed != want {
+				t.Fatalf("%s: UnionWith = %v, want !src.SubsetOf(before) = %v", name, changed, want)
+			}
+			if want := int64(dst.Words() - before.Words()); charged != want {
+				t.Fatalf("%s: AllocatedWords advanced %d, want %d new words", name, charged, want)
+			}
+		}
+
+		check("clone", a.Clone(), b)
+
+		// Clear members of a clone until a word compacts away, leaving
+		// spare capacity (and a stale element) behind the slice's end.
+		spare := a.Clone()
+		for _, id := range a.Slice() {
+			words := spare.Words()
+			spare.Clear(id)
+			if spare.Words() < words {
+				break
+			}
+		}
+		check("spare-capacity", spare, b)
+
+		self := a.Clone()
+		check("self", self, self)
+		if !self.Equal(a) {
+			t.Fatalf("self-union changed the set: %v, want %v", self, a)
+		}
+
+		if !b.Equal(bBefore) {
+			t.Fatalf("union mutated its source: %v, want %v", b, bBefore)
+		}
+	})
+}
+
 // FuzzInternerStability checks the interner against the same op
 // decoder: equal contents always map to the same ID, distinct contents
 // to distinct IDs, Get returns the canonical contents, and mutating an

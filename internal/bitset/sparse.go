@@ -8,6 +8,7 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,7 +48,9 @@ func (s *Sparse) find(base uint32) int {
 	return sort.Search(len(s.elems), func(i int) bool { return s.elems[i].base >= base })
 }
 
-// Set inserts id into the set. It reports whether the set changed.
+// Set inserts id into the set. It reports whether the set changed. Set
+// works in place, so it must not be called on a set from inside that
+// set's own ForEach callback.
 func (s *Sparse) Set(id uint32) bool {
 	base := id &^ (wordBits - 1)
 	bit := uint64(1) << (id % wordBits)
@@ -155,6 +158,11 @@ func (s *Sparse) Equal(t *Sparse) bool {
 // This is the meet operator of the points-to analysis and the meld
 // operator of the labelling: commutative, associative, idempotent, with
 // the empty set as identity.
+//
+// The union is computed in place, like LLVM's SparseBitVector::operator|=:
+// a union that adds no new 64-bit chunk allocates nothing, and one that
+// does grows s at most once. Because s is rewritten in place, UnionWith
+// must not be called on a set from inside that set's own ForEach callback.
 func (s *Sparse) UnionWith(t *Sparse) bool {
 	if len(t.elems) == 0 {
 		return false
@@ -164,38 +172,55 @@ func (s *Sparse) UnionWith(t *Sparse) bool {
 		trackAlloc(len(t.elems))
 		return true
 	}
+	// Pass 1: OR the words of shared bases in place and count the bases
+	// of t that s lacks.
+	se, te := s.elems, t.elems
 	changed := false
-	before := len(s.elems)
-	out := make([]element, 0, len(s.elems)+len(t.elems))
+	missing := 0
 	i, j := 0, 0
-	for i < len(s.elems) && j < len(t.elems) {
-		a, b := s.elems[i], t.elems[j]
-		switch {
-		case a.base < b.base:
-			out = append(out, a)
+	for i < len(se) && j < len(te) {
+		switch a, b := se[i].base, te[j].base; {
+		case a < b:
 			i++
-		case a.base > b.base:
-			out = append(out, b)
-			changed = true
+		case a > b:
+			missing++
 			j++
 		default:
-			m := a.word | b.word
-			if m != a.word {
+			if m := se[i].word | te[j].word; m != se[i].word {
+				se[i].word = m
 				changed = true
 			}
-			out = append(out, element{base: a.base, word: m})
 			i++
 			j++
 		}
 	}
-	out = append(out, s.elems[i:]...)
-	if j < len(t.elems) {
-		changed = true
-		out = append(out, t.elems[j:]...)
+	missing += len(te) - j
+	if missing == 0 {
+		return changed
+	}
+	// Pass 2: grow once, then merge the missing elements in from the back,
+	// so each element of s moves at most once. The loop stops once every
+	// missing element is placed (k == i): the rest of s is then in place.
+	n := len(se)
+	out := slices.Grow(se, missing)[:n+missing]
+	k := len(out) - 1
+	i, j = n-1, len(te)-1
+	for k > i {
+		if i >= 0 && out[i].base >= te[j].base {
+			if out[i].base == te[j].base {
+				j-- // shared base, already ORed in pass 1
+			}
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = te[j]
+			j--
+		}
+		k--
 	}
 	s.elems = out
-	trackAlloc(len(out) - before)
-	return changed
+	trackAlloc(missing)
+	return true
 }
 
 // IntersectWith removes members of s not in t, reporting whether s changed.
@@ -305,7 +330,10 @@ func (s *Sparse) SubsetOf(t *Sparse) bool {
 	return true
 }
 
-// ForEach calls f on every member in ascending order.
+// ForEach calls f on every member in ascending order. f must not mutate
+// s (Set, Clear, UnionWith, Copy, ...): every mutation works in place on
+// the storage the loop is walking. To grow a set while visiting it,
+// iterate a Clone.
 func (s *Sparse) ForEach(f func(uint32)) {
 	for _, e := range s.elems {
 		w := e.word

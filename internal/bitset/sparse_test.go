@@ -357,17 +357,78 @@ func TestInterner(t *testing.T) {
 	}
 }
 
-func BenchmarkUnionWith(b *testing.B) {
+// unionCases returns a destination set and one source per UnionWith
+// path: noop (a subset of dst), or-only (new bits in dst's existing
+// words only), grow (some words dst lacks) and disjoint (only words dst
+// lacks, interleaved with dst's).
+type unionCase struct {
+	name string
+	src  *Sparse
+}
+
+func unionCases() (dst *Sparse, cases []unionCase) {
 	r := rand.New(rand.NewSource(1))
-	a := New()
-	c := New()
+	dst, noop, orOnly, grow, disjoint := New(), New(), New(), New(), New()
 	for i := 0; i < 500; i++ {
-		a.Set(uint32(r.Intn(10000)))
-		c.Set(uint32(r.Intn(10000)))
+		id := uint32(r.Intn(10000))
+		even := id/64*128 + id%64 // dst lives in the even-numbered words
+		dst.Set(even)
+		disjoint.Set(even + 64)
+		grow.Set(uint32(r.Intn(20000)))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := a.Clone()
-		d.UnionWith(c)
+	dst.ForEach(func(id uint32) {
+		if id%2 == 0 {
+			noop.Set(id)
+		}
+		if id%64 != 63 && !dst.Has(id+1) {
+			orOnly.Set(id + 1)
+		}
+	})
+	return dst, []unionCase{{"noop", noop}, {"or-only", orOnly}, {"grow", grow}, {"disjoint", disjoint}}
+}
+
+// TestUnionWithAllocs guards the in-place union: a union that adds no
+// new word must not allocate.
+func TestUnionWithAllocs(t *testing.T) {
+	dst, cases := unionCases()
+	orig := dst.Clone()
+	noop, orOnly := cases[0].src, cases[1].src
+	if n := testing.AllocsPerRun(100, func() {
+		if dst.UnionWith(noop) {
+			t.Fatal("noop union reported a change")
+		}
+	}); n != 0 {
+		t.Errorf("noop union: %v allocs per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !dst.UnionWith(orOnly) {
+			t.Fatal("or-only union reported no change")
+		}
+		// Undo in place (no word empties), so every run ORs again.
+		dst.DifferenceWith(orOnly)
+	}); n != 0 {
+		t.Errorf("or-only union: %v allocs per run, want 0", n)
+	}
+	if !dst.Equal(orig) {
+		t.Fatalf("destination drifted: %v, want %v", dst, orig)
+	}
+}
+
+// BenchmarkUnionWith times one union per path. A union that changed the
+// destination is undone with Copy, which reuses the destination's
+// storage, so the timed loop allocates only what the union itself does.
+func BenchmarkUnionWith(b *testing.B) {
+	a, cases := unionCases()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			d := a.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if d.UnionWith(c.src) {
+					d.Copy(a)
+				}
+			}
+		})
 	}
 }

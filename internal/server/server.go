@@ -445,6 +445,15 @@ func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, i
 	ch := make(chan outcome, 1)
 	reqID := obs.RequestID(solveCtx)
 	job := func() {
+		var tr *obs.Trace
+		// reply writes the solve's trace, if any, before handing over the
+		// outcome, so a caller that has the result can read the trace.
+		reply := func(o outcome) {
+			if tr != nil {
+				s.writeTrace(tr, reqID)
+			}
+			ch <- o
+		}
 		done := false
 		defer func() {
 			// Defense in depth: the facade isolates phase panics itself,
@@ -455,7 +464,7 @@ func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, i
 				s.met.solveOutcomes.With("outcome", "error").Inc()
 				s.met.guardPanics.With("phase", "server").Inc()
 				s.logger.Error("solve panicked outside pipeline", "id", reqID, "key", key, "panic", fmt.Sprint(v))
-				ch <- outcome{nil, err}
+				reply(outcome{nil, err})
 			}
 		}()
 		// A solve abandoned by every waiter while still queued: skip it.
@@ -463,7 +472,7 @@ func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, i
 			s.met.solveOutcomes.With("outcome", "cancelled").Inc()
 			s.logger.Warn("solve abandoned in queue", "id", reqID, "key", key, "err", err)
 			done = true
-			ch <- outcome{nil, err}
+			reply(outcome{nil, err})
 			return
 		}
 		s.met.solvesStarted.Inc()
@@ -472,10 +481,9 @@ func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, i
 			ctx = guard.WithFaults(ctx, s.cfg.Faults)
 		}
 		if s.cfg.TraceDir != "" {
-			tr := obs.NewTrace()
+			tr = obs.NewTrace()
 			tr.Tag("requestId", reqID)
 			ctx = obs.NewContext(ctx, tr)
-			defer s.writeTrace(tr, reqID)
 		}
 		res, err := vsfs.AnalyzeContext(ctx, source, vsfs.Options{Mode: mode, Input: input, Attr: s.cfg.Attribution, Parallel: workers})
 		switch {
@@ -530,7 +538,7 @@ func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, i
 			}
 		}
 		done = true
-		ch <- outcome{res, err}
+		reply(outcome{res, err})
 	}
 	if err := s.pool.submit(job); err != nil {
 		if errors.Is(err, ErrQueueFull) {
