@@ -10,7 +10,9 @@
 //	BenchmarkTable3VSFS      — Table III columns 4–6 (the contribution)
 //	BenchmarkFigure2         — the motivating-example fragment
 //	BenchmarkSweepRedundancy — Section V shape claim (speedup vs chains)
-//	BenchmarkVersioningOnly  — the pre-analysis in isolation
+//
+// The versioning pre-analysis alone is timed by BenchmarkVersioning in
+// internal/core.
 package vsfs
 
 import (
@@ -102,21 +104,6 @@ func BenchmarkTable3VSFS(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkVersioningOnly isolates the meld-labelling pre-analysis by
-// measuring a solve whose time is dominated by versioning (solving with
-// the versioning already warm is not separable through the public API,
-// so this compares whole-run VSFS with the versioning stats reported).
-func BenchmarkVersioningOnly(b *testing.B) {
-	g := buildGraph(b, "nano")
-	b.ResetTimer()
-	var total int64
-	for i := 0; i < b.N; i++ {
-		r := core.Solve(g.Clone())
-		total += r.Stats.Versioning.Duration.Nanoseconds()
-	}
-	b.ReportMetric(float64(total)/float64(b.N), "versioning-ns/op")
 }
 
 func figure2Graph(b *testing.B) *svfg.Graph {

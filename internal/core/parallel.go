@@ -3,18 +3,19 @@
 // The paper's central artifact — one global points-to set per (object,
 // version) instead of per-node IN/OUT maps — makes the main phase
 // naturally partitionable by object: meld labelling is an independent
-// fixpoint per object, and version-to-version propagation (verReliance)
+// pass per object, and version-to-version propagation (verReliance)
 // never crosses objects. This file exploits both:
 //
 //   - runVersioningParallel partitions objects over ShardCount shards
 //     (shardOf = object ID mod ShardCount), gives each shard a private
-//     meld.Table, and runs every object's labelling fixpoint to
-//     completion inside its shard. Final labels are canonical up to
-//     atom renaming (the meld algebra is an ACI set union), so the
-//     merged consume/yield functions induce exactly the sequential
-//     partition of nodes into versions — the facts are identical; only
-//     schedule-effort counters (MeldOps, Iterations, DistinctVersions)
-//     may differ from the sequential pass, deterministically.
+//     meld.Table, and labels each of the shard's objects with the same
+//     one-pass topological labelling the sequential engine uses
+//     (labeller.labelObject). Labels are canonical up to atom renaming
+//     (the meld algebra is an ACI set union) and never span objects, so
+//     the merged consume/yield functions induce exactly the sequential
+//     partition of nodes into versions, and every versioning counter
+//     (MeldOps, Iterations, DistinctVersions, …) equals the sequential
+//     pass's.
 //
 //   - the main phase runs bulk-synchronous rounds over a sorted
 //     frontier. A process phase has workers grab fixed-size chunks of
@@ -141,10 +142,9 @@ func SolveParallel(g *svfg.Graph, workers int) *Result {
 // sharded bulk-synchronous main phase. Facts and attribution are
 // identical to SolveContext's (the equations are monotone with a
 // unique least fixpoint, and the schedule is deterministic);
-// schedule-effort counters (NodesProcessed, Propagations, Changed,
-// WorklistHW, MeldOps, Iterations, DistinctVersions) may differ from
-// the sequential engine's but are themselves deterministic and
-// worker-count-independent. Cancellation and budgets are polled at
+// main-phase effort counters (NodesProcessed, Propagations, Changed,
+// WorklistHW) may differ from the sequential engine's but are
+// themselves deterministic and worker-count-independent. Cancellation and budgets are polled at
 // every chunk and batch; on error all workers are joined before
 // returning, so a cancelled solve leaks nothing.
 func SolveParallelContext(ctx context.Context, g *svfg.Graph, workers int) (*Result, error) {
@@ -277,14 +277,6 @@ const (
 	dPt uint8 = iota
 	dPtv
 )
-
-// prelabel is one [STORE]^P / [OTF-CG]^P seed of an object's
-// meld-labelling fixpoint, recorded in label order by the sequential
-// prelabelling scan.
-type prelabel struct {
-	l     uint32
-	delta bool
-}
 
 func deltaLess(a, b delta) bool {
 	if a.kind != b.kind {
@@ -714,46 +706,26 @@ func (e *parEngine) assembleNext(shardNext *[ShardCount][]uint32) []uint32 {
 }
 
 // runVersioningParallel is the parallel meld-labelling pass: a
-// sequential prelabelling scan builds each object's worklist seeds in
-// label order, then workers drain the ShardCount object partitions,
-// each shard running its objects' fixpoints (ascending object ID)
-// against a private meld.Table. The merged consume/yield functions
-// carry per-shard version handles — meaningless across objects, which
-// is fine: the main phase only ever compares versions of one object,
-// under keys that include the object.
+// sequential prelabelling scan lists each object's seeds in label
+// order, then workers drain the ShardCount object partitions, each shard
+// labelling its objects (ascending object ID) against a private
+// meld.Table with the worker's labeller. The merged consume/yield
+// functions carry per-shard version handles — meaningless across
+// objects, which is fine: the main phase only ever compares versions of
+// one object, under keys that include the object.
 func runVersioningParallel(ctx context.Context, g *svfg.Graph, workers int, e *parEngine) (*versioning, error) {
 	start := time.Now()
 	n := len(g.Prog.Instrs)
 
-	perObj := make(map[ir.ID][]prelabel)
+	objs, perObj := collectPrelabels(g)
 	var shardObjs [ShardCount][]ir.ID
-	add := func(l uint32, o ir.ID, isDelta bool) {
-		if len(perObj[o]) == 0 {
-			shardObjs[shardOf(o)] = append(shardObjs[shardOf(o)], o)
-		}
-		perObj[o] = append(perObj[o], prelabel{l: l, delta: isDelta})
-	}
-	for l := uint32(1); l < uint32(n); l++ {
-		in := g.Prog.Instrs[l]
-		if in.Op == ir.Store {
-			g.MSSA.ChiOf(l).ForEach(func(o uint32) { add(l, ir.ID(o), false) })
-		}
-		if g.Delta[l] {
-			g.MSSA.ChiOf(l).ForEach(func(o uint32) { add(l, ir.ID(o), true) })
-		}
-	}
-	for sh := range shardObjs {
-		objs := shardObjs[sh]
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+	for _, o := range objs {
+		shardObjs[shardOf(o)] = append(shardObjs[shardOf(o)], o)
 	}
 
 	shards := make([]*versioning, ShardCount)
 	for sh := range shards {
-		shards[sh] = &versioning{
-			tab:     meld.NewTable(),
-			consume: make([]map[ir.ID]meld.Version, n),
-			yield:   make([]map[ir.ID]meld.Version, n),
-		}
+		shards[sh] = newVersioning(n, meld.NewTable())
 	}
 
 	var errs [ShardCount]error
@@ -764,18 +736,19 @@ func runVersioningParallel(ctx context.Context, g *svfg.Graph, workers int, e *p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			lb := newLabeller(n)
 			for !stop.Load() {
 				sh := int(cursor.Add(1)) - 1
 				if sh >= ShardCount {
 					return
 				}
-				if len(shardObjs[sh]) == 0 {
-					continue
-				}
-				if err := versionShard(ctx, g, e, shards[sh], sh, shardObjs[sh], perObj); err != nil {
-					errs[sh] = err
-					stop.Store(true)
-					return
+				lb.meter(sh, &e.ledger[sh], e.sattr[sh])
+				for _, o := range shardObjs[sh] {
+					if err := lb.labelObject(ctx, g, shards[sh], o, perObj[o]); err != nil {
+						errs[sh] = err
+						stop.Store(true)
+						return
+					}
 				}
 			}
 		}()
@@ -791,10 +764,7 @@ func runVersioningParallel(ctx context.Context, g *svfg.Graph, workers int, e *p
 	// versioning carries no table; per-shard distinct counts dedupe
 	// the shared ε. Key sets are disjoint across shards (objects are
 	// partitioned), so map inserts commute.
-	v := &versioning{
-		consume: make([]map[ir.ID]meld.Version, n),
-		yield:   make([]map[ir.ID]meld.Version, n),
-	}
+	v := newVersioning(n, nil)
 	v.stats.DistinctVersions = 1
 	for _, sv := range shards {
 		for l := 0; l < n; l++ {
@@ -816,76 +786,7 @@ func runVersioningParallel(ctx context.Context, g *svfg.Graph, workers int, e *p
 		v.stats.Meld.SubsetFast += ts.SubsetFast
 		v.stats.Meld.NewLabels += ts.NewLabels
 	}
-	for _, m := range v.consume {
-		v.stats.ConsumeEntries += len(m)
-	}
-	for _, m := range v.yield {
-		v.stats.YieldEntries += len(m)
-	}
+	v.countEntries()
 	v.stats.Duration = time.Since(start)
 	return v, nil
-}
-
-// versionShard runs one shard's meld-labelling fixpoints: every object
-// in ascending ID order, each to completion — per-object fixpoints are
-// fully independent, so intra-shard sequencing costs nothing and keeps
-// the schedule canonical.
-func versionShard(ctx context.Context, g *svfg.Graph, e *parEngine, sv *versioning, sh int, objs []ir.ID, perObj map[ir.ID][]prelabel) error {
-	attr := e.sattr[sh]
-	ticks := 0
-	var work worklist
-	for _, o := range objs {
-		for _, pe := range perObj[o] {
-			if pe.delta {
-				sv.setConsume(pe.l, o, sv.tab.NewAtom())
-			} else {
-				sv.setYield(pe.l, o, sv.tab.NewAtom())
-			}
-			sv.stats.Prelabels++
-			work.push(pe.l)
-		}
-		for {
-			if ticks%cancelCheckInterval == 0 {
-				if err := guard.TickShard(ctx, "solve", sh, cancelCheckInterval); err != nil {
-					return err
-				}
-				e.ledger[sh].Add(cancelCheckInterval)
-			}
-			ticks++
-			l, ok := work.pop()
-			if !ok {
-				break
-			}
-			sv.stats.Iterations++
-			sv.stats.WorklistHW = max(sv.stats.WorklistHW, work.hw)
-			in := g.Prog.Instrs[l]
-			// [INTERNAL]^V: non-store nodes yield what they consume.
-			if in.Op != ir.Store {
-				cv := sv.consumeOf(l, o)
-				if cv != meld.Epsilon && sv.yieldOf(l, o) != cv {
-					sv.setYield(l, o, cv)
-				}
-			}
-			yv := sv.yieldOf(l, o)
-			if yv == meld.Epsilon {
-				continue
-			}
-			// [EXTERNAL]^V: meld into indirect successors' consumes,
-			// except frozen δ consumes.
-			for _, succ := range g.IndirSuccs(l, o) {
-				if g.Delta[succ] {
-					continue
-				}
-				old := sv.consumeOf(succ, o)
-				melded := sv.tab.Meld(old, yv)
-				if melded != old {
-					sv.setConsume(succ, o, melded)
-					sv.stats.MeldOps++
-					attr.Meld(uint32(o))
-					work.push(succ)
-				}
-			}
-		}
-	}
-	return nil
 }

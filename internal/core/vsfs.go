@@ -152,9 +152,8 @@ func Solve(g *svfg.Graph) *Result {
 }
 
 // SolveContext is Solve with cancellation: both the meld-labelling
-// fixpoint and the main worklist loop poll ctx every
-// cancelCheckInterval iterations and abort with ctx.Err() when the
-// context is done. A cancelled solve returns no Result; the mutated
+// pass and the main worklist loop poll ctx every cancelCheckInterval
+// steps and abort with ctx.Err() when the context is done. A cancelled solve returns no Result; the mutated
 // graph must be discarded.
 func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 	attr := obs.AttrFrom(ctx)
@@ -194,8 +193,9 @@ func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 	return s.Result, nil
 }
 
-// cancelCheckInterval is how many worklist iterations pass between
-// context polls in this package's fixpoint loops.
+// cancelCheckInterval is how many steps — worklist pops, or (node,
+// object) visits in meld labelling — pass between context polls in
+// this package's loops.
 const cancelCheckInterval = 1024
 
 // newResult allocates the shared result shell both engines solve into.

@@ -113,22 +113,19 @@ func (c *checker) compareVSFS(invariant string, a, b2 *core.Result) {
 }
 
 // parallelReportJSON renders a run's report with the schedule-shaped
-// effort counters zeroed. A parallel schedule pops nodes in a different
-// order than the sequential one, so NodesProcessed, Propagations,
-// Changed, WorklistHighWater, MeldOps, MeldIterations, and
-// DistinctVersions legitimately differ between the two engines (each is
-// internally deterministic); every remaining byte — facts, findings,
-// shape, and the fixpoint-shaped counters PtsSets and Prelabels — must
-// agree.
+// main-phase effort counters zeroed. A parallel schedule pops nodes in a
+// different order than the sequential one, so NodesProcessed,
+// Propagations, Changed and WorklistHighWater legitimately differ
+// between the two engines (each is internally deterministic); every
+// remaining byte — facts, findings, shape, the fixpoint-shaped counters
+// PtsSets and Prelabels, and the versioning counters, since both engines
+// label each object with the same pass — must agree.
 func parallelReportJSON(r *vsfs.Result) []byte {
 	rep := r.Report()
 	rep.Stats.NodesProcessed = 0
 	rep.Stats.Propagations = 0
 	rep.Stats.Changed = 0
 	rep.Stats.WorklistHighWater = 0
-	rep.Stats.MeldOps = 0
-	rep.Stats.MeldIterations = 0
-	rep.Stats.DistinctVersions = 0
 	data, err := rep.MarshalIndent()
 	if err != nil {
 		return []byte("marshal error: " + err.Error())

@@ -823,7 +823,11 @@ type Summary struct {
 	AuxPropagations      int `json:"auxPropagations"`
 	AuxWorklistHighWater int `json:"auxWorklistHighWater"`
 
-	// VSFS-only versioning facts.
+	// VSFS-only versioning facts. Prelabels is fixpoint-shaped. The
+	// others measure the one-pass meld labelling: DistinctVersions is
+	// the labels interned (incl. ε), MeldOps the melds that grew a
+	// value-flow component's pending label, and MeldIterations the
+	// components labelled.
 	Prelabels        int `json:"prelabels"`
 	DistinctVersions int `json:"distinctVersions"`
 	MeldOps          int `json:"meldOps"`
