@@ -24,7 +24,7 @@ vsfs-lint:
 	$(GO) run ./cmd/vsfs-lint ./...
 
 # Regenerate the reportcontract golden after deliberately appending
-# report/ledger fields (the contract is append-only; see DESIGN.md §15).
+# report/ledger fields (the contract is append-only; see DESIGN.md §14).
 lint-schema:
 	$(GO) run ./cmd/vsfs-lint -update-schema
 
@@ -49,15 +49,13 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/server/
 
 # Regenerate the committed bench baseline after a deliberate perf change
-# (all 15 profiles, parallel engine included; takes a few minutes).
+# (all 15 profiles; takes a few minutes).
 bench-baseline:
-	$(GO) run ./cmd/vsfs-bench -parallel 4 -json > BENCH_BASELINE.json
+	$(GO) run ./cmd/vsfs-bench -json > BENCH_BASELINE.json
 
-# The CI regression gate, locally: exits 1 past the thresholds. The
-# -parallel 4 run adds the vsfs-parallel rows so the gate covers the
-# sharded engine too.
+# The CI regression gate, locally: exits 1 past the thresholds.
 bench-gate:
-	$(GO) run ./cmd/vsfs-bench -bench du,nano -parallel 4 -json \
+	$(GO) run ./cmd/vsfs-bench -bench du,nano -json \
 		-compare BENCH_BASELINE.json -threshold 200 -mem-threshold 25 > /dev/null
 
 serve:

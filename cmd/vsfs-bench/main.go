@@ -4,9 +4,7 @@
 //	vsfs-bench -table 2            Table II (benchmark characteristics)
 //	vsfs-bench -table 3            Table III (time and memory)
 //	vsfs-bench -table backends     per-backend comparison (andersen/sfs/vsfs/cfgfree)
-//	vsfs-bench -table parallel     sequential vs sharded parallel VSFS (needs -parallel)
 //	vsfs-bench -table all          all of the above
-//	vsfs-bench -parallel 4         also time the sharded engine at N workers
 //	vsfs-bench -sweep              redundancy sweep (Section V shape claim)
 //	vsfs-bench -ablation           on-the-fly vs auxiliary call graph
 //	vsfs-bench -versions           versioning effectiveness (sharing factors)
@@ -44,10 +42,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vsfs-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	table := fs.String("table", "all", "which table to produce: 2, 3, backends, parallel, or all")
+	table := fs.String("table", "all", "which table to produce: 2, 3, backends, or all")
 	runs := fs.Int("runs", 1, "timed repetitions per analysis")
 	memLimit := fs.Int64("memlimit", 0, "modelled-memory OOM threshold in MB (0 = off)")
-	parallel := fs.Int("parallel", 0, "also time the sharded parallel VSFS engine at this worker count (0 = off)")
 	benches := fs.String("bench", "", "comma-separated benchmark names (default: all 15)")
 	sweep := fs.Bool("sweep", false, "run the redundancy sweep instead of the tables")
 	ablation := fs.Bool("ablation", false, "run the call-graph ablation instead of the tables")
@@ -107,11 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *table == "parallel" && *parallel < 2 {
-		fmt.Fprintln(stderr, "-table parallel needs -parallel >= 2")
-		return 2
-	}
-	opts := bench.Options{Runs: *runs, MemLimit: *memLimit << 20, Parallel: *parallel}
+	opts := bench.Options{Runs: *runs, MemLimit: *memLimit << 20}
 	rows := bench.Run(profiles, opts, stderr)
 
 	// gate compares current rows against the committed baseline; it runs
@@ -159,18 +152,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, bench.FormatTable3(rows))
 	case "backends":
 		fmt.Fprint(stdout, bench.FormatBackends(rows))
-	case "parallel":
-		fmt.Fprint(stdout, bench.FormatParallel(rows, *parallel))
 	case "all":
 		fmt.Fprint(stdout, bench.FormatTable2(rows))
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, bench.FormatTable3(rows))
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, bench.FormatBackends(rows))
-		if *parallel >= 2 {
-			fmt.Fprintln(stdout)
-			fmt.Fprint(stdout, bench.FormatParallel(rows, *parallel))
-		}
 	default:
 		fmt.Fprintf(stderr, "unknown -table %q\n", *table)
 		return 2

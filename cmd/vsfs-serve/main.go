@@ -72,7 +72,6 @@ func run(args []string, ctx context.Context, ready chan<- string, stdout, stderr
 	ledgerMax := fs.Int64("ledger-max-bytes", obs.DefaultLedgerMaxBytes, "rotate the ledger past this many bytes (one .1 generation kept)")
 	traceDir := fs.String("trace-dir", "", "write one Chrome trace_event file per solve into this directory, tagged with the request ID")
 	attr := fs.Bool("attr", false, "attribute solver cost to abstract objects on every solve (hot-object tables in reports, vsfs_attr_* metrics)")
-	parallel := fs.Int("parallel", 0, "default worker count for the sharded parallel VSFS engine (<2 = sequential; requests may override with \"parallel\")")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -122,7 +121,6 @@ func run(args []string, ctx context.Context, ready chan<- string, stdout, stderr
 		Ledger:           ledger,
 		TraceDir:         *traceDir,
 		Attribution:      *attr,
-		Parallel:         *parallel,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -104,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxMem := fs.Int64("max-mem", 0, "points-to storage budget in bytes; past it the run degrades and exits 3 (0 = no limit)")
 	traceOut := fs.String("trace", "", "write the pipeline phases as Chrome trace_event JSON to this file (open in Perfetto)")
 	attr := fs.Bool("attr", false, "attribute solver cost (pops, propagations, sets, melds) to abstract objects and print the hot-object table")
-	parallel := fs.Int("parallel", 0, "solve with the sharded parallel VSFS engine at this worker count (<2 = sequential; results are byte-identical)")
 	attrTop := fs.Int("attr-top", 10, "with -attr: number of hot objects to print")
 	ledgerPath := fs.String("ledger", "", "append a run record (shape, backend, timings, budget spend, findings) to this JSONL ledger")
 	version := fs.Bool("version", false, "print version and exit")
@@ -252,7 +251,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			input = vsfs.InputIR
 		}
 		logger.Info("analyzing", "file", path, "mode", m.String(), "bytes", len(src))
-		r, err := vsfs.AnalyzeContext(ctx, string(src), vsfs.Options{Mode: m, Input: input, Filename: path, Attr: *attr, Parallel: *parallel})
+		r, err := vsfs.AnalyzeContext(ctx, string(src), vsfs.Options{Mode: m, Input: input, Filename: path, Attr: *attr})
 		if err == nil {
 			t := r.Timings()
 			logger.Info("analysis complete", "total", t.Total,
@@ -436,10 +435,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if s.Mode == "vsfs" {
 			fmt.Fprintf(stdout, "       prelabels=%d distinctVersions=%d\n", s.Prelabels, s.DistinctVersions)
-		}
-		if ps := r.Parallelism(); ps != nil {
-			fmt.Fprintf(stdout, "       parallel: workers=%d steals=%d imbalance=%.2f\n",
-				ps.Workers, ps.Steals, ps.ImbalanceRatio)
 		}
 	}
 	return exit(r)

@@ -41,11 +41,6 @@ type Options struct {
 	// modelled memory exceeds this many bytes (the paper capped runs at
 	// 120 GB, which SFS exceeded on lynx).
 	MemLimit int64
-
-	// Parallel, when ≥ 2, also times the sharded parallel VSFS engine
-	// at that worker count and reports ParallelTime/ParallelSpeedup per
-	// row (plus a "vsfs-parallel" backend row in JSON artifacts).
-	Parallel int
 }
 
 // Row holds every measured quantity for one benchmark.
@@ -74,13 +69,6 @@ type Row struct {
 	// be garbage (tables render the column as "—" and means skip it).
 	Speedup  float64
 	MemRatio float64
-
-	// Parallel engine (Options.Parallel ≥ 2 only): the sharded solve's
-	// versioning + main-phase time and its speedup over the sequential
-	// VSFS solve of the same graph. Memory is not reported separately —
-	// the parallel engine stores the identical (object, version) sets.
-	ParallelTime    time.Duration
-	ParallelSpeedup float64
 
 	// CFG-free backend (the Andersen-style flow-sensitive solver):
 	// solving time over the program plus the auxiliary result, and the
@@ -167,7 +155,7 @@ func RunProfile(p workload.Profile, opts Options) Row {
 	row.TopLevel = g.NumTopLevel
 	row.AddressTaken = g.NumAddressTaken
 
-	var sfsTotal, vsfsTotal, verTotal, cfTotal, parTotal time.Duration
+	var sfsTotal, vsfsTotal, verTotal, cfTotal time.Duration
 	var lastVR *core.Result
 	for i := 0; i < opts.Runs; i++ {
 		gs := g.Clone()
@@ -182,11 +170,6 @@ func RunProfile(p workload.Profile, opts Options) Row {
 		verTotal += vr.Stats.Versioning.Duration
 		row.VSFSStats = vr.Stats
 		lastVR = vr
-
-		if opts.Parallel > 1 {
-			pr := core.SolveParallel(g.Clone(), opts.Parallel)
-			parTotal += pr.Stats.SolveTime + pr.Stats.Versioning.Duration
-		}
 
 		start = time.Now()
 		cr := cfgfree.Solve(prog, aux)
@@ -215,12 +198,6 @@ func RunProfile(p workload.Profile, opts Options) Row {
 		}
 		if row.VSFSMem > 0 {
 			row.MemRatio = float64(row.SFSMem) / float64(row.VSFSMem)
-		}
-	}
-	if opts.Parallel > 1 {
-		row.ParallelTime = parTotal / time.Duration(opts.Runs)
-		if row.ParallelTime > 0 {
-			row.ParallelSpeedup = float64(row.VSFSTime+row.VersionTime) / float64(row.ParallelTime)
 		}
 	}
 	return row
@@ -294,27 +271,6 @@ func FormatTable3(rows []Row) string {
 	}
 	fmt.Fprintf(&b, "\n%-14s %s %8.2fx %s %7.2fx\n", "Average", strings.Repeat(" ", 63),
 		geoMean(speedups), strings.Repeat(" ", 1), geoMean(memRatios))
-	return b.String()
-}
-
-// FormatParallel renders the parallel-engine comparison: the sequential
-// VSFS solve (versioning + main phase) against the sharded engine at the
-// measured worker count, per benchmark. Rows that never ran the parallel
-// engine are skipped.
-func FormatParallel(rows []Row, workers int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Parallel VSFS: sequential vs sharded solve at %d workers\n\n", workers)
-	fmt.Fprintf(&b, "%-14s %11s %11s %9s\n", "Bench.", "seq ms", "par ms", "speedup")
-	var speedups []float64
-	for _, r := range rows {
-		if r.ParallelTime <= 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-14s %11.1f %11.1f %8.2fx\n",
-			r.Profile.Name, ms(r.VSFSTime+r.VersionTime), ms(r.ParallelTime), r.ParallelSpeedup)
-		speedups = append(speedups, r.ParallelSpeedup)
-	}
-	fmt.Fprintf(&b, "\n%-14s %s %8.2fx\n", "Average", strings.Repeat(" ", 23), geoMean(speedups))
 	return b.String()
 }
 

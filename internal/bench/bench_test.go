@@ -127,47 +127,6 @@ func TestOOMRowExcludedFromRatios(t *testing.T) {
 	}
 }
 
-// TestParallelMeasured: Options.Parallel times the sharded engine and
-// threads it through the JSON artifact and the parallel table.
-func TestParallelMeasured(t *testing.T) {
-	row := RunProfile(tinyProfile(), Options{Runs: 1, Parallel: 2})
-	if row.ParallelTime <= 0 || row.ParallelSpeedup <= 0 {
-		t.Fatalf("parallel engine not measured: t=%v speedup=%f", row.ParallelTime, row.ParallelSpeedup)
-	}
-
-	rep := JSONReportOf([]Row{row})
-	if rep.Rows[0].ParallelMs != ms(row.ParallelTime) || rep.Rows[0].ParallelSpeedup != row.ParallelSpeedup {
-		t.Errorf("JSON row = %+v, want parallelMs %v / speedup %f",
-			rep.Rows[0], ms(row.ParallelTime), row.ParallelSpeedup)
-	}
-	if len(rep.Backends) != 5 || rep.Backends[4].Backend != "vsfs-parallel" {
-		t.Fatalf("backends = %+v, want a fifth vsfs-parallel row", rep.Backends)
-	}
-	if rep.Backends[4].Ms != ms(row.ParallelTime) || rep.Backends[4].MemMB <= 0 {
-		t.Errorf("vsfs-parallel backend row = %+v", rep.Backends[4])
-	}
-
-	table := FormatParallel([]Row{row}, 2)
-	for _, want := range []string{"tiny", "seq ms", "par ms", "Average", "2 workers"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("parallel table missing %q:\n%s", want, table)
-		}
-	}
-
-	// Rows without a measurement stay out of the artifact and the table.
-	seq := RunProfile(tinyProfile(), Options{Runs: 1})
-	if seq.ParallelTime != 0 {
-		t.Fatalf("sequential-only run measured the parallel engine: %+v", seq)
-	}
-	rep = JSONReportOf([]Row{seq})
-	if len(rep.Backends) != 4 {
-		t.Errorf("sequential-only run emitted %d backend rows, want 4", len(rep.Backends))
-	}
-	if strings.Contains(FormatParallel([]Row{seq}, 4), "tiny") {
-		t.Error("parallel table rendered a row that was never measured")
-	}
-}
-
 func TestFormatting(t *testing.T) {
 	rows := Run([]workload.Profile{tinyProfile()}, Options{Runs: 1}, nil)
 	t2 := FormatTable2(rows)

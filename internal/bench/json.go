@@ -33,12 +33,6 @@ type JSONRow struct {
 	Speedup       float64 `json:"speedup"`
 	MemRatio      float64 `json:"memRatio"`
 
-	// Sharded parallel engine, present only when the run measured it.
-	// ParallelSpeedup is sequential-VSFS time (solve + versioning) over
-	// parallel time, so >1 means the shards helped.
-	ParallelMs      float64 `json:"parallelMs,omitempty"`
-	ParallelSpeedup float64 `json:"parallelSpeedup,omitempty"`
-
 	// Checker suite overhead on the solved VSFS facts.
 	CheckMs       float64 `json:"checkMs"`
 	CheckFindings int     `json:"checkFindings"`
@@ -49,7 +43,7 @@ type JSONRow struct {
 // memory independently. VSFS's time includes its versioning phase.
 type BackendRow struct {
 	Bench   string  `json:"bench"`
-	Backend string  `json:"backend"` // andersen | sfs | vsfs | cfgfree | vsfs-parallel
+	Backend string  `json:"backend"` // andersen | sfs | vsfs | cfgfree
 	Ms      float64 `json:"ms"`
 	MemMB   float64 `json:"memMB"`
 	OOM     bool    `json:"oom,omitempty"`
@@ -73,29 +67,27 @@ func JSONReportOf(rows []Row) JSONReport {
 	var speedups, memRatios []float64
 	for _, r := range rows {
 		rep.Rows = append(rep.Rows, JSONRow{
-			Bench:           r.Profile.Name,
-			Desc:            r.Profile.Desc,
-			Nodes:           r.Nodes,
-			DirectEdges:     r.DirectEdges,
-			IndirectEdges:   r.IndirectEdges,
-			TopLevel:        r.TopLevel,
-			AddressTaken:    r.AddressTaken,
-			AndersenMs:      ms(r.AndersenTime),
-			AndersenMemMB:   mb(r.AndersenMem),
-			SFSMs:           ms(r.SFSTime),
-			SFSMemMB:        mb(r.SFSMem),
-			SFSOOM:          r.SFSOOM,
-			VersionMs:       ms(r.VersionTime),
-			VSFSMs:          ms(r.VSFSTime),
-			VSFSMemMB:       mb(r.VSFSMem),
-			CfgfreeMs:       ms(r.CfgfreeTime),
-			CfgfreeMemMB:    mb(r.CfgfreeMem),
-			Speedup:         r.Speedup,
-			MemRatio:        r.MemRatio,
-			ParallelMs:      ms(r.ParallelTime),
-			ParallelSpeedup: r.ParallelSpeedup,
-			CheckMs:         ms(r.CheckTime),
-			CheckFindings:   r.CheckFindings,
+			Bench:         r.Profile.Name,
+			Desc:          r.Profile.Desc,
+			Nodes:         r.Nodes,
+			DirectEdges:   r.DirectEdges,
+			IndirectEdges: r.IndirectEdges,
+			TopLevel:      r.TopLevel,
+			AddressTaken:  r.AddressTaken,
+			AndersenMs:    ms(r.AndersenTime),
+			AndersenMemMB: mb(r.AndersenMem),
+			SFSMs:         ms(r.SFSTime),
+			SFSMemMB:      mb(r.SFSMem),
+			SFSOOM:        r.SFSOOM,
+			VersionMs:     ms(r.VersionTime),
+			VSFSMs:        ms(r.VSFSTime),
+			VSFSMemMB:     mb(r.VSFSMem),
+			CfgfreeMs:     ms(r.CfgfreeTime),
+			CfgfreeMemMB:  mb(r.CfgfreeMem),
+			Speedup:       r.Speedup,
+			MemRatio:      r.MemRatio,
+			CheckMs:       ms(r.CheckTime),
+			CheckFindings: r.CheckFindings,
 		})
 		rep.Backends = append(rep.Backends,
 			BackendRow{Bench: r.Profile.Name, Backend: "andersen", Ms: ms(r.AndersenTime), MemMB: mb(r.AndersenMem)},
@@ -103,10 +95,6 @@ func JSONReportOf(rows []Row) JSONReport {
 			BackendRow{Bench: r.Profile.Name, Backend: "vsfs", Ms: ms(r.VSFSTime + r.VersionTime), MemMB: mb(r.VSFSMem)},
 			BackendRow{Bench: r.Profile.Name, Backend: "cfgfree", Ms: ms(r.CfgfreeTime), MemMB: mb(r.CfgfreeMem)},
 		)
-		if r.ParallelTime > 0 {
-			rep.Backends = append(rep.Backends,
-				BackendRow{Bench: r.Profile.Name, Backend: "vsfs-parallel", Ms: ms(r.ParallelTime), MemMB: mb(r.VSFSMem)})
-		}
 		if !r.SFSOOM {
 			speedups = append(speedups, r.Speedup)
 			memRatios = append(memRatios, r.MemRatio)

@@ -309,10 +309,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // routeRequest is the slice of the replica request schema the gateway
 // needs for placement: the fields of the replica's cache key.
 type routeRequest struct {
-	Source   string `json:"source"`
-	Lang     string `json:"lang"`
-	Mode     string `json:"mode"`
-	Parallel int    `json:"parallel"`
+	Source string `json:"source"`
+	Lang   string `json:"lang"`
+	Mode   string `json:"mode"`
 }
 
 // handleProxy is the routed path: read the body, place it on the ring
@@ -339,9 +338,9 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	var rr routeRequest
 	var key string
 	if err := json.Unmarshal(body, &rr); err == nil && rr.Source != "" {
-		key = RouteKey(rr.Mode, rr.Lang, rr.Parallel, rr.Source)
+		key = RouteKey(rr.Mode, rr.Lang, rr.Source)
 	} else {
-		key = RouteKey("", "", 0, string(body))
+		key = RouteKey("", "", string(body))
 	}
 
 	up, err := g.forward(r.Context(), r.URL.Path, r.Header.Get("Content-Type"), body, key)

@@ -225,7 +225,7 @@ func TestGatewayHedgesSlowPrimary(t *testing.T) {
 	body := ""
 	for i := 0; i < 200; i++ {
 		candidate := fmt.Sprintf("prog-%d", i)
-		if g.Ring().Pick(RouteKey("", "", 0, candidate))[0] == slow.srv.URL {
+		if g.Ring().Pick(RouteKey("", "", candidate))[0] == slow.srv.URL {
 			body = candidate
 			break
 		}

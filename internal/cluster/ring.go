@@ -1,11 +1,10 @@
 // Package cluster is the fault-tolerant routing tier in front of a
 // fleet of vsfs-serve replicas. Because every response is
-// content-addressed and deterministic (the server-cache-identity and
-// parallel-eq-sequential invariants), any replica can serve any key and
-// produce byte-identical fixpoint-shaped output — so the gateway is
-// free to retry, fail over, and hedge aggressively without ever
-// changing an answer. The oracle enforces exactly that as
-// gateway-eq-direct.
+// content-addressed and deterministic (the server-cache-identity
+// invariant), any replica can serve any key and produce byte-identical
+// fixpoint-shaped output — so the gateway is free to retry, fail over,
+// and hedge aggressively without ever changing an answer. The oracle
+// enforces exactly that as gateway-eq-direct.
 //
 // The pieces:
 //
@@ -259,28 +258,21 @@ func (r *Ring) Members() []string {
 }
 
 // RouteKey content-addresses a request body the way the replica tier's
-// result cache does — SHA-256 over (mode, language, schedule class,
-// source), NUL-separated — so a program's requests always walk the ring
-// from the same point and land on the replica that already holds the
-// result. A body the gateway cannot decode hashes as raw bytes: the
+// result cache does — SHA-256 over (mode, language, source),
+// NUL-separated — so a program's requests always walk the ring from the
+// same point and land on the replica that already holds the result. A body the gateway cannot decode hashes as raw bytes: the
 // replica will reject it, but deterministically via the same path.
-func RouteKey(mode, lang string, parallel int, source string) string {
+func RouteKey(mode, lang, source string) string {
 	if mode == "" {
 		mode = "vsfs"
 	}
 	if lang == "" {
 		lang = "c"
 	}
-	class := "seq"
-	if parallel > 1 {
-		class = "par"
-	}
 	h := sha256.New()
 	h.Write([]byte(mode))
 	h.Write([]byte{0})
 	h.Write([]byte(lang))
-	h.Write([]byte{0})
-	h.Write([]byte(class))
 	h.Write([]byte{0})
 	h.Write([]byte(source))
 	return hex.EncodeToString(h.Sum(nil))

@@ -23,7 +23,7 @@ func TestPickIsDeterministicAndSticky(t *testing.T) {
 	}
 	r2, _ := NewRing(names, 0, 0)
 	for i := 0; i < 50; i++ {
-		key := RouteKey("", "", 0, fmt.Sprintf("prog-%d", i))
+		key := RouteKey("", "", fmt.Sprintf("prog-%d", i))
 		p1 := r1.Pick(key)
 		p2 := r2.Pick(key)
 		if !reflect.DeepEqual(p1, p2) {
@@ -47,7 +47,7 @@ func TestPickSpreadsKeys(t *testing.T) {
 	r, _ := NewRing(names, 0, 0)
 	counts := map[string]int{}
 	for i := 0; i < 300; i++ {
-		counts[r.Pick(RouteKey("", "", 0, fmt.Sprintf("prog-%d", i)))[0]]++
+		counts[r.Pick(RouteKey("", "", fmt.Sprintf("prog-%d", i)))[0]]++
 	}
 	for _, n := range names {
 		if counts[n] == 0 {
@@ -59,7 +59,7 @@ func TestPickSpreadsKeys(t *testing.T) {
 func TestPickBoundedLoadSpillsHotReplica(t *testing.T) {
 	names := []string{"http://a", "http://b", "http://c"}
 	r, _ := NewRing(names, 0, 1.25)
-	key := RouteKey("", "", 0, "hot program")
+	key := RouteKey("", "", "hot program")
 	primary := r.Pick(key)[0]
 
 	// Saturate the primary: with total inflight 4 on it and none
@@ -86,7 +86,7 @@ func TestPickBoundedLoadSpillsHotReplica(t *testing.T) {
 func TestSetHealthyRoutesAroundAndRebalances(t *testing.T) {
 	names := []string{"http://a", "http://b", "http://c"}
 	r, _ := NewRing(names, 0, 0)
-	key := RouteKey("", "", 0, "some program")
+	key := RouteKey("", "", "some program")
 	primary := r.Pick(key)[0]
 
 	if !r.SetHealthy(primary, false) {
@@ -121,7 +121,7 @@ func TestPickAllUnhealthyStillRoutes(t *testing.T) {
 	r, _ := NewRing(names, 0, 0)
 	r.SetHealthy("http://a", false)
 	r.SetHealthy("http://b", false)
-	got := r.Pick(RouteKey("", "", 0, "x"))
+	got := r.Pick(RouteKey("", "", "x"))
 	if len(got) != 2 {
 		t.Fatalf("all-unhealthy Pick = %v, want the full membership", got)
 	}
@@ -129,20 +129,13 @@ func TestPickAllUnhealthyStillRoutes(t *testing.T) {
 
 func TestRouteKeyMatchesCacheKeyShape(t *testing.T) {
 	// Defaults fill in exactly like the replica's cache key.
-	if RouteKey("", "", 0, "src") != RouteKey("vsfs", "c", 1, "src") {
-		t.Error("defaulted key differs from explicit (vsfs, c, seq) key")
+	if RouteKey("", "", "src") != RouteKey("vsfs", "c", "src") {
+		t.Error("defaulted key differs from explicit (vsfs, c) key")
 	}
-	// Only the parallel class matters, not the worker count.
-	if RouteKey("", "", 2, "src") != RouteKey("", "", 8, "src") {
-		t.Error("parallel=2 and parallel=8 should share a key")
-	}
-	if RouteKey("", "", 1, "src") == RouteKey("", "", 2, "src") {
-		t.Error("sequential and parallel classes should differ")
-	}
-	if RouteKey("sfs", "", 0, "src") == RouteKey("", "", 0, "src") {
+	if RouteKey("sfs", "", "src") == RouteKey("", "", "src") {
 		t.Error("mode should enter the key")
 	}
-	if RouteKey("", "ir", 0, "src") == RouteKey("", "", 0, "src") {
+	if RouteKey("", "ir", "src") == RouteKey("", "", "src") {
 		t.Error("lang should enter the key")
 	}
 }

@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"vsfs/internal/guard"
@@ -145,8 +144,7 @@ func runVersioning(ctx context.Context, g *svfg.Graph) (*versioning, error) {
 	n := len(g.Prog.Instrs)
 	v := newVersioning(n, meld.NewTable())
 	objs, perObj := collectPrelabels(g)
-	lb := newLabeller(n)
-	lb.meter(-1, nil, obs.AttrFrom(ctx))
+	lb := newLabeller(n, obs.AttrFrom(ctx))
 	for _, o := range objs {
 		if err := lb.labelObject(ctx, g, v, o, perObj[o]); err != nil {
 			return nil, err
@@ -161,8 +159,7 @@ func runVersioning(ctx context.Context, g *svfg.Graph) (*versioning, error) {
 
 // labeller is the scratch state of the per-object labelling pass. Its
 // per-node arrays are indexed by label and reset after every object
-// through touched, so one labeller serves any number of objects; the
-// parallel engine keeps one per worker.
+// through touched, so one labeller serves any number of objects.
 type labeller struct {
 	index   []int32 // Tarjan DFS number + 1; 0 = not visited for this object
 	low     []int32 // Tarjan low-link
@@ -178,11 +175,7 @@ type labeller struct {
 	acc     []meld.Version
 
 	// Governance: checkpoints fall every cancelCheckInterval (node,
-	// object) visits. shard is -1 for the sequential pass; ledger is the
-	// parallel engine's per-shard charge slot (nil sequentially); attr
-	// takes one meld charge per MeldOps increment.
-	shard  int
-	ledger *atomic.Int64
+	// object) visits; attr takes one meld charge per MeldOps increment.
 	attr   *obs.ObjectAttr
 	visits int
 }
@@ -195,35 +188,21 @@ type frame struct {
 	next  int
 }
 
-func newLabeller(n int) *labeller {
+func newLabeller(n int, attr *obs.ObjectAttr) *labeller {
 	return &labeller{
 		index: make([]int32, n),
 		low:   make([]int32, n),
 		comp:  make([]int32, n),
+		attr:  attr,
 	}
-}
-
-// meter points the labeller's checkpoints and meld charges at a shard
-// (or, with shard -1 and a nil ledger, at the sequential pass) and
-// restarts the visit count, so checkpoint placement depends only on the
-// work charged to that ledger.
-func (lb *labeller) meter(shard int, ledger *atomic.Int64, attr *obs.ObjectAttr) {
-	lb.shard, lb.ledger, lb.attr, lb.visits = shard, ledger, attr, 0
 }
 
 // poll counts one (node, object) visit and charges the budget every
 // cancelCheckInterval visits.
 func (lb *labeller) poll(ctx context.Context) error {
 	if lb.visits%cancelCheckInterval == 0 {
-		if lb.ledger == nil {
-			if err := guard.Tick(ctx, "solve", cancelCheckInterval); err != nil {
-				return err
-			}
-		} else {
-			if err := guard.TickShard(ctx, "solve", lb.shard, cancelCheckInterval); err != nil {
-				return err
-			}
-			lb.ledger.Add(cancelCheckInterval)
+		if err := guard.Tick(ctx, "solve", cancelCheckInterval); err != nil {
+			return err
 		}
 	}
 	lb.visits++

@@ -28,10 +28,6 @@ type Stats struct {
 
 	Versioning VersionStats
 	SolveTime  time.Duration
-
-	// Parallel quantifies the sharded engine's schedule; nil for
-	// sequential solves. See parallel.go.
-	Parallel *ParallelStats
 }
 
 // Result is the outcome of versioned staged flow-sensitive analysis.
@@ -42,12 +38,10 @@ type Result struct {
 
 	pt []*bitset.Sparse // top-level points-to sets
 
-	// ptv maps (object, version) to its global points-to set. Storage
-	// is split into ShardCount maps keyed by the owning object's shard
-	// (shardOf) so the parallel engine's apply phase can mutate shards
-	// concurrently without sharing map internals; the sequential solver
-	// pays one mask per access for the same layout.
-	ptv [ShardCount]map[verKey]*bitset.Sparse
+	// ptv[o][κ] is pt_κ(o), the global points-to set of version κ of
+	// object o. Keyed by object first so one object's versions (all
+	// that ObjectSummary reads) sit together; nil for objects with none.
+	ptv []map[meld.Version]*bitset.Sparse
 
 	callees map[*ir.Instr]map[*ir.Function]bool
 
@@ -108,8 +102,8 @@ func funcLess(a, b *ir.Function) bool {
 // version: everything the object may ever hold.
 func (r *Result) ObjectSummary(o ir.ID) *bitset.Sparse {
 	out := bitset.New()
-	for key, set := range r.ptv[shardOf(o)] {
-		if key.obj == o {
+	if int(o) < len(r.ptv) {
+		for _, set := range r.ptv[o] {
 			out.UnionWith(set)
 		}
 	}
@@ -138,8 +132,10 @@ func (r *Result) YieldVersion(label uint32, o ir.ID) meld.Version {
 }
 
 func (r *Result) ptvOf(o ir.ID, v meld.Version) *bitset.Sparse {
-	if s := r.ptv[shardOf(o)][verKey{obj: o, ver: v}]; s != nil {
-		return s
+	if int(o) < len(r.ptv) {
+		if s := r.ptv[o][v]; s != nil {
+			return s
+		}
 	}
 	return empty
 }
@@ -168,7 +164,13 @@ func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 		Arg("meldOps", ver.stats.MeldOps).
 		End()
 	s := &state{
-		Result:       newResult(g, ver),
+		Result: &Result{
+			Graph:   g,
+			ver:     ver,
+			pt:      make([]*bitset.Sparse, g.Prog.NumValues()+1),
+			ptv:     make([]map[meld.Version]*bitset.Sparse, g.Prog.NumValues()+1),
+			callees: make(map[*ir.Instr]map[*ir.Function]bool),
+		},
 		ctx:          ctx,
 		attr:         attr,
 		verReliance:  make(map[verKey][]meld.Version),
@@ -197,20 +199,6 @@ func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 // object) visits in meld labelling — pass between context polls in
 // this package's loops.
 const cancelCheckInterval = 1024
-
-// newResult allocates the shared result shell both engines solve into.
-func newResult(g *svfg.Graph, ver *versioning) *Result {
-	r := &Result{
-		Graph:   g,
-		ver:     ver,
-		pt:      make([]*bitset.Sparse, g.Prog.NumValues()+1),
-		callees: make(map[*ir.Instr]map[*ir.Function]bool),
-	}
-	for i := range r.ptv {
-		r.ptv[i] = make(map[verKey]*bitset.Sparse)
-	}
-	return r
-}
 
 type state struct {
 	*Result
@@ -306,12 +294,20 @@ func (s *state) ptOf(v ir.ID) *bitset.Sparse {
 }
 
 func (s *state) ptvSet(o ir.ID, v meld.Version) *bitset.Sparse {
-	key := verKey{obj: o, ver: v}
-	m := s.ptv[shardOf(o)]
-	set := m[key]
+	if int(o) >= len(s.ptv) {
+		grown := make([]map[meld.Version]*bitset.Sparse, s.Graph.Prog.NumValues()+1)
+		copy(grown, s.ptv)
+		s.ptv = grown
+	}
+	m := s.ptv[o]
+	if m == nil {
+		m = make(map[meld.Version]*bitset.Sparse)
+		s.ptv[o] = m
+	}
+	set := m[v]
 	if set == nil {
 		set = bitset.New()
-		m[key] = set
+		m[v] = set
 	}
 	return set
 }
@@ -344,7 +340,7 @@ func (s *state) growVersion(o ir.ID, v meld.Version, src *bitset.Sparse) {
 	}
 	s.Stats.Changed++
 	queue := []item{{ver: v}}
-	//vsfs:lint-ignore guardtick version cascade is finite (monotone sets over prelabelled versions) and metered at the next run checkpoint; see DESIGN §15
+	//vsfs:lint-ignore guardtick version cascade is finite (monotone sets over prelabelled versions) and metered at the next run checkpoint; see DESIGN §14
 	for len(queue) > 0 {
 		it := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -352,7 +348,7 @@ func (s *state) growVersion(o ir.ID, v meld.Version, src *bitset.Sparse) {
 		for _, l := range s.stmtReliance[key] {
 			s.work.push(l)
 		}
-		cur := s.ptv[shardOf(o)][key]
+		cur := s.ptv[o][it.ver]
 		for _, to := range s.verReliance[key] {
 			s.Stats.Propagations++
 			s.Stats.VersionProps++
@@ -579,11 +575,11 @@ func (s *state) collectStats() {
 	for _, targets := range s.verReliance {
 		s.Stats.VersionConstraints += len(targets)
 	}
-	for sh := range s.ptv {
-		for key, set := range s.ptv[sh] {
+	for o, m := range s.ptv {
+		for _, set := range m {
 			s.Stats.PtsSets++
 			s.Stats.PtsWords += set.Words()
-			s.attr.Set(uint32(key.obj))
+			s.attr.Set(uint32(o))
 		}
 	}
 	for _, set := range s.pt {

@@ -23,7 +23,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
@@ -59,18 +58,9 @@ type ErrBudgetExceeded struct {
 	// Limit is the configured bound in the resource's unit (steps,
 	// bytes, or nanoseconds).
 	Limit int64
-	// Shard is the parallel-solver shard whose charge tripped the
-	// limit, or -1 when the breach was not attributed to a shard
-	// (sequential solves, build passes, unsharded worker chunks). The
-	// budget itself is shared — shards charge one envelope and the
-	// charges sum — so Shard is provenance, not a per-shard limit.
-	Shard int
 }
 
 func (e *ErrBudgetExceeded) Error() string {
-	if e.Shard >= 0 {
-		return fmt.Sprintf("guard: %s budget exceeded in %s phase (limit %d, shard %d)", e.Resource, e.Phase, e.Limit, e.Shard)
-	}
 	return fmt.Sprintf("guard: %s budget exceeded in %s phase (limit %d)", e.Resource, e.Phase, e.Limit)
 }
 
@@ -148,13 +138,13 @@ func (b *Budget) check(phase string, n int64) error {
 		return nil
 	}
 	if b.addSteps(n) {
-		return &ErrBudgetExceeded{Phase: phase, Resource: ResourceSteps, Limit: b.maxSteps, Shard: -1}
+		return &ErrBudgetExceeded{Phase: phase, Resource: ResourceSteps, Limit: b.maxSteps}
 	}
 	if b.maxBytes > 0 && b.BytesUsed() > b.maxBytes {
-		return &ErrBudgetExceeded{Phase: phase, Resource: ResourceMem, Limit: b.maxBytes, Shard: -1}
+		return &ErrBudgetExceeded{Phase: phase, Resource: ResourceMem, Limit: b.maxBytes}
 	}
 	if b.maxWall > 0 && time.Since(b.armedAt) > b.maxWall {
-		return &ErrBudgetExceeded{Phase: phase, Resource: ResourceWall, Limit: int64(b.maxWall), Shard: -1}
+		return &ErrBudgetExceeded{Phase: phase, Resource: ResourceWall, Limit: int64(b.maxWall)}
 	}
 	return nil
 }
@@ -194,21 +184,6 @@ func Tick(ctx context.Context, phase string, n int64) error {
 		return b.check(phase, n)
 	}
 	return nil
-}
-
-// TickShard is Tick for the parallel solver's shard-owned work: it
-// charges the same shared budget (per-shard charges sum — the
-// conservation rule of DESIGN.md §13) but stamps any budget breach with
-// the charging shard so degradation provenance can name it. Safe to
-// call concurrently from shard workers: the budget counters are atomic
-// and the fault plan serialises its own checkpoints.
-func TickShard(ctx context.Context, phase string, shard int, n int64) error {
-	err := Tick(ctx, phase, n)
-	var be *ErrBudgetExceeded
-	if errors.As(err, &be) && shard >= 0 {
-		be.Shard = shard
-	}
-	return err
 }
 
 // PhaseError is a pipeline-phase panic converted into a value: the

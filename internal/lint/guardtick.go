@@ -6,7 +6,7 @@ import (
 )
 
 // GuardTick requires every unbounded loop in the solver worklist
-// packages to reach a guard.Tick / guard.TickShard checkpoint. The
+// packages to reach a guard.Tick checkpoint. The
 // guard subsystem's budget accounting (and its exact-conservation
 // oracle invariant) only sees work that passes a checkpoint; an
 // unbounded drain loop with no reachable Tick is work the budget
@@ -19,8 +19,8 @@ import (
 // body calls a helper that ticks is covered.
 var GuardTick = &Analyzer{
 	Name: "guardtick",
-	Doc: "unbounded loops in solver worklist packages must reach a guard.Tick/TickShard " +
-		"checkpoint so budget coverage and cancellation latency cannot silently regress",
+	Doc: "unbounded loops in solver worklist packages must reach a guard.Tick checkpoint " +
+		"so budget coverage and cancellation latency cannot silently regress",
 	Run: runGuardTick,
 }
 
@@ -52,7 +52,7 @@ func runGuardTick(p *Pass) []Finding {
 				return true
 			}
 			out = append(out, findingf(p, "guardtick", loop.Pos(),
-				"unbounded loop never reaches guard.Tick/TickShard: its work is invisible to "+
+				"unbounded loop never reaches guard.Tick: its work is invisible to "+
 					"budgets and uncancellable; add a checkpoint (guard.Tick(ctx, phase, 0) "+
 					"charges nothing) or bound the loop"))
 			return true
@@ -85,7 +85,7 @@ func doesWork(body *ast.BlockStmt) bool {
 }
 
 // tickingFuncs computes the fixpoint of package functions that reach
-// guard.Tick/TickShard: directly, or through calls to other ticking
+// guard.Tick: directly, or through calls to other ticking
 // functions in the same package.
 func tickingFuncs(p *Pass) map[*types.Func]bool {
 	decls := map[*types.Func]*ast.FuncDecl{}
@@ -101,7 +101,7 @@ func tickingFuncs(p *Pass) map[*types.Func]bool {
 		}
 	}
 	ticking := map[*types.Func]bool{}
-	// Seed: functions with a direct guard.Tick/TickShard call.
+	// Seed: functions with a direct guard.Tick call.
 	for fn, fd := range decls {
 		imports := importsOf(fileOf(p, fd))
 		direct := false
@@ -110,7 +110,7 @@ func tickingFuncs(p *Pass) map[*types.Func]bool {
 				return false
 			}
 			if call, ok := n.(*ast.CallExpr); ok {
-				if _, ok := isPkgCall(p, imports, call, guardPath, "Tick", "TickShard"); ok {
+				if _, ok := isPkgCall(p, imports, call, guardPath, "Tick"); ok {
 					direct = true
 					return false
 				}
@@ -152,8 +152,8 @@ func tickingFuncs(p *Pass) map[*types.Func]bool {
 	return ticking
 }
 
-// reachesTick reports whether body contains a direct guard.Tick /
-// TickShard call or a call to a same-package function known to tick.
+// reachesTick reports whether body contains a direct guard.Tick call
+// or a call to a same-package function known to tick.
 func reachesTick(p *Pass, imports map[string]string, body *ast.BlockStmt, ticking map[*types.Func]bool) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -164,7 +164,7 @@ func reachesTick(p *Pass, imports map[string]string, body *ast.BlockStmt, tickin
 		if !ok {
 			return true
 		}
-		if _, ok := isPkgCall(p, imports, call, guardPath, "Tick", "TickShard"); ok {
+		if _, ok := isPkgCall(p, imports, call, guardPath, "Tick"); ok {
 			found = true
 			return false
 		}

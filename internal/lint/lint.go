@@ -16,9 +16,9 @@
 //	                cache byte identity)
 //	noclock         no wall clock or unseeded math/rand inside
 //	                deterministic solver paths (oracle: re-solve
-//	                and parallel determinism)
+//	                determinism)
 //	guardtick       unbounded solver loops must reach a
-//	                guard.Tick/TickShard checkpoint (guard: budget
+//	                guard.Tick checkpoint (guard: budget
 //	                coverage, cancellation latency)
 //	metricname      every obs metric registration is declared in
 //	                the canonical registry (obs: no dup/typo'd

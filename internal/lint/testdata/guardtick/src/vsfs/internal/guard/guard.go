@@ -1,9 +1,7 @@
 // Package guard is a corpus stub: the analyzer only resolves the
-// Tick/TickShard names through this import path.
+// Tick name through this import path.
 package guard
 
 import "context"
 
 func Tick(ctx context.Context, phase string, n int) error { return nil }
-
-func TickShard(ctx context.Context, phase string, shard, n int) error { return nil }

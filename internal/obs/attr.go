@@ -105,34 +105,6 @@ func (a *ObjectAttr) Meld(o uint32) {
 	a.melds[o]++
 }
 
-// Merge folds other's counters into a. The parallel solver gives each
-// worker and each shard a private ObjectAttr (the type is not safe for
-// concurrent use) and merges them into the run's collector after the
-// final barrier; because counter addition commutes, the merged totals —
-// and therefore TopK's deterministic cost/ID ordering — are identical
-// no matter how work was scheduled across workers. Merging into a nil
-// collector is a no-op, like every other ObjectAttr method.
-func (a *ObjectAttr) Merge(other *ObjectAttr) {
-	if a == nil || other == nil {
-		return
-	}
-	merge := func(dst *[]uint64, src []uint64) {
-		if len(src) == 0 {
-			return
-		}
-		if len(src) > len(*dst) {
-			*dst = append(*dst, make([]uint64, len(src)-len(*dst))...)
-		}
-		for i, v := range src {
-			(*dst)[i] += v
-		}
-	}
-	merge(&a.pops, other.pops)
-	merge(&a.props, other.props)
-	merge(&a.sets, other.sets)
-	merge(&a.melds, other.melds)
-}
-
 func total(a *ObjectAttr, pick func(*ObjectAttr) []uint64) uint64 {
 	if a == nil {
 		return 0

@@ -127,76 +127,6 @@ func TestCollectorContextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergeCommutesAndConserves pins the property the parallel solver
-// leans on: folding per-worker collectors together in ANY order yields
-// identical totals and an identical TopK, and merged totals are the sum
-// of the parts. Uses mismatched slice lengths so the grow-on-merge path
-// is exercised too.
-func TestMergeCommutesAndConserves(t *testing.T) {
-	build := func(charges [][2]uint32) *ObjectAttr {
-		a := NewObjectAttr(1)
-		for _, c := range charges {
-			switch c[0] {
-			case 0:
-				a.Pop(c[1])
-			case 1:
-				a.Prop(c[1])
-			case 2:
-				a.Set(c[1])
-			case 3:
-				a.Meld(c[1])
-			}
-		}
-		return a
-	}
-	parts := [][][2]uint32{
-		{{0, 1}, {0, 1}, {1, 5}, {3, 200}},
-		{{0, 2}, {2, 2}, {1, 1}},
-		{{0, 1}, {0, 5}, {1, 5}, {2, 999}},
-	}
-	nameOf := func(o uint32) string { return fmt.Sprintf("o%d", o) }
-
-	var want []HotObject
-	var wantPops, wantProps uint64
-	orders := [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}
-	for _, ord := range orders {
-		m := NewObjectAttr(1)
-		for _, i := range ord {
-			m.Merge(build(parts[i]))
-		}
-		top := m.TopK(10, nameOf)
-		if want == nil {
-			want, wantPops, wantProps = top, m.TotalPops(), m.TotalProps()
-			continue
-		}
-		if m.TotalPops() != wantPops || m.TotalProps() != wantProps {
-			t.Fatalf("order %v: totals differ (%d/%d vs %d/%d)",
-				ord, m.TotalPops(), m.TotalProps(), wantPops, wantProps)
-		}
-		if fmt.Sprint(top) != fmt.Sprint(want) {
-			t.Fatalf("order %v: TopK differs:\n%v\nvs\n%v", ord, top, want)
-		}
-	}
-
-	// Conservation: the merged totals are the sum of the parts'.
-	var popSum uint64
-	for _, p := range parts {
-		popSum += build(p).TotalPops()
-	}
-	if wantPops != popSum {
-		t.Fatalf("merged pops = %d, parts sum to %d", wantPops, popSum)
-	}
-
-	// Merging into or from nil stays a no-op.
-	var nilAttr *ObjectAttr
-	nilAttr.Merge(build(parts[0]))
-	m := build(parts[0])
-	m.Merge(nil)
-	if m.TotalPops() != build(parts[0]).TotalPops() {
-		t.Fatal("Merge(nil) changed the receiver")
-	}
-}
-
 // TestTopKTieOrderingDeterministic: objects with equal cost must rank by
 // ascending ID, so a tie-heavy table renders identically run after run —
 // the determinism the report byte-identity contract depends on.

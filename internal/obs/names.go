@@ -39,7 +39,6 @@ var MetricNames = map[string]Kind{
 	"vsfs_gateway_uptime_seconds":        KindGauge,
 	"vsfs_guard_panics_total":            KindCounter,
 	"vsfs_http_requests_total":           KindCounter,
-	"vsfs_parallel_solves_total":         KindCounter,
 	"vsfs_points_to_sets":                KindHistogram,
 	"vsfs_prelabels":                     KindGauge,
 	"vsfs_propagations_total":            KindCounter,
@@ -50,9 +49,6 @@ var MetricNames = map[string]Kind{
 	"vsfs_shape_instrs":                  KindGauge,
 	"vsfs_shape_singleton_ratio":         KindGauge,
 	"vsfs_shape_store_load_ratio":        KindGauge,
-	"vsfs_shard_imbalance":               KindGauge,
-	"vsfs_shard_pops_total":              KindCounter,
-	"vsfs_shard_steals_total":            KindCounter,
 	"vsfs_shed_requests_total":           KindCounter,
 	"vsfs_singleflight_shared_total":     KindCounter,
 	"vsfs_solve_max_seconds":             KindGauge,

@@ -137,7 +137,6 @@ func Check(b *Bundle, opts Options) []Violation {
 	if !c.opts.SkipResolve {
 		c.checkResolve()
 		c.checkAttribution()
-		c.checkParallel()
 	}
 	return c.out
 }

@@ -10,28 +10,15 @@ import (
 )
 
 // cacheKey content-addresses an analysis request: the SHA-256 of
-// (mode, input language, solver schedule class, source text),
-// NUL-separated so no two distinct requests collide by concatenation.
-// Per-request options that do not affect the solved result (deadlines,
-// query parameters) are deliberately excluded. The schedule class is
-// binary — "seq" for workers ≤ 1, "par" for ≥ 2 — not the worker
-// count itself: every parallel worker count produces a byte-identical
-// response (the parallel-eq-sequential determinism invariant), so
-// folding the count in would only fragment the cache. The two classes
-// are kept distinct anyway so effort counters in Report.Stats, which
-// legitimately differ between the two engines, never flip within one
-// cache entry.
-func cacheKey(mode vsfs.Mode, input vsfs.Input, source string, workers int) string {
-	class := "seq"
-	if workers > 1 {
-		class = "par"
-	}
+// (mode, input language, source text), NUL-separated so no two distinct
+// requests collide by concatenation. Per-request options that do not
+// affect the solved result (deadlines, query parameters) are
+// deliberately excluded.
+func cacheKey(mode vsfs.Mode, input vsfs.Input, source string) string {
 	h := sha256.New()
 	h.Write([]byte(mode.String()))
 	h.Write([]byte{0})
 	h.Write([]byte(input.String()))
-	h.Write([]byte{0})
-	h.Write([]byte(class))
 	h.Write([]byte{0})
 	h.Write([]byte(source))
 	return hex.EncodeToString(h.Sum(nil))

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strconv"
 	"time"
 
 	"vsfs"
@@ -65,13 +64,6 @@ type serverMetrics struct {
 	// Attribution series, populated only when Config.Attribution is on.
 	attrCharges    *obs.Family // counter by kind (pops|props|sets|melds)
 	attrObjectCost *obs.Series // histogram: per-object attributed cost
-
-	// Parallel-solver series, populated only by solves that ran the
-	// sharded engine (Config.Parallel or a request's parallel ≥ 2).
-	parallelSolves *obs.Series // counter: solves answered by the parallel engine
-	shardPops      *obs.Family // counter by shard: worklist pops owned by each shard
-	shardSteals    *obs.Series // counter: cross-worker chunk steals (schedule-dependent)
-	shardImbalance *obs.Series // gauge: last parallel solve's max-shard/mean-shard pop ratio
 }
 
 // attrMetricsTopK bounds how many per-object cost observations one
@@ -149,15 +141,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Per-object cost-attribution charges across attributed solves, by kind."),
 		attrObjectCost: r.Histogram("vsfs_attr_object_cost",
 			"Attributed cost (propagations + pops + melds) per hot object, per attributed solve.", obs.SizeBuckets),
-
-		parallelSolves: r.Counter("vsfs_parallel_solves_total",
-			"Solves answered by the sharded parallel VSFS engine."),
-		shardPops: r.CounterVec("vsfs_shard_pops_total",
-			"Parallel-solver worklist pops, by owning shard."),
-		shardSteals: r.Counter("vsfs_shard_steals_total",
-			"Parallel-solver chunks processed by a worker other than the one the round-robin split assigned."),
-		shardImbalance: r.Gauge("vsfs_shard_imbalance",
-			"Hottest shard's pops over the per-shard mean in the most recent parallel solve (1.0 = perfectly balanced)."),
 	}
 	obs.RegisterBuildInfo(r)
 
@@ -204,9 +187,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	for _, kind := range []string{"pops", "props", "sets", "melds"} {
 		m.attrCharges.With("kind", kind)
 	}
-	for sh := 0; sh < vsfs.ShardCount; sh++ {
-		m.shardPops.With("shard", strconv.Itoa(sh))
-	}
 	return m
 }
 
@@ -237,15 +217,6 @@ func (m *serverMetrics) observeSolve(res *vsfs.Result) {
 	m.shapeStoreLoadRatio.Set(sh.StoreLoadRatio)
 	m.shapeSingletonRatio.Set(sh.SingletonRatio)
 	m.shapeIndirectDensity.Set(sh.IndirectDensity)
-
-	if ps := res.Parallelism(); ps != nil {
-		m.parallelSolves.Inc()
-		for sh, pops := range ps.ShardPops {
-			m.shardPops.With("shard", strconv.Itoa(sh)).Add(float64(pops))
-		}
-		m.shardSteals.Add(float64(ps.Steals))
-		m.shardImbalance.Set(ps.ImbalanceRatio)
-	}
 
 	if a := res.Attr(); a != nil {
 		m.attrCharges.With("kind", "pops").Add(float64(a.TotalPops()))

@@ -113,14 +113,6 @@ type Config struct {
 	// vsfs_attr_* series. Adds ~four slice writes per solver event.
 	Attribution bool
 
-	// Parallel is the default worker count for VSFS main solves: values
-	// ≥ 2 run the sharded parallel engine, 0/1 solve sequentially. A
-	// request's "parallel" field overrides it. Parallel and sequential
-	// solves produce byte-identical responses (the parallel-eq-sequential
-	// invariant), so results are cached in just two classes — sequential
-	// and parallel — rather than one per worker count.
-	Parallel int
-
 	// RetryJitterSeed seeds the bounded jitter added to Retry-After
 	// values on shed/shutdown/budget rejections, so a burst of rejected
 	// clients does not resynchronize into a retry stampede. Zero draws a
@@ -299,13 +291,6 @@ type AnalyzeRequest struct {
 	Lang      string `json:"lang,omitempty"` // "c" (default) or "ir"
 	Mode      string `json:"mode,omitempty"` // "vsfs" (default), "sfs", "cfgfree", "andersen"
 	TimeoutMs int    `json:"timeoutMs,omitempty"`
-	// Parallel overrides the server's default VSFS solver worker count
-	// for this request: ≥ 2 solves on the sharded parallel engine, 1
-	// forces a sequential solve, 0 defers to Config.Parallel. Only the
-	// solver schedule changes — the response is byte-identical either
-	// way — so only the sequential/parallel class (not the exact count)
-	// enters the cache key.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // AnalyzeResponse is the body of a successful POST /analyze.
@@ -393,15 +378,8 @@ func (s *Server) resolve(ctx context.Context, req AnalyzeRequest) (res *vsfs.Res
 	if strings.TrimSpace(req.Source) == "" {
 		return nil, "", false, badRequestf("empty source")
 	}
-	if req.Parallel < 0 {
-		return nil, "", false, badRequestf("bad parallel %d (want 0 for the server default, 1 for sequential, or a worker count)", req.Parallel)
-	}
-	workers := s.cfg.Parallel
-	if req.Parallel > 0 {
-		workers = req.Parallel
-	}
 	s.met.requestsByMode.With("mode", mode.String()).Inc()
-	key = cacheKey(mode, input, req.Source, workers)
+	key = cacheKey(mode, input, req.Source)
 	if r, ok := s.cache.get(key); ok {
 		s.met.cacheReqs.With("result", "hit").Inc()
 		return r, key, true, nil
@@ -426,7 +404,7 @@ func (s *Server) resolve(ctx context.Context, req AnalyzeRequest) (res *vsfs.Res
 	// must be carried over explicitly for the solve's log lines.
 	reqID := obs.RequestID(ctx)
 	r, shared, err := s.flight.do(ctx, key, func(solveCtx context.Context) (*vsfs.Result, error) {
-		return s.solveOn(obs.WithRequestID(solveCtx, reqID), key, mode, input, req.Source, workers)
+		return s.solveOn(obs.WithRequestID(solveCtx, reqID), key, mode, input, req.Source)
 	})
 	if shared {
 		s.met.flightShared.Inc()
@@ -437,7 +415,7 @@ func (s *Server) resolve(ctx context.Context, req AnalyzeRequest) (res *vsfs.Res
 // solveOn runs one solve on the worker pool under solveCtx and caches a
 // successful result. It is only ever called as a single-flight leader,
 // so each distinct in-flight program occupies at most one queue slot.
-func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, input vsfs.Input, source string, workers int) (*vsfs.Result, error) {
+func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, input vsfs.Input, source string) (*vsfs.Result, error) {
 	type outcome struct {
 		res *vsfs.Result
 		err error
@@ -485,7 +463,7 @@ func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, i
 			tr.Tag("requestId", reqID)
 			ctx = obs.NewContext(ctx, tr)
 		}
-		res, err := vsfs.AnalyzeContext(ctx, source, vsfs.Options{Mode: mode, Input: input, Attr: s.cfg.Attribution, Parallel: workers})
+		res, err := vsfs.AnalyzeContext(ctx, source, vsfs.Options{Mode: mode, Input: input, Attr: s.cfg.Attribution})
 		switch {
 		case err == nil:
 			s.met.solveOutcomes.With("outcome", "ok").Inc()

@@ -198,6 +198,29 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestLegacyParallelFieldIgnored: requests are decoded without
+// DisallowUnknownFields, so an older client's "parallel" field is
+// ignored. The same program with and without it must share one cache
+// entry and get byte-identical bodies.
+func TestLegacyParallelFieldIgnored(t *testing.T) {
+	s := newTestServer(t, Config{})
+
+	code1, hdr1, body1 := post(t, s, "/analyze", map[string]any{"source": smallC})
+	code2, hdr2, body2 := post(t, s, "/analyze", map[string]any{"source": smallC, "parallel": 4})
+	if code1 != http.StatusOK || code2 != http.StatusOK {
+		t.Fatalf("status = %d, %d: %s", code1, code2, body2)
+	}
+	if got := hdr2.Get("X-Vsfs-Cache"); got != "hit" {
+		t.Fatalf("request with \"parallel\": cache = %q, want hit", got)
+	}
+	if hdr1.Get("X-Vsfs-Key") != hdr2.Get("X-Vsfs-Key") {
+		t.Fatalf("content keys differ: %q vs %q", hdr1.Get("X-Vsfs-Key"), hdr2.Get("X-Vsfs-Key"))
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Fatalf("bodies differ:\n%s\n---\n%s", body1, body2)
+	}
+}
+
 // TestSingleFlight: N concurrent identical requests must trigger
 // exactly one solve.
 func TestSingleFlight(t *testing.T) {

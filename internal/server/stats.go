@@ -1,11 +1,6 @@
 package server
 
-import (
-	"strconv"
-	"time"
-
-	"vsfs"
-)
+import "time"
 
 // PhaseMillis breaks cumulative solve time down by pipeline phase.
 type PhaseMillis struct {
@@ -69,26 +64,6 @@ type StatsSnapshot struct {
 	Phase      PhaseMillis `json:"phase"`
 
 	LastShape LastShape `json:"lastShape"`
-
-	Parallel ParallelSnapshot `json:"parallel"`
-}
-
-// ParallelSnapshot mirrors the vsfs_parallel_* and vsfs_shard_* series:
-// cumulative sharded-engine activity plus the most recent parallel
-// solve's load-balance gauge. All zero when no solve has run the
-// parallel engine.
-type ParallelSnapshot struct {
-	Solves int64 `json:"solves"`
-	// ShardPops is cumulative worklist pops by owning shard, indexed by
-	// shard number (length vsfs.ShardCount).
-	ShardPops []int64 `json:"shardPops"`
-	// Steals counts chunks processed by a worker other than the one the
-	// round-robin split assigned. Schedule-dependent: a capacity signal,
-	// never part of any determinism contract.
-	Steals int64 `json:"steals"`
-	// LastImbalance is the most recent parallel solve's hottest-shard /
-	// mean-shard pop ratio (1.0 = perfectly balanced).
-	LastImbalance float64 `json:"lastImbalance"`
 }
 
 func (s *Server) snapshot() StatsSnapshot {
@@ -147,15 +122,6 @@ func (s *Server) snapshot() StatsSnapshot {
 	snap.RequestsByMode = make(map[string]int64, len(analysisModes))
 	for _, mode := range analysisModes {
 		snap.RequestsByMode[mode] = int64(m.requestsByMode.With("mode", mode).Value())
-	}
-	snap.Parallel = ParallelSnapshot{
-		Solves:        int64(m.parallelSolves.Value()),
-		ShardPops:     make([]int64, vsfs.ShardCount),
-		Steals:        int64(m.shardSteals.Value()),
-		LastImbalance: m.shardImbalance.Value(),
-	}
-	for sh := range snap.Parallel.ShardPops {
-		snap.Parallel.ShardPops[sh] = int64(m.shardPops.With("shard", strconv.Itoa(sh)).Value())
 	}
 	if n := m.solveSeconds.Count(); n > 0 {
 		snap.AvgSolveMs = m.solveSeconds.Sum() * 1e3 / float64(n)

@@ -144,26 +144,7 @@ type Options struct {
 	// and Report.HotObjects. Off by default — the disabled path costs
 	// one predicted nil-check per counter bump.
 	Attr bool
-	// Parallel selects the worker count for the VSFS main solve: values
-	// ≥ 2 run the sharded parallel engine (core.SolveParallelContext),
-	// 0/1 run sequentially. Only the VSFS backend parallelises; SFS,
-	// CFG-free, and Andersen runs — including degradation rungs — ignore
-	// it. Every Parallel ≥ 2 produces facts, findings, and reports
-	// byte-identical to the sequential solve (the parallel-eq-sequential
-	// oracle invariant), so the choice is purely a latency/CPU trade.
-	Parallel int
 }
-
-// ParallelStats describes the sharded engine's schedule; see
-// core.ParallelStats. Result.Parallelism returns nil for sequential
-// runs.
-type ParallelStats = core.ParallelStats
-
-// ShardCount is the parallel engine's fixed shard count (objects are
-// partitioned by ID mod ShardCount); re-exported so servers can
-// materialise per-shard metric series without reaching into internal
-// packages.
-const ShardCount = core.ShardCount
 
 // Shape is the Table II-style program feature vector computed during
 // the auxiliary phase; see internal/shape.
@@ -248,19 +229,6 @@ func (r *Result) HotObjects(k int) []obs.HotObject {
 		return nil
 	}
 	return r.attr.TopK(k, func(o uint32) string { return r.prog.NameOf(ir.ID(o)) })
-}
-
-// Parallelism returns the sharded engine's schedule statistics (worker
-// count, shard pop distribution, steal count, imbalance ratio, guard
-// ledger), or nil when the answering solve ran sequentially — including
-// runs requested with Options.Parallel that degraded onto a sequential
-// ladder rung. Everything in it except Workers, Steals, and wall time
-// is deterministic across worker counts.
-func (r *Result) Parallelism() *ParallelStats {
-	if r.vsfsRes == nil {
-		return nil
-	}
-	return r.vsfsRes.Stats.Parallel
 }
 
 // RunRecord is one entry of the persistent run ledger (obs.Ledger): a
@@ -619,11 +587,7 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, hash st
 		case FlowInsensitive:
 			// Auxiliary results only.
 		default:
-			if opts.Parallel > 1 {
-				r.vsfsRes, serr = core.SolveParallelContext(ctx, r.g, opts.Parallel)
-			} else {
-				r.vsfsRes, serr = core.SolveContext(ctx, r.g)
-			}
+			r.vsfsRes, serr = core.SolveContext(ctx, r.g)
 		}
 		return serr
 	})
