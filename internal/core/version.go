@@ -39,70 +39,60 @@ type VersionStats struct {
 }
 
 // versioning holds the C (consume) and Y (yield) functions of Section
-// IV-C, per node label.
+// IV-C, indexed by the SVFG's (node, object) slots. A slot is
+// materialised once it holds a version other than ε: labelling assigns
+// every slot it reaches a non-ε version, so ε stands for "never set".
 type versioning struct {
+	g   *svfg.Graph
 	tab *meld.Table
 
-	consume []map[ir.ID]meld.Version // ξ_ℓ(o)
-	yield   []map[ir.ID]meld.Version // η_ℓ(o)
+	consume []meld.Version // ξ_ℓ(o) by slot
+	yield   []meld.Version // η_ℓ(o) by slot
 
 	stats VersionStats
 }
 
-func newVersioning(n int, tab *meld.Table) *versioning {
+func newVersioning(g *svfg.Graph, tab *meld.Table) *versioning {
 	return &versioning{
+		g:       g,
 		tab:     tab,
-		consume: make([]map[ir.ID]meld.Version, n),
-		yield:   make([]map[ir.ID]meld.Version, n),
+		consume: make([]meld.Version, g.NumSlots()),
+		yield:   make([]meld.Version, g.NumSlots()),
 	}
 }
 
 func (v *versioning) consumeOf(l uint32, o ir.ID) meld.Version {
-	if m := v.consume[l]; m != nil {
-		return m[o]
+	if s, ok := v.g.Slot(l, o); ok {
+		return v.consume[s]
 	}
 	return meld.Epsilon
 }
 
 func (v *versioning) yieldOf(l uint32, o ir.ID) meld.Version {
-	if m := v.yield[l]; m != nil {
-		return m[o]
+	if s, ok := v.g.Slot(l, o); ok {
+		return v.yield[s]
 	}
 	return meld.Epsilon
 }
 
-func (v *versioning) setConsume(l uint32, o ir.ID, ver meld.Version) {
-	m := v.consume[l]
-	if m == nil {
-		m = make(map[ir.ID]meld.Version)
-		v.consume[l] = m
-	}
-	m[o] = ver
-}
-
-func (v *versioning) setYield(l uint32, o ir.ID, ver meld.Version) {
-	m := v.yield[l]
-	if m == nil {
-		m = make(map[ir.ID]meld.Version)
-		v.yield[l] = m
-	}
-	m[o] = ver
-}
-
 // countEntries fills the fixpoint-shaped entry counters.
 func (v *versioning) countEntries() {
-	for _, m := range v.consume {
-		v.stats.ConsumeEntries += len(m)
-	}
-	for _, m := range v.yield {
-		v.stats.YieldEntries += len(m)
+	for s := range v.consume {
+		if v.consume[s] != meld.Epsilon {
+			v.stats.ConsumeEntries++
+		}
+		if v.yield[s] != meld.Epsilon {
+			v.stats.YieldEntries++
+		}
 	}
 }
 
 // prelabel is one [STORE]^P / [OTF-CG]^P seed of an object's meld
-// labelling: a store's yield (delta false) or a δ node's consume.
+// labelling: a store's yield (delta false) or a δ node's consume, at
+// slot (l, o).
 type prelabel struct {
 	l     uint32
+	slot  int
 	delta bool
 }
 
@@ -117,13 +107,14 @@ func collectPrelabels(g *svfg.Graph) ([]ir.ID, [][]prelabel) {
 			continue
 		}
 		g.MSSA.ChiOf(l).ForEach(func(o uint32) {
+			s, _ := g.Slot(l, ir.ID(o))
 			if isStore {
-				perObj[o] = append(perObj[o], prelabel{l: l})
+				perObj[o] = append(perObj[o], prelabel{l: l, slot: s})
 			}
 			if g.Delta[l] {
 				// δ nodes consume a fresh version for each object they
 				// may propagate forward (their χ set).
-				perObj[o] = append(perObj[o], prelabel{l: l, delta: true})
+				perObj[o] = append(perObj[o], prelabel{l: l, slot: s, delta: true})
 			}
 		})
 	}
@@ -141,10 +132,9 @@ func collectPrelabels(g *svfg.Graph) ([]ir.ID, [][]prelabel) {
 // aborts the pre-analysis too, not just the main phase.
 func runVersioning(ctx context.Context, g *svfg.Graph) (*versioning, error) {
 	start := time.Now()
-	n := len(g.Prog.Instrs)
-	v := newVersioning(n, meld.NewTable())
+	v := newVersioning(g, meld.NewTable())
 	objs, perObj := collectPrelabels(g)
-	lb := newLabeller(n, obs.AttrFrom(ctx))
+	lb := newLabeller(len(g.Prog.Instrs), obs.AttrFrom(ctx))
 	for _, o := range objs {
 		if err := lb.labelObject(ctx, g, v, o, perObj[o]); err != nil {
 			return nil, err
@@ -164,6 +154,7 @@ type labeller struct {
 	index   []int32 // Tarjan DFS number + 1; 0 = not visited for this object
 	low     []int32 // Tarjan low-link
 	comp    []int32 // component of a finished node; -1 while on the stack
+	slot    []int   // the visited node's slot for the current object
 	touched []uint32
 
 	counter int32
@@ -193,6 +184,7 @@ func newLabeller(n int, attr *obs.ObjectAttr) *labeller {
 		index: make([]int32, n),
 		low:   make([]int32, n),
 		comp:  make([]int32, n),
+		slot:  make([]int, n),
 		attr:  attr,
 	}
 }
@@ -223,9 +215,9 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 	tab := v.tab
 	for _, pe := range pre {
 		if pe.delta {
-			v.setConsume(pe.l, o, tab.NewAtom())
+			v.consume[pe.slot] = tab.NewAtom()
 		} else {
-			v.setYield(pe.l, o, tab.NewAtom())
+			v.yield[pe.slot] = tab.NewAtom()
 		}
 		v.stats.Prelabels++
 	}
@@ -237,7 +229,7 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 			}
 			continue
 		}
-		for _, s := range g.IndirSuccs(pe.l, o) {
+		for _, s := range g.SlotSuccs(pe.slot) {
 			if !g.Delta[s] {
 				if err := lb.strongConnect(ctx, g, o, s); err != nil {
 					return err
@@ -252,8 +244,8 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 		if pe.delta {
 			continue
 		}
-		atom := v.yieldOf(pe.l, o)
-		for _, s := range g.IndirSuccs(pe.l, o) {
+		atom := v.yield[pe.slot]
+		for _, s := range g.SlotSuccs(pe.slot) {
 			if !g.Delta[s] {
 				lb.meld(v, o, lb.comp[s], atom)
 			}
@@ -269,21 +261,22 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 		members := lb.members[start:lb.bounds[c]]
 		label := lb.acc[c]
 		if n := members[0]; len(members) == 1 && g.Delta[n] {
-			label = v.consumeOf(n, o)
+			label = v.consume[lb.slot[n]]
 		}
 		v.stats.Iterations++
 		for _, n := range members {
 			if err := lb.poll(ctx); err != nil {
 				return err
 			}
+			sl := lb.slot[n]
 			if !g.Delta[n] {
-				v.setConsume(n, o, label)
+				v.consume[sl] = label
 			}
 			if g.Prog.Instrs[n].Op == ir.Store {
 				continue
 			}
-			v.setYield(n, o, label)
-			for _, s := range g.IndirSuccs(n, o) {
+			v.yield[sl] = label
+			for _, s := range g.SlotSuccs(sl) {
 				if cs := lb.comp[s]; !g.Delta[s] && cs != int32(c) {
 					lb.meld(v, o, cs, label)
 				}
@@ -312,13 +305,13 @@ func (lb *labeller) meld(v *versioning, o ir.ID, c int32, label meld.Version) {
 	}
 }
 
-// followed returns the o-labelled out-edges the labelling follows from
-// n: none from a store, whose yield is its own atom.
-func followed(g *svfg.Graph, n uint32, o ir.ID) []uint32 {
+// followed returns the out-edges of slot sl = (n, o) the labelling
+// follows: none from a store, whose yield is its own atom.
+func followed(g *svfg.Graph, n uint32, sl int) []uint32 {
 	if g.Prog.Instrs[n].Op == ir.Store {
 		return nil
 	}
-	return g.IndirSuccs(n, o)
+	return g.SlotSuccs(sl)
 }
 
 // strongConnect runs an iterative Tarjan from root (if not yet visited
@@ -368,33 +361,32 @@ func (lb *labeller) strongConnect(ctx context.Context, g *svfg.Graph, o ir.ID, r
 	return nil
 }
 
-// enter visits n: numbers it, pushes it on the Tarjan stack and opens
-// its DFS frame.
+// enter visits n: numbers it, looks up its slot for o, pushes it on the
+// Tarjan stack and opens its DFS frame.
 func (lb *labeller) enter(ctx context.Context, g *svfg.Graph, o ir.ID, n uint32) error {
 	if err := lb.poll(ctx); err != nil {
 		return err
 	}
 	lb.counter++
 	lb.index[n], lb.low[n], lb.comp[n] = lb.counter, lb.counter, -1
+	sl, _ := g.Slot(n, o) // every o-edge endpoint carries o (svfg.AddIndirectEdge)
+	lb.slot[n] = sl
 	lb.touched = append(lb.touched, n)
-	lb.frames = append(lb.frames, frame{node: n, base: len(lb.stack), succs: followed(g, n, o)})
+	lb.frames = append(lb.frames, frame{node: n, base: len(lb.stack), succs: followed(g, n, sl)})
 	lb.stack = append(lb.stack, n)
 	lb.hw = max(lb.hw, len(lb.stack))
 	return nil
 }
 
 // worklist is FIFO with membership dedup over node labels (used by the
-// solving phase).
+// solving phase). mark is indexed by label.
 type worklist struct {
 	queue []uint32
-	mark  map[uint32]bool
+	mark  []bool
 	hw    int // high-water mark of queued nodes
 }
 
 func (w *worklist) push(n uint32) {
-	if w.mark == nil {
-		w.mark = make(map[uint32]bool)
-	}
 	if !w.mark[n] {
 		w.mark[n] = true
 		w.queue = append(w.queue, n)

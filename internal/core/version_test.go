@@ -16,26 +16,47 @@ import (
 	"vsfs/internal/workload"
 )
 
+// refVersioning is the reference labelling's own C and Y tables, kept
+// as per-node maps so the oracle shares no code with the slot layout.
+type refVersioning struct {
+	tab     *meld.Table
+	consume []map[ir.ID]meld.Version
+	yield   []map[ir.ID]meld.Version
+
+	prelabels int
+}
+
+func set(m []map[ir.ID]meld.Version, l uint32, o ir.ID, v meld.Version) {
+	if m[l] == nil {
+		m[l] = make(map[ir.ID]meld.Version)
+	}
+	m[l][o] = v
+}
+
 // referenceVersioning is the textbook meld labelling of Section IV-C: a
 // global FIFO fixpoint that re-melds a node's successors whenever its
 // label grows. It is kept only as the oracle the one-pass labelling is
 // checked against.
-func referenceVersioning(g *svfg.Graph) *versioning {
+func referenceVersioning(g *svfg.Graph) *refVersioning {
 	n := len(g.Prog.Instrs)
-	v := newVersioning(n, meld.NewTable())
+	v := &refVersioning{
+		tab:     meld.NewTable(),
+		consume: make([]map[ir.ID]meld.Version, n),
+		yield:   make([]map[ir.ID]meld.Version, n),
+	}
 	work := &objWorklist{dirty: make(map[uint32]*bitset.Sparse)}
 	for l := uint32(1); l < uint32(n); l++ {
 		if g.Prog.Instrs[l].Op == ir.Store {
 			g.MSSA.ChiOf(l).ForEach(func(o uint32) {
-				v.setYield(l, ir.ID(o), v.tab.NewAtom())
-				v.stats.Prelabels++
+				set(v.yield, l, ir.ID(o), v.tab.NewAtom())
+				v.prelabels++
 				work.push(l, ir.ID(o))
 			})
 		}
 		if g.Delta[l] {
 			g.MSSA.ChiOf(l).ForEach(func(o uint32) {
-				v.setConsume(l, ir.ID(o), v.tab.NewAtom())
-				v.stats.Prelabels++
+				set(v.consume, l, ir.ID(o), v.tab.NewAtom())
+				v.prelabels++
 				work.push(l, ir.ID(o))
 			})
 		}
@@ -45,16 +66,15 @@ func referenceVersioning(g *svfg.Graph) *versioning {
 		if !ok {
 			break
 		}
-		v.stats.Iterations++
 		in := g.Prog.Instrs[l]
 		for _, o := range objs {
 			// [INTERNAL]^V: non-store nodes yield what they consume.
 			if in.Op != ir.Store {
-				if cv := v.consumeOf(l, o); cv != meld.Epsilon && v.yieldOf(l, o) != cv {
-					v.setYield(l, o, cv)
+				if cv := v.consume[l][o]; cv != meld.Epsilon && v.yield[l][o] != cv {
+					set(v.yield, l, o, cv)
 				}
 			}
-			yv := v.yieldOf(l, o)
+			yv := v.yield[l][o]
 			if yv == meld.Epsilon {
 				continue
 			}
@@ -63,17 +83,14 @@ func referenceVersioning(g *svfg.Graph) *versioning {
 				if g.Delta[succ] {
 					continue
 				}
-				old := v.consumeOf(succ, o)
+				old := v.consume[succ][o]
 				if melded := v.tab.Meld(old, yv); melded != old {
-					v.setConsume(succ, o, melded)
-					v.stats.MeldOps++
+					set(v.consume, succ, o, melded)
 					work.push(succ, o)
 				}
 			}
 		}
 	}
-	v.stats.DistinctVersions = v.tab.Distinct()
-	v.countEntries()
 	return v
 }
 
@@ -105,42 +122,79 @@ func (w *objWorklist) pop() (uint32, []ir.ID, bool) {
 	return n, objs, true
 }
 
+type objVer struct {
+	o ir.ID
+	v meld.Version
+}
+
 // requireSamePartition asserts that two versionings induce the same
 // (node, object) → version partition: the same consume and yield slots
 // are materialised, and per object the map from one's versions to the
 // other's is a bijection over both functions.
-func requireSamePartition(t *testing.T, want, got *versioning) {
+func requireSamePartition(t *testing.T, g *svfg.Graph, want *refVersioning, got *versioning) {
 	t.Helper()
-	if want.stats.Prelabels != got.stats.Prelabels {
-		t.Fatalf("Prelabels: reference %d, got %d", want.stats.Prelabels, got.stats.Prelabels)
+	if want.prelabels != got.stats.Prelabels {
+		t.Fatalf("Prelabels: reference %d, got %d", want.prelabels, got.stats.Prelabels)
 	}
-	if want.stats.ConsumeEntries != got.stats.ConsumeEntries || want.stats.YieldEntries != got.stats.YieldEntries {
-		t.Fatalf("entries: reference %d/%d, got %d/%d", want.stats.ConsumeEntries, want.stats.YieldEntries,
+	wantC, wantY := 0, 0
+	for l := range want.consume {
+		wantC += len(want.consume[l])
+		wantY += len(want.yield[l])
+	}
+	if wantC != got.stats.ConsumeEntries || wantY != got.stats.YieldEntries {
+		t.Fatalf("entries: reference %d/%d, got %d/%d", wantC, wantY,
 			got.stats.ConsumeEntries, got.stats.YieldEntries)
 	}
-	fwd := map[verKey]meld.Version{}
-	bwd := map[verKey]meld.Version{}
-	match := func(fn string, l int, wm, gm map[ir.ID]meld.Version) {
-		if len(wm) != len(gm) {
-			t.Fatalf("%s at node %d: reference has %d objects, got %d", fn, l, len(wm), len(gm))
-		}
-		for o, wv := range wm {
-			gv, ok := gm[o]
-			if !ok {
-				t.Fatalf("%s at node %d: object %d missing", fn, l, o)
+	fwd := map[objVer]meld.Version{}
+	bwd := map[objVer]meld.Version{}
+	match := func(fn string, l uint32, wm map[ir.ID]meld.Version, gs []meld.Version) {
+		lo, hi := g.SlotRange(l)
+		n := 0
+		for sl := lo; sl < hi; sl++ {
+			o, gv := g.SlotObj(sl), gs[sl]
+			wv, ok := wm[o]
+			if ok != (gv != meld.Epsilon) {
+				t.Fatalf("%s at node %d, object %d: reference materialised %v, got version %d", fn, l, o, ok, gv)
 			}
-			if prev, ok := fwd[verKey{o, wv}]; ok && prev != gv {
+			if !ok {
+				continue
+			}
+			n++
+			if prev, ok := fwd[objVer{o, wv}]; ok && prev != gv {
 				t.Fatalf("%s at node %d, object %d: reference version %d maps to both %d and %d", fn, l, o, wv, prev, gv)
 			}
-			if prev, ok := bwd[verKey{o, gv}]; ok && prev != wv {
+			if prev, ok := bwd[objVer{o, gv}]; ok && prev != wv {
 				t.Fatalf("%s at node %d, object %d: version %d maps back to both %d and %d", fn, l, o, gv, prev, wv)
 			}
-			fwd[verKey{o, wv}], bwd[verKey{o, gv}] = gv, wv
+			fwd[objVer{o, wv}], bwd[objVer{o, gv}] = gv, wv
+		}
+		if n != len(wm) {
+			t.Fatalf("%s at node %d: reference has %d objects, got %d", fn, l, len(wm), n)
 		}
 	}
-	for l := range want.consume {
-		match("consume", l, want.consume[l], got.consume[l])
-		match("yield", l, want.yield[l], got.yield[l])
+	for l := uint32(0); int(l) < len(want.consume); l++ {
+		match("consume", l, want.consume[l], got.consume)
+		match("yield", l, want.yield[l], got.yield)
+	}
+}
+
+// requireOneObjectPerVersion asserts the invariant the main phase's
+// version-indexed tables rest on: no version other than ε is carried by
+// slots of two different objects.
+func requireOneObjectPerVersion(t *testing.T, g *svfg.Graph, v *versioning) {
+	t.Helper()
+	owner := make([]ir.ID, v.tab.Distinct())
+	for sl := range g.NumSlots() {
+		o := g.SlotObj(sl)
+		for _, ver := range []meld.Version{v.consume[sl], v.yield[sl]} {
+			if ver == meld.Epsilon {
+				continue
+			}
+			if owner[ver] != ir.None && owner[ver] != o {
+				t.Fatalf("version %d carried by objects %d and %d", ver, owner[ver], o)
+			}
+			owner[ver] = o
+		}
 	}
 }
 
@@ -174,7 +228,8 @@ func TestVersioningMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSamePartition(t, referenceVersioning(g), got)
+		requireSamePartition(t, g, referenceVersioning(g), got)
+		requireOneObjectPerVersion(t, g, got)
 	}
 	for _, p := range workload.Profiles() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -239,6 +294,35 @@ func BenchmarkVersioning(b *testing.B) {
 					b.Fatal(err)
 				}
 				versioningSink = v
+			}
+		})
+	}
+}
+
+var mainSink *Result
+
+// BenchmarkMainSolve times the main phase alone, over a versioning
+// built once; each iteration solves a fresh clone of the graph, since
+// on-the-fly resolution adds edges to it.
+func BenchmarkMainSolve(b *testing.B) {
+	for _, name := range []string{"nano", "bash", "lynx"} {
+		b.Run(name, func(b *testing.B) {
+			g := profileGraph(b, name)
+			ver, err := runVersioning(context.Background(), g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := g.Clone()
+				b.StartTimer()
+				r, err := solveMain(context.Background(), c, ver)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mainSink = r
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"vsfs/internal/bitset"
@@ -38,19 +39,20 @@ type Result struct {
 
 	pt []*bitset.Sparse // top-level points-to sets
 
-	// ptv[o][κ] is pt_κ(o), the global points-to set of version κ of
-	// object o. Keyed by object first so one object's versions (all
-	// that ObjectSummary reads) sit together; nil for objects with none.
-	ptv []map[meld.Version]*bitset.Sparse
+	// ptv[κ] is pt_κ(o), the global points-to set of version κ of its
+	// object o; nil until it first grows. A version is a dense
+	// (object, version) id: atoms are fresh per prelabel and a meld only
+	// combines one object's labels, so every version other than ε
+	// belongs to exactly one object.
+	ptv []*bitset.Sparse
+
+	// objVids[o] lists the versions some slot of o carries: all that
+	// ObjectSummary reads.
+	objVids [][]meld.Version
 
 	callees map[*ir.Instr]map[*ir.Function]bool
 
 	Stats Stats
-}
-
-type verKey struct {
-	obj ir.ID
-	ver meld.Version
 }
 
 var empty = bitset.New()
@@ -102,9 +104,11 @@ func funcLess(a, b *ir.Function) bool {
 // version: everything the object may ever hold.
 func (r *Result) ObjectSummary(o ir.ID) *bitset.Sparse {
 	out := bitset.New()
-	if int(o) < len(r.ptv) {
-		for _, set := range r.ptv[o] {
-			out.UnionWith(set)
+	if int(o) < len(r.objVids) {
+		for _, v := range r.objVids[o] {
+			if set := r.ptv[v]; set != nil {
+				out.UnionWith(set)
+			}
 		}
 	}
 	return out
@@ -113,12 +117,12 @@ func (r *Result) ObjectSummary(o ir.ID) *bitset.Sparse {
 // ConsumedSet returns pt_{ξ_ℓ(o)}(o): the points-to set of the version
 // of o consumed at ℓ — what an IN-set lookup would return in SFS.
 func (r *Result) ConsumedSet(label uint32, o ir.ID) *bitset.Sparse {
-	return r.ptvOf(o, r.ver.consumeOf(label, o))
+	return r.ptvOf(r.ver.consumeOf(label, o))
 }
 
 // YieldedSet returns pt_{η_ℓ(o)}(o).
 func (r *Result) YieldedSet(label uint32, o ir.ID) *bitset.Sparse {
-	return r.ptvOf(o, r.ver.yieldOf(label, o))
+	return r.ptvOf(r.ver.yieldOf(label, o))
 }
 
 // ConsumeVersion exposes ξ_ℓ(o) for tests and diagnostics.
@@ -131,11 +135,9 @@ func (r *Result) YieldVersion(label uint32, o ir.ID) meld.Version {
 	return r.ver.yieldOf(label, o)
 }
 
-func (r *Result) ptvOf(o ir.ID, v meld.Version) *bitset.Sparse {
-	if int(o) < len(r.ptv) {
-		if s := r.ptv[o][v]; s != nil {
-			return s
-		}
+func (r *Result) ptvOf(v meld.Version) *bitset.Sparse {
+	if s := r.ptv[v]; s != nil {
+		return s
 	}
 	return empty
 }
@@ -152,7 +154,6 @@ func Solve(g *svfg.Graph) *Result {
 // steps and abort with ctx.Err() when the context is done. A cancelled solve returns no Result; the mutated
 // graph must be discarded.
 func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
-	attr := obs.AttrFrom(ctx)
 	sp := obs.StartSpan(ctx, "meld")
 	ver, err := runVersioning(ctx, g)
 	if err != nil {
@@ -163,23 +164,31 @@ func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 		Arg("iterations", ver.stats.Iterations).
 		Arg("meldOps", ver.stats.MeldOps).
 		End()
+	return solveMain(ctx, g, ver)
+}
+
+// solveMain runs the main phase over g's versioning ver.
+func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, error) {
+	sp := obs.StartSpan(ctx, "main")
+	start := time.Now()
+	nv := ver.tab.Distinct()
 	s := &state{
 		Result: &Result{
 			Graph:   g,
 			ver:     ver,
 			pt:      make([]*bitset.Sparse, g.Prog.NumValues()+1),
-			ptv:     make([]map[meld.Version]*bitset.Sparse, g.Prog.NumValues()+1),
+			ptv:     make([]*bitset.Sparse, nv),
+			objVids: objVersions(g, ver),
 			callees: make(map[*ir.Instr]map[*ir.Function]bool),
 		},
 		ctx:          ctx,
-		attr:         attr,
-		verReliance:  make(map[verKey][]meld.Version),
-		stmtReliance: make(map[verKey][]uint32),
+		attr:         obs.AttrFrom(ctx),
+		verReliance:  make([][]meld.Version, nv),
+		stmtReliance: make([][]uint32, nv),
 		fsCallers:    make(map[*ir.Function][]uint32),
+		work:         worklist{mark: make([]bool, len(g.Prog.Instrs))},
 	}
 	s.Stats.Versioning = ver.stats
-	sp = obs.StartSpan(ctx, "main")
-	start := time.Now()
 	s.buildReliances()
 	if err := s.run(); err != nil {
 		return nil, err
@@ -212,18 +221,34 @@ type state struct {
 	// with object 0 as the bucket for top-level (objectless) work.
 	attr *obs.ObjectAttr
 
-	// verReliance[(o, κ)] lists versions κ' with pt_κ(o) ⊆ pt_κ'(o),
-	// derived from indirect edges whose endpoints carry different
-	// versions ([A-PROP]^F reduced to version constraints).
-	verReliance map[verKey][]meld.Version
+	// verReliance[κ] lists versions κ' with pt_κ(o) ⊆ pt_κ'(o), derived
+	// from indirect edges whose endpoints carry different versions
+	// ([A-PROP]^F reduced to version constraints).
+	verReliance [][]meld.Version
 
-	// stmtReliance[(o, κ)] lists nodes to reprocess when pt_κ(o) grows:
-	// loads that consume it and stores whose weak update consumes it.
-	stmtReliance map[verKey][]uint32
+	// stmtReliance[κ] lists nodes to reprocess when pt_κ(o) grows: loads
+	// that consume it and stores whose weak update consumes it.
+	stmtReliance [][]uint32
 
 	fsCallers map[*ir.Function][]uint32
 
 	work worklist
+}
+
+// objVersions lists, per object, the distinct versions its slots carry.
+func objVersions(g *svfg.Graph, ver *versioning) [][]meld.Version {
+	out := make([][]meld.Version, g.Prog.NumValues()+1)
+	seen := make([]bool, ver.tab.Distinct())
+	for sl := range g.NumSlots() {
+		o := g.SlotObj(sl)
+		for _, v := range [2]meld.Version{ver.consume[sl], ver.yield[sl]} {
+			if v != meld.Epsilon && !seen[v] {
+				seen[v] = true
+				out[o] = append(out[o], v)
+			}
+		}
+	}
+	return out
 }
 
 // buildReliances turns every static indirect edge into a version
@@ -232,53 +257,42 @@ func (s *state) buildReliances() {
 	g := s.Graph
 	prog := g.Prog
 	for l := uint32(1); l < uint32(len(prog.Instrs)); l++ {
+		lo, hi := g.SlotRange(l)
 		// Edge-derived version constraints.
-		if ym := s.ver.yield[l]; ym != nil {
-			for o, yv := range ym {
-				for _, succ := range g.IndirSuccs(l, o) {
-					s.addVerConstraint(o, yv, s.ver.consumeOf(succ, o))
+		for sl := lo; sl < hi; sl++ {
+			if yv := s.ver.yield[sl]; yv != meld.Epsilon {
+				o := g.SlotObj(sl)
+				for _, succ := range g.SlotSuccs(sl) {
+					s.addVerConstraint(yv, s.ver.consumeOf(succ, o))
 				}
 			}
 		}
-		in := prog.Instrs[l]
-		switch in.Op {
-		case ir.Load:
-			g.MSSA.MuOf(l).ForEach(func(o uint32) {
-				s.addStmtReliance(ir.ID(o), s.ver.consumeOf(l, ir.ID(o)), l)
-			})
-		case ir.Store:
-			g.MSSA.ChiOf(l).ForEach(func(o uint32) {
-				s.addStmtReliance(ir.ID(o), s.ver.consumeOf(l, ir.ID(o)), l)
-			})
+		// A load's slots are its μ, a store's its χ.
+		if op := prog.Instrs[l].Op; op == ir.Load || op == ir.Store {
+			for sl := lo; sl < hi; sl++ {
+				s.addStmtReliance(s.ver.consume[sl], l)
+			}
 		}
 	}
 }
 
-func (s *state) addVerConstraint(o ir.ID, from, to meld.Version) {
+func (s *state) addVerConstraint(from, to meld.Version) {
 	if from == to || from == meld.Epsilon {
 		return
 	}
-	key := verKey{obj: o, ver: from}
-	for _, t := range s.verReliance[key] {
-		if t == to {
-			return
-		}
+	if !slices.Contains(s.verReliance[from], to) {
+		s.verReliance[from] = append(s.verReliance[from], to)
 	}
-	s.verReliance[key] = append(s.verReliance[key], to)
 }
 
-func (s *state) addStmtReliance(o ir.ID, v meld.Version, l uint32) {
+func (s *state) addStmtReliance(v meld.Version, l uint32) {
 	if v == meld.Epsilon {
 		// pt_ε is permanently empty; no reprocessing can arise from it.
 		return
 	}
-	key := verKey{obj: o, ver: v}
-	for _, t := range s.stmtReliance[key] {
-		if t == l {
-			return
-		}
+	if !slices.Contains(s.stmtReliance[v], l) {
+		s.stmtReliance[v] = append(s.stmtReliance[v], l)
 	}
-	s.stmtReliance[key] = append(s.stmtReliance[key], l)
 }
 
 func (s *state) ptOf(v ir.ID) *bitset.Sparse {
@@ -293,21 +307,11 @@ func (s *state) ptOf(v ir.ID) *bitset.Sparse {
 	return s.pt[v]
 }
 
-func (s *state) ptvSet(o ir.ID, v meld.Version) *bitset.Sparse {
-	if int(o) >= len(s.ptv) {
-		grown := make([]map[meld.Version]*bitset.Sparse, s.Graph.Prog.NumValues()+1)
-		copy(grown, s.ptv)
-		s.ptv = grown
-	}
-	m := s.ptv[o]
-	if m == nil {
-		m = make(map[meld.Version]*bitset.Sparse)
-		s.ptv[o] = m
-	}
-	set := m[v]
+func (s *state) ptvSet(v meld.Version) *bitset.Sparse {
+	set := s.ptv[v]
 	if set == nil {
 		set = bitset.New()
-		m[v] = set
+		s.ptv[v] = set
 	}
 	return set
 }
@@ -330,32 +334,28 @@ func (s *state) growVersion(o ir.ID, v meld.Version, src *bitset.Sparse) {
 	if src.IsEmpty() || v == meld.Epsilon {
 		return
 	}
-	type item struct {
-		ver meld.Version
-	}
 	s.Stats.Propagations++
 	s.attr.Prop(uint32(o))
-	if !s.ptvSet(o, v).UnionWith(src) {
+	if !s.ptvSet(v).UnionWith(src) {
 		return
 	}
 	s.Stats.Changed++
-	queue := []item{{ver: v}}
+	queue := []meld.Version{v}
 	//vsfs:lint-ignore guardtick version cascade is finite (monotone sets over prelabelled versions) and metered at the next run checkpoint; see DESIGN §14
 	for len(queue) > 0 {
-		it := queue[len(queue)-1]
+		cur := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		key := verKey{obj: o, ver: it.ver}
-		for _, l := range s.stmtReliance[key] {
+		for _, l := range s.stmtReliance[cur] {
 			s.work.push(l)
 		}
-		cur := s.ptv[o][it.ver]
-		for _, to := range s.verReliance[key] {
+		set := s.ptv[cur]
+		for _, to := range s.verReliance[cur] {
 			s.Stats.Propagations++
 			s.Stats.VersionProps++
 			s.attr.Prop(uint32(o))
-			if s.ptvSet(o, to).UnionWith(cur) {
+			if s.ptvSet(to).UnionWith(set) {
 				s.Stats.Changed++
-				queue = append(queue, item{ver: to})
+				queue = append(queue, to)
 			}
 		}
 	}
@@ -475,18 +475,20 @@ func (s *state) processStore(in *ir.Instr) {
 		strong = true
 	}
 
-	g.MSSA.ChiOf(l).ForEach(func(o32 uint32) {
-		o := ir.ID(o32)
-		yv := s.ver.yieldOf(l, o)
+	// A store's slots are its χ.
+	lo, hi := g.SlotRange(l)
+	for sl := lo; sl < hi; sl++ {
+		o := g.SlotObj(sl)
+		yv := s.ver.yield[sl]
 		if strong {
 			s.growVersion(o, yv, ptq)
-			return
+			continue
 		}
-		s.growVersion(o, yv, s.ConsumedSet(l, o))
-		if ptp.Has(o32) {
+		s.growVersion(o, yv, s.ptvOf(s.ver.consume[sl]))
+		if ptp.Has(uint32(o)) {
 			s.growVersion(o, yv, ptq)
 		}
-	})
+	}
 }
 
 // processCall wires top-level flow and performs on-the-fly call-graph
@@ -537,8 +539,8 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 			if g.AddIndirectEdge(call.Label, entry, o) {
 				from := s.ver.yieldOf(call.Label, o)
 				to := s.ver.consumeOf(entry, o)
-				s.addVerConstraint(o, from, to)
-				s.growVersion(o, to, s.ptvOf(o, from))
+				s.addVerConstraint(from, to)
+				s.growVersion(o, to, s.ptvOf(from))
 			}
 		})
 		if ret := g.MSSA.CallRets[call]; ret != nil {
@@ -551,8 +553,8 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 				if g.AddIndirectEdge(exit, ret.Label, o) {
 					from := s.ver.yieldOf(exit, o)
 					to := s.ver.consumeOf(ret.Label, o)
-					s.addVerConstraint(o, from, to)
-					s.growVersion(o, to, s.ptvOf(o, from))
+					s.addVerConstraint(from, to)
+					s.growVersion(o, to, s.ptvOf(from))
 				}
 			})
 		}
@@ -575,11 +577,13 @@ func (s *state) collectStats() {
 	for _, targets := range s.verReliance {
 		s.Stats.VersionConstraints += len(targets)
 	}
-	for o, m := range s.ptv {
-		for _, set := range m {
-			s.Stats.PtsSets++
-			s.Stats.PtsWords += set.Words()
-			s.attr.Set(uint32(o))
+	for o, vids := range s.objVids {
+		for _, v := range vids {
+			if set := s.ptv[v]; set != nil {
+				s.Stats.PtsSets++
+				s.Stats.PtsWords += set.Words()
+				s.attr.Set(uint32(o))
+			}
 		}
 	}
 	for _, set := range s.pt {

@@ -27,9 +27,9 @@ var DetRange = &Analyzer{
 }
 
 // detRangeScope lists the packages whose outputs are covered by the
-// byte-identity contract: the three solver backends, meld, the shape
-// profile, report assembly in the facade root, bench tables, diag
-// rendering, and the oracle itself.
+// byte-identity contract: the three solver backends, meld, memory SSA
+// and the SVFG they run on, the shape profile, report assembly in the
+// facade root, bench tables, diag rendering, and the oracle itself.
 var detRangeScope = map[string]bool{
 	"vsfs":                   true,
 	"vsfs/internal/core":     true,
@@ -37,6 +37,8 @@ var detRangeScope = map[string]bool{
 	"vsfs/internal/cfgfree":  true,
 	"vsfs/internal/andersen": true,
 	"vsfs/internal/meld":     true,
+	"vsfs/internal/memssa":   true,
+	"vsfs/internal/svfg":     true,
 	"vsfs/internal/shape":    true,
 	"vsfs/internal/bench":    true,
 	"vsfs/internal/diag":     true,

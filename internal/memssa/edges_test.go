@@ -1,0 +1,209 @@
+package memssa
+
+import (
+	"fmt"
+	"testing"
+
+	"vsfs/internal/andersen"
+	"vsfs/internal/cfg"
+	"vsfs/internal/ir"
+	"vsfs/internal/irparse"
+	"vsfs/internal/workload"
+)
+
+// largestProfiles are skipped under -short.
+var largestProfiles = map[string]bool{"bash": true, "lynx": true, "hyriseConsole": true}
+
+// referenceEdges recomputes the indirect def-use edges without rename's
+// dominator-tree stacks, collecting them in a map so duplicates
+// collapse. A use's reaching definition is the last definition of its
+// object earlier in its block, else the last one in the nearest strict
+// dominator that has one; a MEMPHI operand is the definition reaching
+// the end of a reachable predecessor.
+func referenceEdges(prog *ir.Program, r *Result) map[IndirEdge]bool {
+	out := map[IndirEdge]bool{}
+	for _, f := range prog.Funcs {
+		info := cfg.Compute(f)
+		// lastDef[b][o] is b's last definition of o.
+		lastDef := map[*ir.Block]map[ir.ID]uint32{}
+		for _, b := range info.RPO {
+			defs := map[ir.ID]uint32{}
+			for _, in := range b.Instrs {
+				if in.Op == ir.MemPhi {
+					defs[in.Obj] = in.Label
+					continue
+				}
+				r.ChiOf(in.Label).ForEach(func(o uint32) { defs[ir.ID(o)] = in.Label })
+			}
+			lastDef[b] = defs
+		}
+		reachingEnd := func(b *ir.Block, o ir.ID) uint32 {
+			for ; b != nil; b = info.Idom(b) {
+				if d, ok := lastDef[b][o]; ok {
+					return d
+				}
+			}
+			return 0
+		}
+		for _, b := range info.RPO {
+			cur := map[ir.ID]uint32{}
+			reaching := func(o ir.ID) uint32 {
+				if d, ok := cur[o]; ok {
+					return d
+				}
+				return reachingEnd(info.Idom(b), o)
+			}
+			for _, in := range b.Instrs {
+				if in.Op == ir.MemPhi {
+					for _, p := range b.Preds {
+						if !info.Reachable(p) {
+							continue
+						}
+						if d := reachingEnd(p, in.Obj); d != 0 {
+							out[IndirEdge{From: d, To: in.Label, Obj: in.Obj}] = true
+						}
+					}
+					cur[in.Obj] = in.Label
+					continue
+				}
+				use := func(o uint32) {
+					if d := reaching(ir.ID(o)); d != 0 {
+						out[IndirEdge{From: d, To: in.Label, Obj: ir.ID(o)}] = true
+					}
+				}
+				r.MuOf(in.Label).ForEach(use)
+				r.ChiOf(in.Label).ForEach(use)
+				r.ChiOf(in.Label).ForEach(func(o uint32) { cur[ir.ID(o)] = in.Label })
+			}
+		}
+		// Direct calls: actual-in → callee entry, callee exit → actual-out.
+		f.ForEachInstr(func(in *ir.Instr) {
+			if in.Op != ir.Call || in.Callee == nil {
+				return
+			}
+			entry, exit := in.Callee.EntryInstr.Label, in.Callee.ExitInstr.Label
+			r.MuOf(in.Label).ForEach(func(o uint32) {
+				if r.FormalIn[in.Callee].Has(o) {
+					out[IndirEdge{From: in.Label, To: entry, Obj: ir.ID(o)}] = true
+				}
+			})
+			if ret := r.CallRets[in]; ret != nil {
+				r.ChiOf(ret.Label).ForEach(func(o uint32) {
+					if r.FormalOut[in.Callee].Has(o) {
+						out[IndirEdge{From: exit, To: ret.Label, Obj: ir.ID(o)}] = true
+					}
+				})
+			}
+		})
+	}
+	return out
+}
+
+// TestEdgesUniqueAndComplete: rename adds each edge once by
+// construction, so Edges has no duplicate; as a set it equals the
+// map-deduplicated reference; and every edge's object lies in both
+// endpoints' μ∪χ, the domain the SVFG numbers its slots over.
+func TestEdgesUniqueAndComplete(t *testing.T) {
+	check := func(t *testing.T, prog *ir.Program) *Result {
+		r := Build(prog, andersen.Analyze(prog))
+		got := make(map[IndirEdge]bool, len(r.Edges))
+		inDomain := func(l uint32, o ir.ID) bool {
+			return r.MuOf(l).Has(uint32(o)) || r.ChiOf(l).Has(uint32(o))
+		}
+		for _, e := range r.Edges {
+			if got[e] {
+				t.Fatalf("duplicate edge %+v", e)
+			}
+			got[e] = true
+			if !inDomain(e.From, e.Obj) || !inDomain(e.To, e.Obj) {
+				t.Fatalf("edge %+v: %s not in μ∪χ of both endpoints", e, prog.NameOf(e.Obj))
+			}
+		}
+		want := referenceEdges(prog, r)
+		for e := range want {
+			if !got[e] {
+				t.Fatalf("edge %+v missing (%d edges, reference %d)", e, len(got), len(want))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d edges, reference %d", len(got), len(want))
+		}
+		return r
+	}
+	// j's MEMPHI for a has three predecessors, two of which (r1, r2)
+	// carry the same reaching definition: the entry store.
+	t.Run("shared-phi-operand", func(t *testing.T) {
+		prog, err := irparse.Parse(`
+func main() {
+entry:
+  p = alloc a 0
+  x = alloc b 0
+  store p, x
+  br l, m
+l:
+  store p, x
+  jmp j
+m:
+  br r1, r2
+r1:
+  jmp j
+r2:
+  jmp j
+j:
+  v = load p
+  ret
+}
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := check(t, prog)
+		if len(r.MemPhis) != 1 {
+			t.Fatalf("%d MEMPHIs, want 1", len(r.MemPhis))
+		}
+		in := 0
+		for _, e := range r.Edges {
+			if e.To == r.MemPhis[0].Label {
+				in++
+			}
+		}
+		if in != 2 {
+			t.Errorf("MEMPHI has %d operand edges, want 2 (one per distinct reaching store)", in)
+		}
+	})
+	for _, p := range workload.Profiles() {
+		t.Run(p.Name, func(t *testing.T) {
+			if testing.Short() && largestProfiles[p.Name] {
+				t.Skip("largest profile; skipped under -short")
+			}
+			check(t, p.Build())
+		})
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			check(t, workload.Random(seed, workload.DefaultRandomConfig()))
+		})
+	}
+}
+
+var mssaSink *Result
+
+// BenchmarkMemSSA times memory SSA construction alone. Build rewrites
+// the program (MEMPHIs, labels), so each iteration stages a fresh one
+// with the clock stopped.
+func BenchmarkMemSSA(b *testing.B) {
+	for _, name := range []string{"nano", "bash", "lynx"} {
+		b.Run(name, func(b *testing.B) {
+			p := workload.ProfileByName(name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prog := p.Build()
+				aux := andersen.Analyze(prog)
+				b.StartTimer()
+				mssaSink = Build(prog, aux)
+			}
+		})
+	}
+}

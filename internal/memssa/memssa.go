@@ -9,6 +9,7 @@ package memssa
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"vsfs/internal/andersen"
@@ -107,7 +108,6 @@ func BuildContext(ctx context.Context, prog *ir.Program, aux *andersen.Result) (
 			FormalOut: make(map[*ir.Function]*bitset.Sparse),
 			CallRets:  make(map[*ir.Instr]*ir.Instr),
 		},
-		edgeSeen: make(map[IndirEdge]struct{}),
 	}
 	for _, pass := range []func() error{
 		func() error { b.normalizeEntries(); return nil },
@@ -137,8 +137,6 @@ type builder struct {
 
 	mod map[*ir.Function]*bitset.Sparse
 	ref map[*ir.Function]*bitset.Sparse
-
-	edgeSeen map[IndirEdge]struct{}
 }
 
 func (b *builder) tick(n int64) error {
@@ -330,8 +328,10 @@ func (b *builder) placeMemPhis() {
 				}
 			}
 		}
-		for blk, phis := range phiAt {
-			blk.Instrs = append(phis, blk.Instrs...)
+		for _, blk := range f.Blocks {
+			if phis := phiAt[blk]; len(phis) > 0 {
+				blk.Instrs = append(phis, blk.Instrs...)
+			}
 		}
 	}
 }
@@ -364,17 +364,16 @@ func (b *builder) annotate() {
 }
 
 func (b *builder) addEdge(from, to uint32, obj ir.ID) {
-	e := IndirEdge{From: from, To: to, Obj: obj}
-	if _, dup := b.edgeSeen[e]; dup {
-		return
-	}
-	b.edgeSeen[e] = struct{}{}
-	b.res.Edges = append(b.res.Edges, e)
+	b.res.Edges = append(b.res.Edges, IndirEdge{From: from, To: to, Obj: obj})
 }
 
 // rename walks each function's dominator tree, maintaining a stack of
-// reaching definitions per object, and records def→use edges.
+// reaching definitions per object, and records def→use edges. Each edge
+// is added once by construction: a (node, object) use has one reaching
+// definition, and a MEMPHI remembers the operands it already has, since
+// two predecessors (or one listed twice) may feed it the same one.
 func (b *builder) rename() error {
+	phiOps := make([][]uint32, len(b.prog.Instrs))
 	for _, f := range b.prog.Funcs {
 		if err := b.tick(int64(len(f.Blocks))); err != nil {
 			return err
@@ -407,7 +406,8 @@ func (b *builder) rename() error {
 					pushed = append(pushed, in.Obj)
 					continue
 				}
-				b.res.MuOf(in.Label).ForEach(func(o32 uint32) {
+				mu := b.res.MuOf(in.Label)
+				mu.ForEach(func(o32 uint32) {
 					o := ir.ID(o32)
 					if d, ok := top(o); ok {
 						b.addEdge(d, in.Label, o)
@@ -415,8 +415,9 @@ func (b *builder) rename() error {
 				})
 				b.res.ChiOf(in.Label).ForEach(func(o32 uint32) {
 					o := ir.ID(o32)
-					// The previous version flows into the (weak) update.
-					if d, ok := top(o); ok {
+					// The previous version flows into the (weak) update,
+					// unless the μ above already added that edge.
+					if d, ok := top(o); ok && !mu.Has(o32) {
 						b.addEdge(d, in.Label, o)
 					}
 					stacks[o] = append(stacks[o], in.Label)
@@ -429,7 +430,8 @@ func (b *builder) rename() error {
 					if in.Op != ir.MemPhi {
 						break // phis are grouped at the top
 					}
-					if d, ok := top(in.Obj); ok {
+					if d, ok := top(in.Obj); ok && !slices.Contains(phiOps[in.Label], d) {
+						phiOps[in.Label] = append(phiOps[in.Label], d)
 						b.addEdge(d, in.Label, in.Obj)
 					}
 				}

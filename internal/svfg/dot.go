@@ -3,7 +3,6 @@ package svfg
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"vsfs/internal/ir"
 )
@@ -49,21 +48,13 @@ func (g *Graph) WriteDot(w io.Writer) error {
 		}
 	}
 
-	// Indirect (object) value-flow edges, deterministically ordered.
-	for from := range g.indirOut {
-		m := g.indirOut[from]
-		if m == nil {
-			continue
-		}
-		objs := make([]ir.ID, 0, len(m))
-		for o := range m {
-			objs = append(objs, o)
-		}
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		for _, o := range objs {
-			for _, to := range m[o] {
+	// Indirect (object) value-flow edges, by node then object.
+	for from := uint32(0); int(from) < len(g.slotStart)-1; from++ {
+		lo, hi := g.SlotRange(from)
+		for s := lo; s < hi; s++ {
+			for _, to := range g.indirOut[s] {
 				fmt.Fprintf(w, "  n%d -> n%d [style=dashed, label=%q, fontsize=8];\n",
-					from, to, prog.NameOf(o))
+					from, to, prog.NameOf(g.slotObj[s]))
 			}
 		}
 	}

@@ -10,6 +10,8 @@ package svfg
 
 import (
 	"context"
+	"fmt"
+	"slices"
 
 	"vsfs/internal/andersen"
 	"vsfs/internal/bitset"
@@ -36,8 +38,16 @@ type Graph struct {
 	// use it as an operand.
 	users [][]uint32
 
-	// indirOut[ℓ][o] lists the targets of indirect edges ℓ --o--> ℓ'.
-	indirOut []map[ir.ID][]uint32
+	// Every node ℓ has a fixed object domain μ(ℓ)∪χ(ℓ), ascending; each
+	// (node, object) pair of it is a dense slot. ℓ's slots are
+	// slotStart[ℓ] .. slotStart[ℓ+1]-1, and slotObj[s] is slot s's
+	// object. Immutable after build, so clones share them.
+	slotStart []int
+	slotObj   []ir.ID
+
+	// indirOut[s] lists the targets of indirect edges ℓ --o--> ℓ' for
+	// slot s = (ℓ, o).
+	indirOut [][]uint32
 
 	// Delta marks δ nodes. Always false when Prewired.
 	Delta []bool
@@ -103,12 +113,12 @@ func build(ctx context.Context, prog *ir.Program, aux *andersen.Result, mssa *me
 		Prewired: prewire,
 		DefSite:  make([]uint32, prog.NumValues()),
 		users:    make([][]uint32, prog.NumValues()),
-		indirOut: make([]map[ir.ID][]uint32, n),
 		Delta:    make([]bool, n),
 	}
 	if err := guard.Tick(ctx, "svfg", 0); err != nil {
 		return nil, err
 	}
+	g.buildSlots()
 	g.buildDirect()
 	for i, e := range mssa.Edges {
 		if i%cancelCheckInterval == 0 {
@@ -162,24 +172,43 @@ func (g *Graph) prewireIndirectCalls() {
 	}
 }
 
+// buildSlots numbers every node's μ∪χ domain into dense slots.
+func (g *Graph) buildSlots() {
+	n := len(g.Prog.Instrs)
+	size := 0
+	for l := range n {
+		size += g.MSSA.MuOf(uint32(l)).Len() + g.MSSA.ChiOf(uint32(l)).Len()
+	}
+	g.slotStart = make([]int, n+1)
+	g.slotObj = make([]ir.ID, 0, size)
+	for l := range n {
+		g.slotStart[l] = len(g.slotObj)
+		dom := g.MSSA.MuOf(uint32(l))
+		if chi := g.MSSA.ChiOf(uint32(l)); dom.IsEmpty() {
+			dom = chi
+		} else if !chi.IsEmpty() {
+			dom = dom.Clone()
+			dom.UnionWith(chi)
+		}
+		dom.ForEach(func(o uint32) { g.slotObj = append(g.slotObj, ir.ID(o)) })
+	}
+	g.slotStart[n] = len(g.slotObj)
+	g.indirOut = make([][]uint32, len(g.slotObj))
+}
+
 // Clone returns a copy of the graph that can be mutated independently.
 // The flow-sensitive solvers add indirect edges during on-the-fly
 // call-graph resolution, so running two solvers over one Graph value
 // would let the first leak resolution work into the second; clone per
-// solver instead. Immutable parts (direct edges, δ marks, singletons)
-// are shared.
+// solver instead. Immutable parts (direct edges, slots, δ marks,
+// singletons) are shared. Successor lists are shared too, clipped to
+// their length, so an append on either side reallocates instead of
+// writing into the other's array.
 func (g *Graph) Clone() *Graph {
 	c := *g
-	c.indirOut = make([]map[ir.ID][]uint32, len(g.indirOut))
-	for i, m := range g.indirOut {
-		if m == nil {
-			continue
-		}
-		cm := make(map[ir.ID][]uint32, len(m))
-		for o, succs := range m {
-			cm[o] = append([]uint32(nil), succs...)
-		}
-		c.indirOut[i] = cm
+	c.indirOut = make([][]uint32, len(g.indirOut))
+	for s, succs := range g.indirOut {
+		c.indirOut[s] = slices.Clip(succs)
 	}
 	return &c
 }
@@ -234,28 +263,56 @@ func (g *Graph) UsersOf(v ir.ID) []uint32 { return g.users[v] }
 
 // AddIndirectEdge inserts ℓfrom --obj--> ℓto, reporting whether it was
 // new. The flow-sensitive solvers call this during on-the-fly call-graph
-// resolution.
+// resolution. Both endpoints must carry obj in μ∪χ; an edge outside the
+// slot domain is a construction bug and panics.
 func (g *Graph) AddIndirectEdge(from, to uint32, obj ir.ID) bool {
-	m := g.indirOut[from]
-	if m == nil {
-		m = make(map[ir.ID][]uint32)
-		g.indirOut[from] = m
+	s, ok := g.Slot(from, obj)
+	if !ok {
+		g.outsideDomain(from, to, obj, from)
 	}
-	for _, t := range m[obj] {
-		if t == to {
-			return false
-		}
+	if _, ok := g.Slot(to, obj); !ok {
+		g.outsideDomain(from, to, obj, to)
 	}
-	m[obj] = append(m[obj], to)
+	if slices.Contains(g.indirOut[s], to) {
+		return false
+	}
+	g.indirOut[s] = append(g.indirOut[s], to)
 	g.NumIndirectEdges++
 	return true
 }
 
+func (g *Graph) outsideDomain(from, to uint32, obj ir.ID, at uint32) {
+	panic(fmt.Sprintf("svfg: indirect edge ℓ%d --%s--> ℓ%d: object %s (%d) is not in μ∪χ of ℓ%d",
+		from, g.Prog.NameOf(obj), to, g.Prog.NameOf(obj), obj, at))
+}
+
+// Slot returns the slot of (ℓ, o), and false if o is not in μ(ℓ)∪χ(ℓ).
+func (g *Graph) Slot(l uint32, o ir.ID) (int, bool) {
+	lo, hi := g.SlotRange(l)
+	i, ok := slices.BinarySearch(g.slotObj[lo:hi], o)
+	return lo + i, ok
+}
+
+// SlotRange returns ℓ's slots: lo .. hi-1, ordered by object.
+func (g *Graph) SlotRange(l uint32) (lo, hi int) {
+	return g.slotStart[l], g.slotStart[l+1]
+}
+
+// NumSlots returns the number of (node, object) slots.
+func (g *Graph) NumSlots() int { return len(g.slotObj) }
+
+// SlotObj returns slot s's object.
+func (g *Graph) SlotObj(s int) ir.ID { return g.slotObj[s] }
+
+// SlotSuccs returns the targets of indirect edges out of slot s = (ℓ, o).
+// The result must not be mutated.
+func (g *Graph) SlotSuccs(s int) []uint32 { return g.indirOut[s] }
+
 // IndirSuccs returns the targets of indirect edges from ℓ labelled with
 // obj. The result must not be mutated.
 func (g *Graph) IndirSuccs(from uint32, obj ir.ID) []uint32 {
-	if m := g.indirOut[from]; m != nil {
-		return m[obj]
+	if s, ok := g.Slot(from, obj); ok {
+		return g.indirOut[s]
 	}
 	return nil
 }

@@ -1,12 +1,19 @@
 package svfg
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"vsfs/internal/andersen"
+	"vsfs/internal/guard"
 	"vsfs/internal/ir"
 	"vsfs/internal/irparse"
 	"vsfs/internal/memssa"
+	"vsfs/internal/workload"
 )
 
 func buildTestGraph(t *testing.T, src string) *Graph {
@@ -176,27 +183,172 @@ entry:
 	}
 }
 
+// callEntryTriple returns the indirect call in src's main, callee's
+// FUNENTRY and object a: an interprocedural edge memory SSA leaves to
+// on-the-fly resolution, so it is absent after Build.
+func callEntryTriple(t *testing.T, g *Graph) (call, entry uint32, a ir.ID) {
+	t.Helper()
+	for _, in := range g.Prog.FuncByName("main").EntryInstr.Block.Instrs {
+		if in.Op == ir.Call && in.IsIndirectCall() {
+			call = in.Label
+		}
+	}
+	if call == 0 {
+		t.Fatal("no indirect call in main")
+	}
+	return call, g.Prog.FuncByName("callee").EntryInstr.Label, objByName(t, g.Prog, "a")
+}
+
 func TestAddIndirectEdgeDedup(t *testing.T) {
 	g := buildTestGraph(t, src)
-	o := objByName(t, g.Prog, "a")
+	call, entry, a := callEntryTriple(t, g)
+	if len(g.IndirSuccs(call, a)) != 0 {
+		t.Fatalf("indirect call wired at build: %v", g.IndirSuccs(call, a))
+	}
 	before := g.NumIndirectEdges
-	if !g.AddIndirectEdge(1, 2, o) {
+	if !g.AddIndirectEdge(call, entry, a) {
 		t.Error("fresh edge not new")
 	}
-	if g.AddIndirectEdge(1, 2, o) {
+	if g.AddIndirectEdge(call, entry, a) {
 		t.Error("duplicate edge reported new")
 	}
 	if g.NumIndirectEdges != before+1 {
 		t.Errorf("edge count = %d, want %d", g.NumIndirectEdges, before+1)
 	}
-	hits := 0
-	for _, s := range g.IndirSuccs(1, o) {
-		if s == 2 {
-			hits++
+	if got := g.IndirSuccs(call, a); !slices.Equal(got, []uint32{entry}) {
+		t.Errorf("IndirSuccs = %v, want [%d]", got, entry)
+	}
+	if s, ok := g.Slot(call, a); !ok || !slices.Equal(g.SlotSuccs(s), []uint32{entry}) {
+		t.Errorf("Slot(call, a) = %d, %v; SlotSuccs disagrees with IndirSuccs", s, ok)
+	}
+}
+
+// An edge whose endpoint does not carry the object in μ∪χ breaks the
+// slot layout's contract: AddIndirectEdge panics naming the node and
+// the object, and guard.Recover turns that into a PhaseError.
+func TestAddIndirectEdgeOutsideDomainPanics(t *testing.T) {
+	g := buildTestGraph(t, src)
+	call, entry, a := callEntryTriple(t, g)
+	alloc := g.DefSite[varByName(t, g.Prog, "h")] // an ALLOC: empty μ∪χ
+	for _, tc := range []struct {
+		name     string
+		from, to uint32
+		bad      uint32
+	}{
+		{"source", alloc, entry, alloc},
+		{"target", call, alloc, alloc},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := guard.Recover(context.Background(), "svfg", "", func() error {
+				g.AddIndirectEdge(tc.from, tc.to, a)
+				return nil
+			})
+			var pe *guard.PhaseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want a PhaseError", err)
+			}
+			msg := fmt.Sprint(pe.Value)
+			if !strings.Contains(msg, fmt.Sprintf("not in μ∪χ of ℓ%d", tc.bad)) || !strings.Contains(msg, g.Prog.NameOf(a)) {
+				t.Errorf("panic %q does not name ℓ%d and %s", msg, tc.bad, g.Prog.NameOf(a))
+			}
+		})
+	}
+}
+
+// fanSrc calls through a pointer that may reach any of five setters.
+const fanSrc = `
+func f0(q) {
+entry:
+  x = alloc t0 0
+  store q, x
+  ret
+}
+func f1(q) {
+entry:
+  x = alloc t1 0
+  store q, x
+  ret
+}
+func f2(q) {
+entry:
+  x = alloc t2 0
+  store q, x
+  ret
+}
+func f3(q) {
+entry:
+  x = alloc t3 0
+  store q, x
+  ret
+}
+func f4(q) {
+entry:
+  x = alloc t4 0
+  store q, x
+  ret
+}
+func main() {
+entry:
+  p = alloc a 0
+  cell = alloc c 0
+  s0 = funcaddr f0
+  store cell, s0
+  s1 = funcaddr f1
+  store cell, s1
+  s2 = funcaddr f2
+  store cell, s2
+  s3 = funcaddr f3
+  store cell, s3
+  s4 = funcaddr f4
+  store cell, s4
+  fp = load cell
+  calli fp(p)
+  ret
+}
+`
+
+// Edges added to a clone or to its original after cloning are invisible
+// to the other side, including appends to a successor list both share.
+func TestCloneIsolation(t *testing.T) {
+	g := buildTestGraph(t, fanSrc)
+	var call uint32
+	for _, in := range g.Prog.FuncByName("main").EntryInstr.Block.Instrs {
+		if in.Op == ir.Call {
+			call = in.Label
 		}
 	}
-	if hits != 1 {
-		t.Errorf("IndirSuccs = %v, want exactly one edge to 2", g.IndirSuccs(1, o))
+	a := objByName(t, g.Prog, "a")
+	var e [5]uint32
+	for i := range e {
+		e[i] = g.Prog.FuncByName(fmt.Sprintf("f%d", i)).EntryInstr.Label
+	}
+
+	// Disjoint additions after cloning an empty list.
+	c := g.Clone()
+	g.AddIndirectEdge(call, e[0], a)
+	if got := c.IndirSuccs(call, a); len(got) != 0 {
+		t.Errorf("original's edge leaked into the clone: %v", got)
+	}
+	c.AddIndirectEdge(call, e[1], a)
+	if got := g.IndirSuccs(call, a); !slices.Equal(got, []uint32{e[0]}) {
+		t.Errorf("clone's edge leaked into the original: %v", got)
+	}
+
+	// A shared list with spare capacity: both sides append past it.
+	g.AddIndirectEdge(call, e[1], a)
+	g.AddIndirectEdge(call, e[2], a)
+	if s, _ := g.Slot(call, a); cap(g.indirOut[s]) == len(g.indirOut[s]) {
+		t.Fatal("no spare capacity: the test does not exercise sharing")
+	}
+	d := g.Clone()
+	if !d.AddIndirectEdge(call, e[3], a) || !g.AddIndirectEdge(call, e[4], a) {
+		t.Fatal("fresh edges not new")
+	}
+	if got, want := g.IndirSuccs(call, a), []uint32{e[0], e[1], e[2], e[4]}; !slices.Equal(got, want) {
+		t.Errorf("original = %v, want %v", got, want)
+	}
+	if got, want := d.IndirSuccs(call, a), []uint32{e[0], e[1], e[2], e[3]}; !slices.Equal(got, want) {
+		t.Errorf("clone = %v, want %v", got, want)
 	}
 }
 
@@ -210,5 +362,23 @@ func TestStatsCounts(t *testing.T) {
 	}
 	if g.NumTopLevel+g.NumAddressTaken != g.Prog.NumValues()-1 {
 		t.Error("variable counts do not partition the value space")
+	}
+}
+
+var graphSink *Graph
+
+// BenchmarkSVFG times SVFG assembly alone, over a prebuilt memory SSA.
+func BenchmarkSVFG(b *testing.B) {
+	for _, name := range []string{"nano", "bash", "lynx"} {
+		b.Run(name, func(b *testing.B) {
+			prog := workload.ProfileByName(name).Build()
+			aux := andersen.Analyze(prog)
+			mssa := memssa.Build(prog, aux)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				graphSink = Build(prog, aux, mssa)
+			}
+		})
 	}
 }

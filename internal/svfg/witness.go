@@ -134,14 +134,14 @@ func (g *Graph) ExplainPointsTo(holds func(x ir.ID, o ir.ID) bool, v, obj ir.ID)
 				})
 			}
 		}
-		// Indirect: memory flows for objects that may hold obj.
-		if m := g.indirOut[l]; m != nil {
-			for o, succs := range m {
-				if !holds(o, obj) {
-					continue
-				}
-				for _, s := range succs {
-					out = append(out, edgeKind{to: s, note: "in " + prog.NameOf(o)})
+		// Indirect: memory flows for objects that may hold obj, in
+		// ascending object order (slot order), so the search and the
+		// witness it finds are deterministic.
+		lo, hi := g.SlotRange(l)
+		for s := lo; s < hi; s++ {
+			if o := g.slotObj[s]; len(g.indirOut[s]) > 0 && holds(o, obj) {
+				for _, t := range g.indirOut[s] {
+					out = append(out, edgeKind{to: t, note: "in " + prog.NameOf(o)})
 				}
 			}
 		}
