@@ -128,13 +128,13 @@ entry:
 	}
 	aux := andersen.Analyze(prog)
 	var l [6]uint32
-	var a ir.ID
+	var a ir.Obj
 	stores, loads := 0, 0
 	prog.FuncByName("main").ForEachInstr(func(in *ir.Instr) {
 		switch in.Op {
 		case ir.Alloc:
 			if prog.Value(in.Obj).Name == "a" {
-				a = in.Obj
+				a = prog.ObjNum(in.Obj)
 			}
 		case ir.Store:
 			stores++

@@ -287,11 +287,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if serr != nil {
 			return fail(serr)
 		}
-		holds := func(x, o ir.ID) bool {
+		holds := func(x ir.ID, o ir.Obj) bool {
 			if prog.IsPointer(x) {
 				return solved.PointsTo(x).Has(uint32(o))
 			}
-			return solved.ObjectSummary(x).Has(uint32(o))
+			return solved.ObjectSummary(prog.ObjNum(x)).Has(uint32(o))
 		}
 		// Match variables by exact name or by suffix after a function
 		// qualifier, covering both IR names and lowered temps.
@@ -312,7 +312,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				continue
 			}
 			solved.PointsTo(v).ForEach(func(o uint32) {
-				if w := g.ExplainPointsTo(holds, v, ir.ID(o)); w != nil {
+				if w := g.ExplainPointsTo(holds, v, ir.Obj(o)); w != nil {
 					found++
 					fmt.Fprint(stdout, w.Format(prog))
 				}

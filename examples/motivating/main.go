@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 
 	"vsfs/internal/andersen"
 	"vsfs/internal/bitset"
@@ -43,13 +44,13 @@ entry:
 
 	// Collect ℓ1..ℓ5 and the object a.
 	var l [6]uint32
-	var a ir.ID
+	var a ir.Obj
 	stores, loads := 0, 0
 	prog.FuncByName("main").ForEachInstr(func(in *ir.Instr) {
 		switch in.Op {
 		case ir.Alloc:
 			if prog.Value(in.Obj).Name == "a" {
-				a = in.Obj
+				a = prog.ObjNum(in.Obj)
 			}
 		case ir.Store:
 			stores++
@@ -97,12 +98,17 @@ entry:
 	sfsRes := sfs.Solve(g.Clone())
 	vsfsRes := core.Solve(g.Clone())
 
-	name := func(v ir.ID) string { return prog.NameOf(v) }
+	// objNames renders a points-to set, which holds object numbers.
+	objNames := func(set *bitset.Sparse) string {
+		var names []string
+		set.ForEach(func(o uint32) { names = append(names, prog.ObjValue(ir.Obj(o)).Name) })
+		return "{" + strings.Join(names, ", ") + "}"
+	}
 	fmt.Println("== identical results ==")
 	for i, v := range []string{"v3", "v4", "v5"} {
 		id := varByName(prog, v)
-		fmt.Printf("  pt(ℓ%d def %s): SFS %v  VSFS %v\n",
-			3+i, name(id), sfsRes.PointsTo(id), vsfsRes.PointsTo(id))
+		fmt.Printf("  pt(ℓ%d def %s): SFS %s  VSFS %s\n",
+			3+i, prog.NameOf(id), objNames(sfsRes.PointsTo(id)), objNames(vsfsRes.PointsTo(id)))
 	}
 
 	fmt.Println("\n== versions (Figure 9) ==")

@@ -8,6 +8,11 @@
 // propagation and periodic offline SCC collapsing of the copy-edge
 // graph (cycle elimination), field-sensitive via the ir.Program's field
 // objects, and with on-the-fly call-graph resolution for indirect calls.
+//
+// Constraint nodes are value IDs: top-level pointers and objects alike,
+// since an object's contents are a node too. Points-to sets hold object
+// numbers (ir.Obj), so a load or store through a pointer turns each
+// member into a node with Program.ObjID before adding its copy edge.
 package andersen
 
 import (
@@ -28,13 +33,17 @@ type Stats struct {
 	WorklistHW   int // worklist high-water mark
 }
 
-// Result is the outcome of the auxiliary analysis. Points-to sets are
-// frozen; callers must not mutate them.
+// Result is the outcome of the auxiliary analysis. It is immutable once
+// returned and safe for concurrent queries; callers must not mutate the
+// points-to sets it hands out.
 type Result struct {
 	prog *ir.Program
 
-	parent []uint32
-	pts    []*bitset.Sparse
+	// rep[v] is the node whose set v shares after cycle elimination:
+	// every node points straight at its representative, so a query is
+	// one read and never writes.
+	rep []uint32
+	pts []*bitset.Sparse
 
 	// callTargets maps each Call instruction to its resolved callees:
 	// the static callee for direct calls, the discovered targets for
@@ -51,15 +60,23 @@ type Result struct {
 // Prog returns the analysed program.
 func (r *Result) Prog() *ir.Program { return r.prog }
 
-// PointsTo returns pts^aux(v): the points-to set of a top-level pointer
-// or an address-taken object. The returned set is shared and must not
-// be mutated.
+// PointsTo returns pts^aux(v), a set of object numbers: the points-to
+// set of a top-level pointer or the contents of an address-taken
+// object, given by value ID. The returned set is shared and must not be
+// mutated.
 func (r *Result) PointsTo(v ir.ID) *bitset.Sparse {
-	n := r.find(uint32(v))
-	if int(n) < len(r.pts) && r.pts[n] != nil {
-		return r.pts[n]
+	if int(v) < len(r.rep) {
+		if set := r.pts[r.rep[v]]; set != nil {
+			return set
+		}
 	}
 	return emptySet
+}
+
+// ObjectSummary returns everything object o may ever hold: its
+// flow-insensitive contents.
+func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
+	return r.PointsTo(r.prog.ObjID(o))
 }
 
 var emptySet = bitset.New()
@@ -67,15 +84,6 @@ var emptySet = bitset.New()
 // CalleesOf returns the functions a Call instruction may invoke.
 func (r *Result) CalleesOf(call *ir.Instr) []*ir.Function {
 	return r.callTargets[call]
-}
-
-func (r *Result) find(x uint32) uint32 {
-	//vsfs:lint-ignore guardtick union-find path halving is bounded by tree depth and does constant pointer chasing per step
-	for r.parent[x] != x {
-		r.parent[x] = r.parent[r.parent[x]]
-		x = r.parent[x]
-	}
-	return x
 }
 
 // Analyze runs the auxiliary analysis to fixpoint.
@@ -209,7 +217,7 @@ func (s *solver) ptsOf(n uint32) *bitset.Sparse {
 }
 
 // addPts inserts obj into pts(n) and schedules n on change.
-func (s *solver) addPts(n uint32, obj ir.ID) {
+func (s *solver) addPts(n uint32, obj ir.Obj) {
 	n = s.find(n)
 	if s.ptsOf(n).Set(uint32(obj)) {
 		s.work.push(n)
@@ -245,7 +253,7 @@ func (s *solver) generate() {
 		f.ForEachInstr(func(in *ir.Instr) {
 			switch in.Op {
 			case ir.Alloc:
-				s.addPts(uint32(in.Def), in.Obj)
+				s.addPts(uint32(in.Def), s.prog.ObjNum(in.Obj))
 			case ir.Copy:
 				s.addCopy(in.Def, in.Uses[0])
 			case ir.Phi:
@@ -367,32 +375,33 @@ func (s *solver) solve() error {
 }
 
 // applyComplex handles loads, stores, field addresses and indirect calls
-// whose base pointer gained the objects in delta.
+// whose base pointer gained the objects in delta. An object's contents
+// are the node named by its value ID.
 func (s *solver) applyComplex(n uint32, delta *bitset.Sparse) {
 	prog := s.prog
 	for _, def := range s.loadsAt[n] {
 		delta.ForEach(func(o uint32) {
-			s.addCopy(def, ir.ID(o)) // pts(def) ⊇ pts(o)
+			s.addCopy(def, prog.ObjID(ir.Obj(o))) // pts(def) ⊇ pts(o)
 		})
 	}
 	for _, src := range s.storesAt[n] {
 		delta.ForEach(func(o uint32) {
-			s.addCopy(ir.ID(o), src) // pts(o) ⊇ pts(src)
+			s.addCopy(prog.ObjID(ir.Obj(o)), src) // pts(o) ⊇ pts(src)
 		})
 	}
 	for _, fu := range s.fieldsAt[n] {
 		delta.ForEach(func(o uint32) {
-			if prog.Value(ir.ID(o)).ObjKind == ir.FuncObj {
+			if prog.ObjValue(ir.Obj(o)).ObjKind == ir.FuncObj {
 				return // no fields of functions
 			}
-			fo := prog.FieldObj(ir.ID(o), fu.off)
+			fo := prog.FieldObj(prog.ObjID(ir.Obj(o)), fu.off)
 			s.ensure(uint32(prog.NumValues()) - 1)
-			s.addPts(uint32(fu.def), fo)
+			s.addPts(uint32(fu.def), prog.ObjNum(fo))
 		})
 	}
 	if calls := s.icallsAt[n]; len(calls) > 0 {
 		delta.ForEach(func(o uint32) {
-			v := prog.Value(ir.ID(o))
+			v := prog.ObjValue(ir.Obj(o))
 			if v.ObjKind != ir.FuncObj {
 				return // calling through a non-function pointer: no-op
 			}
@@ -473,9 +482,12 @@ func (s *solver) merge(a, b uint32) {
 func (s *solver) finish() *Result {
 	s.stats.FinalNodes = len(s.parent)
 	s.stats.WorklistHW = s.work.hw
+	for v := range s.parent {
+		s.parent[v] = s.find(uint32(v))
+	}
 	return &Result{
 		prog:        s.prog,
-		parent:      s.parent,
+		rep:         s.parent,
 		pts:         s.pts,
 		callTargets: s.callTargets,
 		Stats:       s.stats,

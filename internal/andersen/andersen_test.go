@@ -2,6 +2,7 @@ package andersen
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"vsfs/internal/bitset"
@@ -13,7 +14,7 @@ import (
 // pointsToNames returns the object names in pts(v) for readable asserts.
 func pointsToNames(r *Result, prog *ir.Program, v ir.ID) map[string]bool {
 	out := map[string]bool{}
-	r.PointsTo(v).ForEach(func(o uint32) { out[prog.NameOf(ir.ID(o))] = true })
+	r.PointsTo(v).ForEach(func(o uint32) { out[prog.ObjValue(ir.Obj(o)).Name] = true })
 	return out
 }
 
@@ -309,7 +310,8 @@ entry:
 }
 
 // naiveSolve is an obviously-correct reference: iterate all constraints
-// to fixpoint with no difference propagation, no cycle elimination.
+// to fixpoint with no difference propagation, no cycle elimination. Sets
+// hold object numbers; an object's contents live under its value ID.
 func naiveSolve(prog *ir.Program) map[ir.ID]*bitset.Sparse {
 	pts := map[ir.ID]*bitset.Sparse{}
 	get := func(v ir.ID) *bitset.Sparse {
@@ -329,26 +331,26 @@ func naiveSolve(prog *ir.Program) map[ir.ID]*bitset.Sparse {
 			f.ForEachInstr(func(in *ir.Instr) {
 				switch in.Op {
 				case ir.Alloc:
-					mark(get(in.Def).Set(uint32(in.Obj)))
+					mark(get(in.Def).Set(uint32(prog.ObjNum(in.Obj))))
 				case ir.Copy, ir.Phi:
 					for _, u := range in.Uses {
 						mark(get(in.Def).UnionWith(get(u)))
 					}
 				case ir.Field:
 					get(in.Uses[0]).Clone().ForEach(func(o uint32) {
-						if prog.Value(ir.ID(o)).ObjKind == ir.FuncObj {
+						if prog.ObjValue(ir.Obj(o)).ObjKind == ir.FuncObj {
 							return
 						}
-						fo := prog.FieldObj(ir.ID(o), in.Off)
-						mark(get(in.Def).Set(uint32(fo)))
+						fo := prog.FieldObj(prog.ObjID(ir.Obj(o)), in.Off)
+						mark(get(in.Def).Set(uint32(prog.ObjNum(fo))))
 					})
 				case ir.Load:
 					get(in.Uses[0]).Clone().ForEach(func(o uint32) {
-						mark(get(in.Def).UnionWith(get(ir.ID(o))))
+						mark(get(in.Def).UnionWith(get(prog.ObjID(ir.Obj(o)))))
 					})
 				case ir.Store:
 					get(in.Uses[0]).Clone().ForEach(func(o uint32) {
-						mark(get(ir.ID(o)).UnionWith(get(in.Uses[1])))
+						mark(get(prog.ObjID(ir.Obj(o))).UnionWith(get(in.Uses[1])))
 					})
 				case ir.Call:
 					var callees []*ir.Function
@@ -356,7 +358,7 @@ func naiveSolve(prog *ir.Program) map[ir.ID]*bitset.Sparse {
 						callees = []*ir.Function{in.Callee}
 					} else {
 						get(in.CalleePtr()).ForEach(func(o uint32) {
-							if v := prog.Value(ir.ID(o)); v.ObjKind == ir.FuncObj {
+							if v := prog.ObjValue(ir.Obj(o)); v.ObjKind == ir.FuncObj {
 								callees = append(callees, v.Func)
 							}
 						})
@@ -411,4 +413,46 @@ func TestStatsPopulated(t *testing.T) {
 	if res.Stats.Pops == 0 || res.Stats.FinalNodes == 0 {
 		t.Errorf("stats look empty: %+v", res.Stats)
 	}
+}
+
+// TestConcurrentReads reads a result whose copy graph had a cycle
+// collapsed from several goroutines at once. Queries must not write to
+// the result (run under -race).
+func TestConcurrentReads(t *testing.T) {
+	prog, res := analyzeSrc(t, `
+func main() {
+entry:
+  a = alloc o 0
+  jmp loop
+loop:
+  p = phi(a, q)
+  q = copy p
+  br loop, exit
+exit:
+  ret
+}
+`)
+	if res.Stats.SCCCollapses == 0 {
+		t.Fatal("no SCC collapsed; the test needs a merged node")
+	}
+	var vars []ir.ID
+	for _, name := range []string{"a", "p", "q"} {
+		vars = append(vars, lookupVar(t, prog, name))
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				for _, v := range vars {
+					if res.PointsTo(v).Len() != 1 {
+						t.Errorf("pts(%s) is not {o}", prog.NameOf(v))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -15,7 +15,8 @@ type singletons struct {
 	set  *bitset.Sparse
 }
 
-// Singletons returns the set of singleton objects: abstract objects
+// Singletons returns the set of singleton objects, by object number:
+// abstract objects
 // that stand for exactly one concrete runtime cell, so a store known to
 // target one of them alone may strongly update (kill) its contents.
 // Globals always qualify; stack objects qualify when their defining
@@ -67,17 +68,17 @@ func computeSingletons(prog *ir.Program, aux *Result) *bitset.Sparse {
 	}
 
 	set := bitset.New()
-	for id := ir.ID(1); int(id) < prog.NumValues(); id++ {
-		v := prog.Value(id)
-		if v.Kind != ir.Object || v.Collapsed {
+	for o := range ir.Obj(prog.NumObjects()) {
+		v := prog.ObjValue(o)
+		if v.Collapsed {
 			continue
 		}
 		switch v.ObjKind {
 		case ir.GlobalObj:
-			set.Set(uint32(id))
+			set.Set(uint32(o))
 		case ir.StackObj:
 			if v.DefFunc != nil && !recursive(v.DefFunc) {
-				set.Set(uint32(id))
+				set.Set(uint32(o))
 			}
 		}
 	}

@@ -506,9 +506,9 @@ func FormatVersionStats(rows []VersionRow) string {
 // checkFacts adapts a solved VSFS result to the checker interfaces.
 type checkFacts struct{ r *core.Result }
 
-func (f checkFacts) PointsTo(v ir.ID) *bitset.Sparse      { return f.r.PointsTo(v) }
-func (f checkFacts) ObjectSummary(o ir.ID) *bitset.Sparse { return f.r.ObjectSummary(o) }
-func (f checkFacts) ContentsBefore(label uint32, o ir.ID) *bitset.Sparse {
+func (f checkFacts) PointsTo(v ir.ID) *bitset.Sparse       { return f.r.PointsTo(v) }
+func (f checkFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return f.r.ObjectSummary(o) }
+func (f checkFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
 	return f.r.ConsumedSet(label, o)
 }
 

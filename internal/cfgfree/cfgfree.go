@@ -67,7 +67,7 @@ type Stats struct {
 // when this backend runs as a degradation rung.
 type accessKey struct {
 	in *ir.Instr
-	o  ir.ID
+	o  ir.Obj
 }
 
 // Result is a solved program. It is immutable once returned and safe
@@ -76,6 +76,8 @@ type Result struct {
 	prog *ir.Program
 	aux  *andersen.Result
 
+	// pts[n] is the set of constraint node n: a top-level pointer or an
+	// object's global contents, by value ID. Sets hold object numbers.
 	pts []*bitset.Sparse
 
 	// consumed holds the materialised window contents per windowed
@@ -101,7 +103,7 @@ func (r *Result) PointsTo(v ir.ID) *bitset.Sparse {
 
 // ObjectSummary returns everything object o may ever hold: the global
 // flow-insensitive set every store through a may-alias pointer feeds.
-func (r *Result) ObjectSummary(o ir.ID) *bitset.Sparse { return r.PointsTo(o) }
+func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse { return r.PointsTo(r.prog.ObjID(o)) }
 
 // CalleesOf returns the functions a Call instruction may invoke,
 // resolved on the fly from the flow-sensitive function-pointer sets,
@@ -122,13 +124,13 @@ func (r *Result) instrAt(label uint32) *ir.Instr {
 // ConsumedSet returns what object o may hold immediately before the
 // instruction labelled label: the window contents when the access sits
 // under a strong-update window for o, the global set otherwise.
-func (r *Result) ConsumedSet(label uint32, o ir.ID) *bitset.Sparse {
+func (r *Result) ConsumedSet(label uint32, o ir.Obj) *bitset.Sparse {
 	if in := r.instrAt(label); in != nil {
 		if set, ok := r.consumed[accessKey{in: in, o: o}]; ok {
 			return set
 		}
 	}
-	return r.PointsTo(o)
+	return r.ObjectSummary(o)
 }
 
 // YieldedSet returns what object o may hold immediately after the
@@ -136,14 +138,14 @@ func (r *Result) ConsumedSet(label uint32, o ir.ID) *bitset.Sparse {
 // exactly the stored value's set; for a weak store, the consumed
 // contents plus the stored values; for everything else, the consumed
 // contents unchanged.
-func (r *Result) YieldedSet(label uint32, o ir.ID) *bitset.Sparse {
+func (r *Result) YieldedSet(label uint32, o ir.Obj) *bitset.Sparse {
 	in := r.instrAt(label)
 	if in == nil || in.Op != ir.Store {
 		return r.ConsumedSet(label, o)
 	}
 	p, q := in.Uses[0], in.Uses[1]
 	if single, ok := r.aux.PointsTo(p).Single(); ok &&
-		ir.ID(single) == o && r.aux.Singletons().Has(uint32(o)) {
+		ir.Obj(single) == o && r.aux.Singletons().Has(uint32(o)) {
 		return r.PointsTo(q)
 	}
 	out := r.ConsumedSet(label, o).Clone()
@@ -208,7 +210,7 @@ func computeWindows(prog *ir.Program, aux *andersen.Result) map[accessKey][]ir.I
 				case ir.Load, ir.Store:
 					base := in.Uses[0]
 					aux.PointsTo(base).ForEach(func(o32 uint32) {
-						o := ir.ID(o32)
+						o := ir.Obj(o32)
 						var vals []ir.ID
 						for i := len(stores) - 1; i >= 0; i-- {
 							st := stores[i]
@@ -218,7 +220,7 @@ func computeWindows(prog *ir.Program, aux *andersen.Result) map[accessKey][]ir.I
 							}
 							vals = append(vals, st.Uses[1])
 							if single, ok := spts.Single(); ok &&
-								ir.ID(single) == o && singles.Has(o32) {
+								single == o32 && singles.Has(o32) {
 								windows[accessKey{in: in, o: o}] = vals
 								return
 							}
@@ -273,6 +275,7 @@ type callTarget struct {
 // solver is the mutable analysis state. Unlike the auxiliary solver it
 // performs no cycle collapsing: objects must keep their identity so the
 // window table stays addressable, and the corpus scale never needs it.
+// Constraint nodes are value IDs, as in the auxiliary solver.
 type solver struct {
 	prog *ir.Program
 	aux  *andersen.Result
@@ -331,7 +334,7 @@ func (s *solver) ptsOf(n uint32) *bitset.Sparse {
 	return s.pts[n]
 }
 
-func (s *solver) addPts(n uint32, obj ir.ID) {
+func (s *solver) addPts(n uint32, obj ir.Obj) {
 	if s.ptsOf(n).Set(uint32(obj)) {
 		s.work.push(n)
 	}
@@ -369,7 +372,7 @@ func (s *solver) generate() {
 		f.ForEachInstr(func(in *ir.Instr) {
 			switch in.Op {
 			case ir.Alloc:
-				s.addPts(uint32(in.Def), in.Obj)
+				s.addPts(uint32(in.Def), s.prog.ObjNum(in.Obj))
 			case ir.Copy:
 				s.addCopy(in.Def, in.Uses[0])
 			case ir.Phi:
@@ -489,35 +492,35 @@ func (s *solver) applyComplex(n uint32, delta *bitset.Sparse) {
 	prog := s.prog
 	for _, ld := range s.loadsAt[n] {
 		delta.ForEach(func(o uint32) {
-			if vals, ok := s.windows[accessKey{in: ld, o: ir.ID(o)}]; ok {
+			if vals, ok := s.windows[accessKey{in: ld, o: ir.Obj(o)}]; ok {
 				for _, val := range vals {
 					s.addCopy(ld.Def, val) // pts(def) ⊇ pts(val_window)
 				}
 				return
 			}
-			s.addCopy(ld.Def, ir.ID(o)) // pts(def) ⊇ pts_cf(o)
+			s.addCopy(ld.Def, prog.ObjID(ir.Obj(o))) // pts(def) ⊇ pts_cf(o)
 		})
 	}
 	for _, src := range s.storesAt[n] {
 		delta.ForEach(func(o uint32) {
 			// The global set is the fallback for every window-less
 			// access anywhere in the program; it is never killed.
-			s.addCopy(ir.ID(o), src) // pts_cf(o) ⊇ pts(src)
+			s.addCopy(prog.ObjID(ir.Obj(o)), src) // pts_cf(o) ⊇ pts(src)
 		})
 	}
 	for _, fu := range s.fieldsAt[n] {
 		delta.ForEach(func(o uint32) {
-			if prog.Value(ir.ID(o)).ObjKind == ir.FuncObj {
+			if prog.ObjValue(ir.Obj(o)).ObjKind == ir.FuncObj {
 				return // no fields of functions
 			}
-			fo := prog.FieldObj(ir.ID(o), fu.off)
+			fo := prog.FieldObj(prog.ObjID(ir.Obj(o)), fu.off)
 			s.ensure(uint32(prog.NumValues()) - 1)
-			s.addPts(uint32(fu.def), fo)
+			s.addPts(uint32(fu.def), prog.ObjNum(fo))
 		})
 	}
 	if calls := s.icallsAt[n]; len(calls) > 0 {
 		delta.ForEach(func(o uint32) {
-			v := prog.Value(ir.ID(o))
+			v := prog.ObjValue(ir.Obj(o))
 			if v.ObjKind != ir.FuncObj {
 				return // calling through a non-function pointer: no-op
 			}

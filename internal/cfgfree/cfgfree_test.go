@@ -123,14 +123,20 @@ func idOf(t *testing.T, prog *ir.Program, name string) ir.ID {
 	return ir.None
 }
 
-// names renders a points-to set for assertion messages.
-func setEquals(prog *ir.Program, set interface{ Slice() []uint32 }, want ...ir.ID) bool {
+// objOf resolves a source-level object name to its object number.
+func objOf(t *testing.T, prog *ir.Program, name string) ir.Obj {
+	t.Helper()
+	return prog.ObjNum(idOf(t, prog, name))
+}
+
+// setEquals reports whether a points-to set holds exactly want, in order.
+func setEquals(prog *ir.Program, set interface{ Slice() []uint32 }, want ...ir.Obj) bool {
 	got := set.Slice()
 	if len(got) != len(want) {
 		return false
 	}
 	for i, o := range got {
-		if ir.ID(o) != want[i] {
+		if ir.Obj(o) != want[i] {
 			return false
 		}
 	}
@@ -162,8 +168,8 @@ entry:
 	aux, res := solveBoth(t, prog)
 	checkInvariants(t, prog, aux, res)
 
-	a, b := idOf(t, prog, "a"), idOf(t, prog, "b")
-	x, y, qcell := idOf(t, prog, "x"), idOf(t, prog, "y"), idOf(t, prog, "qcell")
+	a, b, qcell := objOf(t, prog, "a"), objOf(t, prog, "b"), objOf(t, prog, "qcell")
+	x, y := idOf(t, prog, "x"), idOf(t, prog, "y")
 	if !setEquals(prog, res.PointsTo(x), a) {
 		t.Errorf("pts(x) = %s, want {a}", res.PointsTo(x))
 	}
@@ -227,7 +233,7 @@ entry:
 	}
 	aux, res := solveBoth(t, prog)
 	checkInvariants(t, prog, aux, res)
-	a, b, y := idOf(t, prog, "a"), idOf(t, prog, "b"), idOf(t, prog, "y")
+	a, b, y := objOf(t, prog, "a"), objOf(t, prog, "b"), idOf(t, prog, "y")
 	if !setEquals(prog, res.PointsTo(y), a, b) {
 		t.Errorf("pts(y) = %s, want {a, b}: the call clobbers the window", res.PointsTo(y))
 	}
@@ -254,7 +260,7 @@ entry:
 		t.Fatal(err)
 	}
 	_, res := solveBoth(t, prog)
-	a, b, qcell := idOf(t, prog, "a"), idOf(t, prog, "b"), idOf(t, prog, "qcell")
+	a, b, qcell := objOf(t, prog, "a"), objOf(t, prog, "b"), objOf(t, prog, "qcell")
 
 	var stores []*ir.Instr
 	var load *ir.Instr

@@ -62,9 +62,12 @@ func Verify(prog *ir.Program, aux *andersen.Result, res *Result) error {
 
 	// objsOf snapshots a base pointer's objects so applying semantics
 	// (which may grow the value space via FieldObj or union into the
-	// iterated set) never mutates a set mid-iteration.
-	objsOf := func(base ir.ID) []uint32 {
-		return at(base).AppendTo(nil)
+	// iterated set) never mutates a set mid-iteration. Sets hold object
+	// numbers; an object's contents live under its value ID.
+	objsOf := func(base ir.ID) []ir.Obj {
+		var out []ir.Obj
+		at(base).ForEach(func(o uint32) { out = append(out, ir.Obj(o)) })
+		return out
 	}
 
 	pass := 0
@@ -77,7 +80,7 @@ func Verify(prog *ir.Program, aux *andersen.Result, res *Result) error {
 			f.ForEachInstr(func(in *ir.Instr) {
 				switch in.Op {
 				case ir.Alloc:
-					if at(in.Def).Set(uint32(in.Obj)) {
+					if at(in.Def).Set(uint32(prog.ObjNum(in.Obj))) {
 						changed = true
 					}
 				case ir.Copy:
@@ -92,17 +95,17 @@ func Verify(prog *ir.Program, aux *andersen.Result, res *Result) error {
 					}
 				case ir.Field:
 					for _, o := range objsOf(in.Uses[0]) {
-						if prog.Value(ir.ID(o)).ObjKind == ir.FuncObj {
+						if prog.ObjValue(o).ObjKind == ir.FuncObj {
 							continue
 						}
-						fo := prog.FieldObj(ir.ID(o), in.Off)
-						if at(in.Def).Set(uint32(fo)) {
+						fo := prog.FieldObj(prog.ObjID(o), in.Off)
+						if at(in.Def).Set(uint32(prog.ObjNum(fo))) {
 							changed = true
 						}
 					}
 				case ir.Load:
 					for _, o := range objsOf(in.Uses[0]) {
-						if vals, ok := windows[accessKey{in: in, o: ir.ID(o)}]; ok {
+						if vals, ok := windows[accessKey{in: in, o: o}]; ok {
 							for _, val := range vals {
 								if at(in.Def).UnionWith(at(val)) {
 									changed = true
@@ -110,13 +113,13 @@ func Verify(prog *ir.Program, aux *andersen.Result, res *Result) error {
 							}
 							continue
 						}
-						if at(in.Def).UnionWith(at(ir.ID(o))) {
+						if at(in.Def).UnionWith(at(prog.ObjID(o))) {
 							changed = true
 						}
 					}
 				case ir.Store:
 					for _, o := range objsOf(in.Uses[0]) {
-						if at(ir.ID(o)).UnionWith(at(in.Uses[1])) {
+						if at(prog.ObjID(o)).UnionWith(at(in.Uses[1])) {
 							changed = true
 						}
 					}
@@ -128,7 +131,7 @@ func Verify(prog *ir.Program, aux *andersen.Result, res *Result) error {
 						break
 					}
 					for _, o := range objsOf(in.CalleePtr()) {
-						v := prog.Value(ir.ID(o))
+						v := prog.ObjValue(o)
 						if v.ObjKind != ir.FuncObj {
 							continue
 						}

@@ -40,7 +40,8 @@ import (
 	"vsfs/internal/ir"
 )
 
-// PointsTo abstracts a solved analysis.
+// PointsTo abstracts a solved analysis. Like every object set the
+// checkers read, a points-to set holds object numbers (ir.Obj).
 type PointsTo interface {
 	PointsTo(v ir.ID) *bitset.Sparse
 }
@@ -131,7 +132,7 @@ func DanglingReturns(prog *ir.Program, res PointsTo) []Finding {
 			continue
 		}
 		res.PointsTo(f.Ret).ForEach(func(o uint32) {
-			v := prog.Value(ir.ID(o))
+			v := prog.ObjValue(ir.Obj(o))
 			if v.ObjKind == ir.StackObj && v.DefFunc == f {
 				out = append(out, Finding{
 					Kind:  DanglingReturn,
@@ -150,7 +151,7 @@ func DanglingReturns(prog *ir.Program, res PointsTo) []Finding {
 // ObjectSummaries abstracts per-object "may ever hold" queries, provided
 // by the flow-sensitive solvers and by Andersen's PointsTo directly.
 type ObjectSummaries interface {
-	ObjectSummary(o ir.ID) *bitset.Sparse
+	ObjectSummary(o ir.Obj) *bitset.Sparse
 }
 
 // FlowFacts is what the deallocation checkers need: top-level points-to
@@ -165,7 +166,7 @@ type ObjectSummaries interface {
 type FlowFacts interface {
 	PointsTo
 	ObjectSummaries
-	ContentsBefore(label uint32, o ir.ID) *bitset.Sparse
+	ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse
 }
 
 // StackEscapes reports stores that publish a local's address into
@@ -173,16 +174,13 @@ type FlowFacts interface {
 // contains a stack object of another frame's future dead local.
 func StackEscapes(prog *ir.Program, sums ObjectSummaries) []Finding {
 	var out []Finding
-	for id := ir.ID(1); int(id) < prog.NumValues(); id++ {
-		holder := prog.Value(id)
-		if holder.Kind != ir.Object {
-			continue
-		}
+	for h := range ir.Obj(prog.NumObjects()) {
+		holder := prog.ObjValue(h)
 		if holder.ObjKind != ir.GlobalObj && holder.ObjKind != ir.HeapObj {
 			continue
 		}
-		sums.ObjectSummary(id).ForEach(func(o uint32) {
-			pointee := prog.Value(ir.ID(o))
+		sums.ObjectSummary(h).ForEach(func(o uint32) {
+			pointee := prog.ObjValue(ir.Obj(o))
 			if pointee.ObjKind != ir.StackObj || pointee.DefFunc == nil {
 				return
 			}

@@ -23,10 +23,10 @@ import (
 // value read from freed memory to free is still a use of that value.
 // Programs with no free are skipped entirely.
 func UseAfterFrees(prog *ir.Program, facts FlowFacts) []Finding {
-	freed := prog.FreedObj()
-	if freed == ir.None {
+	if prog.FreedObj() == ir.None {
 		return nil
 	}
+	freed := uint32(prog.ObjNum(prog.FreedObj()))
 	var out []Finding
 	for _, f := range prog.Funcs {
 		f.ForEachInstr(func(in *ir.Instr) {
@@ -41,7 +41,7 @@ func UseAfterFrees(prog *ir.Program, facts FlowFacts) []Finding {
 			}
 			base := in.Uses[0]
 			pts := facts.PointsTo(base)
-			if pts.Has(uint32(freed)) {
+			if pts.Has(freed) {
 				out = append(out, Finding{
 					Kind:  UseAfterFree,
 					Func:  f.Name,
@@ -55,17 +55,17 @@ func UseAfterFrees(prog *ir.Program, facts FlowFacts) []Finding {
 				return
 			}
 			pts.ForEach(func(o uint32) {
-				if ir.ID(o) == freed {
+				if o == freed {
 					return
 				}
-				if facts.ContentsBefore(in.Label, ir.ID(o)).Has(uint32(freed)) {
+				if facts.ContentsBefore(in.Label, ir.Obj(o)).Has(freed) {
 					out = append(out, Finding{
 						Kind:  UseAfterFree,
 						Func:  f.Name,
 						Label: in.Label,
 						Pos:   in.Pos,
 						Message: fmt.Sprintf("%s through %s may access %s after it was freed",
-							what, prog.NameOf(base), prog.NameOf(ir.ID(o))),
+							what, prog.NameOf(base), prog.ObjValue(ir.Obj(o)).Name),
 					})
 				}
 			})
@@ -79,10 +79,10 @@ func UseAfterFrees(prog *ir.Program, facts FlowFacts) []Finding {
 // the pointee's contents entering the free-store. Reported per
 // (instruction, object).
 func DoubleFrees(prog *ir.Program, facts FlowFacts) []Finding {
-	freed := prog.FreedObj()
-	if freed == ir.None {
+	if prog.FreedObj() == ir.None {
 		return nil
 	}
+	freed := uint32(prog.ObjNum(prog.FreedObj()))
 	var out []Finding
 	for _, f := range prog.Funcs {
 		f.ForEachInstr(func(in *ir.Instr) {
@@ -91,17 +91,17 @@ func DoubleFrees(prog *ir.Program, facts FlowFacts) []Finding {
 			}
 			base := in.Uses[0]
 			facts.PointsTo(base).ForEach(func(o uint32) {
-				if ir.ID(o) == freed {
+				if o == freed {
 					return
 				}
-				if facts.ContentsBefore(in.Label, ir.ID(o)).Has(uint32(freed)) {
+				if facts.ContentsBefore(in.Label, ir.Obj(o)).Has(freed) {
 					out = append(out, Finding{
 						Kind:  DoubleFree,
 						Func:  f.Name,
 						Label: in.Label,
 						Pos:   in.Pos,
 						Message: fmt.Sprintf("free of %s, which %s may already have freed",
-							prog.NameOf(base), prog.NameOf(ir.ID(o))),
+							prog.NameOf(base), prog.ObjValue(ir.Obj(o)).Name),
 					})
 				}
 			})
@@ -123,9 +123,7 @@ func DoubleFrees(prog *ir.Program, facts FlowFacts) []Finding {
 // One finding is emitted per leaked heap allocation site, anchored at
 // its Alloc instruction.
 func MemoryLeaks(prog *ir.Program, facts FlowFacts) []Finding {
-	freed := prog.FreedObj()
-
-	// Collect the roots.
+	// Collect the roots. reach and the bases below hold object numbers.
 	reach := bitset.New()
 	var work []uint32
 	add := func(s *bitset.Sparse) {
@@ -135,10 +133,9 @@ func MemoryLeaks(prog *ir.Program, facts FlowFacts) []Finding {
 			}
 		})
 	}
-	for id := ir.ID(1); int(id) < prog.NumValues(); id++ {
-		v := prog.Value(id)
-		if v.Kind == ir.Object && v.ObjKind == ir.GlobalObj {
-			add(facts.ObjectSummary(id))
+	for o := range ir.Obj(prog.NumObjects()) {
+		if prog.ObjValue(o).ObjKind == ir.GlobalObj {
+			add(facts.ObjectSummary(o))
 		}
 	}
 	if m := prog.FuncByName("main"); m != nil {
@@ -156,21 +153,23 @@ func MemoryLeaks(prog *ir.Program, facts FlowFacts) []Finding {
 	for len(work) > 0 {
 		o := work[len(work)-1]
 		work = work[:len(work)-1]
-		add(facts.ObjectSummary(ir.ID(o)))
+		add(facts.ObjectSummary(ir.Obj(o)))
 	}
 
 	// An allocation is reachable (or freed) if its base object or any of
 	// its field objects is: project everything onto allocation bases.
+	// Value.Base is a value ID.
+	base := func(o ir.Obj) uint32 { return uint32(prog.ObjNum(prog.ObjValue(o).Base)) }
 	reachBase := bitset.New()
 	reach.ForEach(func(o uint32) {
-		reachBase.Set(uint32(prog.Value(ir.ID(o)).Base))
+		reachBase.Set(base(ir.Obj(o)))
 	})
 	freedBase := bitset.New()
-	if freed != ir.None {
-		for id := ir.ID(1); int(id) < prog.NumValues(); id++ {
-			v := prog.Value(id)
-			if v.Kind == ir.Object && facts.ObjectSummary(id).Has(uint32(freed)) {
-				freedBase.Set(uint32(v.Base))
+	if prog.FreedObj() != ir.None {
+		freed := uint32(prog.ObjNum(prog.FreedObj()))
+		for o := range ir.Obj(prog.NumObjects()) {
+			if facts.ObjectSummary(o).Has(freed) {
+				freedBase.Set(base(o))
 			}
 		}
 	}
@@ -185,7 +184,7 @@ func MemoryLeaks(prog *ir.Program, facts FlowFacts) []Finding {
 			if v.ObjKind != ir.HeapObj || v.IsField() {
 				return
 			}
-			if reachBase.Has(uint32(in.Obj)) || freedBase.Has(uint32(in.Obj)) {
+			if o := uint32(prog.ObjNum(in.Obj)); reachBase.Has(o) || freedBase.Has(o) {
 				return
 			}
 			out = append(out, Finding{

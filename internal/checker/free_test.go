@@ -13,7 +13,7 @@ import (
 // entering ℓ are the points-to set of o's consume version at ℓ.
 type coreFacts struct{ *core.Result }
 
-func (c coreFacts) ContentsBefore(label uint32, o ir.ID) *bitset.Sparse {
+func (c coreFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
 	return c.ConsumedSet(label, o)
 }
 

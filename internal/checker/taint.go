@@ -53,7 +53,7 @@ func Leaks(prog *ir.Program, res PointsTo, sums ObjectSummaries, source LeakSour
 	sensitive := bitset.New()
 	srcFn.ForEachInstr(func(in *ir.Instr) {
 		if in.Op == ir.Alloc {
-			sensitive.Set(uint32(in.Obj))
+			sensitive.Set(uint32(prog.ObjNum(in.Obj)))
 		}
 	})
 	for _, san := range sanitizers {
@@ -128,7 +128,7 @@ func closure(start *bitset.Sparse, sums ObjectSummaries, dst *bitset.Sparse) {
 	for len(work) > 0 {
 		o := work[len(work)-1]
 		work = work[:len(work)-1]
-		sums.ObjectSummary(ir.ID(o)).ForEach(func(h uint32) {
+		sums.ObjectSummary(ir.Obj(o)).ForEach(func(h uint32) {
 			if dst.Set(h) {
 				work = append(work, h)
 			}
@@ -143,7 +143,7 @@ func callsIndirectly(prog *ir.Program, res PointsTo, call *ir.Instr, fn *ir.Func
 	}
 	found := false
 	res.PointsTo(call.CalleePtr()).ForEach(func(o uint32) {
-		if v := prog.Value(ir.ID(o)); v.ObjKind == ir.FuncObj && v.Func == fn {
+		if v := prog.ObjValue(ir.Obj(o)); v.ObjKind == ir.FuncObj && v.Func == fn {
 			found = true
 		}
 	})
@@ -161,7 +161,7 @@ func reaches(start *bitset.Sparse, targets *bitset.Sparse, sums ObjectSummaries)
 	for len(work) > 0 {
 		o := work[len(work)-1]
 		work = work[:len(work)-1]
-		held := sums.ObjectSummary(ir.ID(o))
+		held := sums.ObjectSummary(ir.Obj(o))
 		if held.Intersects(targets) {
 			return true
 		}

@@ -57,11 +57,11 @@ entry:
 			call = in
 		}
 	})
-	a := ir.None
-	g.MSSA.MuOf(call.Label).ForEach(func(o uint32) { a = ir.ID(o) })
-	if a == ir.None {
+	mu := g.MSSA.MuOf(call.Label)
+	if mu.IsEmpty() {
 		t.Fatal("call has no μ objects")
 	}
+	a := ir.Obj(mu.Min())
 	callY := r.YieldVersion(call.Label, a)
 	entryC := r.ConsumeVersion(setter.EntryInstr.Label, a)
 	if callY == meld.Epsilon || callY != entryC {

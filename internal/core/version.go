@@ -61,14 +61,14 @@ func newVersioning(g *svfg.Graph, tab *meld.Table) *versioning {
 	}
 }
 
-func (v *versioning) consumeOf(l uint32, o ir.ID) meld.Version {
+func (v *versioning) consumeOf(l uint32, o ir.Obj) meld.Version {
 	if s, ok := v.g.Slot(l, o); ok {
 		return v.consume[s]
 	}
 	return meld.Epsilon
 }
 
-func (v *versioning) yieldOf(l uint32, o ir.ID) meld.Version {
+func (v *versioning) yieldOf(l uint32, o ir.Obj) meld.Version {
 	if s, ok := v.g.Slot(l, o); ok {
 		return v.yield[s]
 	}
@@ -97,17 +97,17 @@ type prelabel struct {
 }
 
 // collectPrelabels scans the SVFG in label order and returns every
-// object's prelabels, indexed by object ID, plus the objects that have
-// any, ascending.
-func collectPrelabels(g *svfg.Graph) ([]ir.ID, [][]prelabel) {
-	perObj := make([][]prelabel, g.Prog.NumValues())
+// object's prelabels, indexed by object number, plus the objects that
+// have any, ascending.
+func collectPrelabels(g *svfg.Graph) ([]ir.Obj, [][]prelabel) {
+	perObj := make([][]prelabel, g.Prog.NumObjects())
 	for l := uint32(1); l < uint32(len(g.Prog.Instrs)); l++ {
 		isStore := g.Prog.Instrs[l].Op == ir.Store
 		if !isStore && !g.Delta[l] {
 			continue
 		}
 		g.MSSA.ChiOf(l).ForEach(func(o uint32) {
-			s, _ := g.Slot(l, ir.ID(o))
+			s, _ := g.Slot(l, ir.Obj(o))
 			if isStore {
 				perObj[o] = append(perObj[o], prelabel{l: l, slot: s})
 			}
@@ -118,10 +118,10 @@ func collectPrelabels(g *svfg.Graph) ([]ir.ID, [][]prelabel) {
 			}
 		})
 	}
-	var objs []ir.ID
+	var objs []ir.Obj
 	for o, pre := range perObj {
 		if len(pre) > 0 {
-			objs = append(objs, ir.ID(o))
+			objs = append(objs, ir.Obj(o))
 		}
 	}
 	return objs, perObj
@@ -134,7 +134,7 @@ func runVersioning(ctx context.Context, g *svfg.Graph) (*versioning, error) {
 	start := time.Now()
 	v := newVersioning(g, meld.NewTable())
 	objs, perObj := collectPrelabels(g)
-	lb := newLabeller(len(g.Prog.Instrs), obs.AttrFrom(ctx))
+	lb := newLabeller(g.Prog, obs.AttrFrom(ctx))
 	for _, o := range objs {
 		if err := lb.labelObject(ctx, g, v, o, perObj[o]); err != nil {
 			return nil, err
@@ -166,7 +166,9 @@ type labeller struct {
 	acc     []meld.Version
 
 	// Governance: checkpoints fall every cancelCheckInterval (node,
-	// object) visits; attr takes one meld charge per MeldOps increment.
+	// object) visits; attr takes one meld charge per MeldOps increment,
+	// by the object's value ID.
+	prog   *ir.Program
 	attr   *obs.ObjectAttr
 	visits int
 }
@@ -179,12 +181,14 @@ type frame struct {
 	next  int
 }
 
-func newLabeller(n int, attr *obs.ObjectAttr) *labeller {
+func newLabeller(prog *ir.Program, attr *obs.ObjectAttr) *labeller {
+	n := len(prog.Instrs)
 	return &labeller{
 		index: make([]int32, n),
 		low:   make([]int32, n),
 		comp:  make([]int32, n),
 		slot:  make([]int, n),
+		prog:  prog,
 		attr:  attr,
 	}
 }
@@ -211,7 +215,7 @@ func (lb *labeller) poll(ctx context.Context) error {
 // predecessor-component labels flowing into it — computed once, from
 // final inputs — as every member's consume and (for non-stores) yield.
 // The result is the least fixpoint of [EXTERNAL]^V and [INTERNAL]^V.
-func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versioning, o ir.ID, pre []prelabel) error {
+func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versioning, o ir.Obj, pre []prelabel) error {
 	tab := v.tab
 	for _, pe := range pre {
 		if pe.delta {
@@ -296,12 +300,12 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 }
 
 // meld folds label into component c's pending label.
-func (lb *labeller) meld(v *versioning, o ir.ID, c int32, label meld.Version) {
+func (lb *labeller) meld(v *versioning, o ir.Obj, c int32, label meld.Version) {
 	old := lb.acc[c]
 	if m := v.tab.Meld(old, label); m != old {
 		lb.acc[c] = m
 		v.stats.MeldOps++
-		lb.attr.Meld(uint32(o))
+		lb.attr.Meld(uint32(lb.prog.ObjID(o)))
 	}
 }
 
@@ -318,7 +322,7 @@ func followed(g *svfg.Graph, n uint32, sl int) []uint32 {
 // for this object), appending each finished component to members and
 // bounds. There is no recursion, so a deep value-flow chain cannot grow
 // the goroutine stack.
-func (lb *labeller) strongConnect(ctx context.Context, g *svfg.Graph, o ir.ID, root uint32) error {
+func (lb *labeller) strongConnect(ctx context.Context, g *svfg.Graph, o ir.Obj, root uint32) error {
 	if lb.index[root] != 0 {
 		return nil
 	}
@@ -363,7 +367,7 @@ func (lb *labeller) strongConnect(ctx context.Context, g *svfg.Graph, o ir.ID, r
 
 // enter visits n: numbers it, looks up its slot for o, pushes it on the
 // Tarjan stack and opens its DFS frame.
-func (lb *labeller) enter(ctx context.Context, g *svfg.Graph, o ir.ID, n uint32) error {
+func (lb *labeller) enter(ctx context.Context, g *svfg.Graph, o ir.Obj, n uint32) error {
 	if err := lb.poll(ctx); err != nil {
 		return err
 	}

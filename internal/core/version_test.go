@@ -20,15 +20,15 @@ import (
 // as per-node maps so the oracle shares no code with the slot layout.
 type refVersioning struct {
 	tab     *meld.Table
-	consume []map[ir.ID]meld.Version
-	yield   []map[ir.ID]meld.Version
+	consume []map[ir.Obj]meld.Version
+	yield   []map[ir.Obj]meld.Version
 
 	prelabels int
 }
 
-func set(m []map[ir.ID]meld.Version, l uint32, o ir.ID, v meld.Version) {
+func set(m []map[ir.Obj]meld.Version, l uint32, o ir.Obj, v meld.Version) {
 	if m[l] == nil {
-		m[l] = make(map[ir.ID]meld.Version)
+		m[l] = make(map[ir.Obj]meld.Version)
 	}
 	m[l][o] = v
 }
@@ -41,23 +41,23 @@ func referenceVersioning(g *svfg.Graph) *refVersioning {
 	n := len(g.Prog.Instrs)
 	v := &refVersioning{
 		tab:     meld.NewTable(),
-		consume: make([]map[ir.ID]meld.Version, n),
-		yield:   make([]map[ir.ID]meld.Version, n),
+		consume: make([]map[ir.Obj]meld.Version, n),
+		yield:   make([]map[ir.Obj]meld.Version, n),
 	}
 	work := &objWorklist{dirty: make(map[uint32]*bitset.Sparse)}
 	for l := uint32(1); l < uint32(n); l++ {
 		if g.Prog.Instrs[l].Op == ir.Store {
 			g.MSSA.ChiOf(l).ForEach(func(o uint32) {
-				set(v.yield, l, ir.ID(o), v.tab.NewAtom())
+				set(v.yield, l, ir.Obj(o), v.tab.NewAtom())
 				v.prelabels++
-				work.push(l, ir.ID(o))
+				work.push(l, ir.Obj(o))
 			})
 		}
 		if g.Delta[l] {
 			g.MSSA.ChiOf(l).ForEach(func(o uint32) {
-				set(v.consume, l, ir.ID(o), v.tab.NewAtom())
+				set(v.consume, l, ir.Obj(o), v.tab.NewAtom())
 				v.prelabels++
-				work.push(l, ir.ID(o))
+				work.push(l, ir.Obj(o))
 			})
 		}
 	}
@@ -100,7 +100,7 @@ type objWorklist struct {
 	dirty map[uint32]*bitset.Sparse
 }
 
-func (w *objWorklist) push(n uint32, o ir.ID) {
+func (w *objWorklist) push(n uint32, o ir.Obj) {
 	set := w.dirty[n]
 	if set == nil {
 		set = bitset.New()
@@ -110,20 +110,20 @@ func (w *objWorklist) push(n uint32, o ir.ID) {
 	set.Set(uint32(o))
 }
 
-func (w *objWorklist) pop() (uint32, []ir.ID, bool) {
+func (w *objWorklist) pop() (uint32, []ir.Obj, bool) {
 	if len(w.queue) == 0 {
 		return 0, nil, false
 	}
 	n := w.queue[0]
 	w.queue = w.queue[1:]
-	var objs []ir.ID
-	w.dirty[n].ForEach(func(o uint32) { objs = append(objs, ir.ID(o)) })
+	var objs []ir.Obj
+	w.dirty[n].ForEach(func(o uint32) { objs = append(objs, ir.Obj(o)) })
 	delete(w.dirty, n)
 	return n, objs, true
 }
 
 type objVer struct {
-	o ir.ID
+	o ir.Obj
 	v meld.Version
 }
 
@@ -147,7 +147,7 @@ func requireSamePartition(t *testing.T, g *svfg.Graph, want *refVersioning, got 
 	}
 	fwd := map[objVer]meld.Version{}
 	bwd := map[objVer]meld.Version{}
-	match := func(fn string, l uint32, wm map[ir.ID]meld.Version, gs []meld.Version) {
+	match := func(fn string, l uint32, wm map[ir.Obj]meld.Version, gs []meld.Version) {
 		lo, hi := g.SlotRange(l)
 		n := 0
 		for sl := lo; sl < hi; sl++ {
@@ -183,15 +183,15 @@ func requireSamePartition(t *testing.T, g *svfg.Graph, want *refVersioning, got 
 // slots of two different objects.
 func requireOneObjectPerVersion(t *testing.T, g *svfg.Graph, v *versioning) {
 	t.Helper()
-	owner := make([]ir.ID, v.tab.Distinct())
+	owner := map[meld.Version]ir.Obj{}
 	for sl := range g.NumSlots() {
 		o := g.SlotObj(sl)
 		for _, ver := range []meld.Version{v.consume[sl], v.yield[sl]} {
 			if ver == meld.Epsilon {
 				continue
 			}
-			if owner[ver] != ir.None && owner[ver] != o {
-				t.Fatalf("version %d carried by objects %d and %d", ver, owner[ver], o)
+			if prev, ok := owner[ver]; ok && prev != o {
+				t.Fatalf("version %d carried by objects %d and %d", ver, prev, o)
 			}
 			owner[ver] = o
 		}

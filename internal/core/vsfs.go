@@ -37,7 +37,9 @@ type Result struct {
 
 	ver *versioning
 
-	pt []*bitset.Sparse // top-level points-to sets
+	// pt[v] is the points-to set of top-level pointer v. Like every set
+	// here it holds object numbers.
+	pt []*bitset.Sparse
 
 	// ptv[κ] is pt_κ(o), the global points-to set of version κ of its
 	// object o; nil until it first grows. A version is a dense
@@ -102,7 +104,7 @@ func funcLess(a, b *ir.Function) bool {
 
 // ObjectSummary returns the union of o's points-to sets over every
 // version: everything the object may ever hold.
-func (r *Result) ObjectSummary(o ir.ID) *bitset.Sparse {
+func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
 	out := bitset.New()
 	if int(o) < len(r.objVids) {
 		for _, v := range r.objVids[o] {
@@ -116,22 +118,22 @@ func (r *Result) ObjectSummary(o ir.ID) *bitset.Sparse {
 
 // ConsumedSet returns pt_{ξ_ℓ(o)}(o): the points-to set of the version
 // of o consumed at ℓ — what an IN-set lookup would return in SFS.
-func (r *Result) ConsumedSet(label uint32, o ir.ID) *bitset.Sparse {
+func (r *Result) ConsumedSet(label uint32, o ir.Obj) *bitset.Sparse {
 	return r.ptvOf(r.ver.consumeOf(label, o))
 }
 
 // YieldedSet returns pt_{η_ℓ(o)}(o).
-func (r *Result) YieldedSet(label uint32, o ir.ID) *bitset.Sparse {
+func (r *Result) YieldedSet(label uint32, o ir.Obj) *bitset.Sparse {
 	return r.ptvOf(r.ver.yieldOf(label, o))
 }
 
 // ConsumeVersion exposes ξ_ℓ(o) for tests and diagnostics.
-func (r *Result) ConsumeVersion(label uint32, o ir.ID) meld.Version {
+func (r *Result) ConsumeVersion(label uint32, o ir.Obj) meld.Version {
 	return r.ver.consumeOf(label, o)
 }
 
 // YieldVersion exposes η_ℓ(o).
-func (r *Result) YieldVersion(label uint32, o ir.ID) meld.Version {
+func (r *Result) YieldVersion(label uint32, o ir.Obj) meld.Version {
 	return r.ver.yieldOf(label, o)
 }
 
@@ -214,11 +216,12 @@ type state struct {
 
 	ctx context.Context
 
-	// attr charges solver work to owning objects; nil (a no-op
-	// receiver) when attribution is off, so the hot path pays one
-	// predicted branch per event. Charging follows the conservation
-	// rule: every Stats increment pairs with exactly one attr charge,
-	// with object 0 as the bucket for top-level (objectless) work.
+	// attr charges solver work to owning objects, by value ID (see
+	// owner); nil (a no-op receiver) when attribution is off, so the hot
+	// path pays one predicted branch per event. Charging follows the
+	// conservation rule: every Stats increment pairs with exactly one
+	// attr charge, with ID 0 as the bucket for top-level (objectless)
+	// work.
 	attr *obs.ObjectAttr
 
 	// verReliance[κ] lists versions κ' with pt_κ(o) ⊆ pt_κ'(o), derived
@@ -235,9 +238,12 @@ type state struct {
 	work worklist
 }
 
+// owner returns the value ID attribution charges object o's work to.
+func (s *state) owner(o ir.Obj) uint32 { return uint32(s.Graph.Prog.ObjID(o)) }
+
 // objVersions lists, per object, the distinct versions its slots carry.
 func objVersions(g *svfg.Graph, ver *versioning) [][]meld.Version {
-	out := make([][]meld.Version, g.Prog.NumValues()+1)
+	out := make([][]meld.Version, g.Prog.NumObjects())
 	seen := make([]bool, ver.tab.Distinct())
 	for sl := range g.NumSlots() {
 		o := g.SlotObj(sl)
@@ -330,12 +336,12 @@ func (s *state) addPt(v ir.ID, src *bitset.Sparse) {
 
 // growVersion unions src into pt_κ(o) and, on change, propagates to
 // reliant versions (transitively) and reschedules reliant statements.
-func (s *state) growVersion(o ir.ID, v meld.Version, src *bitset.Sparse) {
+func (s *state) growVersion(o ir.Obj, v meld.Version, src *bitset.Sparse) {
 	if src.IsEmpty() || v == meld.Epsilon {
 		return
 	}
 	s.Stats.Propagations++
-	s.attr.Prop(uint32(o))
+	s.attr.Prop(s.owner(o))
 	if !s.ptvSet(v).UnionWith(src) {
 		return
 	}
@@ -352,7 +358,7 @@ func (s *state) growVersion(o ir.ID, v meld.Version, src *bitset.Sparse) {
 		for _, to := range s.verReliance[cur] {
 			s.Stats.Propagations++
 			s.Stats.VersionProps++
-			s.attr.Prop(uint32(o))
+			s.attr.Prop(s.owner(o))
 			if s.ptvSet(to).UnionWith(set) {
 				s.Stats.Changed++
 				queue = append(queue, to)
@@ -392,11 +398,11 @@ func popOwner(g *svfg.Graph, in *ir.Instr) uint32 {
 	switch in.Op {
 	case ir.Store:
 		if chi := g.MSSA.ChiOf(in.Label); !chi.IsEmpty() {
-			return chi.Min()
+			return uint32(g.Prog.ObjID(ir.Obj(chi.Min())))
 		}
 	case ir.Load:
 		if mu := g.MSSA.MuOf(in.Label); !mu.IsEmpty() {
-			return mu.Min()
+			return uint32(g.Prog.ObjID(ir.Obj(mu.Min())))
 		}
 	}
 	return 0
@@ -411,7 +417,7 @@ func (s *state) process(in *ir.Instr) {
 	case ir.Alloc:
 		s.Stats.Propagations++
 		s.attr.Prop(0)
-		if s.ptOf(in.Def).Set(uint32(in.Obj)) {
+		if s.ptOf(in.Def).Set(uint32(g.Prog.ObjNum(in.Obj))) {
 			s.Stats.Changed++
 			for _, u := range g.UsersOf(in.Def) {
 				s.work.push(u)
@@ -430,10 +436,10 @@ func (s *state) process(in *ir.Instr) {
 		prog := g.Prog
 		add := bitset.New()
 		s.ptOf(in.Uses[0]).ForEach(func(o uint32) {
-			if prog.Value(ir.ID(o)).ObjKind == ir.FuncObj {
+			if prog.ObjValue(ir.Obj(o)).ObjKind == ir.FuncObj {
 				return
 			}
-			add.Set(uint32(prog.FieldObj(ir.ID(o), in.Off)))
+			add.Set(uint32(prog.ObjNum(prog.FieldObj(prog.ObjID(ir.Obj(o)), in.Off))))
 		})
 		s.addPt(in.Def, add)
 
@@ -441,7 +447,7 @@ func (s *state) process(in *ir.Instr) {
 		// [LOAD]^F: pt(p) ⊇ pt_{ξ_ℓ(o)}(o) for each o ∈ pt(q).
 		l := in.Label
 		s.ptOf(in.Uses[0]).Clone().ForEach(func(o uint32) {
-			s.addPt(in.Def, s.ConsumedSet(l, ir.ID(o)))
+			s.addPt(in.Def, s.ConsumedSet(l, ir.Obj(o)))
 		})
 
 	case ir.Store:
@@ -471,7 +477,7 @@ func (s *state) processStore(in *ir.Instr) {
 	ptq := s.ptOf(q)
 
 	strong := false
-	if single, ok := g.Aux.PointsTo(p).Single(); ok && g.IsSingleton(ir.ID(single)) {
+	if single, ok := g.Aux.PointsTo(p).Single(); ok && g.IsSingleton(ir.Obj(single)) {
 		strong = true
 	}
 
@@ -511,7 +517,7 @@ func (s *state) processCall(in *ir.Instr) {
 	}
 	prog := g.Prog
 	s.ptOf(in.CalleePtr()).Clone().ForEach(func(o uint32) {
-		v := prog.Value(ir.ID(o))
+		v := prog.ObjValue(ir.Obj(o))
 		if v.ObjKind == ir.FuncObj {
 			s.wireCallee(in, v.Func)
 		}
@@ -532,7 +538,7 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 
 		entry := callee.EntryInstr.Label
 		g.MSSA.FormalIn[callee].ForEach(func(o32 uint32) {
-			o := ir.ID(o32)
+			o := ir.Obj(o32)
 			if !g.MSSA.MuOf(call.Label).Has(o32) {
 				return
 			}
@@ -546,7 +552,7 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 		if ret := g.MSSA.CallRets[call]; ret != nil {
 			exit := callee.ExitInstr.Label
 			g.MSSA.FormalOut[callee].ForEach(func(o32 uint32) {
-				o := ir.ID(o32)
+				o := ir.Obj(o32)
 				if !g.MSSA.ChiOf(ret.Label).Has(o32) {
 					return
 				}
@@ -582,7 +588,7 @@ func (s *state) collectStats() {
 			if set := s.ptv[v]; set != nil {
 				s.Stats.PtsSets++
 				s.Stats.PtsWords += set.Words()
-				s.attr.Set(uint32(o))
+				s.attr.Set(s.owner(ir.Obj(o)))
 			}
 		}
 	}

@@ -42,7 +42,7 @@ func wantPts(t *testing.T, prog *ir.Program, r *Result, v string, want ...string
 	t.Helper()
 	got := map[string]bool{}
 	r.PointsTo(varByName(t, prog, v)).ForEach(func(o uint32) {
-		got[prog.NameOf(ir.ID(o))] = true
+		got[prog.ObjValue(ir.Obj(o)).Name] = true
 	})
 	if len(got) != len(want) {
 		t.Errorf("pts(%s) = %v, want %v", v, got, want)
@@ -145,7 +145,7 @@ entry:
 //
 // It bypasses the memory-SSA pass to pin the exact edge set the figure
 // shows. Returns the graph plus the labels of ℓ1..ℓ5 and the object.
-func motivatingFragment(t *testing.T) (*svfg.Graph, [6]uint32, ir.ID) {
+func motivatingFragment(t *testing.T) (*svfg.Graph, [6]uint32, ir.Obj) {
 	t.Helper()
 	prog, err := irparse.Parse(`
 func main() {
@@ -168,13 +168,13 @@ entry:
 	aux := andersen.Analyze(prog)
 
 	var l [6]uint32 // 1-indexed ℓ1..ℓ5
-	var a ir.ID
+	var a ir.Obj
 	stores, loads := 0, 0
 	prog.FuncByName("main").ForEachInstr(func(in *ir.Instr) {
 		switch in.Op {
 		case ir.Alloc:
 			if prog.Value(in.Obj).Name == "a" {
-				a = in.Obj
+				a = prog.ObjNum(in.Obj)
 			}
 		case ir.Store:
 			stores++
@@ -326,11 +326,11 @@ func equalResults(t *testing.T, prog *ir.Program, g *svfg.Graph, s *sfs.Result, 
 				}
 			case ir.Load:
 				g.MSSA.MuOf(in.Label).ForEach(func(o uint32) {
-					ss := s.InSet(in.Label, ir.ID(o))
-					vs := v.ConsumedSet(in.Label, ir.ID(o))
+					ss := s.InSet(in.Label, ir.Obj(o))
+					vs := v.ConsumedSet(in.Label, ir.Obj(o))
 					if !ss.Equal(vs) {
 						t.Fatalf("consumed set of %s at load %d: SFS %v ≠ VSFS %v",
-							prog.NameOf(ir.ID(o)), in.Label, ss, vs)
+							prog.ObjValue(ir.Obj(o)).Name, in.Label, ss, vs)
 					}
 				})
 			}

@@ -31,9 +31,10 @@ type Stats struct {
 type Result struct {
 	g *svfg.Graph
 
+	// Sets hold object numbers, and in/out are keyed by object number.
 	pt  []*bitset.Sparse
-	in  []map[ir.ID]*bitset.Sparse
-	out []map[ir.ID]*bitset.Sparse
+	in  []map[ir.Obj]*bitset.Sparse
+	out []map[ir.Obj]*bitset.Sparse
 
 	callees map[*ir.Instr]map[*ir.Function]bool
 
@@ -74,8 +75,8 @@ func Solve(g *svfg.Graph) *Result {
 		Result: &Result{
 			g:       g,
 			pt:      make([]*bitset.Sparse, g.Prog.NumValues()+1),
-			in:      make([]map[ir.ID]*bitset.Sparse, n),
-			out:     make([]map[ir.ID]*bitset.Sparse, n),
+			in:      make([]map[ir.Obj]*bitset.Sparse, n),
+			out:     make([]map[ir.Obj]*bitset.Sparse, n),
 			callees: make(map[*ir.Instr]map[*ir.Function]bool),
 		},
 		preds:     make([][]uint32, n),
@@ -205,7 +206,7 @@ func (s *state) addPt(v ir.ID, src *bitset.Sparse) {
 	}
 }
 
-func envGet(m map[ir.ID]*bitset.Sparse, o ir.ID) *bitset.Sparse {
+func envGet(m map[ir.Obj]*bitset.Sparse, o ir.Obj) *bitset.Sparse {
 	if set := m[o]; set != nil {
 		return set
 	}
@@ -234,7 +235,7 @@ func (s *state) process(in *ir.Instr) {
 
 	// IN(ℓ) = ∪ OUT(pred) — equation (4).
 	if s.in[l] == nil {
-		s.in[l] = make(map[ir.ID]*bitset.Sparse)
+		s.in[l] = make(map[ir.Obj]*bitset.Sparse)
 	}
 	inEnv := s.in[l]
 	for _, p := range s.preds[l] {
@@ -256,7 +257,7 @@ func (s *state) process(in *ir.Instr) {
 	switch in.Op {
 	case ir.Alloc:
 		s.Stats.Propagations++
-		if s.ptOf(in.Def).Set(uint32(in.Obj)) {
+		if s.ptOf(in.Def).Set(uint32(s.g.Prog.ObjNum(in.Obj))) {
 			for _, u := range s.g.UsersOf(in.Def) {
 				if s.reachable[u] {
 					s.work.push(u)
@@ -273,15 +274,15 @@ func (s *state) process(in *ir.Instr) {
 		prog := s.g.Prog
 		add := bitset.New()
 		s.ptOf(in.Uses[0]).ForEach(func(o uint32) {
-			if prog.Value(ir.ID(o)).ObjKind == ir.FuncObj {
+			if prog.ObjValue(ir.Obj(o)).ObjKind == ir.FuncObj {
 				return
 			}
-			add.Set(uint32(prog.FieldObj(ir.ID(o), in.Off)))
+			add.Set(uint32(prog.ObjNum(prog.FieldObj(prog.ObjID(ir.Obj(o)), in.Off))))
 		})
 		s.addPt(in.Def, add)
 	case ir.Load:
 		s.ptOf(in.Uses[0]).Clone().ForEach(func(o uint32) {
-			s.addPt(in.Def, envGet(inEnv, ir.ID(o)))
+			s.addPt(in.Def, envGet(inEnv, ir.Obj(o)))
 		})
 	case ir.Call:
 		s.processCall(in)
@@ -293,7 +294,7 @@ func (s *state) process(in *ir.Instr) {
 
 	// OUT(ℓ) = Gen ∪ (IN − Kill) — equation (5).
 	if s.out[l] == nil {
-		s.out[l] = make(map[ir.ID]*bitset.Sparse)
+		s.out[l] = make(map[ir.Obj]*bitset.Sparse)
 	}
 	outEnv := s.out[l]
 	changed := false
@@ -304,7 +305,7 @@ func (s *state) process(in *ir.Instr) {
 		ptq := s.ptOf(q)
 		// Static strong-update predicate, matching sfs and core.
 		strong := false
-		if single, ok := s.g.Aux.PointsTo(p).Single(); ok && s.g.IsSingleton(ir.ID(single)) {
+		if single, ok := s.g.Aux.PointsTo(p).Single(); ok && s.g.IsSingleton(ir.Obj(single)) {
 			strong = true
 		}
 		for o, set := range inEnv {
@@ -326,10 +327,10 @@ func (s *state) process(in *ir.Instr) {
 			gen = s.g.Aux.PointsTo(p) // the single always-written object
 		}
 		gen.ForEach(func(o uint32) {
-			cur := outEnv[ir.ID(o)]
+			cur := outEnv[ir.Obj(o)]
 			if cur == nil {
 				cur = bitset.New()
-				outEnv[ir.ID(o)] = cur
+				outEnv[ir.Obj(o)] = cur
 			}
 			s.Stats.Propagations++
 			if cur.UnionWith(ptq) {
@@ -400,14 +401,14 @@ func (s *state) processCall(in *ir.Instr) {
 	}
 	prog := s.g.Prog
 	s.ptOf(in.CalleePtr()).Clone().ForEach(func(o uint32) {
-		if v := prog.Value(ir.ID(o)); v.ObjKind == ir.FuncObj {
+		if v := prog.ObjValue(ir.Obj(o)); v.ObjKind == ir.FuncObj {
 			resolve(v.Func)
 		}
 	})
 }
 
 func (s *state) collectStats() {
-	count := func(envs []map[ir.ID]*bitset.Sparse) {
+	count := func(envs []map[ir.Obj]*bitset.Sparse) {
 		for _, m := range envs {
 			for _, set := range m {
 				s.Stats.EnvSets++

@@ -41,7 +41,7 @@ func wantPts(t *testing.T, prog *ir.Program, r *Result, v string, want ...string
 	t.Helper()
 	got := map[string]bool{}
 	r.PointsTo(varByName(t, prog, v)).ForEach(func(o uint32) {
-		got[prog.NameOf(ir.ID(o))] = true
+		got[prog.ObjValue(ir.Obj(o)).Name] = true
 	})
 	if len(got) != len(want) {
 		t.Errorf("pts(%s) = %v, want %v", v, got, want)

@@ -10,6 +10,12 @@ import (
 // single-threaded through the New*/Emit* API or the irparse package.
 type Program struct {
 	values []Value // index = ID; slot 0 reserved
+
+	// objNum[id] is the object number of value id (noObj for pointers
+	// and the reserved slot 0); objIDs is its inverse.
+	objNum []Obj
+	objIDs []ID
+
 	Funcs  []*Function
 	byName map[string]*Function
 
@@ -48,6 +54,7 @@ type fieldKey struct {
 func NewProgram() *Program {
 	return &Program{
 		values:    make([]Value, 1), // reserve ID 0
+		objNum:    []Obj{noObj},
 		byName:    make(map[string]*Function),
 		fieldObjs: make(map[fieldKey]ID),
 		funcObjs:  make(map[*Function]ID),
@@ -86,8 +93,34 @@ func (p *Program) IsPointer(id ID) bool {
 func (p *Program) addValue(v Value) ID {
 	v.ID = ID(len(p.values))
 	p.values = append(p.values, v)
+	num := noObj
+	if v.Kind == Object {
+		num = Obj(len(p.objIDs))
+		p.objIDs = append(p.objIDs, v.ID)
+	}
+	p.objNum = append(p.objNum, num)
 	return v.ID
 }
+
+// NumObjects returns the number of abstract objects created so far;
+// valid object numbers are 0..NumObjects-1.
+func (p *Program) NumObjects() int { return len(p.objIDs) }
+
+// ObjNum returns the object number of object id. It panics if id is not
+// an object.
+func (p *Program) ObjNum(id ID) Obj {
+	n := p.objNum[id]
+	if n == noObj {
+		panic(fmt.Sprintf("ir: ObjNum of non-object %s", p.NameOf(id)))
+	}
+	return n
+}
+
+// ObjID returns the value ID of object number n.
+func (p *Program) ObjID(n Obj) ID { return p.objIDs[n] }
+
+// ObjValue returns the value-table entry of object number n.
+func (p *Program) ObjValue(n Obj) *Value { return &p.values[p.objIDs[n]] }
 
 // NewPointer creates a fresh top-level pointer variable.
 func (p *Program) NewPointer(name string) ID {

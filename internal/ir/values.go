@@ -14,13 +14,25 @@ package ir
 import "fmt"
 
 // ID identifies a value (top-level pointer or address-taken object) within
-// a Program. IDs are dense and shared across both classes so points-to
-// sets and worklists can be bit vectors. ID 0 is reserved and never a
-// valid value.
+// a Program. IDs are dense and shared across both classes, so per-value
+// tables and worklists can be indexed by them; sets of objects use the
+// denser Obj numbering instead. ID 0 is reserved and never a valid value.
 type ID = uint32
 
 // None is the absent value ID.
 const None ID = 0
+
+// Obj is an object number: a dense index over the address-taken objects
+// alone, 0..Program.NumObjects()-1. Numbers are assigned as objects are
+// created, so they increase with the value ID. Every set of objects —
+// points-to sets, χ/μ, object contents — holds object numbers, which
+// pack several times more members into each bit-vector word than the
+// shared value-ID space would. Translate with Program.ObjNum and
+// Program.ObjID where the IR itself is consulted.
+type Obj uint32
+
+// noObj marks a value that is not an object in Program.objNum.
+const noObj = ^Obj(0)
 
 // ValueKind discriminates the two halves of the variable universe.
 type ValueKind uint8

@@ -209,7 +209,7 @@ func solveBoth(t *testing.T, src string) (*ir.Program, *sfs.Result, *core.Result
 
 func ptsNames(prog *ir.Program, r *core.Result, v ir.ID) map[string]bool {
 	out := map[string]bool{}
-	r.PointsTo(v).ForEach(func(o uint32) { out[prog.NameOf(ir.ID(o))] = true })
+	r.PointsTo(v).ForEach(func(o uint32) { out[prog.ObjValue(ir.Obj(o)).Name] = true })
 	return out
 }
 

@@ -48,7 +48,7 @@ func lastTemp(t *testing.T, prog *ir.Program, prefix string) ir.ID {
 func wantObjs(t *testing.T, prog *ir.Program, r *core.Result, v ir.ID, want ...string) {
 	t.Helper()
 	got := map[string]bool{}
-	r.PointsTo(v).ForEach(func(o uint32) { got[prog.NameOf(ir.ID(o))] = true })
+	r.PointsTo(v).ForEach(func(o uint32) { got[prog.ObjValue(ir.Obj(o)).Name] = true })
 	if len(got) != len(want) {
 		t.Errorf("pts = %v, want %v", got, want)
 		return
@@ -207,7 +207,7 @@ int main() {
 		t.Errorf("|pts(c)| = %d, want 1 heap object", got.Len())
 	}
 	name := ""
-	got.ForEach(func(o uint32) { name = prog.NameOf(ir.ID(o)) })
+	got.ForEach(func(o uint32) { name = prog.ObjValue(ir.Obj(o)).Name })
 	if !strings.HasPrefix(name, "heap.") {
 		t.Errorf("pts(c) = %q, want a heap object", name)
 	}
@@ -364,7 +364,7 @@ int main() {
 	// Both mallocs flow into l over the loop of conses.
 	first := vsfsRes.PointsTo(lastTemp(t, prog, "head"))
 	names := map[string]bool{}
-	first.ForEach(func(o uint32) { names[prog.NameOf(ir.ID(o))] = true })
+	first.ForEach(func(o uint32) { names[prog.ObjValue(ir.Obj(o)).Name] = true })
 	if !names["main.a"] && !names["main.b"] {
 		t.Errorf("first = %v, expected stack objects", names)
 	}

@@ -59,7 +59,7 @@ int main() {
 	// the loop exit reads after the body).
 	got := map[string]bool{}
 	r.PointsTo(lastTemp(t, prog, "p")).ForEach(func(o uint32) {
-		got[prog.NameOf(ir.ID(o))] = true
+		got[prog.ObjValue(ir.Obj(o)).Name] = true
 	})
 	if !got["main.b"] {
 		t.Errorf("pts(v) = %v, want to contain main.b", got)

@@ -25,19 +25,19 @@ func referenceEdges(prog *ir.Program, r *Result) map[IndirEdge]bool {
 	for _, f := range prog.Funcs {
 		info := cfg.Compute(f)
 		// lastDef[b][o] is b's last definition of o.
-		lastDef := map[*ir.Block]map[ir.ID]uint32{}
+		lastDef := map[*ir.Block]map[ir.Obj]uint32{}
 		for _, b := range info.RPO {
-			defs := map[ir.ID]uint32{}
+			defs := map[ir.Obj]uint32{}
 			for _, in := range b.Instrs {
 				if in.Op == ir.MemPhi {
-					defs[in.Obj] = in.Label
+					defs[prog.ObjNum(in.Obj)] = in.Label
 					continue
 				}
-				r.ChiOf(in.Label).ForEach(func(o uint32) { defs[ir.ID(o)] = in.Label })
+				r.ChiOf(in.Label).ForEach(func(o uint32) { defs[ir.Obj(o)] = in.Label })
 			}
 			lastDef[b] = defs
 		}
-		reachingEnd := func(b *ir.Block, o ir.ID) uint32 {
+		reachingEnd := func(b *ir.Block, o ir.Obj) uint32 {
 			for ; b != nil; b = info.Idom(b) {
 				if d, ok := lastDef[b][o]; ok {
 					return d
@@ -46,8 +46,8 @@ func referenceEdges(prog *ir.Program, r *Result) map[IndirEdge]bool {
 			return 0
 		}
 		for _, b := range info.RPO {
-			cur := map[ir.ID]uint32{}
-			reaching := func(o ir.ID) uint32 {
+			cur := map[ir.Obj]uint32{}
+			reaching := func(o ir.Obj) uint32 {
 				if d, ok := cur[o]; ok {
 					return d
 				}
@@ -55,25 +55,26 @@ func referenceEdges(prog *ir.Program, r *Result) map[IndirEdge]bool {
 			}
 			for _, in := range b.Instrs {
 				if in.Op == ir.MemPhi {
+					o := prog.ObjNum(in.Obj)
 					for _, p := range b.Preds {
 						if !info.Reachable(p) {
 							continue
 						}
-						if d := reachingEnd(p, in.Obj); d != 0 {
-							out[IndirEdge{From: d, To: in.Label, Obj: in.Obj}] = true
+						if d := reachingEnd(p, o); d != 0 {
+							out[IndirEdge{From: d, To: in.Label, Obj: o}] = true
 						}
 					}
-					cur[in.Obj] = in.Label
+					cur[o] = in.Label
 					continue
 				}
 				use := func(o uint32) {
-					if d := reaching(ir.ID(o)); d != 0 {
-						out[IndirEdge{From: d, To: in.Label, Obj: ir.ID(o)}] = true
+					if d := reaching(ir.Obj(o)); d != 0 {
+						out[IndirEdge{From: d, To: in.Label, Obj: ir.Obj(o)}] = true
 					}
 				}
 				r.MuOf(in.Label).ForEach(use)
 				r.ChiOf(in.Label).ForEach(use)
-				r.ChiOf(in.Label).ForEach(func(o uint32) { cur[ir.ID(o)] = in.Label })
+				r.ChiOf(in.Label).ForEach(func(o uint32) { cur[ir.Obj(o)] = in.Label })
 			}
 		}
 		// Direct calls: actual-in → callee entry, callee exit → actual-out.
@@ -84,13 +85,13 @@ func referenceEdges(prog *ir.Program, r *Result) map[IndirEdge]bool {
 			entry, exit := in.Callee.EntryInstr.Label, in.Callee.ExitInstr.Label
 			r.MuOf(in.Label).ForEach(func(o uint32) {
 				if r.FormalIn[in.Callee].Has(o) {
-					out[IndirEdge{From: in.Label, To: entry, Obj: ir.ID(o)}] = true
+					out[IndirEdge{From: in.Label, To: entry, Obj: ir.Obj(o)}] = true
 				}
 			})
 			if ret := r.CallRets[in]; ret != nil {
 				r.ChiOf(ret.Label).ForEach(func(o uint32) {
 					if r.FormalOut[in.Callee].Has(o) {
-						out[IndirEdge{From: exit, To: ret.Label, Obj: ir.ID(o)}] = true
+						out[IndirEdge{From: exit, To: ret.Label, Obj: ir.Obj(o)}] = true
 					}
 				})
 			}
@@ -107,7 +108,7 @@ func TestEdgesUniqueAndComplete(t *testing.T) {
 	check := func(t *testing.T, prog *ir.Program) *Result {
 		r := Build(prog, andersen.Analyze(prog))
 		got := make(map[IndirEdge]bool, len(r.Edges))
-		inDomain := func(l uint32, o ir.ID) bool {
+		inDomain := func(l uint32, o ir.Obj) bool {
 			return r.MuOf(l).Has(uint32(o)) || r.ChiOf(l).Has(uint32(o))
 		}
 		for _, e := range r.Edges {
@@ -116,7 +117,7 @@ func TestEdgesUniqueAndComplete(t *testing.T) {
 			}
 			got[e] = true
 			if !inDomain(e.From, e.Obj) || !inDomain(e.To, e.Obj) {
-				t.Fatalf("edge %+v: %s not in μ∪χ of both endpoints", e, prog.NameOf(e.Obj))
+				t.Fatalf("edge %+v: %s not in μ∪χ of both endpoints", e, prog.ObjValue(e.Obj).Name)
 			}
 		}
 		want := referenceEdges(prog, r)

@@ -10,7 +10,6 @@ package memssa
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"vsfs/internal/andersen"
 	"vsfs/internal/bitset"
@@ -28,7 +27,7 @@ const cancelCheckInterval = 1024
 // operand) at To. From and To are instruction labels.
 type IndirEdge struct {
 	From, To uint32
-	Obj      ir.ID
+	Obj      ir.Obj
 }
 
 // Result is the memory SSA form of a program.
@@ -37,9 +36,10 @@ type Result struct {
 	Aux  *andersen.Result
 
 	// Mu and Chi are label-indexed: the objects an instruction may use
-	// and may define. Loads μ their pointees; stores χ their pointees;
-	// call sites μ the callees' FormalIn and χ their FormalOut; FUNENTRY
-	// χ's FormalIn; FUNEXIT μ's FormalOut; a MEMPHI χ's its object.
+	// and may define. Like every object set here, they hold object
+	// numbers. Loads μ their pointees; stores χ their pointees; call
+	// sites μ the callees' FormalIn and χ their FormalOut; FUNENTRY χ's
+	// FormalIn; FUNEXIT μ's FormalOut; a MEMPHI χ's its object.
 	Mu  []*bitset.Sparse
 	Chi []*bitset.Sparse
 
@@ -284,34 +284,35 @@ func (b *builder) chiObjectsAt(in *ir.Instr) *bitset.Sparse {
 // placeMemPhis inserts MEMPHI instructions at the iterated dominance
 // frontier of each object's χ blocks.
 func (b *builder) placeMemPhis() {
+	// defBlocks[o] lists the blocks of the current function holding a χ
+	// for o, and defined holds the objects with any. Placement empties
+	// each list again, so the table serves every function.
+	defBlocks := make([][]*ir.Block, b.prog.NumObjects())
 	for _, f := range b.prog.Funcs {
 		info := cfg.Compute(f)
+		defined := bitset.New()
 
-		// Blocks containing a χ for each object.
-		defBlocks := make(map[ir.ID][]*ir.Block)
 		f.ForEachInstr(func(in *ir.Instr) {
 			if !info.Reachable(in.Block) {
 				return
 			}
-			b.chiObjectsAt(in).ForEach(func(o uint32) {
-				blks := defBlocks[ir.ID(o)]
+			chi := b.chiObjectsAt(in)
+			defined.UnionWith(chi)
+			chi.ForEach(func(o uint32) {
+				blks := defBlocks[o]
 				if len(blks) == 0 || blks[len(blks)-1] != in.Block {
-					defBlocks[ir.ID(o)] = append(blks, in.Block)
+					defBlocks[o] = append(blks, in.Block)
 				}
 			})
 		})
 
-		// Deterministic object order.
-		objs := make([]ir.ID, 0, len(defBlocks))
-		for o := range defBlocks {
-			objs = append(objs, o)
-		}
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-
+		// Objects in ascending order, for a deterministic placement.
 		phiAt := make(map[*ir.Block][]*ir.Instr)
-		for _, o := range objs {
+		defined.ForEach(func(o32 uint32) {
+			o := ir.Obj(o32)
 			placed := make(map[*ir.Block]bool)
-			work := append([]*ir.Block(nil), defBlocks[o]...)
+			work := defBlocks[o]
+			defBlocks[o] = nil
 			for len(work) > 0 {
 				blk := work[len(work)-1]
 				work = work[:len(work)-1]
@@ -320,14 +321,14 @@ func (b *builder) placeMemPhis() {
 						continue
 					}
 					placed[df] = true
-					phi := &ir.Instr{Op: ir.MemPhi, Obj: o, Block: df, Parent: f}
+					phi := &ir.Instr{Op: ir.MemPhi, Obj: b.prog.ObjID(o), Block: df, Parent: f}
 					phiAt[df] = append(phiAt[df], phi)
 					b.res.MemPhis = append(b.res.MemPhis, phi)
 					// The phi is itself a definition of o.
 					work = append(work, df)
 				}
 			}
-		}
+		})
 		for _, blk := range f.Blocks {
 			if phis := phiAt[blk]; len(phis) > 0 {
 				blk.Instrs = append(phis, blk.Instrs...)
@@ -357,13 +358,13 @@ func (b *builder) annotate() {
 			case ir.FunExit:
 				b.res.Mu[in.Label] = b.res.FormalOut[in.Parent].Clone()
 			case ir.MemPhi:
-				b.res.Chi[in.Label] = bitset.Of(uint32(in.Obj))
+				b.res.Chi[in.Label] = bitset.Of(uint32(b.prog.ObjNum(in.Obj)))
 			}
 		})
 	}
 }
 
-func (b *builder) addEdge(from, to uint32, obj ir.ID) {
+func (b *builder) addEdge(from, to uint32, obj ir.Obj) {
 	b.res.Edges = append(b.res.Edges, IndirEdge{From: from, To: to, Obj: obj})
 }
 
@@ -374,6 +375,16 @@ func (b *builder) addEdge(from, to uint32, obj ir.ID) {
 // two predecessors (or one listed twice) may feed it the same one.
 func (b *builder) rename() error {
 	phiOps := make([][]uint32, len(b.prog.Instrs))
+	// stacks[o] holds the reaching definitions of o. A block pops what
+	// it pushed, so the stacks are empty again after every function.
+	stacks := make([][]uint32, b.prog.NumObjects())
+	top := func(o ir.Obj) (uint32, bool) {
+		s := stacks[o]
+		if len(s) == 0 {
+			return 0, false
+		}
+		return s[len(s)-1], true
+	}
 	for _, f := range b.prog.Funcs {
 		if err := b.tick(int64(len(f.Blocks))); err != nil {
 			return err
@@ -388,33 +399,25 @@ func (b *builder) rename() error {
 			}
 		}
 
-		stacks := make(map[ir.ID][]uint32)
-		top := func(o ir.ID) (uint32, bool) {
-			s := stacks[o]
-			if len(s) == 0 {
-				return 0, false
-			}
-			return s[len(s)-1], true
-		}
-
 		var visit func(blk *ir.Block)
 		visit = func(blk *ir.Block) {
-			var pushed []ir.ID
+			var pushed []ir.Obj
 			for _, in := range blk.Instrs {
 				if in.Op == ir.MemPhi {
-					stacks[in.Obj] = append(stacks[in.Obj], in.Label)
-					pushed = append(pushed, in.Obj)
+					o := b.prog.ObjNum(in.Obj)
+					stacks[o] = append(stacks[o], in.Label)
+					pushed = append(pushed, o)
 					continue
 				}
 				mu := b.res.MuOf(in.Label)
 				mu.ForEach(func(o32 uint32) {
-					o := ir.ID(o32)
+					o := ir.Obj(o32)
 					if d, ok := top(o); ok {
 						b.addEdge(d, in.Label, o)
 					}
 				})
 				b.res.ChiOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.ID(o32)
+					o := ir.Obj(o32)
 					// The previous version flows into the (weak) update,
 					// unless the μ above already added that edge.
 					if d, ok := top(o); ok && !mu.Has(o32) {
@@ -430,9 +433,10 @@ func (b *builder) rename() error {
 					if in.Op != ir.MemPhi {
 						break // phis are grouped at the top
 					}
-					if d, ok := top(in.Obj); ok && !slices.Contains(phiOps[in.Label], d) {
+					o := b.prog.ObjNum(in.Obj)
+					if d, ok := top(o); ok && !slices.Contains(phiOps[in.Label], d) {
 						phiOps[in.Label] = append(phiOps[in.Label], d)
-						b.addEdge(d, in.Label, in.Obj)
+						b.addEdge(d, in.Label, o)
 					}
 				}
 			}
@@ -463,13 +467,13 @@ func (b *builder) interprocDirectCalls() {
 			entry, exit := callee.EntryInstr.Label, callee.ExitInstr.Label
 			b.res.FormalIn[callee].ForEach(func(o uint32) {
 				if b.res.MuOf(in.Label).Has(o) {
-					b.addEdge(in.Label, entry, ir.ID(o))
+					b.addEdge(in.Label, entry, ir.Obj(o))
 				}
 			})
 			if ret := b.res.CallRets[in]; ret != nil {
 				b.res.FormalOut[callee].ForEach(func(o uint32) {
 					if b.res.ChiOf(ret.Label).Has(o) {
-						b.addEdge(exit, ret.Label, ir.ID(o))
+						b.addEdge(exit, ret.Label, ir.Obj(o))
 					}
 				})
 			}

@@ -33,16 +33,16 @@ func findInstr(prog *ir.Program, op ir.Op, n int) *ir.Instr {
 	return nil
 }
 
-func objByName(prog *ir.Program, name string) ir.ID {
-	for id := ir.ID(1); int(id) < prog.NumValues(); id++ {
-		if prog.IsObject(id) && prog.Value(id).Name == name {
-			return id
+func objByName(prog *ir.Program, name string) ir.Obj {
+	for o := range ir.Obj(prog.NumObjects()) {
+		if prog.ObjValue(o).Name == name {
+			return o
 		}
 	}
-	return ir.None
+	panic("no object " + name)
 }
 
-func hasEdge(r *Result, from, to uint32, obj ir.ID) bool {
+func hasEdge(r *Result, from, to uint32, obj ir.Obj) bool {
 	for _, e := range r.Edges {
 		if e.From == from && e.To == to && e.Obj == obj {
 			return true
@@ -104,7 +104,7 @@ join:
 		t.Fatalf("memphis = %d, want 1", len(r.MemPhis))
 	}
 	phi := r.MemPhis[0]
-	if phi.Obj != a {
+	if prog.ObjNum(phi.Obj) != a {
 		t.Errorf("memphi object = %s, want a", prog.NameOf(phi.Obj))
 	}
 	if phi.Block.Name != "join" {
@@ -316,7 +316,7 @@ out:
 	a := objByName(prog, "a")
 	found := false
 	for _, phi := range r.MemPhis {
-		if phi.Obj == a {
+		if prog.ObjNum(phi.Obj) == a {
 			found = true
 		}
 	}
@@ -382,14 +382,14 @@ func TestQuickEdgeConsistency(t *testing.T) {
 				srcOK := r.ChiOf(e.From).Has(uint32(e.Obj)) ||
 					from.Op == ir.Call || from.Op == ir.FunExit
 				if !srcOK {
-					t.Errorf("edge source %v does not define %s", from.Op, prog.NameOf(e.Obj))
+					t.Errorf("edge source %v does not define %s", from.Op, prog.ObjValue(e.Obj).Name)
 				}
 				dstOK := r.MuOf(e.To).Has(uint32(e.Obj)) ||
 					r.ChiOf(e.To).Has(uint32(e.Obj)) ||
-					(to.Op == ir.MemPhi && to.Obj == e.Obj) ||
+					(to.Op == ir.MemPhi && prog.ObjNum(to.Obj) == e.Obj) ||
 					to.Op == ir.FunEntry
 				if !dstOK {
-					t.Errorf("edge target %v does not use %s", to.Op, prog.NameOf(e.Obj))
+					t.Errorf("edge target %v does not use %s", to.Op, prog.ObjValue(e.Obj).Name)
 				}
 			}
 		})

@@ -14,26 +14,26 @@ import (
 
 type sfsFacts struct{ b *Bundle }
 
-func (f sfsFacts) PointsTo(v ir.ID) *bitset.Sparse      { return f.b.SFS.PointsTo(v) }
-func (f sfsFacts) ObjectSummary(o ir.ID) *bitset.Sparse { return f.b.SFS.ObjectSummary(o) }
-func (f sfsFacts) ContentsBefore(label uint32, o ir.ID) *bitset.Sparse {
+func (f sfsFacts) PointsTo(v ir.ID) *bitset.Sparse       { return f.b.SFS.PointsTo(v) }
+func (f sfsFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return f.b.SFS.ObjectSummary(o) }
+func (f sfsFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
 	return f.b.SFS.InSet(label, o)
 }
 
 type vsfsFacts struct{ b *Bundle }
 
-func (f vsfsFacts) PointsTo(v ir.ID) *bitset.Sparse      { return f.b.VSFS.PointsTo(v) }
-func (f vsfsFacts) ObjectSummary(o ir.ID) *bitset.Sparse { return f.b.VSFS.ObjectSummary(o) }
-func (f vsfsFacts) ContentsBefore(label uint32, o ir.ID) *bitset.Sparse {
+func (f vsfsFacts) PointsTo(v ir.ID) *bitset.Sparse       { return f.b.VSFS.PointsTo(v) }
+func (f vsfsFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return f.b.VSFS.ObjectSummary(o) }
+func (f vsfsFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
 	return f.b.VSFS.ConsumedSet(label, o)
 }
 
 type auxFacts struct{ b *Bundle }
 
-func (f auxFacts) PointsTo(v ir.ID) *bitset.Sparse      { return f.b.Aux.PointsTo(v) }
-func (f auxFacts) ObjectSummary(o ir.ID) *bitset.Sparse { return f.b.Aux.PointsTo(o) }
-func (f auxFacts) ContentsBefore(label uint32, o ir.ID) *bitset.Sparse {
-	return f.b.Aux.PointsTo(o)
+func (f auxFacts) PointsTo(v ir.ID) *bitset.Sparse       { return f.b.Aux.PointsTo(v) }
+func (f auxFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return f.b.Aux.ObjectSummary(o) }
+func (f auxFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
+	return f.b.Aux.ObjectSummary(o)
 }
 
 // runCheckers runs the full memory-safety checker suite over one facts

@@ -208,29 +208,29 @@ func (c *checker) checkMemory() {
 			switch in.Op {
 			case ir.Load:
 				mssa.MuOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.ID(o32)
+					o := ir.Obj(o32)
 					ss, vs := b.SFS.InSet(in.Label, o), b.VSFS.ConsumedSet(in.Label, o)
 					if !ss.Equal(vs) {
 						c.failf("vsfs-eq-consumed", "load ℓ%d, %s: SFS IN %v ≠ VSFS %v",
-							in.Label, b.Prog.NameOf(o), ss, vs)
+							in.Label, b.Prog.ObjValue(o).Name, ss, vs)
 					}
-					if !ss.SubsetOf(b.Aux.PointsTo(o)) {
+					if !ss.SubsetOf(b.Aux.ObjectSummary(o)) {
 						c.failf("sfs-in-subset-aux", "load ℓ%d, %s: IN %v ⊄ Andersen %v",
-							in.Label, b.Prog.NameOf(o), ss, b.Aux.PointsTo(o))
+							in.Label, b.Prog.ObjValue(o).Name, ss, b.Aux.ObjectSummary(o))
 					}
 				})
 			case ir.Store:
 				mssa.ChiOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.ID(o32)
+					o := ir.Obj(o32)
 					ss, vs := b.SFS.InSet(in.Label, o), b.VSFS.ConsumedSet(in.Label, o)
 					if !ss.Equal(vs) {
 						c.failf("vsfs-eq-consumed", "store ℓ%d, %s: SFS IN %v ≠ VSFS %v",
-							in.Label, b.Prog.NameOf(o), ss, vs)
+							in.Label, b.Prog.ObjValue(o).Name, ss, vs)
 					}
 					so, vo := b.SFS.OutSet(in.Label, o), b.VSFS.YieldedSet(in.Label, o)
 					if !so.Equal(vo) {
 						c.failf("vsfs-eq-yielded", "store ℓ%d, %s: SFS OUT %v ≠ VSFS %v",
-							in.Label, b.Prog.NameOf(o), so, vo)
+							in.Label, b.Prog.ObjValue(o).Name, so, vo)
 					}
 				})
 			}
@@ -301,13 +301,13 @@ func (c *checker) checkWitnesses() {
 	prog := b.Prog
 
 	summaries := map[ir.ID]*bitset.Sparse{}
-	holds := func(x, o ir.ID) bool {
+	holds := func(x ir.ID, o ir.Obj) bool {
 		if prog.IsPointer(x) {
 			return b.VSFS.PointsTo(x).Has(uint32(o))
 		}
 		s := summaries[x]
 		if s == nil {
-			s = b.VSFS.ObjectSummary(x)
+			s = b.VSFS.ObjectSummary(prog.ObjNum(x))
 			summaries[x] = s
 		}
 		return s.Has(uint32(o))
@@ -336,30 +336,30 @@ func (c *checker) checkWitnesses() {
 				return
 			}
 			checked++
-			o := ir.ID(o32)
+			o := ir.Obj(o32)
 			w := g.ExplainPointsTo(holds, id, o)
 			if w == nil {
 				c.failf("witness-replay", "no witness for %s → %s",
-					prog.NameOf(id), prog.NameOf(o))
+					prog.NameOf(id), prog.ObjValue(o).Name)
 				bad = true
 				return
 			}
 			if len(w.Steps) == 0 {
 				c.failf("witness-replay", "empty witness for %s → %s",
-					prog.NameOf(id), prog.NameOf(o))
+					prog.NameOf(id), prog.ObjValue(o).Name)
 				bad = true
 				return
 			}
 			first, last := w.Steps[0], w.Steps[len(w.Steps)-1]
 			if first.Instr == nil || (first.Instr.Op != ir.Alloc && first.Instr.Op != ir.Field) {
 				c.failf("witness-replay", "witness for %s → %s does not start at an origin site",
-					prog.NameOf(id), prog.NameOf(o))
+					prog.NameOf(id), prog.ObjValue(o).Name)
 				bad = true
 				return
 			}
 			if last.Label != target {
 				c.failf("witness-replay", "witness for %s → %s ends at ℓ%d, def site is ℓ%d",
-					prog.NameOf(id), prog.NameOf(o), last.Label, target)
+					prog.NameOf(id), prog.ObjValue(o).Name, last.Label, target)
 				bad = true
 			}
 		})
@@ -415,25 +415,25 @@ func (c *checker) checkCfgfree() {
 			switch in.Op {
 			case ir.Load:
 				mssa.MuOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.ID(o32)
+					o := ir.Obj(o32)
 					ss, cs := b.SFS.InSet(in.Label, o), cf.ConsumedSet(in.Label, o)
 					if !ss.SubsetOf(cs) {
 						c.failf("sfs-subset-cfgfree", "load ℓ%d, %s: SFS IN %v ⊄ cfgfree consumed %v",
-							in.Label, b.Prog.NameOf(o), ss, cs)
+							in.Label, b.Prog.ObjValue(o).Name, ss, cs)
 					}
 				})
 			case ir.Store:
 				mssa.ChiOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.ID(o32)
+					o := ir.Obj(o32)
 					ss, cs := b.SFS.InSet(in.Label, o), cf.ConsumedSet(in.Label, o)
 					if !ss.SubsetOf(cs) {
 						c.failf("sfs-subset-cfgfree", "store ℓ%d, %s: SFS IN %v ⊄ cfgfree consumed %v",
-							in.Label, b.Prog.NameOf(o), ss, cs)
+							in.Label, b.Prog.ObjValue(o).Name, ss, cs)
 					}
 					so, co := b.SFS.OutSet(in.Label, o), cf.YieldedSet(in.Label, o)
 					if !so.SubsetOf(co) {
 						c.failf("sfs-subset-cfgfree", "store ℓ%d, %s: SFS OUT %v ⊄ cfgfree yielded %v",
-							in.Label, b.Prog.NameOf(o), so, co)
+							in.Label, b.Prog.ObjValue(o).Name, so, co)
 					}
 				})
 			case ir.Call:

@@ -110,7 +110,7 @@ func TestCorpusExercisesWitnessPatterns(t *testing.T) {
 			continue
 		}
 		b.VSFS.PointsTo(id).ForEach(func(o uint32) {
-			fieldFact = fieldFact || prog.Value(ir.ID(o)).Offset > 0
+			fieldFact = fieldFact || prog.ObjValue(ir.Obj(o)).Offset > 0
 		})
 	}
 	if !fieldFact {

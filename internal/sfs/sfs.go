@@ -36,10 +36,13 @@ type Stats struct {
 type Result struct {
 	Graph *svfg.Graph
 
-	pt []*bitset.Sparse // top-level points-to sets
+	// pt[v] is the points-to set of top-level pointer v; in[ℓ][o] and
+	// out[ℓ][o] are object o's sets at node ℓ (out at stores only). Like
+	// every set here they hold object numbers.
+	pt []*bitset.Sparse
 
-	in  []map[ir.ID]*bitset.Sparse
-	out []map[ir.ID]*bitset.Sparse // store nodes only
+	in  []map[ir.Obj]*bitset.Sparse
+	out []map[ir.Obj]*bitset.Sparse
 
 	callees map[*ir.Instr]map[*ir.Function]bool
 
@@ -69,7 +72,7 @@ func (r *Result) CalleesOf(call *ir.Instr) []*ir.Function {
 // ObjectSummary returns the union of o's points-to sets over every
 // program point: everything the object may ever hold. Used by clients
 // that want a per-variable (rather than per-point) answer.
-func (r *Result) ObjectSummary(o ir.ID) *bitset.Sparse {
+func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
 	out := bitset.New()
 	for _, m := range r.in {
 		if set := m[o]; set != nil {
@@ -86,7 +89,7 @@ func (r *Result) ObjectSummary(o ir.ID) *bitset.Sparse {
 
 // InSet returns IN[ℓ](o); used by tests and the precision-equivalence
 // checks against VSFS.
-func (r *Result) InSet(label uint32, o ir.ID) *bitset.Sparse {
+func (r *Result) InSet(label uint32, o ir.Obj) *bitset.Sparse {
 	if m := r.in[label]; m != nil {
 		if s := m[o]; s != nil {
 			return s
@@ -98,7 +101,7 @@ func (r *Result) InSet(label uint32, o ir.ID) *bitset.Sparse {
 // OutSet returns OUT[ℓ](o) as the propagation rules see it: the store's
 // own OUT entry if it has one, otherwise IN (all other nodes are
 // identity for objects).
-func (r *Result) OutSet(label uint32, o ir.ID) *bitset.Sparse {
+func (r *Result) OutSet(label uint32, o ir.Obj) *bitset.Sparse {
 	if m := r.out[label]; m != nil {
 		if s := m[o]; s != nil {
 			return s
@@ -144,8 +147,8 @@ func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 		Result: &Result{
 			Graph:   g,
 			pt:      make([]*bitset.Sparse, g.Prog.NumValues()+1),
-			in:      make([]map[ir.ID]*bitset.Sparse, len(g.Prog.Instrs)),
-			out:     make([]map[ir.ID]*bitset.Sparse, len(g.Prog.Instrs)),
+			in:      make([]map[ir.Obj]*bitset.Sparse, len(g.Prog.Instrs)),
+			out:     make([]map[ir.Obj]*bitset.Sparse, len(g.Prog.Instrs)),
 			callees: make(map[*ir.Instr]map[*ir.Function]bool),
 		},
 		ctx:       ctx,
@@ -170,10 +173,11 @@ type state struct {
 	ctx  context.Context
 	work worklist
 
-	// attr charges solver work to owning objects; nil (no-op receiver)
-	// when attribution is off. Every Stats increment pairs with exactly
-	// one charge — object 0 buckets top-level work — so per-object
-	// sums are conserved against the solver-wide gauges.
+	// attr charges solver work to owning objects, by value ID (see
+	// owner); nil (no-op receiver) when attribution is off. Every Stats
+	// increment pairs with exactly one charge — ID 0 buckets top-level
+	// work — so per-object sums are conserved against the solver-wide
+	// gauges.
 	attr *obs.ObjectAttr
 
 	// fsCallers maps a function to the call-site labels resolved to it,
@@ -222,7 +226,7 @@ func (s *state) ptOf(v ir.ID) *bitset.Sparse {
 // inPeek reads IN[ℓ](o) without materialising an entry, so reads do not
 // inflate the stored-set statistics (the paper counts points-to sets
 // actually maintained).
-func (s *state) inPeek(label uint32, o ir.ID) *bitset.Sparse {
+func (s *state) inPeek(label uint32, o ir.Obj) *bitset.Sparse {
 	if m := s.in[label]; m != nil {
 		if set := m[o]; set != nil {
 			return set
@@ -231,10 +235,10 @@ func (s *state) inPeek(label uint32, o ir.ID) *bitset.Sparse {
 	return empty
 }
 
-func (s *state) inSet(label uint32, o ir.ID) *bitset.Sparse {
+func (s *state) inSet(label uint32, o ir.Obj) *bitset.Sparse {
 	m := s.in[label]
 	if m == nil {
-		m = make(map[ir.ID]*bitset.Sparse)
+		m = make(map[ir.Obj]*bitset.Sparse)
 		s.in[label] = m
 	}
 	set := m[o]
@@ -245,10 +249,10 @@ func (s *state) inSet(label uint32, o ir.ID) *bitset.Sparse {
 	return set
 }
 
-func (s *state) outSet(label uint32, o ir.ID) *bitset.Sparse {
+func (s *state) outSet(label uint32, o ir.Obj) *bitset.Sparse {
 	m := s.out[label]
 	if m == nil {
-		m = make(map[ir.ID]*bitset.Sparse)
+		m = make(map[ir.Obj]*bitset.Sparse)
 		s.out[label] = m
 	}
 	set := m[o]
@@ -274,12 +278,12 @@ func (s *state) addPt(v ir.ID, src *bitset.Sparse) {
 
 // propagate pushes a source set into IN[to](o), rescheduling to on change
 // ([A-PROP] of the SFS formulation).
-func (s *state) propagate(to uint32, o ir.ID, src *bitset.Sparse) {
+func (s *state) propagate(to uint32, o ir.Obj, src *bitset.Sparse) {
 	if src.IsEmpty() {
 		return
 	}
 	s.Stats.Propagations++
-	s.attr.Prop(uint32(o))
+	s.attr.Prop(s.owner(o))
 	if s.inSet(to, o).UnionWith(src) {
 		s.Stats.Changed++
 		s.work.push(to)
@@ -308,6 +312,9 @@ func (s *state) run() error {
 	}
 }
 
+// owner returns the value ID attribution charges object o's work to.
+func (s *state) owner(o ir.Obj) uint32 { return uint32(s.Graph.Prog.ObjID(o)) }
+
 // popOwner charges a worklist pop to the object whose memory state the
 // node manipulates: the smallest χ'd object for stores, the smallest
 // μ'd object for loads, the unattributed bucket otherwise. The same
@@ -316,11 +323,11 @@ func popOwner(g *svfg.Graph, in *ir.Instr) uint32 {
 	switch in.Op {
 	case ir.Store:
 		if chi := g.MSSA.ChiOf(in.Label); !chi.IsEmpty() {
-			return chi.Min()
+			return uint32(g.Prog.ObjID(ir.Obj(chi.Min())))
 		}
 	case ir.Load:
 		if mu := g.MSSA.MuOf(in.Label); !mu.IsEmpty() {
-			return mu.Min()
+			return uint32(g.Prog.ObjID(ir.Obj(mu.Min())))
 		}
 	}
 	return 0
@@ -333,7 +340,7 @@ func (s *state) process(in *ir.Instr) {
 	case ir.Alloc:
 		s.Stats.Propagations++
 		s.attr.Prop(0)
-		if s.ptOf(in.Def).Set(uint32(in.Obj)) {
+		if s.ptOf(in.Def).Set(uint32(g.Prog.ObjNum(in.Obj))) {
 			s.Stats.Changed++
 			for _, u := range g.UsersOf(in.Def) {
 				s.work.push(u)
@@ -352,17 +359,17 @@ func (s *state) process(in *ir.Instr) {
 		prog := g.Prog
 		add := bitset.New()
 		s.ptOf(in.Uses[0]).ForEach(func(o uint32) {
-			if prog.Value(ir.ID(o)).ObjKind == ir.FuncObj {
+			if prog.ObjValue(ir.Obj(o)).ObjKind == ir.FuncObj {
 				return
 			}
-			add.Set(uint32(prog.FieldObj(ir.ID(o), in.Off)))
+			add.Set(uint32(prog.ObjNum(prog.FieldObj(prog.ObjID(ir.Obj(o)), in.Off))))
 		})
 		s.addPt(in.Def, add)
 
 	case ir.Load:
 		// [LOAD]: pt(p) ⊇ IN[ℓ](o) for each o ∈ pt(q).
 		s.ptOf(in.Uses[0]).Clone().ForEach(func(o uint32) {
-			s.addPt(in.Def, s.inPeek(l, ir.ID(o)))
+			s.addPt(in.Def, s.inPeek(l, ir.Obj(o)))
 		})
 
 	case ir.Store:
@@ -393,11 +400,11 @@ func (s *state) forwardObjects(in *ir.Instr) {
 		return
 	}
 	// Deterministic order.
-	objs := make([]ir.ID, 0, len(m))
+	objs := make([]ir.Obj, 0, len(m))
 	for o := range m {
 		objs = append(objs, o)
 	}
-	sortIDs(objs)
+	sortObjs(objs)
 	for _, o := range objs {
 		src := m[o]
 		for _, succ := range s.Graph.IndirSuccs(in.Label, o) {
@@ -406,7 +413,7 @@ func (s *state) forwardObjects(in *ir.Instr) {
 	}
 }
 
-func sortIDs(ids []ir.ID) {
+func sortObjs(ids []ir.Obj) {
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
@@ -435,26 +442,26 @@ func (s *state) processStore(in *ir.Instr) {
 	ptq := s.ptOf(q)
 
 	strong := false
-	if single, ok := g.Aux.PointsTo(p).Single(); ok && g.IsSingleton(ir.ID(single)) {
+	if single, ok := g.Aux.PointsTo(p).Single(); ok && g.IsSingleton(ir.Obj(single)) {
 		strong = true
 	}
 
 	g.MSSA.ChiOf(l).ForEach(func(o32 uint32) {
-		o := ir.ID(o32)
+		o := ir.Obj(o32)
 		out := s.outSet(l, o)
 		changed := false
 		if strong {
 			// Kill: only the stored value survives.
 			s.Stats.Propagations++
-			s.attr.Prop(o32)
+			s.attr.Prop(s.owner(o))
 			changed = out.UnionWith(ptq)
 		} else {
 			s.Stats.Propagations++
-			s.attr.Prop(o32)
+			s.attr.Prop(s.owner(o))
 			changed = out.UnionWith(s.inPeek(l, o))
 			if ptp.Has(o32) {
 				s.Stats.Propagations++
-				s.attr.Prop(o32)
+				s.attr.Prop(s.owner(o))
 				if out.UnionWith(ptq) {
 					changed = true
 				}
@@ -492,7 +499,7 @@ func (s *state) processCall(in *ir.Instr) {
 	}
 	prog := g.Prog
 	s.ptOf(in.CalleePtr()).Clone().ForEach(func(o uint32) {
-		v := prog.Value(ir.ID(o))
+		v := prog.ObjValue(ir.Obj(o))
 		if v.ObjKind == ir.FuncObj {
 			s.wireCallee(in, v.Func)
 		}
@@ -517,16 +524,16 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 		entry := callee.EntryInstr.Label
 		g.MSSA.FormalIn[callee].ForEach(func(o uint32) {
 			if g.MSSA.MuOf(call.Label).Has(o) {
-				g.AddIndirectEdge(call.Label, entry, ir.ID(o))
+				g.AddIndirectEdge(call.Label, entry, ir.Obj(o))
 			}
 		})
 		if ret := g.MSSA.CallRets[call]; ret != nil {
 			exit := callee.ExitInstr.Label
 			g.MSSA.FormalOut[callee].ForEach(func(o uint32) {
 				if g.MSSA.ChiOf(ret.Label).Has(o) {
-					g.AddIndirectEdge(exit, ret.Label, ir.ID(o))
+					g.AddIndirectEdge(exit, ret.Label, ir.Obj(o))
 					// Ship anything already sitting at the exit.
-					s.propagate(ret.Label, ir.ID(o), s.inPeek(exit, ir.ID(o)))
+					s.propagate(ret.Label, ir.Obj(o), s.inPeek(exit, ir.Obj(o)))
 				}
 			})
 		}
@@ -554,14 +561,14 @@ func (s *state) collectStats() {
 		for o, set := range m {
 			s.Stats.PtsSets++
 			s.Stats.PtsWords += set.Words()
-			s.attr.Set(uint32(o))
+			s.attr.Set(s.owner(o))
 		}
 	}
 	for _, m := range s.out {
 		for o, set := range m {
 			s.Stats.PtsSets++
 			s.Stats.PtsWords += set.Words()
-			s.attr.Set(uint32(o))
+			s.attr.Set(s.owner(o))
 		}
 	}
 	for _, set := range s.pt {

@@ -42,7 +42,7 @@ func varByName(t *testing.T, prog *ir.Program, name string) ir.ID {
 
 func names(prog *ir.Program, r *Result, v ir.ID) map[string]bool {
 	out := map[string]bool{}
-	r.PointsTo(v).ForEach(func(o uint32) { out[prog.NameOf(ir.ID(o))] = true })
+	r.PointsTo(v).ForEach(func(o uint32) { out[prog.ObjValue(ir.Obj(o)).Name] = true })
 	return out
 }
 

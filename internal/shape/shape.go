@@ -86,7 +86,7 @@ func Of(prog *ir.Program, aux *andersen.Result) Profile {
 	for id := ir.ID(1); int(id) < prog.NumValues(); id++ {
 		if prog.IsObject(id) {
 			p.AddressTaken++
-			if singles.Has(uint32(id)) {
+			if singles.Has(uint32(prog.ObjNum(id))) {
 				p.Singletons++
 			}
 			continue

@@ -54,7 +54,7 @@ func (g *Graph) WriteDot(w io.Writer) error {
 		for s := lo; s < hi; s++ {
 			for _, to := range g.indirOut[s] {
 				fmt.Fprintf(w, "  n%d -> n%d [style=dashed, label=%q, fontsize=8];\n",
-					from, to, prog.NameOf(g.slotObj[s]))
+					from, to, prog.ObjValue(g.slotObj[s]).Name)
 			}
 		}
 	}

@@ -43,7 +43,7 @@ type Graph struct {
 	// slotStart[ℓ] .. slotStart[ℓ+1]-1, and slotObj[s] is slot s's
 	// object. Immutable after build, so clones share them.
 	slotStart []int
-	slotObj   []ir.ID
+	slotObj   []ir.Obj
 
 	// indirOut[s] lists the targets of indirect edges ℓ --o--> ℓ' for
 	// slot s = (ℓ, o).
@@ -57,7 +57,7 @@ type Graph struct {
 	// than on the fly, and versioning needs no [OTF-CG]^P prelabels.
 	Prewired bool
 
-	// singleton[o] ⇒ strong updates are allowed on o.
+	// singleton[o] ⇒ strong updates are allowed on object number o.
 	singleton *bitset.Sparse
 
 	// Stats for Table II.
@@ -156,14 +156,14 @@ func (g *Graph) prewireIndirectCalls() {
 				entry := callee.EntryInstr.Label
 				g.MSSA.FormalIn[callee].ForEach(func(o uint32) {
 					if g.MSSA.MuOf(in.Label).Has(o) {
-						g.AddIndirectEdge(in.Label, entry, ir.ID(o))
+						g.AddIndirectEdge(in.Label, entry, ir.Obj(o))
 					}
 				})
 				if ret := g.MSSA.CallRets[in]; ret != nil {
 					exit := callee.ExitInstr.Label
 					g.MSSA.FormalOut[callee].ForEach(func(o uint32) {
 						if g.MSSA.ChiOf(ret.Label).Has(o) {
-							g.AddIndirectEdge(exit, ret.Label, ir.ID(o))
+							g.AddIndirectEdge(exit, ret.Label, ir.Obj(o))
 						}
 					})
 				}
@@ -180,7 +180,7 @@ func (g *Graph) buildSlots() {
 		size += g.MSSA.MuOf(uint32(l)).Len() + g.MSSA.ChiOf(uint32(l)).Len()
 	}
 	g.slotStart = make([]int, n+1)
-	g.slotObj = make([]ir.ID, 0, size)
+	g.slotObj = make([]ir.Obj, 0, size)
 	for l := range n {
 		g.slotStart[l] = len(g.slotObj)
 		dom := g.MSSA.MuOf(uint32(l))
@@ -190,7 +190,7 @@ func (g *Graph) buildSlots() {
 			dom = dom.Clone()
 			dom.UnionWith(chi)
 		}
-		dom.ForEach(func(o uint32) { g.slotObj = append(g.slotObj, ir.ID(o)) })
+		dom.ForEach(func(o uint32) { g.slotObj = append(g.slotObj, ir.Obj(o)) })
 	}
 	g.slotStart[n] = len(g.slotObj)
 	g.indirOut = make([][]uint32, len(g.slotObj))
@@ -265,7 +265,7 @@ func (g *Graph) UsersOf(v ir.ID) []uint32 { return g.users[v] }
 // new. The flow-sensitive solvers call this during on-the-fly call-graph
 // resolution. Both endpoints must carry obj in μ∪χ; an edge outside the
 // slot domain is a construction bug and panics.
-func (g *Graph) AddIndirectEdge(from, to uint32, obj ir.ID) bool {
+func (g *Graph) AddIndirectEdge(from, to uint32, obj ir.Obj) bool {
 	s, ok := g.Slot(from, obj)
 	if !ok {
 		g.outsideDomain(from, to, obj, from)
@@ -281,13 +281,14 @@ func (g *Graph) AddIndirectEdge(from, to uint32, obj ir.ID) bool {
 	return true
 }
 
-func (g *Graph) outsideDomain(from, to uint32, obj ir.ID, at uint32) {
-	panic(fmt.Sprintf("svfg: indirect edge ℓ%d --%s--> ℓ%d: object %s (%d) is not in μ∪χ of ℓ%d",
-		from, g.Prog.NameOf(obj), to, g.Prog.NameOf(obj), obj, at))
+func (g *Graph) outsideDomain(from, to uint32, obj ir.Obj, at uint32) {
+	name := g.Prog.ObjValue(obj).Name
+	panic(fmt.Sprintf("svfg: indirect edge ℓ%d --%s--> ℓ%d: object %s (#%d) is not in μ∪χ of ℓ%d",
+		from, name, to, name, obj, at))
 }
 
 // Slot returns the slot of (ℓ, o), and false if o is not in μ(ℓ)∪χ(ℓ).
-func (g *Graph) Slot(l uint32, o ir.ID) (int, bool) {
+func (g *Graph) Slot(l uint32, o ir.Obj) (int, bool) {
 	lo, hi := g.SlotRange(l)
 	i, ok := slices.BinarySearch(g.slotObj[lo:hi], o)
 	return lo + i, ok
@@ -302,7 +303,7 @@ func (g *Graph) SlotRange(l uint32) (lo, hi int) {
 func (g *Graph) NumSlots() int { return len(g.slotObj) }
 
 // SlotObj returns slot s's object.
-func (g *Graph) SlotObj(s int) ir.ID { return g.slotObj[s] }
+func (g *Graph) SlotObj(s int) ir.Obj { return g.slotObj[s] }
 
 // SlotSuccs returns the targets of indirect edges out of slot s = (ℓ, o).
 // The result must not be mutated.
@@ -310,7 +311,7 @@ func (g *Graph) SlotSuccs(s int) []uint32 { return g.indirOut[s] }
 
 // IndirSuccs returns the targets of indirect edges from ℓ labelled with
 // obj. The result must not be mutated.
-func (g *Graph) IndirSuccs(from uint32, obj ir.ID) []uint32 {
+func (g *Graph) IndirSuccs(from uint32, obj ir.Obj) []uint32 {
 	if s, ok := g.Slot(from, obj); ok {
 		return g.indirOut[s]
 	}
@@ -338,7 +339,7 @@ func (g *Graph) markDelta() {
 // pointee may strongly update it. Heap summaries, function objects,
 // collapsed field objects and stack objects of recursive functions are
 // excluded.
-func (g *Graph) IsSingleton(o ir.ID) bool { return g.singleton.Has(uint32(o)) }
+func (g *Graph) IsSingleton(o ir.Obj) bool { return g.singleton.Has(uint32(o)) }
 
 // computeSingletons adopts the auxiliary analysis's shared singleton
 // classification (andersen.Result.Singletons), so the SVFG pipeline and

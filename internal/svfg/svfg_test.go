@@ -38,15 +38,15 @@ func varByName(t *testing.T, prog *ir.Program, name string) ir.ID {
 	return ir.None
 }
 
-func objByName(t *testing.T, prog *ir.Program, name string) ir.ID {
+func objByName(t *testing.T, prog *ir.Program, name string) ir.Obj {
 	t.Helper()
-	for id := ir.ID(1); int(id) < prog.NumValues(); id++ {
-		if prog.IsObject(id) && prog.Value(id).Name == name {
-			return id
+	for o := range ir.Obj(prog.NumObjects()) {
+		if prog.ObjValue(o).Name == name {
+			return o
 		}
 	}
 	t.Fatalf("no object %q", name)
-	return ir.None
+	return 0
 }
 
 const src = `
@@ -174,11 +174,11 @@ entry:
 	}
 	// Offset 9 clamps onto agg.f2 (NumFields-1): that object stands for
 	// several concrete locations and must not be a singleton.
-	fo := prog.FieldObj(objByName(t, prog, "agg"), 9)
+	fo := prog.FieldObj(prog.ObjID(objByName(t, prog, "agg")), 9)
 	if prog.Value(fo).Name != "agg.f2" {
 		t.Fatalf("clamped field = %s", prog.Value(fo).Name)
 	}
-	if g.IsSingleton(fo) {
+	if g.IsSingleton(prog.ObjNum(fo)) {
 		t.Error("collapsed field object marked singleton")
 	}
 }
@@ -186,7 +186,7 @@ entry:
 // callEntryTriple returns the indirect call in src's main, callee's
 // FUNENTRY and object a: an interprocedural edge memory SSA leaves to
 // on-the-fly resolution, so it is absent after Build.
-func callEntryTriple(t *testing.T, g *Graph) (call, entry uint32, a ir.ID) {
+func callEntryTriple(t *testing.T, g *Graph) (call, entry uint32, a ir.Obj) {
 	t.Helper()
 	for _, in := range g.Prog.FuncByName("main").EntryInstr.Block.Instrs {
 		if in.Op == ir.Call && in.IsIndirectCall() {
@@ -248,8 +248,8 @@ func TestAddIndirectEdgeOutsideDomainPanics(t *testing.T) {
 				t.Fatalf("err = %v, want a PhaseError", err)
 			}
 			msg := fmt.Sprint(pe.Value)
-			if !strings.Contains(msg, fmt.Sprintf("not in μ∪χ of ℓ%d", tc.bad)) || !strings.Contains(msg, g.Prog.NameOf(a)) {
-				t.Errorf("panic %q does not name ℓ%d and %s", msg, tc.bad, g.Prog.NameOf(a))
+			if !strings.Contains(msg, fmt.Sprintf("not in μ∪χ of ℓ%d", tc.bad)) || !strings.Contains(msg, g.Prog.ObjValue(a).Name) {
+				t.Errorf("panic %q does not name ℓ%d and %s", msg, tc.bad, g.Prog.ObjValue(a).Name)
 			}
 		})
 	}

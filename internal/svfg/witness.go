@@ -21,14 +21,14 @@ type WitnessStep struct {
 // the pointer's definition.
 type Witness struct {
 	Var   ir.ID
-	Obj   ir.ID
+	Obj   ir.Obj
 	Steps []WitnessStep
 }
 
 // Format renders the witness for humans.
 func (w *Witness) Format(prog *ir.Program) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "why may %s point to %s:\n", prog.NameOf(w.Var), prog.NameOf(w.Obj))
+	fmt.Fprintf(&b, "why may %s point to %s:\n", prog.NameOf(w.Var), prog.ObjValue(w.Obj).Name)
 	for i, s := range w.Steps {
 		fmt.Fprintf(&b, "  %2d. [%s] ℓ%d %s\n", i+1, s.Note, s.Label, describe(prog, s.Instr))
 	}
@@ -41,15 +41,17 @@ func (w *Witness) Format(prog *ir.Program) string {
 // points-to sets contain obj, interprocedural argument/return copies,
 // and indirect edges labelled with objects that may hold obj. The
 // membership oracle holds(x, o) answers from solved facts: for a
-// pointer x its points-to set, for an object x its summary.
+// pointer x its points-to set, for an object x (by value ID) its
+// summary.
 //
 // It returns nil if v's definition is unreachable from the allocation
 // under the oracle — which, for a sound solver, means pts(v) should not
 // contain obj. The witness is an explanation aid, not a proof: the path
 // is feasible in the SVFG over-approximation, like the analysis result
 // itself.
-func (g *Graph) ExplainPointsTo(holds func(x ir.ID, o ir.ID) bool, v, obj ir.ID) *Witness {
+func (g *Graph) ExplainPointsTo(holds func(x ir.ID, o ir.Obj) bool, v ir.ID, obj ir.Obj) *Witness {
 	prog := g.Prog
+	objID := prog.ObjID(obj)
 
 	// Find every origin site of obj. Most objects have exactly one
 	// allocation, but a function object is re-allocated by every
@@ -63,7 +65,7 @@ func (g *Graph) ExplainPointsTo(holds func(x ir.ID, o ir.ID) bool, v, obj ir.ID)
 	for _, f := range prog.Funcs {
 		f.ForEachInstr(func(in *ir.Instr) {
 			switch {
-			case in.Op == ir.Alloc && in.Obj == obj:
+			case in.Op == ir.Alloc && in.Obj == objID:
 				origins = append(origins, in)
 			case in.Op == ir.Field && in.Def != ir.None && holds(in.Def, obj):
 				origins = append(origins, in)
@@ -139,7 +141,7 @@ func (g *Graph) ExplainPointsTo(holds func(x ir.ID, o ir.ID) bool, v, obj ir.ID)
 		// witness it finds are deterministic.
 		lo, hi := g.SlotRange(l)
 		for s := lo; s < hi; s++ {
-			if o := g.slotObj[s]; len(g.indirOut[s]) > 0 && holds(o, obj) {
+			if o := prog.ObjID(g.slotObj[s]); len(g.indirOut[s]) > 0 && holds(o, obj) {
 				for _, t := range g.indirOut[s] {
 					out = append(out, edgeKind{to: t, note: "in " + prog.NameOf(o)})
 				}

@@ -24,12 +24,12 @@ func solve(t *testing.T, src string) (*ir.Program, *svfg.Graph, *core.Result) {
 	return prog, g, core.Solve(g)
 }
 
-func holdsFn(prog *ir.Program, r *core.Result) func(ir.ID, ir.ID) bool {
-	return func(x, o ir.ID) bool {
+func holdsFn(prog *ir.Program, r *core.Result) func(ir.ID, ir.Obj) bool {
+	return func(x ir.ID, o ir.Obj) bool {
 		if prog.IsPointer(x) {
 			return r.PointsTo(x).Has(uint32(o))
 		}
-		return r.ObjectSummary(x).Has(uint32(o))
+		return r.ObjectSummary(prog.ObjNum(x)).Has(uint32(o))
 	}
 }
 
@@ -48,15 +48,15 @@ func findVar(t *testing.T, prog *ir.Program, prefix string) ir.ID {
 	return best
 }
 
-func findObj(t *testing.T, prog *ir.Program, name string) ir.ID {
+func findObj(t *testing.T, prog *ir.Program, name string) ir.Obj {
 	t.Helper()
-	for id := ir.ID(1); int(id) < prog.NumValues(); id++ {
-		if prog.IsObject(id) && prog.Value(id).Name == name {
-			return id
+	for o := range ir.Obj(prog.NumObjects()) {
+		if prog.ObjValue(o).Name == name {
+			return o
 		}
 	}
 	t.Fatalf("no object %q", name)
-	return ir.None
+	return 0
 }
 
 const witnessSrc = `
@@ -142,8 +142,8 @@ func TestWitnessCompleteOnProgram(t *testing.T) {
 		}
 		r.PointsTo(v).ForEach(func(o uint32) {
 			checked++
-			if w := g.ExplainPointsTo(holdsFn(prog, r), v, ir.ID(o)); w == nil {
-				t.Errorf("no witness for %s → %s", prog.NameOf(v), prog.NameOf(ir.ID(o)))
+			if w := g.ExplainPointsTo(holdsFn(prog, r), v, ir.Obj(o)); w == nil {
+				t.Errorf("no witness for %s → %s", prog.NameOf(v), prog.ObjValue(ir.Obj(o)).Name)
 			}
 		})
 	}
@@ -186,7 +186,7 @@ int main() {
 				continue
 			}
 			r.PointsTo(v).ForEach(func(o uint32) {
-				if w := g.ExplainPointsTo(holdsFn(prog, r), v, ir.ID(o)); w != nil {
+				if w := g.ExplainPointsTo(holdsFn(prog, r), v, ir.Obj(o)); w != nil {
 					b.WriteString(w.Format(prog))
 				}
 			})

@@ -115,9 +115,9 @@ func (rep Report) MarshalIndent() ([]byte, error) {
 // selected.
 type resultFacts struct{ r *Result }
 
-func (a resultFacts) PointsTo(v ir.ID) *bitset.Sparse      { return a.r.pointsTo(v) }
-func (a resultFacts) ObjectSummary(o ir.ID) *bitset.Sparse { return a.r.objectSummary(o) }
-func (a resultFacts) ContentsBefore(label uint32, o ir.ID) *bitset.Sparse {
+func (a resultFacts) PointsTo(v ir.ID) *bitset.Sparse       { return a.r.pointsTo(v) }
+func (a resultFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return a.r.objectSummary(o) }
+func (a resultFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
 	return a.r.contentsBefore(label, o)
 }
 

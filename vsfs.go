@@ -381,7 +381,8 @@ func (r *Result) degradeVia(ctx context.Context, hash string, be *guard.ErrBudge
 	return nil
 }
 
-// pointsTo dispatches to the selected analysis.
+// pointsTo dispatches to the selected analysis. Like every object set
+// below it, the result holds object numbers (ir.Obj).
 func (r *Result) pointsTo(v ir.ID) *bitset.Sparse {
 	switch r.mode {
 	case SFS:
@@ -649,12 +650,12 @@ func definedIn(prog *ir.Program, f *ir.Function, v ir.ID) bool {
 
 // objectSummary returns everything object o may ever hold, under the
 // selected analysis.
-func (r *Result) objectSummary(o ir.ID) *bitset.Sparse {
+func (r *Result) objectSummary(o ir.Obj) *bitset.Sparse {
 	switch r.mode {
 	case SFS:
 		return r.sfsRes.ObjectSummary(o)
 	case FlowInsensitive:
-		return r.aux.PointsTo(o)
+		return r.aux.ObjectSummary(o)
 	case CFGFree:
 		return r.cfRes.ObjectSummary(o)
 	default:
@@ -667,12 +668,12 @@ func (r *Result) objectSummary(o ir.ID) *bitset.Sparse {
 // for SFS, the consume-version points-to set for VSFS, the
 // strong-update-window contents for CFGFree, and the flow-insensitive
 // object summary for Andersen.
-func (r *Result) contentsBefore(label uint32, o ir.ID) *bitset.Sparse {
+func (r *Result) contentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
 	switch r.mode {
 	case SFS:
 		return r.sfsRes.InSet(label, o)
 	case FlowInsensitive:
-		return r.aux.PointsTo(o)
+		return r.aux.ObjectSummary(o)
 	case CFGFree:
 		return r.cfRes.ConsumedSet(label, o)
 	default:
@@ -683,15 +684,15 @@ func (r *Result) contentsBefore(label uint32, o ir.ID) *bitset.Sparse {
 // storageObjects returns the abstract objects backing a source variable:
 // the mini-C lowering names a local x in fn "fn.x" and a global g
 // "g.obj"; IR-level address-taken objects may match by bare name.
-func (r *Result) storageObjects(fn, name string) []ir.ID {
-	var out []ir.ID
+func (r *Result) storageObjects(fn, name string) []ir.Obj {
+	var out []ir.Obj
 	candidates := map[string]bool{name: true, name + ".obj": true}
 	if fn != "" {
 		candidates[fn+"."+name] = true
 	}
-	for id := ir.ID(1); int(id) < r.prog.NumValues(); id++ {
-		if r.prog.IsObject(id) && candidates[r.prog.Value(id).Name] {
-			out = append(out, id)
+	for o := range ir.Obj(r.prog.NumObjects()) {
+		if candidates[r.prog.ObjValue(o).Name] {
+			out = append(out, o)
 		}
 	}
 	return out
@@ -704,7 +705,7 @@ func (r *Result) storageObjects(fn, name string) []ir.ID {
 func (r *Result) PointsToVar(fn, name string) []string {
 	merged := r.varSet(fn, name)
 	var out []string
-	merged.ForEach(func(o uint32) { out = append(out, r.prog.NameOf(ir.ID(o))) })
+	merged.ForEach(func(o uint32) { out = append(out, r.prog.ObjValue(ir.Obj(o)).Name) })
 	sort.Strings(out)
 	return out
 }
@@ -850,16 +851,16 @@ func (r *Result) Explain(fn, name string) []string {
 	if r.mode == FlowInsensitive || r.mode == CFGFree || r.g == nil {
 		return nil
 	}
-	holds := func(x, o ir.ID) bool {
+	holds := func(x ir.ID, o ir.Obj) bool {
 		if r.prog.IsPointer(x) {
 			return r.pointsTo(x).Has(uint32(o))
 		}
-		return r.objectSummary(x).Has(uint32(o))
+		return r.objectSummary(r.prog.ObjNum(x)).Has(uint32(o))
 	}
 	var out []string
 	for _, v := range r.matchingVars(fn, name) {
 		r.pointsTo(v).ForEach(func(o uint32) {
-			if w := r.g.ExplainPointsTo(holds, v, ir.ID(o)); w != nil {
+			if w := r.g.ExplainPointsTo(holds, v, ir.Obj(o)); w != nil {
 				out = append(out, w.Format(r.prog))
 			}
 		})
@@ -907,7 +908,7 @@ func (r *Result) varGroups(f *ir.Function) ([]string, map[string]*bitset.Sparse)
 // objNames renders a points-to set as sorted object names.
 func (r *Result) objNames(set *bitset.Sparse) []string {
 	var objs []string
-	set.ForEach(func(o uint32) { objs = append(objs, r.prog.NameOf(ir.ID(o))) })
+	set.ForEach(func(o uint32) { objs = append(objs, r.prog.ObjValue(ir.Obj(o)).Name) })
 	sort.Strings(objs)
 	return objs
 }
