@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vsfs-lint lint-schema fmt-check bench bench-baseline bench-gate serve fuzz fuzz-native faults check golden fleet chaos
+.PHONY: build test race vet lint vsfs-lint lint-schema fmt-check bench bench-baseline bench-gate serve fuzz fuzz-native faults check golden
 
 build:
 	$(GO) build ./...
@@ -66,19 +66,11 @@ fuzz:
 
 fuzz-native:
 	$(GO) test -run NONE -fuzz FuzzSparseLaws -fuzztime 30s ./internal/bitset/
+	$(GO) test -run NONE -fuzz FuzzUnionInPlace -fuzztime 30s ./internal/bitset/
 	$(GO) test -run NONE -fuzz FuzzInternerStability -fuzztime 30s ./internal/bitset/
+	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 30s ./internal/irparse/
+	$(GO) test -run NONE -fuzz FuzzCompile -fuzztime 30s ./internal/lang/
 
 faults:
 	$(GO) test -race -run 'Fault|Shed|Degrad|Breaker|Overload' ./...
 	$(GO) run ./cmd/vsfs-fuzz -faults -skip-resolve -seeds 50
-
-# The fleet smoke drill: three in-process replicas behind the gateway,
-# a seeded chaos plan, one replica killed and restarted mid-corpus —
-# zero client-visible failures, bodies byte-identical to direct solves.
-fleet:
-	$(GO) test -race -run 'TestFleet' -v ./internal/cluster/
-
-# Network chaos battery: connection-indexed fault injection plus every
-# gateway resilience path (retries, failover, hedging, eject/readmit).
-chaos:
-	$(GO) test -race ./internal/cluster/... ./internal/oracle/ -run 'Chaos|Refuse|Reset|Delay|Seeded|Gateway|Fleet'

@@ -7,7 +7,7 @@
 //	vsfs-fuzz -seeds 500                 check 500 random programs
 //	vsfs-fuzz -start 1000 -seeds 500     a different window of seeds
 //	vsfs-fuzz -profile all               check all 15 named profiles
-//	vsfs-fuzz -mode server -seeds 20     daemon + gateway identity
+//	vsfs-fuzz -mode server -seeds 20     daemon identity
 //	vsfs-fuzz -mode all -seeds 100       solver battery and daemon checks
 //	vsfs-fuzz -faults -seeds 50          fault-injection battery per program
 //	vsfs-fuzz -free 0                    generate programs without free()
@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	seeds := fs.Int64("seeds", 100, "number of random seeds to check")
 	start := fs.Int64("start", 0, "first seed of the window")
-	mode := fs.String("mode", "diff", "what to check: diff (solver battery), server (daemon + gateway identity), or all")
+	mode := fs.String("mode", "diff", "what to check: diff (solver battery), server (daemon identity), or all")
 	profile := fs.String("profile", "", "check a named benchmark profile instead of random seeds (or \"all\")")
 	faults := fs.Bool("faults", false, "also run the fault-injection battery (panic isolation, budget degradation) on every program")
 	minimize := fs.Bool("minimize", false, "delta-debug each failure to a minimal reproducer")
@@ -181,12 +181,6 @@ func (fc *fuzzConfig) checkOne(name string, prog *ir.Program, seed int64) {
 	}
 	if fc.mode == "server" || fc.mode == "all" {
 		if vs := oracle.CheckServerIdentity(prog); len(vs) > 0 {
-			fc.violations += len(vs)
-			for _, v := range vs {
-				fmt.Fprintf(fc.stdout, "FAIL %s: %s\n", name, v)
-			}
-		}
-		if vs := oracle.CheckGatewayIdentity(prog); len(vs) > 0 {
 			fc.violations += len(vs)
 			for _, v := range vs {
 				fmt.Fprintf(fc.stdout, "FAIL %s: %s\n", name, v)

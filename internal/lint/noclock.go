@@ -21,7 +21,7 @@ import (
 // Everything else — clocks in conditions, arguments, returns,
 // time.Sleep/After/Tick/Until, timers — is flagged. Packages where
 // wall time is part of the job (obs, guard wall budgets, server,
-// cluster, bench, the binaries) are out of scope.
+// bench, the binaries) are out of scope.
 var NoClock = &Analyzer{
 	Name: "noclock",
 	Doc: "no wall clock or unseeded math/rand in deterministic solver paths; " +

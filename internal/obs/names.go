@@ -13,51 +13,38 @@ package obs
 // naming convention (vsfs_ prefix, [a-z0-9_], counters end in
 // _total).
 var MetricNames = map[string]Kind{
-	"vsfs_attr_charges_total":            KindCounter,
-	"vsfs_attr_object_cost":              KindHistogram,
-	"vsfs_breaker_opens_total":           KindCounter,
-	"vsfs_breaker_rejects_total":         KindCounter,
-	"vsfs_budget_exceeded_total":         KindCounter,
-	"vsfs_build_info":                    KindGauge,
-	"vsfs_cache_entries":                 KindGauge,
-	"vsfs_cache_requests_total":          KindCounter,
-	"vsfs_degraded_results_total":        KindCounter,
-	"vsfs_distinct_versions":             KindGauge,
-	"vsfs_findings_total":                KindCounter,
-	"vsfs_gateway_draining":              KindGauge,
-	"vsfs_gateway_ejections_total":       KindCounter,
-	"vsfs_gateway_hedges_total":          KindCounter,
-	"vsfs_gateway_http_requests_total":   KindCounter,
-	"vsfs_gateway_no_replica_total":      KindCounter,
-	"vsfs_gateway_readmissions_total":    KindCounter,
-	"vsfs_gateway_replica_healthy":       KindGauge,
-	"vsfs_gateway_requests_total":        KindCounter,
-	"vsfs_gateway_retries_total":         KindCounter,
-	"vsfs_gateway_ring_rebalances":       KindGauge,
-	"vsfs_gateway_upstream_errors_total": KindCounter,
-	"vsfs_gateway_upstream_seconds":      KindHistogram,
-	"vsfs_gateway_uptime_seconds":        KindGauge,
-	"vsfs_guard_panics_total":            KindCounter,
-	"vsfs_http_requests_total":           KindCounter,
-	"vsfs_points_to_sets":                KindHistogram,
-	"vsfs_prelabels":                     KindGauge,
-	"vsfs_propagations_total":            KindCounter,
-	"vsfs_queue_depth":                   KindGauge,
-	"vsfs_requests_total":                KindCounter,
-	"vsfs_shape_address_taken":           KindGauge,
-	"vsfs_shape_indirect_density":        KindGauge,
-	"vsfs_shape_instrs":                  KindGauge,
-	"vsfs_shape_singleton_ratio":         KindGauge,
-	"vsfs_shape_store_load_ratio":        KindGauge,
-	"vsfs_shed_requests_total":           KindCounter,
-	"vsfs_singleflight_shared_total":     KindCounter,
-	"vsfs_solve_max_seconds":             KindGauge,
-	"vsfs_solve_phase_seconds":           KindHistogram,
-	"vsfs_solve_seconds":                 KindHistogram,
-	"vsfs_solves_started_total":          KindCounter,
-	"vsfs_solves_total":                  KindCounter,
-	"vsfs_uptime_seconds":                KindGauge,
-	"vsfs_workers":                       KindGauge,
-	"vsfs_workers_busy":                  KindGauge,
-	"vsfs_worklist_high_water":           KindGauge,
+	"vsfs_attr_charges_total":        KindCounter,
+	"vsfs_attr_object_cost":          KindHistogram,
+	"vsfs_breaker_opens_total":       KindCounter,
+	"vsfs_breaker_rejects_total":     KindCounter,
+	"vsfs_budget_exceeded_total":     KindCounter,
+	"vsfs_build_info":                KindGauge,
+	"vsfs_cache_entries":             KindGauge,
+	"vsfs_cache_requests_total":      KindCounter,
+	"vsfs_degraded_results_total":    KindCounter,
+	"vsfs_distinct_versions":         KindGauge,
+	"vsfs_findings_total":            KindCounter,
+	"vsfs_guard_panics_total":        KindCounter,
+	"vsfs_http_requests_total":       KindCounter,
+	"vsfs_points_to_sets":            KindHistogram,
+	"vsfs_prelabels":                 KindGauge,
+	"vsfs_propagations_total":        KindCounter,
+	"vsfs_queue_depth":               KindGauge,
+	"vsfs_requests_total":            KindCounter,
+	"vsfs_shape_address_taken":       KindGauge,
+	"vsfs_shape_indirect_density":    KindGauge,
+	"vsfs_shape_instrs":              KindGauge,
+	"vsfs_shape_singleton_ratio":     KindGauge,
+	"vsfs_shape_store_load_ratio":    KindGauge,
+	"vsfs_shed_requests_total":       KindCounter,
+	"vsfs_singleflight_shared_total": KindCounter,
+	"vsfs_solve_max_seconds":         KindGauge,
+	"vsfs_solve_phase_seconds":       KindHistogram,
+	"vsfs_solve_seconds":             KindHistogram,
+	"vsfs_solves_started_total":      KindCounter,
+	"vsfs_solves_total":              KindCounter,
+	"vsfs_uptime_seconds":            KindGauge,
+	"vsfs_workers":                   KindGauge,
+	"vsfs_workers_busy":              KindGauge,
+	"vsfs_worklist_high_water":       KindGauge,
 }

@@ -106,12 +106,16 @@ func (s *Span) End() {
 			}
 		}
 	}
+	// Both ends are truncated against the trace start, not the span's
+	// own begin, so a child span's rounded end never passes its
+	// parent's.
+	ts := s.begin.Sub(s.tr.start).Microseconds()
 	s.tr.events = append(s.tr.events, Event{
 		Name: s.name,
 		Cat:  "vsfs",
 		Ph:   "X",
-		Ts:   s.begin.Sub(s.tr.start).Microseconds(),
-		Dur:  end.Sub(s.begin).Microseconds(),
+		Ts:   ts,
+		Dur:  end.Sub(s.tr.start).Microseconds() - ts,
 		Pid:  1,
 		Tid:  1,
 		Args: s.args,

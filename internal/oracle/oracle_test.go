@@ -228,8 +228,9 @@ func TestMinimizeKeepsPassingInput(t *testing.T) {
 }
 
 // TestServerIdentity runs the daemon-level half of the battery on two
-// seeds: cache hits and concurrent single-flight waiters must be
-// byte-identical to a cold solve.
+// seeds: cache hits, concurrent single-flight waiters, and /query and
+// /check answers from independent servers must be byte-identical to a
+// cold solve.
 func TestServerIdentity(t *testing.T) {
 	cfg := workload.RandomConfig{
 		Funcs: 2, MaxParams: 2, InstrsPerFunc: 10, MaxFields: 2,

@@ -3,9 +3,11 @@ package oracle
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,6 +29,11 @@ import (
 //	                              against a cold server all return
 //	                              bodies byte-identical to each other
 //	                              and to the cold solve.
+//	server-endpoint-identity:     for /query (kind callgraph) and
+//	                              /check, cold solves on two fresh
+//	                              servers give the same status and
+//	                              body, and a repeat request on one of
+//	                              them matches its first answer.
 //
 // Responses are deterministic by design (sorted keys everywhere), so
 // byte equality is the correct notion of "same result".
@@ -37,9 +44,8 @@ func CheckServerIdentity(prog *ir.Program) []Violation {
 		out = append(out, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
 	}
 
-	post := func(ts *httptest.Server, mode string) (int, string, []byte, error) {
-		body := fmt.Sprintf(`{"source": %q, "lang": "ir", "mode": %q}`, src, mode)
-		resp, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader([]byte(body)))
+	send := func(ts *httptest.Server, path, body string) (int, string, []byte, error) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			return 0, "", nil, err
 		}
@@ -49,6 +55,10 @@ func CheckServerIdentity(prog *ir.Program) []Violation {
 			return 0, "", nil, err
 		}
 		return resp.StatusCode, resp.Header.Get("X-Vsfs-Cache"), buf.Bytes(), nil
+	}
+
+	post := func(ts *httptest.Server, mode string) (int, string, []byte, error) {
+		return send(ts, "/analyze", fmt.Sprintf(`{"source": %q, "lang": "ir", "mode": %q}`, src, mode))
 	}
 
 	closeAll := func(srv *server.Server, ts *httptest.Server) {
@@ -127,6 +137,38 @@ func CheckServerIdentity(prog *ir.Program) []Violation {
 		if !bytes.Equal(bodies[i], coldByMode["vsfs"]) {
 			failf("server-flight-identity", "concurrent request %d body differs from cold solve", i)
 			return out
+		}
+	}
+
+	// The answer endpoints other than /analyze: each gets two fresh
+	// servers, so both first requests are cold solves.
+	endpoints := []struct{ path, body string }{
+		{"/query", fmt.Sprintf(`{"source": %q, "lang": "ir", "kind": "callgraph"}`, src)},
+		{"/check", fmt.Sprintf(`{"source": %q, "lang": "ir"}`, src)},
+	}
+	for _, ep := range endpoints {
+		srvA, srvB := server.New(server.Config{Workers: 2}), server.New(server.Config{Workers: 2})
+		tsA, tsB := httptest.NewServer(srvA), httptest.NewServer(srvB)
+		firstStatus, _, first, errA := send(tsA, ep.path, ep.body)
+		otherStatus, _, other, errB := send(tsB, ep.path, ep.body)
+		repeatStatus, _, repeat, errR := send(tsA, ep.path, ep.body)
+		closeAll(srvA, tsA)
+		closeAll(srvB, tsB)
+		if err := errors.Join(errA, errB, errR); err != nil {
+			failf("server-endpoint-identity", "%s: request failed: %v", ep.path, err)
+			continue
+		}
+		if firstStatus != http.StatusOK {
+			failf("server-endpoint-identity", "%s: cold solve returned %d: %.200s", ep.path, firstStatus, first)
+			continue
+		}
+		if otherStatus != firstStatus || !bytes.Equal(first, other) {
+			failf("server-endpoint-identity", "%s: two fresh servers disagree: status %d vs %d, body at %s",
+				ep.path, firstStatus, otherStatus, jsonDiffPath(first, other))
+		}
+		if repeatStatus != firstStatus || !bytes.Equal(first, repeat) {
+			failf("server-endpoint-identity", "%s: repeat request differs from the first: status %d vs %d, body at %s",
+				ep.path, firstStatus, repeatStatus, jsonDiffPath(first, repeat))
 		}
 	}
 	return out

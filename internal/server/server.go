@@ -97,7 +97,7 @@ type Config struct {
 	BreakerOpenFor time.Duration
 
 	// Faults injects a deterministic guard.FaultPlan into every solve.
-	// Test and chaos-drill hook; leave nil in production.
+	// Test hook; leave nil in production.
 	Faults *guard.FaultPlan
 
 	// Ledger, when non-nil, records every completed solve (including
@@ -271,7 +271,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Close stops accepting new solves and drains queued and in-flight
 // work, returning ctx.Err() if draining outlives the context. From the
 // first moment of Close, /readyz answers 503 so health-checked routers
-// (the gateway tier) stop sending new work here.
+// stop sending new work here.
 func (s *Server) Close(ctx context.Context) error {
 	s.draining.Store(true)
 	return s.pool.shutdown(ctx)
@@ -646,10 +646,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.reg.WritePrometheus(w)
 }
 
+// maxBodyBytes caps a request body. The largest benchmark program is a
+// few hundred KB of IR text; without a cap, a hostile body is decoded
+// and parsed in full before the server can reject it.
+const maxBodyBytes = 32 << 20
+
+// decodeBody decodes r's JSON body into v. It answers 413 for a body
+// over maxBodyBytes and 400 for malformed JSON, and reports whether the
+// handler should go on.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
+		return false
+	}
+	s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
+	return false
+}
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	res, key, hit, err := s.resolve(r.Context(), req)
@@ -673,8 +694,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // into vsfs_findings_total by kind, and renders JSON or SARIF 2.1.0.
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var req CheckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	format := strings.ToLower(req.Format)
@@ -734,8 +754,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	res, key, hit, err := s.resolve(r.Context(), req.AnalyzeRequest)

@@ -465,6 +465,26 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyTooLarge: a body one byte over maxBodyBytes is refused with
+// 413 on every endpoint that decodes one, before any parse, and the
+// server still answers a normal request afterwards.
+func TestBodyTooLarge(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	const prefix, suffix = `{"source":"`, `"}`
+	big := []byte(prefix + strings.Repeat("a", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix)
+	for _, path := range []string{"/analyze", "/check", "/query"} {
+		req := httptest.NewRequest("POST", path, bytes.NewReader(big))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body = %d, want 413 (body %.200s)", path, len(big), rec.Code, rec.Body.Bytes())
+		}
+	}
+	if code, _, body := post(t, s, "/analyze", AnalyzeRequest{Source: smallC}); code != http.StatusOK {
+		t.Fatalf("normal /analyze after 413s = %d, want 200 (body %s)", code, body)
+	}
+}
+
 // TestHammerMixed is the -race workout: parallel identical and distinct
 // requests, queries, and stats reads all at once.
 func TestHammerMixed(t *testing.T) {
