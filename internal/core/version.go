@@ -7,7 +7,7 @@
 // consume to yield inside non-store nodes ([INTERNAL]^V). Nodes sharing
 // a version of o provably see the same points-to set for o, so the main
 // phase keeps one global points-to set per (object, version) instead of
-// per-node IN/OUT maps, eliminating SFS's redundant single-object
+// per-node IN/OUT sets, eliminating SFS's redundant single-object
 // propagation and storage while producing identical results.
 package core
 
@@ -176,8 +176,8 @@ type labeller struct {
 // frame is one suspended DFS call of the iterative Tarjan.
 type frame struct {
 	node  uint32
-	base  int // Tarjan stack height before node was pushed
-	succs []uint32
+	base  int      // Tarjan stack height before node was pushed
+	succs []uint32 // the successor slots followed from node
 	next  int
 }
 
@@ -228,14 +228,14 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 
 	for _, pe := range pre {
 		if pe.delta {
-			if err := lb.strongConnect(ctx, g, o, pe.l); err != nil {
+			if err := lb.strongConnect(ctx, g, pe.l, pe.slot); err != nil {
 				return err
 			}
 			continue
 		}
-		for _, s := range g.SlotSuccs(pe.slot) {
-			if !g.Delta[s] {
-				if err := lb.strongConnect(ctx, g, o, s); err != nil {
+		for _, t := range g.SlotSuccs(pe.slot) {
+			if n := g.SlotNode(int(t)); !g.Delta[n] {
+				if err := lb.strongConnect(ctx, g, n, int(t)); err != nil {
 					return err
 				}
 			}
@@ -249,9 +249,9 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 			continue
 		}
 		atom := v.yield[pe.slot]
-		for _, s := range g.SlotSuccs(pe.slot) {
-			if !g.Delta[s] {
-				lb.meld(v, o, lb.comp[s], atom)
+		for _, t := range g.SlotSuccs(pe.slot) {
+			if n := g.SlotNode(int(t)); !g.Delta[n] {
+				lb.meld(v, o, lb.comp[n], atom)
 			}
 		}
 	}
@@ -280,8 +280,9 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 				continue
 			}
 			v.yield[sl] = label
-			for _, s := range g.SlotSuccs(sl) {
-				if cs := lb.comp[s]; !g.Delta[s] && cs != int32(c) {
+			for _, t := range g.SlotSuccs(sl) {
+				w := g.SlotNode(int(t))
+				if cs := lb.comp[w]; !g.Delta[w] && cs != int32(c) {
 					lb.meld(v, o, cs, label)
 				}
 			}
@@ -318,26 +319,27 @@ func followed(g *svfg.Graph, n uint32, sl int) []uint32 {
 	return g.SlotSuccs(sl)
 }
 
-// strongConnect runs an iterative Tarjan from root (if not yet visited
-// for this object), appending each finished component to members and
-// bounds. There is no recursion, so a deep value-flow chain cannot grow
-// the goroutine stack.
-func (lb *labeller) strongConnect(ctx context.Context, g *svfg.Graph, o ir.Obj, root uint32) error {
+// strongConnect runs an iterative Tarjan from root, whose slot for the
+// current object is sl (if not yet visited for this object), appending
+// each finished component to members and bounds. There is no recursion,
+// so a deep value-flow chain cannot grow the goroutine stack.
+func (lb *labeller) strongConnect(ctx context.Context, g *svfg.Graph, root uint32, sl int) error {
 	if lb.index[root] != 0 {
 		return nil
 	}
-	if err := lb.enter(ctx, g, o, root); err != nil {
+	if err := lb.enter(ctx, g, root, sl); err != nil {
 		return err
 	}
 	for len(lb.frames) > 0 {
 		f := &lb.frames[len(lb.frames)-1]
 		if f.next < len(f.succs) {
-			w := f.succs[f.next]
+			t := int(f.succs[f.next])
+			w := g.SlotNode(t)
 			f.next++
 			switch {
 			case g.Delta[w]:
 			case lb.index[w] == 0:
-				if err := lb.enter(ctx, g, o, w); err != nil {
+				if err := lb.enter(ctx, g, w, t); err != nil {
 					return err
 				}
 			case lb.comp[w] < 0:
@@ -365,15 +367,14 @@ func (lb *labeller) strongConnect(ctx context.Context, g *svfg.Graph, o ir.Obj, 
 	return nil
 }
 
-// enter visits n: numbers it, looks up its slot for o, pushes it on the
-// Tarjan stack and opens its DFS frame.
-func (lb *labeller) enter(ctx context.Context, g *svfg.Graph, o ir.Obj, n uint32) error {
+// enter visits n through its slot sl for the current object: numbers
+// it, pushes it on the Tarjan stack and opens its DFS frame.
+func (lb *labeller) enter(ctx context.Context, g *svfg.Graph, n uint32, sl int) error {
 	if err := lb.poll(ctx); err != nil {
 		return err
 	}
 	lb.counter++
 	lb.index[n], lb.low[n], lb.comp[n] = lb.counter, lb.counter, -1
-	sl, _ := g.Slot(n, o) // every o-edge endpoint carries o (svfg.AddIndirectEdge)
 	lb.slot[n] = sl
 	lb.touched = append(lb.touched, n)
 	lb.frames = append(lb.frames, frame{node: n, base: len(lb.stack), succs: followed(g, n, sl)})

@@ -267,9 +267,8 @@ func (s *state) buildReliances() {
 		// Edge-derived version constraints.
 		for sl := lo; sl < hi; sl++ {
 			if yv := s.ver.yield[sl]; yv != meld.Epsilon {
-				o := g.SlotObj(sl)
-				for _, succ := range g.SlotSuccs(sl) {
-					s.addVerConstraint(yv, s.ver.consumeOf(succ, o))
+				for _, t := range g.SlotSuccs(sl) {
+					s.addVerConstraint(yv, s.ver.consume[t])
 				}
 			}
 		}

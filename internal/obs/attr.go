@@ -82,7 +82,7 @@ func (a *ObjectAttr) Prop(o uint32) {
 }
 
 // Set charges one stored points-to set to object o: an (object,
-// version) set for VSFS, an IN/OUT map entry for SFS, a non-empty node
+// version) set for VSFS, an IN or OUT slot set for SFS, a non-empty node
 // set for the CFG-free backend.
 func (a *ObjectAttr) Set(o uint32) {
 	if a == nil {

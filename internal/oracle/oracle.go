@@ -280,7 +280,7 @@ func (c *checker) checkCallGraph() {
 }
 
 // checkStorage asserts the paper's storage claim: VSFS never keeps more
-// per-object points-to sets than SFS's IN/OUT maps (vsfs-storage).
+// per-object points-to sets than SFS's IN/OUT sets (vsfs-storage).
 func (c *checker) checkStorage() {
 	if c.b.VSFS.Stats.PtsSets > c.b.SFS.Stats.PtsSets {
 		c.failf("vsfs-storage", "VSFS stores %d sets, SFS %d",

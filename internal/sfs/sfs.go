@@ -1,9 +1,9 @@
 // Package sfs implements staged flow-sensitive points-to analysis
 // (Hardekopf & Lin, CGO'11) on the sparse value-flow graph: the baseline
 // the paper's VSFS improves on. Top-level pointers have one global
-// points-to set each (they are in SSA form); every SVFG node keeps an IN
-// map (object → points-to set) and store nodes additionally keep an OUT
-// map, following equations (6)–(7) of the paper. Strong updates are
+// points-to set each (they are in SSA form); every (node, object) slot of
+// the SVFG keeps an IN set and every store slot additionally keeps an OUT
+// set, following equations (6)–(7) of the paper. Strong updates are
 // applied at stores whose base pointer resolves to a single singleton
 // object. The call graph is resolved on the fly from flow-sensitive
 // points-to results.
@@ -25,7 +25,7 @@ type Stats struct {
 	NodesProcessed int // worklist pops
 	Propagations   int // set unions attempted along value-flow edges
 	Changed        int // unions that grew the target
-	PtsSets        int // (node, object) points-to sets stored in IN/OUT maps
+	PtsSets        int // (node, object) points-to sets stored in IN/OUT slots
 	PtsWords       int // total 64-bit words backing those sets
 	TopLevelWords  int // words backing top-level points-to sets
 	CallEdges      int // resolved (call site, callee) pairs
@@ -36,15 +36,17 @@ type Stats struct {
 type Result struct {
 	Graph *svfg.Graph
 
-	// pt[v] is the points-to set of top-level pointer v; in[ℓ][o] and
-	// out[ℓ][o] are object o's sets at node ℓ (out at stores only). Like
-	// every set here they hold object numbers.
+	// pt[v] is the points-to set of top-level pointer v; in[s] and
+	// out[s] are IN[ℓ](o) and OUT[ℓ](o) for the SVFG slot s = (ℓ, o), nil
+	// until first written (out at store slots only). Like every set here
+	// they hold object numbers.
 	pt []*bitset.Sparse
 
-	in  []map[ir.Obj]*bitset.Sparse
-	out []map[ir.Obj]*bitset.Sparse
+	in  []*bitset.Sparse
+	out []*bitset.Sparse
 
-	callees map[*ir.Instr]map[*ir.Function]bool
+	// callees[ℓ] holds the resolved callees of the call at label ℓ.
+	callees []map[*ir.Function]bool
 
 	Stats Stats
 }
@@ -60,7 +62,10 @@ func (r *Result) PointsTo(v ir.ID) *bitset.Sparse {
 
 // CalleesOf returns the flow-sensitively resolved callees of a call.
 func (r *Result) CalleesOf(call *ir.Instr) []*ir.Function {
-	m := r.callees[call]
+	var m map[*ir.Function]bool
+	if int(call.Label) < len(r.callees) {
+		m = r.callees[call.Label]
+	}
 	out := make([]*ir.Function, 0, len(m))
 	for f := range m {
 		out = append(out, f)
@@ -74,13 +79,11 @@ func (r *Result) CalleesOf(call *ir.Instr) []*ir.Function {
 // that want a per-variable (rather than per-point) answer.
 func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
 	out := bitset.New()
-	for _, m := range r.in {
-		if set := m[o]; set != nil {
+	for _, sl := range r.Graph.ObjSlots(o) {
+		if set := r.in[sl]; set != nil {
 			out.UnionWith(set)
 		}
-	}
-	for _, m := range r.out {
-		if set := m[o]; set != nil {
+		if set := r.out[sl]; set != nil {
 			out.UnionWith(set)
 		}
 	}
@@ -90,10 +93,8 @@ func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
 // InSet returns IN[ℓ](o); used by tests and the precision-equivalence
 // checks against VSFS.
 func (r *Result) InSet(label uint32, o ir.Obj) *bitset.Sparse {
-	if m := r.in[label]; m != nil {
-		if s := m[o]; s != nil {
-			return s
-		}
+	if sl, ok := r.Graph.Slot(label, o); ok {
+		return r.inAt(sl)
 	}
 	return empty
 }
@@ -102,12 +103,23 @@ func (r *Result) InSet(label uint32, o ir.Obj) *bitset.Sparse {
 // own OUT entry if it has one, otherwise IN (all other nodes are
 // identity for objects).
 func (r *Result) OutSet(label uint32, o ir.Obj) *bitset.Sparse {
-	if m := r.out[label]; m != nil {
-		if s := m[o]; s != nil {
-			return s
+	if sl, ok := r.Graph.Slot(label, o); ok {
+		if set := r.out[sl]; set != nil {
+			return set
 		}
+		return r.inAt(sl)
 	}
-	return r.InSet(label, o)
+	return empty
+}
+
+// inAt reads slot sl's IN set without materialising it, so reads do not
+// inflate the stored-set statistics (the paper counts points-to sets
+// actually maintained).
+func (r *Result) inAt(sl int) *bitset.Sparse {
+	if set := r.in[sl]; set != nil {
+		return set
+	}
+	return empty
 }
 
 var empty = bitset.New()
@@ -147,9 +159,9 @@ func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 		Result: &Result{
 			Graph:   g,
 			pt:      make([]*bitset.Sparse, g.Prog.NumValues()+1),
-			in:      make([]map[ir.Obj]*bitset.Sparse, len(g.Prog.Instrs)),
-			out:     make([]map[ir.Obj]*bitset.Sparse, len(g.Prog.Instrs)),
-			callees: make(map[*ir.Instr]map[*ir.Function]bool),
+			in:      make([]*bitset.Sparse, g.NumSlots()),
+			out:     make([]*bitset.Sparse, g.NumSlots()),
+			callees: make([]map[*ir.Function]bool, len(g.Prog.Instrs)),
 		},
 		ctx:       ctx,
 		attr:      obs.AttrFrom(ctx),
@@ -223,44 +235,12 @@ func (s *state) ptOf(v ir.ID) *bitset.Sparse {
 	return s.pt[v]
 }
 
-// inPeek reads IN[ℓ](o) without materialising an entry, so reads do not
-// inflate the stored-set statistics (the paper counts points-to sets
-// actually maintained).
-func (s *state) inPeek(label uint32, o ir.Obj) *bitset.Sparse {
-	if m := s.in[label]; m != nil {
-		if set := m[o]; set != nil {
-			return set
-		}
+// slotSet returns sets[sl], materialising it on first use.
+func slotSet(sets []*bitset.Sparse, sl int) *bitset.Sparse {
+	if sets[sl] == nil {
+		sets[sl] = bitset.New()
 	}
-	return empty
-}
-
-func (s *state) inSet(label uint32, o ir.Obj) *bitset.Sparse {
-	m := s.in[label]
-	if m == nil {
-		m = make(map[ir.Obj]*bitset.Sparse)
-		s.in[label] = m
-	}
-	set := m[o]
-	if set == nil {
-		set = bitset.New()
-		m[o] = set
-	}
-	return set
-}
-
-func (s *state) outSet(label uint32, o ir.Obj) *bitset.Sparse {
-	m := s.out[label]
-	if m == nil {
-		m = make(map[ir.Obj]*bitset.Sparse)
-		s.out[label] = m
-	}
-	set := m[o]
-	if set == nil {
-		set = bitset.New()
-		m[o] = set
-	}
-	return set
+	return sets[sl]
 }
 
 // addPt unions src into the top-level set of v and reschedules v's users
@@ -276,17 +256,17 @@ func (s *state) addPt(v ir.ID, src *bitset.Sparse) {
 	}
 }
 
-// propagate pushes a source set into IN[to](o), rescheduling to on change
-// ([A-PROP] of the SFS formulation).
-func (s *state) propagate(to uint32, o ir.Obj, src *bitset.Sparse) {
+// propagate pushes a source set into the IN set of slot t = (ℓ, o),
+// rescheduling ℓ on change ([A-PROP] of the SFS formulation).
+func (s *state) propagate(t int, src *bitset.Sparse) {
 	if src.IsEmpty() {
 		return
 	}
 	s.Stats.Propagations++
-	s.attr.Prop(s.owner(o))
-	if s.inSet(to, o).UnionWith(src) {
+	s.attr.Prop(s.owner(s.Graph.SlotObj(t)))
+	if slotSet(s.in, t).UnionWith(src) {
 		s.Stats.Changed++
-		s.work.push(to)
+		s.work.push(s.Graph.SlotNode(t))
 	}
 }
 
@@ -369,7 +349,7 @@ func (s *state) process(in *ir.Instr) {
 	case ir.Load:
 		// [LOAD]: pt(p) ⊇ IN[ℓ](o) for each o ∈ pt(q).
 		s.ptOf(in.Uses[0]).Clone().ForEach(func(o uint32) {
-			s.addPt(in.Def, s.inPeek(l, ir.Obj(o)))
+			s.addPt(in.Def, s.InSet(l, ir.Obj(o)))
 		})
 
 	case ir.Store:
@@ -393,30 +373,16 @@ func (s *state) process(in *ir.Instr) {
 }
 
 // forwardObjects implements the identity transfer of non-store nodes:
-// OUT = IN, then [A-PROP] along every outgoing indirect edge.
+// OUT = IN, then [A-PROP] along every outgoing indirect edge, in slot
+// (so ascending object) order.
 func (s *state) forwardObjects(in *ir.Instr) {
-	m := s.in[in.Label]
-	if len(m) == 0 {
-		return
-	}
-	// Deterministic order.
-	objs := make([]ir.Obj, 0, len(m))
-	for o := range m {
-		objs = append(objs, o)
-	}
-	sortObjs(objs)
-	for _, o := range objs {
-		src := m[o]
-		for _, succ := range s.Graph.IndirSuccs(in.Label, o) {
-			s.propagate(succ, o, src)
-		}
-	}
-}
-
-func sortObjs(ids []ir.Obj) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+	g := s.Graph
+	lo, hi := g.SlotRange(in.Label)
+	for sl := lo; sl < hi; sl++ {
+		if src := s.in[sl]; src != nil {
+			for _, t := range g.SlotSuccs(sl) {
+				s.propagate(int(t), src)
+			}
 		}
 	}
 }
@@ -446,9 +412,11 @@ func (s *state) processStore(in *ir.Instr) {
 		strong = true
 	}
 
-	g.MSSA.ChiOf(l).ForEach(func(o32 uint32) {
-		o := ir.Obj(o32)
-		out := s.outSet(l, o)
+	// A store's slots are its χ.
+	lo, hi := g.SlotRange(l)
+	for sl := lo; sl < hi; sl++ {
+		o := g.SlotObj(sl)
+		out := slotSet(s.out, sl)
 		changed := false
 		if strong {
 			// Kill: only the stored value survives.
@@ -458,8 +426,8 @@ func (s *state) processStore(in *ir.Instr) {
 		} else {
 			s.Stats.Propagations++
 			s.attr.Prop(s.owner(o))
-			changed = out.UnionWith(s.inPeek(l, o))
-			if ptp.Has(o32) {
+			changed = out.UnionWith(s.inAt(sl))
+			if ptp.Has(uint32(o)) {
 				s.Stats.Propagations++
 				s.attr.Prop(s.owner(o))
 				if out.UnionWith(ptq) {
@@ -471,11 +439,11 @@ func (s *state) processStore(in *ir.Instr) {
 			s.Stats.Changed++
 		}
 		if changed || !out.IsEmpty() {
-			for _, succ := range g.IndirSuccs(l, o) {
-				s.propagate(succ, o, out)
+			for _, t := range g.SlotSuccs(sl) {
+				s.propagate(int(t), out)
 			}
 		}
-	})
+	}
 }
 
 // processCall wires top-level argument/return flow for every resolved
@@ -508,10 +476,10 @@ func (s *state) processCall(in *ir.Instr) {
 
 func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 	g := s.Graph
-	m := s.callees[call]
+	m := s.callees[call.Label]
 	if m == nil {
 		m = make(map[*ir.Function]bool)
-		s.callees[call] = m
+		s.callees[call.Label] = m
 	}
 	if !m[callee] {
 		// Newly resolved: record and add the interprocedural indirect
@@ -533,7 +501,8 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 				if g.MSSA.ChiOf(ret.Label).Has(o) {
 					g.AddIndirectEdge(exit, ret.Label, ir.Obj(o))
 					// Ship anything already sitting at the exit.
-					s.propagate(ret.Label, ir.Obj(o), s.inPeek(exit, ir.Obj(o)))
+					t, _ := g.Slot(ret.Label, ir.Obj(o))
+					s.propagate(t, s.InSet(exit, ir.Obj(o)))
 				}
 			})
 		}
@@ -557,18 +526,13 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 // collectStats sizes the IN/OUT storage at fixpoint. Sets only grow
 // during solving, so the fixpoint sizes are also the peaks.
 func (s *state) collectStats() {
-	for _, m := range s.in {
-		for o, set := range m {
-			s.Stats.PtsSets++
-			s.Stats.PtsWords += set.Words()
-			s.attr.Set(s.owner(o))
-		}
-	}
-	for _, m := range s.out {
-		for o, set := range m {
-			s.Stats.PtsSets++
-			s.Stats.PtsWords += set.Words()
-			s.attr.Set(s.owner(o))
+	for _, sets := range [2][]*bitset.Sparse{s.in, s.out} {
+		for sl, set := range sets {
+			if set != nil {
+				s.Stats.PtsSets++
+				s.Stats.PtsWords += set.Words()
+				s.attr.Set(s.owner(s.Graph.SlotObj(sl)))
+			}
 		}
 	}
 	for _, set := range s.pt {

@@ -401,3 +401,50 @@ func TestStatsReasonable(t *testing.T) {
 		t.Error("no IN/OUT sets recorded")
 	}
 }
+
+// TestSolveEffortPinned pins the solver's effort, not just its answers,
+// on four Table II profiles: the worklist pops, the unions attempted and
+// won, the IN/OUT sets stored and their words, and the resolved call
+// edges. A change to the storage layout must keep the worklist order and
+// the set counts, so these stay fixed until the algorithm itself changes.
+func TestSolveEffortPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name                                    string
+		pops, props, changed, sets, words, call int
+	}{
+		{"du", 62221, 1235838, 175752, 19905, 69800, 82},
+		{"dpkg", 120057, 2759793, 244455, 34458, 74635, 162},
+		{"nano", 114163, 2894850, 361644, 37199, 150276, 119},
+		{"psql", 277340, 3898810, 895981, 48530, 290993, 173},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := Solve(buildGraph(workload.ProfileByName(tc.name).Build())).Stats
+			got := [6]int{st.NodesProcessed, st.Propagations, st.Changed, st.PtsSets, st.PtsWords, st.CallEdges}
+			want := [6]int{tc.pops, tc.props, tc.changed, tc.sets, tc.words, tc.call}
+			if got != want {
+				t.Errorf("NodesProcessed, Propagations, Changed, PtsSets, PtsWords, CallEdges = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+var solveSink *Result
+
+// BenchmarkSolve times the SFS solve alone, over a graph built once;
+// each iteration solves a fresh clone, since on-the-fly resolution adds
+// edges to it.
+func BenchmarkSolve(b *testing.B) {
+	for _, name := range []string{"nano", "psql", "dpkg"} {
+		b.Run(name, func(b *testing.B) {
+			g := buildGraph(workload.ProfileByName(name).Build())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := g.Clone()
+				b.StartTimer()
+				solveSink = Solve(c)
+			}
+		})
+	}
+}

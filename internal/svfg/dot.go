@@ -52,9 +52,9 @@ func (g *Graph) WriteDot(w io.Writer) error {
 	for from := uint32(0); int(from) < len(g.slotStart)-1; from++ {
 		lo, hi := g.SlotRange(from)
 		for s := lo; s < hi; s++ {
-			for _, to := range g.indirOut[s] {
+			for _, t := range g.indirOut[s] {
 				fmt.Fprintf(w, "  n%d -> n%d [style=dashed, label=%q, fontsize=8];\n",
-					from, to, prog.ObjValue(g.slotObj[s]).Name)
+					from, g.slotNode[t], prog.ObjValue(g.slotObj[s]).Name)
 			}
 		}
 	}

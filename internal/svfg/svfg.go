@@ -40,13 +40,19 @@ type Graph struct {
 
 	// Every node ℓ has a fixed object domain μ(ℓ)∪χ(ℓ), ascending; each
 	// (node, object) pair of it is a dense slot. ℓ's slots are
-	// slotStart[ℓ] .. slotStart[ℓ+1]-1, and slotObj[s] is slot s's
-	// object. Immutable after build, so clones share them.
+	// slotStart[ℓ] .. slotStart[ℓ+1]-1; slotObj[s] and slotNode[s] are
+	// slot s's object and node. objSlots[objStart[o]:objStart[o+1]]
+	// lists object o's slots, ascending. Immutable after build, so clones
+	// share them.
 	slotStart []int
 	slotObj   []ir.Obj
+	slotNode  []uint32
+	objStart  []int
+	objSlots  []uint32
 
-	// indirOut[s] lists the targets of indirect edges ℓ --o--> ℓ' for
-	// slot s = (ℓ, o).
+	// indirOut[s] lists the target slots (ℓ', o) of indirect edges
+	// ℓ --o--> ℓ' for slot s = (ℓ, o): an o-edge joins two o-slots, so
+	// the object is implied.
 	indirOut [][]uint32
 
 	// Delta marks δ nodes. Always false when Prewired.
@@ -181,6 +187,7 @@ func (g *Graph) buildSlots() {
 	}
 	g.slotStart = make([]int, n+1)
 	g.slotObj = make([]ir.Obj, 0, size)
+	g.slotNode = make([]uint32, 0, size)
 	for l := range n {
 		g.slotStart[l] = len(g.slotObj)
 		dom := g.MSSA.MuOf(uint32(l))
@@ -190,20 +197,39 @@ func (g *Graph) buildSlots() {
 			dom = dom.Clone()
 			dom.UnionWith(chi)
 		}
-		dom.ForEach(func(o uint32) { g.slotObj = append(g.slotObj, ir.Obj(o)) })
+		dom.ForEach(func(o uint32) {
+			g.slotObj = append(g.slotObj, ir.Obj(o))
+			g.slotNode = append(g.slotNode, uint32(l))
+		})
 	}
 	g.slotStart[n] = len(g.slotObj)
 	g.indirOut = make([][]uint32, len(g.slotObj))
+
+	// Counting sort by object; slots are visited ascending, so each
+	// object's list comes out ascending too.
+	g.objStart = make([]int, g.Prog.NumObjects()+1)
+	for _, o := range g.slotObj {
+		g.objStart[o+1]++
+	}
+	for o := range g.Prog.NumObjects() {
+		g.objStart[o+1] += g.objStart[o]
+	}
+	next := slices.Clone(g.objStart[:len(g.objStart)-1])
+	g.objSlots = make([]uint32, len(g.slotObj))
+	for s, o := range g.slotObj {
+		g.objSlots[next[o]] = uint32(s)
+		next[o]++
+	}
 }
 
 // Clone returns a copy of the graph that can be mutated independently.
 // The flow-sensitive solvers add indirect edges during on-the-fly
 // call-graph resolution, so running two solvers over one Graph value
 // would let the first leak resolution work into the second; clone per
-// solver instead. Immutable parts (direct edges, slots, δ marks,
-// singletons) are shared. Successor lists are shared too, clipped to
-// their length, so an append on either side reallocates instead of
-// writing into the other's array.
+// solver instead. Immutable parts (direct edges, slots and the object
+// index, δ marks, singletons) are shared. Successor lists are shared
+// too, clipped to their length, so an append on either side
+// reallocates instead of writing into the other's array.
 func (g *Graph) Clone() *Graph {
 	c := *g
 	c.indirOut = make([][]uint32, len(g.indirOut))
@@ -270,13 +296,14 @@ func (g *Graph) AddIndirectEdge(from, to uint32, obj ir.Obj) bool {
 	if !ok {
 		g.outsideDomain(from, to, obj, from)
 	}
-	if _, ok := g.Slot(to, obj); !ok {
+	t, ok := g.Slot(to, obj)
+	if !ok {
 		g.outsideDomain(from, to, obj, to)
 	}
-	if slices.Contains(g.indirOut[s], to) {
+	if slices.Contains(g.indirOut[s], uint32(t)) {
 		return false
 	}
-	g.indirOut[s] = append(g.indirOut[s], to)
+	g.indirOut[s] = append(g.indirOut[s], uint32(t))
 	g.NumIndirectEdges++
 	return true
 }
@@ -305,17 +332,35 @@ func (g *Graph) NumSlots() int { return len(g.slotObj) }
 // SlotObj returns slot s's object.
 func (g *Graph) SlotObj(s int) ir.Obj { return g.slotObj[s] }
 
-// SlotSuccs returns the targets of indirect edges out of slot s = (ℓ, o).
-// The result must not be mutated.
+// SlotNode returns slot s's node.
+func (g *Graph) SlotNode(s int) uint32 { return g.slotNode[s] }
+
+// ObjSlots returns object o's slots, ascending; none for an object
+// numbered after the graph was built. The result must not be mutated.
+func (g *Graph) ObjSlots(o ir.Obj) []uint32 {
+	if int(o)+1 >= len(g.objStart) {
+		return nil
+	}
+	return g.objSlots[g.objStart[o]:g.objStart[o+1]]
+}
+
+// SlotSuccs returns the target slots of indirect edges out of slot
+// s = (ℓ, o), in insertion order; each is a slot of o. The result must
+// not be mutated.
 func (g *Graph) SlotSuccs(s int) []uint32 { return g.indirOut[s] }
 
-// IndirSuccs returns the targets of indirect edges from ℓ labelled with
-// obj. The result must not be mutated.
+// IndirSuccs returns the target nodes of indirect edges from ℓ labelled
+// with obj, in insertion order, as a fresh slice.
 func (g *Graph) IndirSuccs(from uint32, obj ir.Obj) []uint32 {
-	if s, ok := g.Slot(from, obj); ok {
-		return g.indirOut[s]
+	s, ok := g.Slot(from, obj)
+	if !ok {
+		return nil
 	}
-	return nil
+	out := make([]uint32, len(g.indirOut[s]))
+	for i, t := range g.indirOut[s] {
+		out[i] = g.slotNode[t]
+	}
+	return out
 }
 
 // markDelta marks δ nodes: FUNENTRY of address-taken functions (possible

@@ -218,8 +218,12 @@ func TestAddIndirectEdgeDedup(t *testing.T) {
 	if got := g.IndirSuccs(call, a); !slices.Equal(got, []uint32{entry}) {
 		t.Errorf("IndirSuccs = %v, want [%d]", got, entry)
 	}
-	if s, ok := g.Slot(call, a); !ok || !slices.Equal(g.SlotSuccs(s), []uint32{entry}) {
-		t.Errorf("Slot(call, a) = %d, %v; SlotSuccs disagrees with IndirSuccs", s, ok)
+	s, ok := g.Slot(call, a)
+	if !ok {
+		t.Fatalf("Slot(call, a) = %d, %v", s, ok)
+	}
+	if succs := g.SlotSuccs(s); len(succs) != 1 || g.SlotNode(int(succs[0])) != entry || g.SlotObj(int(succs[0])) != a {
+		t.Errorf("SlotSuccs(%d) = %v, want the one slot (ℓ%d, a)", s, succs, entry)
 	}
 }
 

@@ -143,7 +143,7 @@ func (g *Graph) ExplainPointsTo(holds func(x ir.ID, o ir.Obj) bool, v ir.ID, obj
 		for s := lo; s < hi; s++ {
 			if o := prog.ObjID(g.slotObj[s]); len(g.indirOut[s]) > 0 && holds(o, obj) {
 				for _, t := range g.indirOut[s] {
-					out = append(out, edgeKind{to: t, note: "in " + prog.NameOf(o)})
+					out = append(out, edgeKind{to: g.slotNode[t], note: "in " + prog.NameOf(o)})
 				}
 			}
 		}

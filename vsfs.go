@@ -14,7 +14,7 @@
 //
 // VSFS (the paper's contribution, internal/core) produces bit-for-bit
 // the same points-to results as SFS while storing one global points-to
-// set per (object, version) instead of per-node IN/OUT maps.
+// set per (object, version) instead of per-node IN/OUT sets.
 //
 // A third backend, internal/cfgfree, branches off after the auxiliary
 // phase: an Andersen-style flow-sensitive solver that consumes the
