@@ -46,21 +46,17 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"vsfs"
-	"vsfs/internal/andersen"
-	"vsfs/internal/core"
 	"vsfs/internal/diag"
 	"vsfs/internal/guard"
-	"vsfs/internal/ir"
 	"vsfs/internal/irparse"
 	"vsfs/internal/lang"
-	"vsfs/internal/memssa"
 	"vsfs/internal/obs"
-	"vsfs/internal/svfg"
 )
 
 // Exit codes; part of the CLI contract (see the package comment).
@@ -199,33 +195,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	isIR := strings.HasSuffix(path, ".vir")
 
-	if *dot {
-		var prog *ir.Program
-		var perr error
+	analyze := func(m vsfs.Mode) (*vsfs.Result, error) {
+		input := vsfs.InputC
 		if isIR {
-			prog, perr = irparse.Parse(string(src))
-		} else {
-			prog, perr = lang.Compile(string(src))
+			input = vsfs.InputIR
 		}
-		if perr != nil {
-			return fail(perr)
+		logger.Info("analyzing", "file", path, "mode", m.String(), "bytes", len(src))
+		r, err := vsfs.AnalyzeContext(ctx, string(src), vsfs.Options{Mode: m, Input: input, Filename: path, Attr: *attr})
+		if err == nil {
+			t := r.Timings()
+			logger.Info("analysis complete", "total", t.Total,
+				"andersen", t.Andersen, "memssa", t.MemSSA, "svfg", t.SVFG, "solve", t.Solve)
 		}
-		aux, aerr := andersen.AnalyzeContext(ctx, prog)
-		if aerr != nil {
-			return fail(aerr)
-		}
-		mssa, merr := memssa.BuildContext(ctx, prog, aux)
-		if merr != nil {
-			return fail(merr)
-		}
-		g, gerr := svfg.BuildContext(ctx, prog, aux, mssa)
-		if gerr != nil {
-			return fail(gerr)
-		}
-		if err := g.WriteDot(stdout); err != nil {
+		return r, err
+	}
+
+	if *dot {
+		// A FlowInsensitive run stops after building the pristine SVFG,
+		// under the same phase guards and budget ladder as every run.
+		r, err := analyze(vsfs.FlowInsensitive)
+		if err != nil {
 			return fail(err)
 		}
-		return exitOK
+		if err := r.WriteDot(stdout); err != nil {
+			if !r.Degraded() {
+				return fail(err)
+			}
+			fmt.Fprintln(stderr, "vsfs:", err)
+		}
+		return exit(r)
 	}
 
 	if *dumpIR {
@@ -245,83 +243,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	analyze := func(m vsfs.Mode) (*vsfs.Result, error) {
-		input := vsfs.InputC
-		if isIR {
-			input = vsfs.InputIR
-		}
-		logger.Info("analyzing", "file", path, "mode", m.String(), "bytes", len(src))
-		r, err := vsfs.AnalyzeContext(ctx, string(src), vsfs.Options{Mode: m, Input: input, Filename: path, Attr: *attr})
-		if err == nil {
-			t := r.Timings()
-			logger.Info("analysis complete", "total", t.Total,
-				"andersen", t.Andersen, "memssa", t.MemSSA, "svfg", t.SVFG, "solve", t.Solve)
-		}
-		return r, err
-	}
-
 	if *why != "" {
-		var prog *ir.Program
-		var perr error
-		if isIR {
-			prog, perr = irparse.Parse(string(src))
-		} else {
-			prog, perr = lang.Compile(string(src))
+		r, err := analyze(vsfs.VSFS)
+		if err != nil {
+			return fail(err)
 		}
-		if perr != nil {
-			return fail(perr)
+		// "f.x" names x in function f only when f is a function of the
+		// program; otherwise the whole string is the name, so a dotted IR
+		// temp like "p.4" still matches exactly.
+		fn, name := "", *why
+		if f, x, ok := strings.Cut(*why, "."); ok && slices.Contains(r.Functions(), f) {
+			fn, name = f, x
 		}
-		aux, aerr := andersen.AnalyzeContext(ctx, prog)
-		if aerr != nil {
-			return fail(aerr)
+		witnesses := r.Explain(fn, name)
+		for _, w := range witnesses {
+			fmt.Fprint(stdout, w)
 		}
-		mssa, merr := memssa.BuildContext(ctx, prog, aux)
-		if merr != nil {
-			return fail(merr)
-		}
-		g, gerr := svfg.BuildContext(ctx, prog, aux, mssa)
-		if gerr != nil {
-			return fail(gerr)
-		}
-		solved, serr := core.SolveContext(ctx, g)
-		if serr != nil {
-			return fail(serr)
-		}
-		holds := func(x ir.ID, o ir.Obj) bool {
-			if prog.IsPointer(x) {
-				return solved.PointsTo(x).Has(uint32(o))
-			}
-			return solved.ObjectSummary(prog.ObjNum(x)).Has(uint32(o))
-		}
-		// Match variables by exact name or by suffix after a function
-		// qualifier, covering both IR names and lowered temps.
-		name := *why
-		if i := strings.IndexByte(name, '.'); i > 0 {
-			name = name[i+1:]
-		}
-		found := 0
-		for v := ir.ID(1); int(v) < prog.NumValues(); v++ {
-			if !prog.IsPointer(v) {
-				continue
-			}
-			n := prog.Value(v).Name
-			if n != *why && n != name && !strings.HasPrefix(n, name+".") {
-				continue
-			}
-			if strings.Contains(n, ".addr") {
-				continue
-			}
-			solved.PointsTo(v).ForEach(func(o uint32) {
-				if w := g.ExplainPointsTo(holds, v, ir.Obj(o)); w != nil {
-					found++
-					fmt.Fprint(stdout, w.Format(prog))
-				}
-			})
-		}
-		if found == 0 {
+		if len(witnesses) == 0 {
 			fmt.Fprintf(stdout, "no points-to facts found for %q\n", *why)
 		}
-		return 0
+		return exit(r)
 	}
 
 	if *compare {

@@ -13,7 +13,11 @@ import (
 	"vsfs"
 	"vsfs/internal/andersen"
 	"vsfs/internal/guard"
+	"vsfs/internal/ir"
 	"vsfs/internal/irparse"
+	"vsfs/internal/lang"
+	"vsfs/internal/memssa"
+	"vsfs/internal/svfg"
 )
 
 func writeTemp(t *testing.T, name, content string) string {
@@ -189,12 +193,102 @@ func TestRunWhy(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	if !strings.Contains(out, "why may") || !strings.Contains(out, "allocation") {
-		t.Errorf("witness output missing:\n%s", out)
+	want := "why may p.4 point to main.a:\n" +
+		"   1. [allocation] ℓ2 a.addr.1 = alloc main.a\n" +
+		"   2. [via a.addr.1] ℓ5 *p.addr.2 = a.addr.1\n" +
+		"   3. [in main.p] ℓ6 p.4 = *p.addr.2\n"
+	if out != want {
+		t.Errorf("witness output:\n%s\nwant:\n%s", out, want)
 	}
 	code, out, _ = runCLI(t, "-why", "nosuchvar", path)
 	if code != 0 || !strings.Contains(out, "no points-to facts") {
 		t.Errorf("missing-var output: %d %q", code, out)
+	}
+}
+
+// twoPC has a local p in both main and f, each holding a different
+// global's address: the function qualifier of -why decides which one is
+// explained.
+const twoPC = `
+int a;
+int b;
+int *ga;
+int *gb;
+int f() {
+  int *p;
+  p = &b;
+  gb = p;
+  return 0;
+}
+int main() {
+  int *p;
+  p = &a;
+  ga = p;
+  f();
+  return 0;
+}
+`
+
+func TestRunWhyFunctionQualifier(t *testing.T) {
+	path := writeTemp(t, "two.c", twoPC)
+	mainWitness := "why may p.4 point to a.obj:\n" +
+		"   1. [allocation] ℓ2 a = alloc a.obj\n" +
+		"   2. [via a] ℓ15 *p.addr.3 = a\n" +
+		"   3. [in main.p] ℓ16 p.4 = *p.addr.3\n"
+	fWitness := "why may p.2 point to b.obj:\n" +
+		"   1. [allocation] ℓ3 b = alloc b.obj\n" +
+		"   2. [via b] ℓ9 *p.addr.1 = b\n" +
+		"   3. [in f.p] ℓ10 p.2 = *p.addr.1\n"
+	for _, tc := range []struct{ why, want string }{
+		{"main.p", mainWitness},
+		{"f.p", fWitness},
+		{"p", fWitness + mainWitness},
+		// "p" is not a function, so the dotted IR temp matches exactly.
+		{"p.4", mainWitness},
+	} {
+		code, out, errb := runCLI(t, "-why", tc.why, path)
+		if code != exitOK || out != tc.want {
+			t.Errorf("-why %s: exit = %d (stderr %q), out:\n%s\nwant:\n%s", tc.why, code, errb, out, tc.want)
+		}
+	}
+}
+
+// TestRunWhyBudgetDegrades: -why runs under the same budget ladder as
+// every other path, so a breach after Andersen degrades (exit 3) rather
+// than failing the run.
+func TestRunWhyBudgetDegrades(t *testing.T) {
+	src := budgetIR(600)
+	path := writeTemp(t, "big.vir", src)
+	aSteps, _ := auxSpend(t, src)
+	code, _, errb := runCLI(t, "-why", "p", "-max-steps", strconv.FormatInt(aSteps, 10), path)
+	if code != exitDegraded || !strings.Contains(errb, "degraded") {
+		t.Fatalf("-why -max-steps %d: exit = %d, want %d (stderr %q)", aSteps, code, exitDegraded, errb)
+	}
+}
+
+// TestRunDotMatchesPipeline: -dot prints exactly the pristine SVFG the
+// staged pipeline builds, for both input languages.
+func TestRunDotMatchesPipeline(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		build     func(string) (*ir.Program, error)
+	}{
+		{"p.c", buggyC, lang.Compile},
+		{"p.vir", okIR, irparse.Parse},
+	} {
+		prog, err := tc.build(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aux := andersen.Analyze(prog)
+		var want strings.Builder
+		if err := svfg.Build(prog, aux, memssa.Build(prog, aux)).WriteDot(&want); err != nil {
+			t.Fatal(err)
+		}
+		code, out, errb := runCLI(t, "-dot", writeTemp(t, tc.name, tc.src))
+		if code != exitOK || out != want.String() {
+			t.Errorf("-dot %s: exit = %d (stderr %q), out:\n%s\nwant:\n%s", tc.name, code, errb, out, want.String())
+		}
 	}
 }
 
@@ -243,6 +337,21 @@ func budgetIR(n int) string {
 	return b.String()
 }
 
+// auxSpend returns the steps and bytes Andersen's analysis alone spends
+// on the IR program src, measured under an instrumented budget.
+func auxSpend(t *testing.T, src string) (steps, bytes int64) {
+	t.Helper()
+	prog, err := irparse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux := guard.NewBudget(1<<40, 1<<40, 0)
+	if _, err := andersen.AnalyzeContext(guard.WithBudget(context.Background(), aux), prog); err != nil {
+		t.Fatal(err)
+	}
+	return aux.StepsUsed(), aux.BytesUsed()
+}
+
 // TestRunBudgetDegrades drives -max-steps and -max-mem end-to-end. The
 // limits are computed adaptively: run Andersen alone and the full
 // pipeline under instrumented budgets, then pick a limit past what
@@ -252,15 +361,7 @@ func TestRunBudgetDegrades(t *testing.T) {
 	src := budgetIR(600)
 	path := writeTemp(t, "big.vir", src)
 
-	prog, err := irparse.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aux := guard.NewBudget(1<<40, 1<<40, 0)
-	if _, err := andersen.AnalyzeContext(guard.WithBudget(context.Background(), aux), prog); err != nil {
-		t.Fatal(err)
-	}
-	aSteps, aBytes := aux.StepsUsed(), aux.BytesUsed()
+	aSteps, aBytes := auxSpend(t, src)
 
 	full := guard.NewBudget(1<<40, 1<<40, 0)
 	if _, err := vsfs.AnalyzeContext(guard.WithBudget(context.Background(), full), src,

@@ -79,6 +79,15 @@ func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
 	return r.PointsTo(r.prog.ObjID(o))
 }
 
+// ConsumedSet answers the flow-sensitive question "what may o hold
+// immediately before the instruction labelled label" with the
+// flow-insensitive summary: the Andersen view collapses every such
+// question, like ObjectSummary, to pts_aux(o), which is exactly the
+// over-approximation the oracle's ordering invariants quantify.
+func (r *Result) ConsumedSet(label uint32, o ir.Obj) *bitset.Sparse {
+	return r.ObjectSummary(o)
+}
+
 var emptySet = bitset.New()
 
 // CalleesOf returns the functions a Call instruction may invoke.

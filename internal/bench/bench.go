@@ -177,7 +177,7 @@ func RunProfile(p workload.Profile, opts Options) Row {
 		row.CfgfreeStats = cr.Stats
 	}
 	start = time.Now()
-	row.CheckFindings = runCheckers(prog, lastVR)
+	row.CheckFindings = len(checker.MemorySafety(prog, lastVR))
 	row.CheckTime = time.Since(start)
 	row.SFSTime = sfsTotal / time.Duration(opts.Runs)
 	row.VSFSTime = vsfsTotal / time.Duration(opts.Runs)
@@ -501,26 +501,4 @@ func FormatVersionStats(rows []VersionRow) string {
 			r.SFSSets, r.VSFSSets, sr, r.Prelabels, r.DistinctVersions)
 	}
 	return b.String()
-}
-
-// checkFacts adapts a solved VSFS result to the checker interfaces.
-type checkFacts struct{ r *core.Result }
-
-func (f checkFacts) PointsTo(v ir.ID) *bitset.Sparse       { return f.r.PointsTo(v) }
-func (f checkFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return f.r.ObjectSummary(o) }
-func (f checkFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
-	return f.r.ConsumedSet(label, o)
-}
-
-// runCheckers runs the memory-safety checker suite once, returning the
-// total finding count (the work -check performs after solving).
-func runCheckers(prog *ir.Program, vr *core.Result) int {
-	facts := checkFacts{vr}
-	n := len(checker.NullDerefs(prog, facts))
-	n += len(checker.DanglingReturns(prog, facts))
-	n += len(checker.StackEscapes(prog, facts))
-	n += len(checker.UseAfterFrees(prog, facts))
-	n += len(checker.DoubleFrees(prog, facts))
-	n += len(checker.MemoryLeaks(prog, facts))
-	return n
 }

@@ -27,9 +27,10 @@
 // answer per-path precise.
 //
 // The checkers consume any solver's results through the PointsTo /
-// ObjectSummaries / FlowFacts interfaces, so the same client runs on
-// Andersen's, SFS or VSFS facts — with flow-sensitive facts giving
-// strictly more precise answers. See internal/oracle for the formal
+// ObjectSummaries / FlowFacts interfaces, which every backend's Result
+// implements directly, so the same client runs on Andersen's, SFS,
+// VSFS or CFG-free facts — with flow-sensitive facts giving strictly
+// more precise answers. See internal/oracle for the formal
 // relationships between the three solvers' findings.
 package checker
 
@@ -156,17 +157,38 @@ type ObjectSummaries interface {
 
 // FlowFacts is what the deallocation checkers need: top-level points-to
 // sets, per-object summaries, and the flow-sensitive contents of an
-// object at a program point. ContentsBefore(ℓ, o) is what o may hold
+// object at a program point. ConsumedSet(ℓ, o) is what o may hold
 // immediately before instruction ℓ executes — SFS answers it with
 // IN[ℓ](o), VSFS with the points-to set of o's consume version at ℓ,
-// and Andersen's over-approximates it with the object summary. It is
+// the CFG-free backend with its strong-update-window contents, and
+// Andersen's over-approximates it with the object summary. It is
 // meaningful whenever the memory-SSA pass placed a μ or χ for o at ℓ,
 // which holds for every o in the points-to set of ℓ's base pointer;
 // callers must not rely on it elsewhere.
+//
+// Every backend's *Result (andersen, sfs, core, cfgfree) satisfies
+// FlowFacts directly, under the same method names, so no caller needs
+// an adapter to hand a solved program to the checkers.
 type FlowFacts interface {
 	PointsTo
 	ObjectSummaries
-	ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse
+	ConsumedSet(label uint32, o ir.Obj) *bitset.Sparse
+}
+
+// MemorySafety runs the memory-safety suite over one backend's facts —
+// null-deref, dangling-return, stack-escape, use-after-free,
+// double-free, memory-leak, in that order — and returns the findings
+// concatenated in that order. The taint checker is not part of it: it
+// needs a source and a sink (see Leaks).
+func MemorySafety(prog *ir.Program, facts FlowFacts) []Finding {
+	var all []Finding
+	all = append(all, NullDerefs(prog, facts)...)
+	all = append(all, DanglingReturns(prog, facts)...)
+	all = append(all, StackEscapes(prog, facts)...)
+	all = append(all, UseAfterFrees(prog, facts)...)
+	all = append(all, DoubleFrees(prog, facts)...)
+	all = append(all, MemoryLeaks(prog, facts)...)
+	return all
 }
 
 // StackEscapes reports stores that publish a local's address into

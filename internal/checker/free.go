@@ -58,7 +58,7 @@ func UseAfterFrees(prog *ir.Program, facts FlowFacts) []Finding {
 				if o == freed {
 					return
 				}
-				if facts.ContentsBefore(in.Label, ir.Obj(o)).Has(freed) {
+				if facts.ConsumedSet(in.Label, ir.Obj(o)).Has(freed) {
 					out = append(out, Finding{
 						Kind:  UseAfterFree,
 						Func:  f.Name,
@@ -94,7 +94,7 @@ func DoubleFrees(prog *ir.Program, facts FlowFacts) []Finding {
 				if o == freed {
 					return
 				}
-				if facts.ContentsBefore(in.Label, ir.Obj(o)).Has(freed) {
+				if facts.ConsumedSet(in.Label, ir.Obj(o)).Has(freed) {
 					out = append(out, Finding{
 						Kind:  DoubleFree,
 						Func:  f.Name,

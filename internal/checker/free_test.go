@@ -3,28 +3,10 @@ package checker
 import (
 	"strings"
 	"testing"
-
-	"vsfs/internal/bitset"
-	"vsfs/internal/core"
-	"vsfs/internal/ir"
 )
 
-// coreFacts adapts the VSFS result to FlowFacts: the contents of o
-// entering ℓ are the points-to set of o's consume version at ℓ.
-type coreFacts struct{ *core.Result }
-
-func (c coreFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
-	return c.ConsumedSet(label, o)
-}
-
-func solveFacts(t *testing.T, src string) (*ir.Program, coreFacts) {
-	t.Helper()
-	prog, res := solve(t, src)
-	return prog, coreFacts{res}
-}
-
 func TestUseAfterFree(t *testing.T) {
-	prog, facts := solveFacts(t, `
+	prog, facts := solve(t, `
 int main() {
   int *p;
   p = malloc();
@@ -51,7 +33,7 @@ int main() {
 }
 
 func TestUseAfterFreeCleanAfterRealloc(t *testing.T) {
-	prog, facts := solveFacts(t, `
+	prog, facts := solve(t, `
 int main() {
   int *p;
   p = malloc();
@@ -71,7 +53,7 @@ int main() {
 }
 
 func TestUseAfterFreeDanglingValue(t *testing.T) {
-	prog, facts := solveFacts(t, `
+	prog, facts := solve(t, `
 int main() {
   int x;
   int **q;
@@ -100,7 +82,7 @@ int main() {
 }
 
 func TestDoubleFree(t *testing.T) {
-	prog, facts := solveFacts(t, `
+	prog, facts := solve(t, `
 int main() {
   int *p;
   p = malloc();
@@ -120,7 +102,7 @@ int main() {
 }
 
 func TestDoubleFreeBranchMerge(t *testing.T) {
-	prog, facts := solveFacts(t, `
+	prog, facts := solve(t, `
 int main(int c) {
   int *p;
   p = malloc();
@@ -141,7 +123,7 @@ int main(int c) {
 }
 
 func TestFreeCleanProgram(t *testing.T) {
-	prog, facts := solveFacts(t, `
+	prog, facts := solve(t, `
 int main() {
   int *p;
   p = malloc();
@@ -159,7 +141,7 @@ int main() {
 }
 
 func TestFreeCheckersSkipFreeLessPrograms(t *testing.T) {
-	prog, facts := solveFacts(t, `int main() { int *p; p = malloc(); return 0; }`)
+	prog, facts := solve(t, `int main() { int *p; p = malloc(); return 0; }`)
 	if f := UseAfterFrees(prog, facts); f != nil {
 		t.Errorf("use-after-frees = %v, want nil fast path", f)
 	}
@@ -169,7 +151,7 @@ func TestFreeCheckersSkipFreeLessPrograms(t *testing.T) {
 }
 
 func TestMemoryLeaks(t *testing.T) {
-	prog, facts := solveFacts(t, `
+	prog, facts := solve(t, `
 int *keep;
 
 int *make() {
@@ -210,7 +192,7 @@ int main() {
 }
 
 func TestMemoryLeaksMainLocalsAreRoots(t *testing.T) {
-	prog, facts := solveFacts(t, `
+	prog, facts := solve(t, `
 int main() {
   int *p;
   p = malloc();

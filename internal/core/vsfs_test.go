@@ -326,7 +326,7 @@ func equalResults(t *testing.T, prog *ir.Program, g *svfg.Graph, s *sfs.Result, 
 				}
 			case ir.Load:
 				g.MSSA.MuOf(in.Label).ForEach(func(o uint32) {
-					ss := s.InSet(in.Label, ir.Obj(o))
+					ss := s.ConsumedSet(in.Label, ir.Obj(o))
 					vs := v.ConsumedSet(in.Label, ir.Obj(o))
 					if !ss.Equal(vs) {
 						t.Fatalf("consumed set of %s at load %d: SFS %v ≠ VSFS %v",

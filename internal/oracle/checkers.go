@@ -1,59 +1,20 @@
 package oracle
 
 import (
-	"vsfs/internal/bitset"
 	checks "vsfs/internal/checker"
 	"vsfs/internal/ir"
 )
 
-// Facts adapters: one checker.FlowFacts view per analysis. The Andersen
-// view answers every flow-sensitive question with the flow-insensitive
-// summary — ContentsBefore(ℓ, o) and ObjectSummary(o) both collapse to
-// pts_aux(o) — which is exactly the over-approximation the ordering
-// invariants below quantify.
-
-type sfsFacts struct{ b *Bundle }
-
-func (f sfsFacts) PointsTo(v ir.ID) *bitset.Sparse       { return f.b.SFS.PointsTo(v) }
-func (f sfsFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return f.b.SFS.ObjectSummary(o) }
-func (f sfsFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
-	return f.b.SFS.InSet(label, o)
-}
-
-type vsfsFacts struct{ b *Bundle }
-
-func (f vsfsFacts) PointsTo(v ir.ID) *bitset.Sparse       { return f.b.VSFS.PointsTo(v) }
-func (f vsfsFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return f.b.VSFS.ObjectSummary(o) }
-func (f vsfsFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
-	return f.b.VSFS.ConsumedSet(label, o)
-}
-
-type auxFacts struct{ b *Bundle }
-
-func (f auxFacts) PointsTo(v ir.ID) *bitset.Sparse       { return f.b.Aux.PointsTo(v) }
-func (f auxFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return f.b.Aux.ObjectSummary(o) }
-func (f auxFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
-	return f.b.Aux.ObjectSummary(o)
-}
-
-// runCheckers runs the full memory-safety checker suite over one facts
-// view and buckets the rendered findings by kind. The taint checker is
+// runCheckers runs the memory-safety checker suite over one backend's
+// facts and buckets the rendered findings by kind. The taint checker is
 // deliberately absent: its sanitizer step subtracts a may-analysis fact,
 // so precision is not monotone in the underlying points-to sets and no
 // ordering invariant relates the three analyses (see checker.Leaks).
 func runCheckers(prog *ir.Program, facts checks.FlowFacts) map[checks.Kind][]string {
 	out := map[checks.Kind][]string{}
-	add := func(fs []checks.Finding) {
-		for _, f := range fs {
-			out[f.Kind] = append(out[f.Kind], f.String())
-		}
+	for _, f := range checks.MemorySafety(prog, facts) {
+		out[f.Kind] = append(out[f.Kind], f.String())
 	}
-	add(checks.NullDerefs(prog, facts))
-	add(checks.DanglingReturns(prog, facts))
-	add(checks.StackEscapes(prog, facts))
-	add(checks.UseAfterFrees(prog, facts))
-	add(checks.DoubleFrees(prog, facts))
-	add(checks.MemoryLeaks(prog, facts))
 	return out
 }
 
@@ -91,9 +52,9 @@ var antitoneKinds = []checks.Kind{
 // elementwise, not just in aggregate counts.
 func (c *checker) checkCheckers() {
 	prog := c.b.Prog
-	sf := runCheckers(prog, sfsFacts{c.b})
-	vf := runCheckers(prog, vsfsFacts{c.b})
-	af := runCheckers(prog, auxFacts{c.b})
+	sf := runCheckers(prog, c.b.SFS)
+	vf := runCheckers(prog, c.b.VSFS)
+	af := runCheckers(prog, c.b.Aux)
 
 	for _, kind := range checks.Kinds() {
 		if c.full {

@@ -15,6 +15,7 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vsfs/internal/andersen"
 	"vsfs/internal/bitset"
@@ -196,8 +197,33 @@ func (c *checker) checkTopLevel() {
 //	sfs-in-subset-aux: IN_SFS[ℓ](o) ⊆ pts_aux(o)
 func (c *checker) checkMemory() {
 	b := c.b
-	mssa := b.Graph.MSSA
-	for _, f := range b.Prog.Funcs {
+	c.walk(func(in *ir.Instr, o ir.Obj) {
+		ss, vs := b.SFS.ConsumedSet(in.Label, o), b.VSFS.ConsumedSet(in.Label, o)
+		if !ss.Equal(vs) {
+			c.failf("vsfs-eq-consumed", "%s ℓ%d, %s: SFS IN %v ≠ VSFS %v",
+				in.Op, in.Label, b.Prog.ObjValue(o).Name, ss, vs)
+		}
+		if in.Op == ir.Load {
+			if !ss.SubsetOf(b.Aux.ObjectSummary(o)) {
+				c.failf("sfs-in-subset-aux", "load ℓ%d, %s: IN %v ⊄ Andersen %v",
+					in.Label, b.Prog.ObjValue(o).Name, ss, b.Aux.ObjectSummary(o))
+			}
+			return
+		}
+		so, vo := b.SFS.YieldedSet(in.Label, o), b.VSFS.YieldedSet(in.Label, o)
+		if !so.Equal(vo) {
+			c.failf("vsfs-eq-yielded", "store ℓ%d, %s: SFS OUT %v ≠ VSFS %v",
+				in.Label, b.Prog.ObjValue(o).Name, so, vo)
+		}
+	}, nil)
+}
+
+// walk visits the program in instruction order until the violation cap
+// is reached: access(in, o) for every object o a load μ-references or a
+// store χ-defines, and call(in) for every call. Either may be nil.
+func (c *checker) walk(access func(in *ir.Instr, o ir.Obj), call func(in *ir.Instr)) {
+	mssa := c.b.Graph.MSSA
+	for _, f := range c.b.Prog.Funcs {
 		if c.full {
 			return
 		}
@@ -206,36 +232,48 @@ func (c *checker) checkMemory() {
 				return
 			}
 			switch in.Op {
-			case ir.Load:
-				mssa.MuOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.Obj(o32)
-					ss, vs := b.SFS.InSet(in.Label, o), b.VSFS.ConsumedSet(in.Label, o)
-					if !ss.Equal(vs) {
-						c.failf("vsfs-eq-consumed", "load ℓ%d, %s: SFS IN %v ≠ VSFS %v",
-							in.Label, b.Prog.ObjValue(o).Name, ss, vs)
-					}
-					if !ss.SubsetOf(b.Aux.ObjectSummary(o)) {
-						c.failf("sfs-in-subset-aux", "load ℓ%d, %s: IN %v ⊄ Andersen %v",
-							in.Label, b.Prog.ObjValue(o).Name, ss, b.Aux.ObjectSummary(o))
-					}
-				})
-			case ir.Store:
-				mssa.ChiOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.Obj(o32)
-					ss, vs := b.SFS.InSet(in.Label, o), b.VSFS.ConsumedSet(in.Label, o)
-					if !ss.Equal(vs) {
-						c.failf("vsfs-eq-consumed", "store ℓ%d, %s: SFS IN %v ≠ VSFS %v",
-							in.Label, b.Prog.ObjValue(o).Name, ss, vs)
-					}
-					so, vo := b.SFS.OutSet(in.Label, o), b.VSFS.YieldedSet(in.Label, o)
-					if !so.Equal(vo) {
-						c.failf("vsfs-eq-yielded", "store ℓ%d, %s: SFS OUT %v ≠ VSFS %v",
-							in.Label, b.Prog.ObjValue(o).Name, so, vo)
-					}
-				})
+			case ir.Call:
+				if call != nil {
+					call(in)
+				}
+			case ir.Load, ir.Store:
+				if access == nil {
+					return
+				}
+				objs := mssa.MuOf(in.Label)
+				if in.Op == ir.Store {
+					objs = mssa.ChiOf(in.Label)
+				}
+				objs.ForEach(func(o uint32) { access(in, ir.Obj(o)) })
 			}
 		})
 	}
+}
+
+// resolver is the call-graph half of the query surface every backend's
+// Result shares.
+type resolver interface {
+	CalleesOf(call *ir.Instr) []*ir.Function
+}
+
+// sameCallees returns the callee lists a and b resolve for call and
+// whether they are equal, order included.
+func sameCallees(a, b resolver, call *ir.Instr) (ca, cb []*ir.Function, equal bool) {
+	ca, cb = a.CalleesOf(call), b.CalleesOf(call)
+	return ca, cb, slices.Equal(ca, cb)
+}
+
+// extraCallees returns the callees sub resolves for call that sup does
+// not, in sub's order.
+func extraCallees(sub, sup resolver, call *ir.Instr) []*ir.Function {
+	have := sup.CalleesOf(call)
+	var out []*ir.Function
+	for _, g := range sub.CalleesOf(call) {
+		if !slices.Contains(have, g) {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // checkCallGraph asserts per call site:
@@ -244,39 +282,18 @@ func (c *checker) checkMemory() {
 //	sfs-cg-subset-aux:  callees_SFS ⊆ callees_aux  (indirect calls)
 func (c *checker) checkCallGraph() {
 	b := c.b
-	for _, f := range b.Prog.Funcs {
-		if c.full {
+	c.walk(nil, func(in *ir.Instr) {
+		if sc, vc, eq := sameCallees(b.SFS, b.VSFS, in); !eq {
+			c.failf("vsfs-eq-callgraph", "call ℓ%d: SFS %v ≠ VSFS %v", in.Label, sc, vc)
 			return
 		}
-		f.ForEachInstr(func(in *ir.Instr) {
-			if c.full || in.Op != ir.Call {
-				return
+		if in.IsIndirectCall() {
+			for _, g := range extraCallees(b.SFS, b.Aux, in) {
+				c.failf("sfs-cg-subset-aux", "call ℓ%d: SFS resolves %s, Andersen does not",
+					in.Label, g.Name)
 			}
-			sc, vc := b.SFS.CalleesOf(in), b.VSFS.CalleesOf(in)
-			if len(sc) != len(vc) {
-				c.failf("vsfs-eq-callgraph", "call ℓ%d: SFS %v ≠ VSFS %v", in.Label, sc, vc)
-				return
-			}
-			for i := range sc {
-				if sc[i] != vc[i] {
-					c.failf("vsfs-eq-callgraph", "call ℓ%d: SFS %v ≠ VSFS %v", in.Label, sc, vc)
-					return
-				}
-			}
-			if in.IsIndirectCall() {
-				aux := map[*ir.Function]bool{}
-				for _, g := range b.Aux.CalleesOf(in) {
-					aux[g] = true
-				}
-				for _, g := range sc {
-					if !aux[g] {
-						c.failf("sfs-cg-subset-aux", "call ℓ%d: SFS resolves %s, Andersen does not",
-							in.Label, g.Name)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // checkStorage asserts the paper's storage claim: VSFS never keeps more
@@ -403,63 +420,30 @@ func (c *checker) checkCfgfree() {
 				b.Prog.NameOf(id), b.SFS.PointsTo(id), cp)
 		}
 	}
-	mssa := b.Graph.MSSA
-	for _, f := range b.Prog.Funcs {
-		if c.full {
+	c.walk(func(in *ir.Instr, o ir.Obj) {
+		ss, cs := b.SFS.ConsumedSet(in.Label, o), cf.ConsumedSet(in.Label, o)
+		if !ss.SubsetOf(cs) {
+			c.failf("sfs-subset-cfgfree", "%s ℓ%d, %s: SFS IN %v ⊄ cfgfree consumed %v",
+				in.Op, in.Label, b.Prog.ObjValue(o).Name, ss, cs)
+		}
+		if in.Op != ir.Store {
 			return
 		}
-		f.ForEachInstr(func(in *ir.Instr) {
-			if c.full {
-				return
-			}
-			switch in.Op {
-			case ir.Load:
-				mssa.MuOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.Obj(o32)
-					ss, cs := b.SFS.InSet(in.Label, o), cf.ConsumedSet(in.Label, o)
-					if !ss.SubsetOf(cs) {
-						c.failf("sfs-subset-cfgfree", "load ℓ%d, %s: SFS IN %v ⊄ cfgfree consumed %v",
-							in.Label, b.Prog.ObjValue(o).Name, ss, cs)
-					}
-				})
-			case ir.Store:
-				mssa.ChiOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.Obj(o32)
-					ss, cs := b.SFS.InSet(in.Label, o), cf.ConsumedSet(in.Label, o)
-					if !ss.SubsetOf(cs) {
-						c.failf("sfs-subset-cfgfree", "store ℓ%d, %s: SFS IN %v ⊄ cfgfree consumed %v",
-							in.Label, b.Prog.ObjValue(o).Name, ss, cs)
-					}
-					so, co := b.SFS.OutSet(in.Label, o), cf.YieldedSet(in.Label, o)
-					if !so.SubsetOf(co) {
-						c.failf("sfs-subset-cfgfree", "store ℓ%d, %s: SFS OUT %v ⊄ cfgfree yielded %v",
-							in.Label, b.Prog.ObjValue(o).Name, so, co)
-					}
-				})
-			case ir.Call:
-				cset := map[*ir.Function]bool{}
-				for _, g := range cf.CalleesOf(in) {
-					cset[g] = true
-				}
-				for _, g := range b.SFS.CalleesOf(in) {
-					if !cset[g] {
-						c.failf("cfgfree-cg-bracket", "call ℓ%d: SFS resolves %s, cfgfree does not",
-							in.Label, g.Name)
-					}
-				}
-				aset := map[*ir.Function]bool{}
-				for _, g := range b.Aux.CalleesOf(in) {
-					aset[g] = true
-				}
-				for _, g := range cf.CalleesOf(in) {
-					if !aset[g] {
-						c.failf("cfgfree-cg-bracket", "call ℓ%d: cfgfree resolves %s, Andersen does not",
-							in.Label, g.Name)
-					}
-				}
-			}
-		})
-	}
+		so, co := b.SFS.YieldedSet(in.Label, o), cf.YieldedSet(in.Label, o)
+		if !so.SubsetOf(co) {
+			c.failf("sfs-subset-cfgfree", "store ℓ%d, %s: SFS OUT %v ⊄ cfgfree yielded %v",
+				in.Label, b.Prog.ObjValue(o).Name, so, co)
+		}
+	}, func(in *ir.Instr) {
+		for _, g := range extraCallees(b.SFS, cf, in) {
+			c.failf("cfgfree-cg-bracket", "call ℓ%d: SFS resolves %s, cfgfree does not",
+				in.Label, g.Name)
+		}
+		for _, g := range extraCallees(cf, b.Aux, in) {
+			c.failf("cfgfree-cg-bracket", "call ℓ%d: cfgfree resolves %s, Andersen does not",
+				in.Label, g.Name)
+		}
+	})
 	if err := cfgfree.Verify(b.Prog, b.Aux, cf); err != nil {
 		c.failf("cfgfree-replay", "%v", err)
 	}
@@ -558,40 +542,25 @@ func (c *checker) checkResolve() {
 			c.failf("solve-determinism", "VSFS re-solve differs at pts(%s)", b.Prog.NameOf(id))
 		}
 	}
-	for _, f := range b.Prog.Funcs {
-		if c.full {
-			return
-		}
-		f.ForEachInstr(func(in *ir.Instr) {
-			if c.full || in.Op != ir.Call {
-				return
-			}
-			v1, v2 := b.VSFS.CalleesOf(in), vsfs2.CalleesOf(in)
+	c.walk(nil, func(in *ir.Instr) {
+		if v1, v2, eq := sameCallees(b.VSFS, vsfs2, in); !eq {
 			if len(v1) != len(v2) {
 				c.failf("solve-determinism", "VSFS re-solve call graph differs at ℓ%d", in.Label)
-				return
+			} else {
+				c.failf("solve-determinism", "VSFS re-solve callee order differs at ℓ%d: %v vs %v",
+					in.Label, v1, v2)
 			}
-			for i := range v1 {
-				if v1[i] != v2[i] {
-					c.failf("solve-determinism", "VSFS re-solve callee order differs at ℓ%d: %v vs %v",
-						in.Label, v1, v2)
-					return
-				}
-			}
-			c1, c2 := b.CFGFree.CalleesOf(in), cf2.CalleesOf(in)
+			return
+		}
+		if c1, c2, eq := sameCallees(b.CFGFree, cf2, in); !eq {
 			if len(c1) != len(c2) {
 				c.failf("cfgfree-determinism", "cfgfree re-solve call graph differs at ℓ%d", in.Label)
-				return
+			} else {
+				c.failf("cfgfree-determinism", "cfgfree re-solve callee order differs at ℓ%d: %v vs %v",
+					in.Label, c1, c2)
 			}
-			for i := range c1 {
-				if c1[i] != c2[i] {
-					c.failf("cfgfree-determinism", "cfgfree re-solve callee order differs at ℓ%d: %v vs %v",
-						in.Label, c1, c2)
-					return
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // CountInstrs counts the user-visible instructions of a program — the

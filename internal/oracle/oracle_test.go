@@ -267,7 +267,7 @@ func TestCheckerInvariantsWithFrees(t *testing.T) {
 		prog := workload.Random(seed, cfg)
 		b := SolveBundle(prog)
 		reportAll(t, fmt.Sprintf("free seed %d", seed), Check(b, Options{SkipResolve: true}))
-		for _, fs := range runCheckers(prog, vsfsFacts{b}) {
+		for _, fs := range runCheckers(prog, b.VSFS) {
 			if len(fs) > 0 {
 				sawFindings = true
 			}
@@ -278,9 +278,9 @@ func TestCheckerInvariantsWithFrees(t *testing.T) {
 	}
 }
 
-// TestCheckerInvariantAdapters pins the dispatch of each facts view on
-// a concrete free-bearing program: SFS answers ContentsBefore with IN
-// sets, VSFS with consume versions, Andersen with the summary.
+// TestCheckerInvariantAdapters pins each backend's facts on a concrete
+// free-bearing program: SFS answers ConsumedSet with IN sets, VSFS with
+// consume versions, Andersen with the summary.
 func TestCheckerInvariantAdapters(t *testing.T) {
 	src := `global g1 0
 func main() {
@@ -298,15 +298,15 @@ entry:
 		t.Fatal(err)
 	}
 	b := SolveBundle(prog)
-	vf := runCheckers(prog, vsfsFacts{b})
+	vf := runCheckers(prog, b.VSFS)
 	if len(vf["use-after-free"]) == 0 {
 		t.Fatalf("no use-after-free from VSFS facts: %v", vf)
 	}
-	sf := runCheckers(prog, sfsFacts{b})
+	sf := runCheckers(prog, b.SFS)
 	if fmt.Sprint(sf) != fmt.Sprint(vf) {
 		t.Errorf("SFS facts %v != VSFS facts %v", sf, vf)
 	}
-	af := runCheckers(prog, auxFacts{b})
+	af := runCheckers(prog, b.Aux)
 	if len(af["use-after-free"]) < len(vf["use-after-free"]) {
 		t.Errorf("Andersen facts report fewer UAFs (%v) than VSFS (%v)", af, vf)
 	}

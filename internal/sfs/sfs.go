@@ -90,19 +90,20 @@ func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
 	return out
 }
 
-// InSet returns IN[ℓ](o); used by tests and the precision-equivalence
-// checks against VSFS.
-func (r *Result) InSet(label uint32, o ir.Obj) *bitset.Sparse {
+// ConsumedSet returns IN[ℓ](o): what object o may hold immediately
+// before the instruction labelled ℓ — the set VSFS answers with
+// pt_{ξ_ℓ(o)}(o).
+func (r *Result) ConsumedSet(label uint32, o ir.Obj) *bitset.Sparse {
 	if sl, ok := r.Graph.Slot(label, o); ok {
 		return r.inAt(sl)
 	}
 	return empty
 }
 
-// OutSet returns OUT[ℓ](o) as the propagation rules see it: the store's
+// YieldedSet returns OUT[ℓ](o) as the propagation rules see it: the store's
 // own OUT entry if it has one, otherwise IN (all other nodes are
 // identity for objects).
-func (r *Result) OutSet(label uint32, o ir.Obj) *bitset.Sparse {
+func (r *Result) YieldedSet(label uint32, o ir.Obj) *bitset.Sparse {
 	if sl, ok := r.Graph.Slot(label, o); ok {
 		if set := r.out[sl]; set != nil {
 			return set
@@ -349,7 +350,7 @@ func (s *state) process(in *ir.Instr) {
 	case ir.Load:
 		// [LOAD]: pt(p) ⊇ IN[ℓ](o) for each o ∈ pt(q).
 		s.ptOf(in.Uses[0]).Clone().ForEach(func(o uint32) {
-			s.addPt(in.Def, s.InSet(l, ir.Obj(o)))
+			s.addPt(in.Def, s.ConsumedSet(l, ir.Obj(o)))
 		})
 
 	case ir.Store:
@@ -502,7 +503,7 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 					g.AddIndirectEdge(exit, ret.Label, ir.Obj(o))
 					// Ship anything already sitting at the exit.
 					t, _ := g.Slot(ret.Label, ir.Obj(o))
-					s.propagate(t, s.InSet(exit, ir.Obj(o)))
+					s.propagate(t, s.ConsumedSet(exit, ir.Obj(o)))
 				}
 			})
 		}

@@ -3,9 +3,7 @@ package vsfs
 import (
 	"encoding/json"
 
-	"vsfs/internal/bitset"
 	"vsfs/internal/checker"
-	"vsfs/internal/ir"
 	"vsfs/internal/obs"
 )
 
@@ -110,17 +108,6 @@ func (rep Report) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(rep, "", "  ")
 }
 
-// resultFacts adapts Result to the checker interfaces (including
-// checker.FlowFacts), dispatching to whichever analysis the run
-// selected.
-type resultFacts struct{ r *Result }
-
-func (a resultFacts) PointsTo(v ir.ID) *bitset.Sparse       { return a.r.pointsTo(v) }
-func (a resultFacts) ObjectSummary(o ir.Obj) *bitset.Sparse { return a.r.objectSummary(o) }
-func (a resultFacts) ContentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
-	return a.r.contentsBefore(label, o)
-}
-
 // CheckConfig tunes Result.CheckWith. The zero value runs the
 // memory-safety checkers only; naming both a taint source and sink adds
 // the information-flow checker, optionally hardened with sanitizer
@@ -148,20 +135,13 @@ func (r *Result) Check() []Finding {
 
 // CheckWith is Check plus optional taint checking; see CheckConfig.
 func (r *Result) CheckWith(cfg CheckConfig) []Finding {
-	facts := resultFacts{r}
-	var all []checker.Finding
-	all = append(all, checker.NullDerefs(r.prog, facts)...)
-	all = append(all, checker.DanglingReturns(r.prog, facts)...)
-	all = append(all, checker.StackEscapes(r.prog, facts)...)
-	all = append(all, checker.UseAfterFrees(r.prog, facts)...)
-	all = append(all, checker.DoubleFrees(r.prog, facts)...)
-	all = append(all, checker.MemoryLeaks(r.prog, facts)...)
+	all := checker.MemorySafety(r.prog, r.backend)
 	if cfg.TaintSource != "" && cfg.TaintSink != "" {
 		sans := make([]checker.LeakSanitizer, 0, len(cfg.TaintSanitizers))
 		for _, s := range cfg.TaintSanitizers {
 			sans = append(sans, checker.LeakSanitizer{Func: s})
 		}
-		all = append(all, checker.Leaks(r.prog, facts, facts,
+		all = append(all, checker.Leaks(r.prog, r.backend, r.backend,
 			checker.LeakSource{Func: cfg.TaintSource},
 			checker.LeakSink{Func: cfg.TaintSink}, sans...)...)
 	}

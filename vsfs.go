@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -41,6 +42,7 @@ import (
 	"vsfs/internal/andersen"
 	"vsfs/internal/bitset"
 	"vsfs/internal/cfgfree"
+	"vsfs/internal/checker"
 	"vsfs/internal/core"
 	"vsfs/internal/guard"
 	"vsfs/internal/ir"
@@ -169,9 +171,11 @@ type Result struct {
 	aux  *andersen.Result
 	g    *svfg.Graph
 
-	sfsRes  *sfs.Result
-	vsfsRes *core.Result
-	cfRes   *cfgfree.Result
+	// backend is the solved result that answers every query: the SFS,
+	// VSFS or CFG-free result, or aux itself for Andersen runs and runs
+	// that bottomed out on the flow-insensitive floor. It never holds a
+	// nil pointer.
+	backend backend
 
 	timings Timings
 
@@ -196,14 +200,32 @@ type Result struct {
 	// of failing: a VSFS/SFS run first retries on the CFG-free backend
 	// (flow-sensitive, much cheaper) under a fresh budget, and only if
 	// that breaches too falls back to the flow-insensitive Andersen
-	// result. mode is rewritten to the rung that answered, so every
-	// query dispatches exactly as a standalone run of that backend
-	// would.
+	// result. mode and backend are rewritten to the rung that answered,
+	// so every query answers exactly as a standalone run of that
+	// backend would.
 	requested        Mode
 	degraded         bool
 	degradation      string
 	degradedPhase    string
 	degradedResource string
+}
+
+// backend is the query surface every solver's Result shares: the
+// checkers' flow facts (PointsTo, ObjectSummary, ConsumedSet) plus the
+// resolved call graph. *andersen.Result, *sfs.Result, *core.Result and
+// *cfgfree.Result all satisfy it under the same method names.
+type backend interface {
+	checker.FlowFacts
+	CalleesOf(call *ir.Instr) []*ir.Function
+}
+
+// solved converts a solver's (result, error) pair into a backend,
+// leaving the interface nil on error rather than holding a nil pointer.
+func solved[T backend](res T, err error) (backend, error) {
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Timings returns the per-phase wall-clock durations of the run.
@@ -316,9 +338,7 @@ func (r *Result) degrade(be *guard.ErrBudgetExceeded) {
 	r.degradation = fmt.Sprintf(
 		"%s budget exceeded in %s phase (limit %d); fell back to flow-insensitive (Andersen) result",
 		be.Resource, be.Phase, be.Limit)
-	r.sfsRes = nil
-	r.vsfsRes = nil
-	r.cfRes = nil
+	r.backend = r.aux
 }
 
 // degradeVia is the degradation ladder. A requested VSFS/SFS run that
@@ -375,38 +395,8 @@ func (r *Result) degradeVia(ctx context.Context, hash string, be *guard.ErrBudge
 	r.degradation = fmt.Sprintf(
 		"%s budget exceeded in %s phase (limit %d); fell back to CFG-free flow-sensitive result",
 		be.Resource, be.Phase, be.Limit)
-	r.sfsRes = nil
-	r.vsfsRes = nil
-	r.cfRes = cf
+	r.backend = cf
 	return nil
-}
-
-// pointsTo dispatches to the selected analysis. Like every object set
-// below it, the result holds object numbers (ir.Obj).
-func (r *Result) pointsTo(v ir.ID) *bitset.Sparse {
-	switch r.mode {
-	case SFS:
-		return r.sfsRes.PointsTo(v)
-	case FlowInsensitive:
-		return r.aux.PointsTo(v)
-	case CFGFree:
-		return r.cfRes.PointsTo(v)
-	default:
-		return r.vsfsRes.PointsTo(v)
-	}
-}
-
-func (r *Result) calleesOf(call *ir.Instr) []*ir.Function {
-	switch r.mode {
-	case SFS:
-		return r.sfsRes.CalleesOf(call)
-	case FlowInsensitive:
-		return r.aux.CalleesOf(call)
-	case CFGFree:
-		return r.cfRes.CalleesOf(call)
-	default:
-		return r.vsfsRes.CalleesOf(call)
-	}
 }
 
 // AnalyzeC compiles mini-C source and solves it.
@@ -517,9 +507,10 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, hash st
 		// the phase wrapper is "solve" like every other main phase.
 		t := time.Now()
 		sp = obs.StartSpan(ctx, "solve").Arg("mode", opts.Mode.String())
+		var res backend
 		err = guard.Recover(ctx, "solve", hash, func() error {
 			var cerr error
-			r.cfRes, cerr = cfgfree.SolveContext(ctx, prog, r.aux)
+			res, cerr = solved(cfgfree.SolveContext(ctx, prog, r.aux))
 			return cerr
 		})
 		sp.End()
@@ -531,6 +522,7 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, hash st
 			}
 			return nil, err
 		}
+		r.backend = res
 		return finish()
 	}
 
@@ -580,15 +572,16 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, hash st
 
 	t = time.Now()
 	sp = obs.StartSpan(ctx, "solve").Arg("mode", opts.Mode.String())
+	// FlowInsensitive answers from the auxiliary result; its pipeline
+	// stops at the pristine SVFG (see WriteDot).
+	var res backend = r.aux
 	err = guard.Recover(ctx, "solve", hash, func() error {
 		var serr error
 		switch opts.Mode {
 		case SFS:
-			r.sfsRes, serr = sfs.SolveContext(ctx, r.g)
-		case FlowInsensitive:
-			// Auxiliary results only.
-		default:
-			r.vsfsRes, serr = core.SolveContext(ctx, r.g)
+			res, serr = solved(sfs.SolveContext(ctx, r.g))
+		case VSFS:
+			res, serr = solved(core.SolveContext(ctx, r.g))
 		}
 		return serr
 	})
@@ -603,6 +596,7 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, hash st
 		}
 		return nil, err
 	}
+	r.backend = res
 	return finish()
 }
 
@@ -648,39 +642,6 @@ func definedIn(prog *ir.Program, f *ir.Function, v ir.ID) bool {
 	return found
 }
 
-// objectSummary returns everything object o may ever hold, under the
-// selected analysis.
-func (r *Result) objectSummary(o ir.Obj) *bitset.Sparse {
-	switch r.mode {
-	case SFS:
-		return r.sfsRes.ObjectSummary(o)
-	case FlowInsensitive:
-		return r.aux.ObjectSummary(o)
-	case CFGFree:
-		return r.cfRes.ObjectSummary(o)
-	default:
-		return r.vsfsRes.ObjectSummary(o)
-	}
-}
-
-// contentsBefore returns what object o may hold immediately before the
-// instruction labelled label, under the selected analysis: the IN set
-// for SFS, the consume-version points-to set for VSFS, the
-// strong-update-window contents for CFGFree, and the flow-insensitive
-// object summary for Andersen.
-func (r *Result) contentsBefore(label uint32, o ir.Obj) *bitset.Sparse {
-	switch r.mode {
-	case SFS:
-		return r.sfsRes.InSet(label, o)
-	case FlowInsensitive:
-		return r.aux.ObjectSummary(o)
-	case CFGFree:
-		return r.cfRes.ConsumedSet(label, o)
-	default:
-		return r.vsfsRes.ConsumedSet(label, o)
-	}
-}
-
 // storageObjects returns the abstract objects backing a source variable:
 // the mini-C lowering names a local x in fn "fn.x" and a global g
 // "g.obj"; IR-level address-taken objects may match by bare name.
@@ -713,10 +674,10 @@ func (r *Result) PointsToVar(fn, name string) []string {
 func (r *Result) varSet(fn, name string) *bitset.Sparse {
 	merged := bitset.New()
 	for _, v := range r.matchingVars(fn, name) {
-		merged.UnionWith(r.pointsTo(v))
+		merged.UnionWith(r.backend.PointsTo(v))
 	}
 	for _, o := range r.storageObjects(fn, name) {
-		merged.UnionWith(r.objectSummary(o))
+		merged.UnionWith(r.backend.ObjectSummary(o))
 	}
 	return merged
 }
@@ -739,7 +700,7 @@ func (r *Result) CallGraph() map[string][]string {
 			if in.Op != ir.Call {
 				return
 			}
-			for _, callee := range r.calleesOf(in) {
+			for _, callee := range r.backend.CalleesOf(in) {
 				if !strings.HasPrefix(callee.Name, "__") {
 					seen[callee.Name] = true
 				}
@@ -815,57 +776,69 @@ func (r *Result) Stats() Summary {
 	}
 	s.AuxPropagations = r.aux.Stats.Propagations
 	s.AuxWorklistHighWater = r.aux.Stats.WorklistHW
-	switch r.mode {
-	case SFS:
-		s.NodesProcessed = r.sfsRes.Stats.NodesProcessed
-		s.Propagations = r.sfsRes.Stats.Propagations
-		s.Changed = r.sfsRes.Stats.Changed
-		s.PtsSets = r.sfsRes.Stats.PtsSets
-		s.WorklistHighWater = r.sfsRes.Stats.WorklistHW
-	case CFGFree:
-		s.NodesProcessed = r.cfRes.Stats.NodesProcessed
-		s.Propagations = r.cfRes.Stats.Propagations
-		s.Changed = r.cfRes.Stats.Changed
-		s.PtsSets = r.cfRes.Stats.PtsSets
-		s.WorklistHighWater = r.cfRes.Stats.WorklistHW
-	case VSFS:
-		s.NodesProcessed = r.vsfsRes.Stats.NodesProcessed
-		s.Propagations = r.vsfsRes.Stats.Propagations
-		s.Changed = r.vsfsRes.Stats.Changed
-		s.PtsSets = r.vsfsRes.Stats.PtsSets
-		s.WorklistHighWater = r.vsfsRes.Stats.WorklistHW
-		s.Prelabels = r.vsfsRes.Stats.Versioning.Prelabels
-		s.DistinctVersions = r.vsfsRes.Stats.Versioning.DistinctVersions
-		s.MeldOps = r.vsfsRes.Stats.Versioning.MeldOps
-		s.MeldIterations = r.vsfsRes.Stats.Versioning.Iterations
+	// Main-phase effort; the Andersen backend has none beyond the
+	// auxiliary counters above.
+	switch b := r.backend.(type) {
+	case *sfs.Result:
+		st := b.Stats
+		s.NodesProcessed, s.Propagations, s.Changed = st.NodesProcessed, st.Propagations, st.Changed
+		s.PtsSets, s.WorklistHighWater = st.PtsSets, st.WorklistHW
+	case *cfgfree.Result:
+		st := b.Stats
+		s.NodesProcessed, s.Propagations, s.Changed = st.NodesProcessed, st.Propagations, st.Changed
+		s.PtsSets, s.WorklistHighWater = st.PtsSets, st.WorklistHW
+	case *core.Result:
+		st := b.Stats
+		s.NodesProcessed, s.Propagations, s.Changed = st.NodesProcessed, st.Propagations, st.Changed
+		s.PtsSets, s.WorklistHighWater = st.PtsSets, st.WorklistHW
+		s.Prelabels = st.Versioning.Prelabels
+		s.DistinctVersions = st.Versioning.DistinctVersions
+		s.MeldOps = st.Versioning.MeldOps
+		s.MeldIterations = st.Versioning.Iterations
 	}
 	return s
 }
 
 // Explain returns human-readable value-flow witnesses for every object
 // the named variable may point to — the "why" behind each points-to
-// fact. Only available for VSFS and SFS runs (the witnesses are SVFG
-// paths, which the CFG-free and flow-insensitive backends never
-// build); empty otherwise.
+// fact. Only available for VSFS and SFS runs (the witnesses are paths
+// through the SVFG those backends solved over; CFG-free and
+// flow-insensitive facts have no such graph behind them); empty
+// otherwise.
 func (r *Result) Explain(fn, name string) []string {
-	if r.mode == FlowInsensitive || r.mode == CFGFree || r.g == nil {
+	switch r.backend.(type) {
+	case *sfs.Result, *core.Result:
+	default:
 		return nil
 	}
 	holds := func(x ir.ID, o ir.Obj) bool {
 		if r.prog.IsPointer(x) {
-			return r.pointsTo(x).Has(uint32(o))
+			return r.backend.PointsTo(x).Has(uint32(o))
 		}
-		return r.objectSummary(r.prog.ObjNum(x)).Has(uint32(o))
+		return r.backend.ObjectSummary(r.prog.ObjNum(x)).Has(uint32(o))
 	}
 	var out []string
 	for _, v := range r.matchingVars(fn, name) {
-		r.pointsTo(v).ForEach(func(o uint32) {
+		r.backend.PointsTo(v).ForEach(func(o uint32) {
 			if w := r.g.ExplainPointsTo(holds, v, ir.Obj(o)); w != nil {
 				out = append(out, w.Format(r.prog))
 			}
 		})
 	}
 	return out
+}
+
+// WriteDot writes the run's SVFG in Graphviz dot format. A
+// FlowInsensitive run builds the SVFG but never solves over it, so its
+// graph is the pristine one; SFS and VSFS runs also carry the indirect
+// edges their solve resolved on the fly. It fails when the run built no
+// SVFG: CFG-free runs, and runs that degraded before the SVFG phase
+// completed.
+func (r *Result) WriteDot(w io.Writer) error {
+	if r.g == nil {
+		return errors.New("no SVFG: the run did not build one")
+	}
+	return r.g.WriteDot(w)
 }
 
 // varGroups groups fn's temps by their source-variable prefix and
@@ -887,7 +860,7 @@ func (r *Result) varGroups(f *ir.Function) ([]string, map[string]*bitset.Sparse)
 			set = bitset.New()
 			groups[name] = set
 		}
-		set.UnionWith(r.pointsTo(v))
+		set.UnionWith(r.backend.PointsTo(v))
 	}
 	for _, p := range f.Params {
 		collect(p)
