@@ -10,12 +10,14 @@
 //	BenchmarkTable3VSFS      — Table III columns 4–6 (the contribution)
 //	BenchmarkFigure2         — the motivating-example fragment
 //	BenchmarkSweepRedundancy — Section V shape claim (speedup vs chains)
+//	BenchmarkRetained        — heap a solved Result keeps alive
 //
 // The versioning pre-analysis alone is timed by BenchmarkVersioning in
 // internal/core.
 package vsfs
 
 import (
+	"runtime"
 	"testing"
 
 	"vsfs/internal/andersen"
@@ -234,4 +236,38 @@ func fmtFrac(f float64) string {
 	default:
 		return "0.50"
 	}
+}
+
+// retainedProfiles spans the serve pool's sizes (du, psql, mruby) and
+// the largest profile (lynx).
+var retainedProfiles = []string{"du", "psql", "mruby", "lynx"}
+
+// BenchmarkRetained reports the live heap a solved *Result keeps once
+// the solve's garbage is collected: what a result cache pays per entry.
+// It solves through AnalyzeIR, the path the CLI and the daemon take.
+func BenchmarkRetained(b *testing.B) {
+	for _, name := range retainedProfiles {
+		b.Run(name, func(b *testing.B) {
+			src := workload.ProfileByName(name).Build().String()
+			var retained int64
+			for i := 0; i < b.N; i++ {
+				before := liveHeap()
+				res, err := AnalyzeIR(src, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				retained = liveHeap() - before
+				runtime.KeepAlive(res)
+			}
+			b.ReportMetric(float64(retained)/(1<<20), "retained-MB")
+		})
+	}
+}
+
+// liveHeap collects garbage and returns the bytes of live heap objects.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }

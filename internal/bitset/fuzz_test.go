@@ -222,7 +222,10 @@ func FuzzUnionInPlace(f *testing.F) {
 // FuzzInternerStability checks the interner against the same op
 // decoder: equal contents always map to the same ID, distinct contents
 // to distinct IDs, Get returns the canonical contents, and mutating an
-// argument after interning never disturbs previously issued IDs.
+// argument after interning never disturbs previously issued IDs. Canon
+// calls are interleaved with Intern: a canonical set is the one Get
+// returns for its contents, and IDs stay stable whichever call saw the
+// contents first.
 func FuzzInternerStability(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 2, 0, 1})
@@ -267,6 +270,30 @@ func FuzzInternerStability(f *testing.F) {
 		}
 		if in.Len() != wantLen {
 			t.Fatalf("Len = %d after interning two sets, want %d", in.Len(), wantLen)
+		}
+
+		// Canon of seen contents is the stored set behind their ID.
+		if got := in.Canon(b.Clone()); got != in.Get(idb) {
+			t.Fatalf("Canon(b) = %v, not the set stored under ID %d", got, idb)
+		}
+		// Canon of new contents adopts the argument under the next ID,
+		// which Intern then returns for those contents.
+		c := a.Clone()
+		fresh := in.Len()
+		isNew := !c.Equal(snapshot) && !c.Equal(b) && !c.IsEmpty()
+		canon := in.Canon(c)
+		if isNew != (canon == c) {
+			t.Fatalf("Canon adopted the argument = %v, want %v", canon == c, isNew)
+		}
+		idc := in.Intern(a)
+		if isNew && idc != uint32(fresh) {
+			t.Fatalf("Intern after Canon of new contents = %d, want %d", idc, fresh)
+		}
+		if in.Get(idc) != canon {
+			t.Fatalf("Get(%d) is not the set Canon returned", idc)
+		}
+		if in.Intern(snapshot) != ida || in.Intern(b) != idb || !in.Get(ida).Equal(snapshot) {
+			t.Fatal("Canon disturbed an ID issued by Intern")
 		}
 	})
 }

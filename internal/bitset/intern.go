@@ -3,7 +3,8 @@ package bitset
 // Interner assigns stable dense uint32 IDs to distinct Sparse contents.
 // Two sets with equal members always intern to the same ID, which lets the
 // meld labelling represent a version (a set of prelabel atoms) as a single
-// comparable integer.
+// comparable integer. Canon uses the same table to let the holders of
+// equal finished sets share one of them.
 type Interner struct {
 	byHash map[uint64][]uint32 // content hash -> candidate IDs
 	sets   []*Sparse           // ID -> canonical (frozen) set
@@ -26,13 +27,40 @@ func NewInterner() *Interner {
 // costs a copy only when the contents are new).
 func (in *Interner) Intern(s *Sparse) uint32 {
 	h := s.Hash()
+	if id, ok := in.lookup(s, h); ok {
+		return id
+	}
+	return in.add(s.Clone(), h)
+}
+
+// Canon returns the canonical set with the contents of s: the stored one
+// when the contents have been seen, otherwise s itself, which becomes
+// canonical without being copied. Canon therefore allocates no set
+// elements. It hands s over: once the caller keeps the result in place
+// of s, neither may be mutated again, since other holders share it.
+func (in *Interner) Canon(s *Sparse) *Sparse {
+	h := s.Hash()
+	if id, ok := in.lookup(s, h); ok {
+		return in.sets[id]
+	}
+	in.add(s, h)
+	return s
+}
+
+// lookup returns the ID of the stored set equal to s, whose hash is h.
+func (in *Interner) lookup(s *Sparse, h uint64) (uint32, bool) {
 	for _, id := range in.byHash[h] {
 		if in.sets[id].Equal(s) {
-			return id
+			return id, true
 		}
 	}
+	return 0, false
+}
+
+// add stores s, whose hash is h, under a fresh ID.
+func (in *Interner) add(s *Sparse, h uint64) uint32 {
 	id := uint32(len(in.sets))
-	in.sets = append(in.sets, s.Clone())
+	in.sets = append(in.sets, s)
 	in.byHash[h] = append(in.byHash[h], id)
 	return id
 }

@@ -67,3 +67,44 @@ func TestInternPostMutationSafety(t *testing.T) {
 		t.Fatalf("Intern(drained) = %d, want 0", got)
 	}
 }
+
+// TestCanonReturnsStoredEqualSet: Canon of contents already seen, by
+// Intern or by Canon, returns the stored set itself, not the argument.
+func TestCanonReturnsStoredEqualSet(t *testing.T) {
+	in := NewInterner()
+	id := in.Intern(Of(1, 2, 300))
+	if got := in.Canon(Of(300, 2, 1)); got != in.Get(id) {
+		t.Fatalf("Canon of interned contents = %p, want the stored set %p", got, in.Get(id))
+	}
+	first := Of(7, 8)
+	if got := in.Canon(first); got != first {
+		t.Fatalf("Canon of new contents = %p, want the argument %p", got, first)
+	}
+	if got := in.Canon(Of(8, 7)); got != first {
+		t.Fatalf("second Canon of {7, 8} = %p, want the first caller's set %p", got, first)
+	}
+	if got := in.Canon(New()); got != in.Get(0) {
+		t.Fatal("Canon(∅) is not the interner's empty set ε")
+	}
+	if in.Len() != 3 {
+		t.Fatalf("Len = %d, want 3 (ε, {1, 2, 300}, {7, 8})", in.Len())
+	}
+}
+
+// TestCanonAdoptsWithoutCopying: new contents are stored as the
+// argument's own storage, so canonicalising allocates no set elements
+// and leaves the allocation clock the guard layer reads unchanged.
+func TestCanonAdoptsWithoutCopying(t *testing.T) {
+	in := NewInterner()
+	sets := []*Sparse{Of(1, 64, 128, 5000), Of(1, 64, 128, 5000), Of(2), Of(2), New()}
+	before := AllocatedWords()
+	for _, s := range sets {
+		in.Canon(s)
+	}
+	if got := AllocatedWords() - before; got != 0 {
+		t.Fatalf("Canon allocated %d words, want 0", got)
+	}
+	if got := in.Get(1); got != sets[0] || &got.elems[0] != &sets[0].elems[0] {
+		t.Fatal("Canon stored a copy of new contents instead of adopting them")
+	}
+}

@@ -43,7 +43,11 @@ type VersionStats struct {
 // materialised once it holds a version other than ε: labelling assigns
 // every slot it reaches a non-ε version, so ε stands for "never set".
 type versioning struct {
-	g   *svfg.Graph
+	g *svfg.Graph
+	// tab is the label domain while labelling runs. runVersioning drops
+	// it at the end: its atom sets and pair cache have no later reader,
+	// and stats.DistinctVersions keeps the one number the main phase
+	// needs, the size of the dense version-id space.
 	tab *meld.Table
 
 	consume []meld.Version // ξ_ℓ(o) by slot
@@ -142,6 +146,7 @@ func runVersioning(ctx context.Context, g *svfg.Graph) (*versioning, error) {
 	}
 	v.stats.DistinctVersions = v.tab.Distinct()
 	v.stats.Meld = v.tab.Stats()
+	v.tab = nil
 	v.countEntries()
 	v.stats.Duration = time.Since(start)
 	return v, nil

@@ -19,8 +19,10 @@ type Stats struct {
 	NodesProcessed     int
 	Propagations       int // set unions attempted
 	Changed            int // unions that grew the target
-	PtsSets            int // distinct (object, version) points-to sets stored
+	PtsSets            int // (object, version) points-to sets, one per non-empty version: the paper's model
 	PtsWords           int // 64-bit words backing those sets
+	StoredSets         int // distinct sets actually kept for them once frozen
+	StoredWords        int // 64-bit words backing the stored sets
 	TopLevelWords      int
 	CallEdges          int
 	VersionProps       int // version-reliance propagations
@@ -173,7 +175,7 @@ func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, error) {
 	sp := obs.StartSpan(ctx, "main")
 	start := time.Now()
-	nv := ver.tab.Distinct()
+	nv := ver.stats.DistinctVersions
 	s := &state{
 		Result: &Result{
 			Graph:   g,
@@ -198,12 +200,40 @@ func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, er
 	s.Stats.SolveTime = time.Since(start)
 	s.Stats.WorklistHW = s.work.hw
 	s.collectStats()
+	s.freeze()
 	sp.Arg("nodesProcessed", s.Stats.NodesProcessed).
 		Arg("propagations", s.Stats.Propagations).
 		Arg("ptsSets", s.Stats.PtsSets).
+		Arg("storedSets", s.Stats.StoredSets).
+		Arg("storedWords", s.Stats.StoredWords).
 		Arg("worklistHW", s.Stats.WorklistHW).
 		End()
 	return s.Result, nil
+}
+
+// freeze replaces every solved set with its canonical equal set, so
+// equal contents share one set: most versions of an object, and many
+// top-level pointers, end up with the same points-to set. Canon adopts
+// rather than copies, so freezing allocates no set elements and budget
+// accounting is unchanged. From here on every set the Result hands out
+// may be shared and must never be mutated.
+func (s *state) freeze() {
+	in := bitset.NewInterner()
+	for v, set := range s.ptv {
+		if set != nil {
+			s.ptv[v] = in.Canon(set)
+		}
+	}
+	// ID 0 is the interner's empty set, which no version holds.
+	for id := 1; id < in.Len(); id++ {
+		s.Stats.StoredSets++
+		s.Stats.StoredWords += in.Get(uint32(id)).Words()
+	}
+	for v, set := range s.pt {
+		if set != nil {
+			s.pt[v] = in.Canon(set)
+		}
+	}
 }
 
 // cancelCheckInterval is how many steps — worklist pops, or (node,
@@ -244,7 +274,7 @@ func (s *state) owner(o ir.Obj) uint32 { return uint32(s.Graph.Prog.ObjID(o)) }
 // objVersions lists, per object, the distinct versions its slots carry.
 func objVersions(g *svfg.Graph, ver *versioning) [][]meld.Version {
 	out := make([][]meld.Version, g.Prog.NumObjects())
-	seen := make([]bool, ver.tab.Distinct())
+	seen := make([]bool, ver.stats.DistinctVersions)
 	for sl := range g.NumSlots() {
 		o := g.SlotObj(sl)
 		for _, v := range [2]meld.Version{ver.consume[sl], ver.yield[sl]} {

@@ -39,7 +39,8 @@ type Result struct {
 	// and may define. Like every object set here, they hold object
 	// numbers. Loads μ their pointees; stores χ their pointees; call
 	// sites μ the callees' FormalIn and χ their FormalOut; FUNENTRY χ's
-	// FormalIn; FUNEXIT μ's FormalOut; a MEMPHI χ's its object.
+	// FormalIn; FUNEXIT μ's FormalOut; a MEMPHI χ's its object. Equal
+	// sets are one shared set, so none may be mutated.
 	Mu  []*bitset.Sparse
 	Chi []*bitset.Sparse
 
@@ -52,6 +53,8 @@ type Result struct {
 	// Edges are the intraprocedural indirect def-use chains plus the
 	// interprocedural chains of direct calls. Chains for indirect calls
 	// are added during flow-sensitive solving (on-the-fly call graph).
+	// Graph construction is their only reader; a caller that builds
+	// every graph it needs may set Edges to nil to release them.
 	Edges []IndirEdge
 
 	// MemPhis lists the inserted MEMPHI instructions.
@@ -337,28 +340,32 @@ func (b *builder) placeMemPhis() {
 	}
 }
 
-// annotate fills label-indexed Mu/Chi after renumbering.
+// annotate fills label-indexed Mu/Chi after renumbering. Each set is
+// built as before and then replaced by its canonical equal set, so the
+// many loads and stores through equal pointers, and the MEMPHIs of one
+// object, share one μ or χ set. The sets are frozen from here on.
 func (b *builder) annotate() {
 	n := len(b.prog.Instrs)
 	b.res.Mu = make([]*bitset.Sparse, n)
 	b.res.Chi = make([]*bitset.Sparse, n)
+	sets := bitset.NewInterner()
 	for _, f := range b.prog.Funcs {
 		f.ForEachInstr(func(in *ir.Instr) {
 			switch in.Op {
 			case ir.Load:
-				b.res.Mu[in.Label] = b.aux.PointsTo(in.Uses[0]).Clone()
+				b.res.Mu[in.Label] = sets.Canon(b.aux.PointsTo(in.Uses[0]).Clone())
 			case ir.Store:
-				b.res.Chi[in.Label] = b.aux.PointsTo(in.Uses[0]).Clone()
+				b.res.Chi[in.Label] = sets.Canon(b.aux.PointsTo(in.Uses[0]).Clone())
 			case ir.Call:
-				b.res.Mu[in.Label] = b.calleeSet(in, b.res.FormalIn)
+				b.res.Mu[in.Label] = sets.Canon(b.calleeSet(in, b.res.FormalIn))
 			case ir.CallRet:
-				b.res.Chi[in.Label] = b.calleeSet(in.CallSite, b.res.FormalOut)
+				b.res.Chi[in.Label] = sets.Canon(b.calleeSet(in.CallSite, b.res.FormalOut))
 			case ir.FunEntry:
-				b.res.Chi[in.Label] = b.res.FormalIn[in.Parent].Clone()
+				b.res.Chi[in.Label] = sets.Canon(b.res.FormalIn[in.Parent].Clone())
 			case ir.FunExit:
-				b.res.Mu[in.Label] = b.res.FormalOut[in.Parent].Clone()
+				b.res.Mu[in.Label] = sets.Canon(b.res.FormalOut[in.Parent].Clone())
 			case ir.MemPhi:
-				b.res.Chi[in.Label] = bitset.Of(uint32(b.prog.ObjNum(in.Obj)))
+				b.res.Chi[in.Label] = sets.Canon(bitset.Of(uint32(b.prog.ObjNum(in.Obj))))
 			}
 		})
 	}

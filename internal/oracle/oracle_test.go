@@ -131,7 +131,8 @@ func TestCheckSourceReportsParseFailure(t *testing.T) {
 // versioning scheme would: the first load-defined pointer (program
 // order) with a non-empty VSFS points-to set loses its smallest object.
 // Result.PointsTo hands back the live set, so the drop takes effect
-// inside the bundle. Reports whether a target existed.
+// inside the bundle, in every pointer and version sharing that frozen
+// set. Reports whether a target existed.
 func injectPrecisionBug(b *Bundle) bool {
 	for _, f := range b.Prog.Funcs {
 		target := ir.None

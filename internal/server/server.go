@@ -404,6 +404,11 @@ func (s *Server) resolve(ctx context.Context, req AnalyzeRequest) (res *vsfs.Res
 	// must be carried over explicitly for the solve's log lines.
 	reqID := obs.RequestID(ctx)
 	r, shared, err := s.flight.do(ctx, key, func(solveCtx context.Context) (*vsfs.Result, error) {
+		// An earlier flight for key may have cached its result and
+		// finished since the lookup above; serve that, never solve twice.
+		if r, ok := s.cache.get(key); ok {
+			return r, nil
+		}
 		return s.solveOn(obs.WithRequestID(solveCtx, reqID), key, mode, input, req.Source)
 	})
 	if shared {

@@ -198,6 +198,87 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// twoTargetsC reads p while it points to a and again while it points
+// to b, so a by-name query on p unions two different sets.
+const twoTargetsC = `
+int *gp;
+void set(int *x) { gp = x; }
+int main() {
+  int a;
+  int b;
+  int *p;
+  p = &a;
+  set(p);
+  p = &b;
+  set(p);
+  return 0;
+}
+`
+
+// TestCacheHitsLeaveSetsFrozen: a cached Result shares one set between
+// equal contents and serves concurrent requests, so a query that
+// mutated a set it was handed would corrupt every later answer (and,
+// under -race, race with the other readers). After concurrent cache
+// hits on every endpoint and query kind, each cached Result's sets must
+// hash as before.
+func TestCacheHitsLeaveSetsFrozen(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 4})
+	progs := []AnalyzeRequest{{Source: twoTargetsC}, {Source: mediumIR(7), Lang: "ir"}}
+	digests := make([]uint64, len(progs))
+	for i, req := range progs {
+		code, hdr, body := post(t, s, "/analyze", req)
+		if code != http.StatusOK {
+			t.Fatalf("analyze %d: %d %s", i, code, body)
+		}
+		res, ok := s.cache.get(hdr.Get("X-Vsfs-Key"))
+		if !ok {
+			t.Fatalf("program %d not cached after a solve", i)
+		}
+		digests[i] = res.SetsDigest()
+	}
+
+	queries := []QueryRequest{
+		{Kind: "points-to", Func: "main", Var: "p"},
+		{Kind: "alias", Func: "main", Var: "p", Func2: "set", Var2: "x"},
+		{Kind: "callgraph"},
+		{Kind: "explain", Func: "main", Var: "p"},
+		{Kind: "check"},
+	}
+	var wg sync.WaitGroup
+	for i := range 24 {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := progs[i%len(progs)]
+			var code int
+			var hdr http.Header
+			var body []byte
+			switch k := i / len(progs) % (len(queries) + 2); k {
+			case len(queries):
+				code, hdr, body = post(t, s, "/analyze", req)
+			case len(queries) + 1:
+				code, hdr, body = post(t, s, "/check", req)
+			default:
+				q := queries[k]
+				q.AnalyzeRequest = req
+				code, hdr, body = post(t, s, "/query", q)
+			}
+			if code != http.StatusOK || hdr.Get("X-Vsfs-Cache") != "hit" {
+				t.Errorf("request %d: %d, cache %q: %s", i, code, hdr.Get("X-Vsfs-Cache"), body)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	for i, req := range progs {
+		_, hdr, _ := post(t, s, "/analyze", req)
+		res, _ := s.cache.get(hdr.Get("X-Vsfs-Key"))
+		if got := res.SetsDigest(); got != digests[i] {
+			t.Fatalf("program %d: sets digest %x after concurrent hits, %x before", i, got, digests[i])
+		}
+	}
+}
+
 // TestLegacyParallelFieldIgnored: requests are decoded without
 // DisallowUnknownFields, so an older client's "parallel" field is
 // ignored. The same program with and without it must share one cache

@@ -569,6 +569,9 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, hash st
 		Arg("directEdges", r.g.NumDirectEdges).
 		Arg("indirectEdges", r.g.NumIndirectEdges).
 		End()
+	// The graph now holds every def-use chain as slot successors; the
+	// edge list it was built from has no other reader.
+	mssa.Edges = nil
 
 	t = time.Now()
 	sp = obs.StartSpan(ctx, "solve").Arg("mode", opts.Mode.String())
@@ -839,6 +842,42 @@ func (r *Result) WriteDot(w io.Writer) error {
 		return errors.New("no SVFG: the run did not build one")
 	}
 	return r.g.WriteDot(w)
+}
+
+// SetsDigest hashes every set the Result's queries hand out, each
+// once: every pointer's points-to set, every object's summary and, when
+// the run built an SVFG, every node's μ and χ sets and what the node
+// consumes of each of their objects. Solvers let the holders of equal
+// contents share one set and a Result is immutable, so the digest never
+// changes; tests compare it across queries to catch a caller that
+// mutates a shared set.
+func (r *Result) SetsDigest() uint64 {
+	const prime = 1099511628211
+	var h uint64
+	seen := make(map[*bitset.Sparse]bool)
+	add := func(s *bitset.Sparse) {
+		if !seen[s] {
+			seen[s] = true
+			h = (h ^ s.Hash()) * prime
+		}
+	}
+	for v := ir.ID(1); int(v) < r.prog.NumValues(); v++ {
+		if r.prog.IsPointer(v) {
+			add(r.backend.PointsTo(v))
+		}
+	}
+	for o := range ir.Obj(r.prog.NumObjects()) {
+		add(r.backend.ObjectSummary(o))
+	}
+	if r.g != nil {
+		for l := uint32(1); l < uint32(len(r.prog.Instrs)); l++ {
+			for _, objs := range [2]*bitset.Sparse{r.g.MSSA.MuOf(l), r.g.MSSA.ChiOf(l)} {
+				add(objs)
+				objs.ForEach(func(o uint32) { add(r.backend.ConsumedSet(l, ir.Obj(o))) })
+			}
+		}
+	}
+	return h
 }
 
 // varGroups groups fn's temps by their source-variable prefix and
