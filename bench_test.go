@@ -21,10 +21,9 @@ import (
 	"testing"
 
 	"vsfs/internal/andersen"
-	"vsfs/internal/bitset"
 	"vsfs/internal/core"
+	"vsfs/internal/figure2"
 	"vsfs/internal/ir"
-	"vsfs/internal/irparse"
 	"vsfs/internal/memssa"
 	"vsfs/internal/sfs"
 	"vsfs/internal/svfg"
@@ -108,72 +107,8 @@ func BenchmarkTable3VSFS(b *testing.B) {
 	}
 }
 
-func figure2Graph(b *testing.B) *svfg.Graph {
-	b.Helper()
-	prog, err := irparse.Parse(`
-func main() {
-entry:
-  p = alloc.heap a 0
-  q = copy p
-  x1 = alloc b1 0
-  x2 = alloc b2 0
-  store p, x1
-  v3 = load p
-  store q, x2
-  v4 = load p
-  v5 = load p
-  ret
-}
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	aux := andersen.Analyze(prog)
-	var l [6]uint32
-	var a ir.Obj
-	stores, loads := 0, 0
-	prog.FuncByName("main").ForEachInstr(func(in *ir.Instr) {
-		switch in.Op {
-		case ir.Alloc:
-			if prog.Value(in.Obj).Name == "a" {
-				a = prog.ObjNum(in.Obj)
-			}
-		case ir.Store:
-			stores++
-			l[stores] = in.Label
-		case ir.Load:
-			loads++
-			l[2+loads] = in.Label
-		}
-	})
-	n := len(prog.Instrs)
-	mssa := &memssa.Result{
-		Prog: prog, Aux: aux,
-		Mu:        make([]*bitset.Sparse, n),
-		Chi:       make([]*bitset.Sparse, n),
-		FormalIn:  map[*ir.Function]*bitset.Sparse{},
-		FormalOut: map[*ir.Function]*bitset.Sparse{},
-		CallRets:  map[*ir.Instr]*ir.Instr{},
-	}
-	for _, f := range prog.Funcs {
-		mssa.FormalIn[f] = bitset.New()
-		mssa.FormalOut[f] = bitset.New()
-	}
-	mssa.Chi[l[1]] = bitset.Of(uint32(a))
-	mssa.Chi[l[2]] = bitset.Of(uint32(a))
-	for _, ld := range []uint32{l[3], l[4], l[5]} {
-		mssa.Mu[ld] = bitset.Of(uint32(a))
-	}
-	mssa.Edges = []memssa.IndirEdge{
-		{From: l[1], To: l[2], Obj: a}, {From: l[1], To: l[3], Obj: a},
-		{From: l[1], To: l[4], Obj: a}, {From: l[1], To: l[5], Obj: a},
-		{From: l[2], To: l[4], Obj: a}, {From: l[2], To: l[5], Obj: a},
-	}
-	return svfg.Build(prog, aux, mssa)
-}
-
 func BenchmarkFigure2(b *testing.B) {
-	g := figure2Graph(b)
+	g, _, _ := figure2.Build()
 	b.Run("sfs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r := sfs.Solve(g.Clone())

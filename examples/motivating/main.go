@@ -11,85 +11,18 @@ import (
 	"fmt"
 	"strings"
 
-	"vsfs/internal/andersen"
 	"vsfs/internal/bitset"
 	"vsfs/internal/core"
+	"vsfs/internal/figure2"
 	"vsfs/internal/ir"
-	"vsfs/internal/irparse"
-	"vsfs/internal/memssa"
 	"vsfs/internal/sfs"
-	"vsfs/internal/svfg"
 )
 
 func main() {
-	// The instruction carrier: two stores to object a (through p and its
-	// copy q) and three loads. The heap kind makes updates weak, as in
-	// the figure.
-	prog := irparse.MustParse(`
-func main() {
-entry:
-  p = alloc.heap a 0
-  q = copy p
-  x1 = alloc b1 0
-  x2 = alloc b2 0
-  store p, x1
-  v3 = load p
-  store q, x2
-  v4 = load p
-  v5 = load p
-  ret
-}
-`)
-	aux := andersen.Analyze(prog)
-
-	// Collect ℓ1..ℓ5 and the object a.
-	var l [6]uint32
-	var a ir.Obj
-	stores, loads := 0, 0
-	prog.FuncByName("main").ForEachInstr(func(in *ir.Instr) {
-		switch in.Op {
-		case ir.Alloc:
-			if prog.Value(in.Obj).Name == "a" {
-				a = prog.ObjNum(in.Obj)
-			}
-		case ir.Store:
-			stores++
-			l[stores] = in.Label
-		case ir.Load:
-			loads++
-			l[2+loads] = in.Label
-		}
-	})
-
-	// Pin Figure 2's exact indirect edges (the paper extracted this
-	// fragment from GNU coreutils' true).
-	n := len(prog.Instrs)
-	mssa := &memssa.Result{
-		Prog: prog, Aux: aux,
-		Mu:        make([]*bitset.Sparse, n),
-		Chi:       make([]*bitset.Sparse, n),
-		FormalIn:  map[*ir.Function]*bitset.Sparse{},
-		FormalOut: map[*ir.Function]*bitset.Sparse{},
-		CallRets:  map[*ir.Instr]*ir.Instr{},
-	}
-	for _, f := range prog.Funcs {
-		mssa.FormalIn[f] = bitset.New()
-		mssa.FormalOut[f] = bitset.New()
-	}
-	mssa.Chi[l[1]] = bitset.Of(uint32(a))
-	mssa.Chi[l[2]] = bitset.Of(uint32(a))
-	for _, ld := range []uint32{l[3], l[4], l[5]} {
-		mssa.Mu[ld] = bitset.Of(uint32(a))
-	}
-	mssa.Edges = []memssa.IndirEdge{
-		{From: l[1], To: l[2], Obj: a},
-		{From: l[1], To: l[3], Obj: a},
-		{From: l[1], To: l[4], Obj: a},
-		{From: l[1], To: l[5], Obj: a},
-		{From: l[2], To: l[4], Obj: a},
-		{From: l[2], To: l[5], Obj: a},
-	}
-	g := svfg.Build(prog, aux, mssa)
+	// Two weak stores ℓ1, ℓ2 to one heap object a and three loads, wired
+	// with exactly the figure's indirect edges.
+	g, l, a := figure2.Build()
+	prog := g.Prog
 
 	fmt.Println("Figure 2 fragment: ℓ1,ℓ2 store to o; ℓ3,ℓ4,ℓ5 load o")
 	fmt.Println("edges: ℓ1→{ℓ2,ℓ3,ℓ4,ℓ5}, ℓ2→{ℓ4,ℓ5}")

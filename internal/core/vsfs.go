@@ -565,35 +565,14 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 		s.Stats.CallEdges++
 		s.fsCallers[callee] = append(s.fsCallers[callee], call.Label)
 
-		entry := callee.EntryInstr.Label
-		g.MSSA.FormalIn[callee].ForEach(func(o32 uint32) {
-			o := ir.Obj(o32)
-			if !g.MSSA.MuOf(call.Label).Has(o32) {
-				return
-			}
-			if g.AddIndirectEdge(call.Label, entry, o) {
-				from := s.ver.yieldOf(call.Label, o)
-				to := s.ver.consumeOf(entry, o)
-				s.addVerConstraint(from, to)
-				s.growVersion(o, to, s.ptvOf(from))
+		g.MSSA.CallChains(call, callee, func(from, to int) {
+			if g.AddSlotEdge(from, to) {
+				y, c := s.ver.yield[from], s.ver.consume[to]
+				s.addVerConstraint(y, c)
+				s.growVersion(g.SlotObj(from), c, s.ptvOf(y))
 			}
 		})
-		if ret := g.MSSA.CallRets[call]; ret != nil {
-			exit := callee.ExitInstr.Label
-			g.MSSA.FormalOut[callee].ForEach(func(o32 uint32) {
-				o := ir.Obj(o32)
-				if !g.MSSA.ChiOf(ret.Label).Has(o32) {
-					return
-				}
-				if g.AddIndirectEdge(exit, ret.Label, o) {
-					from := s.ver.yieldOf(exit, o)
-					to := s.ver.consumeOf(ret.Label, o)
-					s.addVerConstraint(from, to)
-					s.growVersion(o, to, s.ptvOf(from))
-				}
-			})
-		}
-		s.work.push(entry)
+		s.work.push(callee.EntryInstr.Label)
 	}
 
 	args := call.CallArgs()

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"vsfs/internal/andersen"
-	"vsfs/internal/bitset"
+	"vsfs/internal/figure2"
 	"vsfs/internal/ir"
 	"vsfs/internal/irparse"
 	"vsfs/internal/meld"
@@ -138,87 +138,10 @@ entry:
 	}
 }
 
-// motivatingFragment hand-builds the paper's Figure 2 SVFG fragment: two
-// stores (ℓ1, ℓ2) and three loads (ℓ3, ℓ4, ℓ5) of object a, with
-//
-//	ℓ1 → ℓ2, ℓ1 → ℓ3, ℓ1 → ℓ4, ℓ1 → ℓ5, ℓ2 → ℓ4, ℓ2 → ℓ5
-//
-// It bypasses the memory-SSA pass to pin the exact edge set the figure
-// shows. Returns the graph plus the labels of ℓ1..ℓ5 and the object.
-func motivatingFragment(t *testing.T) (*svfg.Graph, [6]uint32, ir.Obj) {
-	t.Helper()
-	prog, err := irparse.Parse(`
-func main() {
-entry:
-  p = alloc.heap a 0
-  q = copy p
-  x1 = alloc b1 0
-  x2 = alloc b2 0
-  store p, x1
-  v3 = load p
-  store q, x2
-  v4 = load p
-  v5 = load p
-  ret
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aux := andersen.Analyze(prog)
-
-	var l [6]uint32 // 1-indexed ℓ1..ℓ5
-	var a ir.Obj
-	stores, loads := 0, 0
-	prog.FuncByName("main").ForEachInstr(func(in *ir.Instr) {
-		switch in.Op {
-		case ir.Alloc:
-			if prog.Value(in.Obj).Name == "a" {
-				a = prog.ObjNum(in.Obj)
-			}
-		case ir.Store:
-			stores++
-			l[stores] = in.Label // ℓ1, ℓ2
-		case ir.Load:
-			loads++
-			l[2+loads] = in.Label // ℓ3, ℓ4, ℓ5
-		}
-	})
-
-	n := len(prog.Instrs)
-	mssa := &memssa.Result{
-		Prog:      prog,
-		Aux:       aux,
-		Mu:        make([]*bitset.Sparse, n),
-		Chi:       make([]*bitset.Sparse, n),
-		FormalIn:  map[*ir.Function]*bitset.Sparse{},
-		FormalOut: map[*ir.Function]*bitset.Sparse{},
-		CallRets:  map[*ir.Instr]*ir.Instr{},
-	}
-	for _, f := range prog.Funcs {
-		mssa.FormalIn[f] = bitset.New()
-		mssa.FormalOut[f] = bitset.New()
-	}
-	mssa.Chi[l[1]] = bitset.Of(uint32(a))
-	mssa.Chi[l[2]] = bitset.Of(uint32(a))
-	for _, ld := range []uint32{l[3], l[4], l[5]} {
-		mssa.Mu[ld] = bitset.Of(uint32(a))
-	}
-	mssa.Edges = []memssa.IndirEdge{
-		{From: l[1], To: l[2], Obj: a},
-		{From: l[1], To: l[3], Obj: a},
-		{From: l[1], To: l[4], Obj: a},
-		{From: l[1], To: l[5], Obj: a},
-		{From: l[2], To: l[4], Obj: a},
-		{From: l[2], To: l[5], Obj: a},
-	}
-	return svfg.Build(prog, aux, mssa), l, a
-}
-
 // TestVersioningFigure9 checks the consume/yield assignments of the
 // paper's Figures 5 and 9 on the motivating fragment.
 func TestVersioningFigure9(t *testing.T) {
-	g, l, a := motivatingFragment(t)
+	g, l, a := figure2.Build()
 	r := Solve(g)
 
 	k1 := r.YieldVersion(l[1], a)
@@ -258,7 +181,7 @@ func TestVersioningFigure9(t *testing.T) {
 // results as SFS with 3 points-to sets instead of 6 and 2 propagation
 // constraints instead of 6.
 func TestMotivatingFigure2(t *testing.T) {
-	g, l, a := motivatingFragment(t)
+	g, _, _ := figure2.Build()
 	sfsRes := sfs.Solve(g.Clone())
 	vsfsRes := Solve(g.Clone())
 	prog := g.Prog
@@ -293,8 +216,6 @@ func TestMotivatingFigure2(t *testing.T) {
 	if vsfsRes.Stats.VersionConstraints != 2 {
 		t.Errorf("VSFS version constraints = %d, want 2", vsfsRes.Stats.VersionConstraints)
 	}
-	_ = l
-	_ = a
 }
 
 // equalResults asserts the precision-equivalence claim of Section IV-E:

@@ -14,6 +14,29 @@ import (
 // largestProfiles are skipped under -short.
 var largestProfiles = map[string]bool{"bash": true, "lynx": true, "hyriseConsole": true}
 
+// IndirEdge is one def-use chain as a (from, to, object) triple: the
+// definition of Obj at From reaches a use at To.
+type IndirEdge struct {
+	From, To uint32
+	Obj      ir.Obj
+}
+
+// edges flattens r's successor lists into triples, in slot order, and
+// fails t if a chain joins slots of two different objects.
+func edges(t testing.TB, r *Result) []IndirEdge {
+	t.Helper()
+	var out []IndirEdge
+	for s, succs := range r.Succs {
+		for _, d := range succs {
+			if r.SlotObj(int(d)) != r.SlotObj(s) {
+				t.Fatalf("slot %d of #%d links slot %d of #%d", s, r.SlotObj(s), d, r.SlotObj(int(d)))
+			}
+			out = append(out, IndirEdge{From: r.SlotNode(s), To: r.SlotNode(int(d)), Obj: r.SlotObj(s)})
+		}
+	}
+	return out
+}
+
 // referenceEdges recomputes the indirect def-use edges without rename's
 // dominator-tree stacks, collecting them in a map so duplicates
 // collapse. A use's reaching definition is the last definition of its
@@ -100,18 +123,19 @@ func referenceEdges(prog *ir.Program, r *Result) map[IndirEdge]bool {
 	return out
 }
 
-// TestEdgesUniqueAndComplete: rename adds each edge once by
-// construction, so Edges has no duplicate; as a set it equals the
-// map-deduplicated reference; and every edge's object lies in both
-// endpoints' μ∪χ, the domain the SVFG numbers its slots over.
+// TestEdgesUniqueAndComplete: rename links each chain once by
+// construction, so the successor lists repeat no edge; as a set they
+// equal the map-deduplicated reference; and every edge's object lies in
+// both endpoints' μ∪χ, the domain the slots are numbered over.
 func TestEdgesUniqueAndComplete(t *testing.T) {
 	check := func(t *testing.T, prog *ir.Program) *Result {
 		r := Build(prog, andersen.Analyze(prog))
-		got := make(map[IndirEdge]bool, len(r.Edges))
+		all := edges(t, r)
+		got := make(map[IndirEdge]bool, len(all))
 		inDomain := func(l uint32, o ir.Obj) bool {
 			return r.MuOf(l).Has(uint32(o)) || r.ChiOf(l).Has(uint32(o))
 		}
-		for _, e := range r.Edges {
+		for _, e := range all {
 			if got[e] {
 				t.Fatalf("duplicate edge %+v", e)
 			}
@@ -163,7 +187,7 @@ j:
 			t.Fatalf("%d MEMPHIs, want 1", len(r.MemPhis))
 		}
 		in := 0
-		for _, e := range r.Edges {
+		for _, e := range edges(t, r) {
 			if e.To == r.MemPhis[0].Label {
 				in++
 			}

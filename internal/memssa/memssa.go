@@ -1,10 +1,10 @@
 // Package memssa builds the memory SSA form over address-taken objects:
 // it computes transitive mod/ref summaries from the auxiliary analysis,
 // annotates instructions with χ (may-define) and μ (may-use) sets,
-// inserts MEMPHI instructions at iterated dominance frontiers, and then
-// renames per-object definitions along the dominator tree to produce the
-// indirect def-use chains that become the SVFG's indirect value-flow
-// edges.
+// inserts MEMPHI instructions at iterated dominance frontiers, numbers
+// every (node, object) pair into a slot, and then renames per-object
+// definitions along the dominator tree, linking the indirect def-use
+// chains slot to slot; the SVFG adopts them as its indirect edges.
 package memssa
 
 import (
@@ -18,17 +18,9 @@ import (
 	"vsfs/internal/ir"
 )
 
-// cancelCheckInterval is how many fixpoint iterations pass between
-// context/budget polls inside the mod/ref worklist.
+// cancelCheckInterval is how many mod/ref fixpoint iterations, or
+// def-use chains linked, pass between context/budget polls.
 const cancelCheckInterval = 1024
-
-// IndirEdge is one indirect value-flow: the definition of Obj at From
-// reaches a use (μ, the previous-version operand of a χ, or a MEMPHI
-// operand) at To. From and To are instruction labels.
-type IndirEdge struct {
-	From, To uint32
-	Obj      ir.Obj
-}
 
 // Result is the memory SSA form of a program.
 type Result struct {
@@ -50,12 +42,18 @@ type Result struct {
 	FormalIn  map[*ir.Function]*bitset.Sparse
 	FormalOut map[*ir.Function]*bitset.Sparse
 
-	// Edges are the intraprocedural indirect def-use chains plus the
-	// interprocedural chains of direct calls. Chains for indirect calls
-	// are added during flow-sensitive solving (on-the-fly call graph).
-	// Graph construction is their only reader; a caller that builds
-	// every graph it needs may set Edges to nil to release them.
-	Edges []IndirEdge
+	// Slots numbers every node's μ∪χ into (node, object) slots.
+	Slots
+
+	// Succs[s] lists, in visit order, the slots whose definition or use
+	// of o the definition at slot s = (ℓ, o) reaches: a use (μ), the
+	// previous-version operand of a χ, or a MEMPHI operand. An o-chain
+	// joins two o-slots, so the object is implied. These are the
+	// intraprocedural indirect def-use chains plus the interprocedural
+	// chains of direct calls; chains for indirect calls are added during
+	// flow-sensitive solving (on-the-fly call graph). svfg.Build adopts
+	// the lists, and from then on the graph owns them.
+	Succs [][]uint32
 
 	// MemPhis lists the inserted MEMPHI instructions.
 	MemPhis []*ir.Instr
@@ -83,6 +81,100 @@ func (r *Result) ChiOf(label uint32) *bitset.Sparse {
 
 var empty = bitset.New()
 
+// Slots numbers every node ℓ's fixed object domain μ(ℓ)∪χ(ℓ),
+// ascending, into dense (node, object) slots. ℓ's slots are
+// start[ℓ] .. start[ℓ+1]-1; obj[s] and node[s] are slot s's object and
+// node. objSlots[objStart[o]:objStart[o+1]] lists object o's slots,
+// ascending. Immutable once numbered, so every graph built from one
+// Result shares it.
+type Slots struct {
+	start    []int
+	obj      []ir.Obj
+	node     []uint32
+	objStart []int
+	objSlots []uint32
+}
+
+// NumberSlots numbers the slots of the current μ/χ annotation and gives
+// each an empty successor list. BuildContext calls it once the
+// annotation is final; a hand-annotated Result calls it before a graph
+// is built from it.
+func (r *Result) NumberSlots() {
+	n := len(r.Prog.Instrs)
+	size := 0
+	for l := range n {
+		size += r.MuOf(uint32(l)).Len() + r.ChiOf(uint32(l)).Len()
+	}
+	sl := Slots{
+		start: make([]int, n+1),
+		obj:   make([]ir.Obj, 0, size),
+		node:  make([]uint32, 0, size),
+	}
+	for l := range n {
+		sl.start[l] = len(sl.obj)
+		dom := r.MuOf(uint32(l))
+		if chi := r.ChiOf(uint32(l)); dom.IsEmpty() {
+			dom = chi
+		} else if !chi.IsEmpty() {
+			dom = dom.Clone()
+			dom.UnionWith(chi)
+		}
+		dom.ForEach(func(o uint32) {
+			sl.obj = append(sl.obj, ir.Obj(o))
+			sl.node = append(sl.node, uint32(l))
+		})
+	}
+	sl.start[n] = len(sl.obj)
+
+	// Counting sort by object; slots are visited ascending, so each
+	// object's list comes out ascending too.
+	sl.objStart = make([]int, r.Prog.NumObjects()+1)
+	for _, o := range sl.obj {
+		sl.objStart[o+1]++
+	}
+	for o := range r.Prog.NumObjects() {
+		sl.objStart[o+1] += sl.objStart[o]
+	}
+	next := slices.Clone(sl.objStart[:len(sl.objStart)-1])
+	sl.objSlots = make([]uint32, len(sl.obj))
+	for s, o := range sl.obj {
+		sl.objSlots[next[o]] = uint32(s)
+		next[o]++
+	}
+	r.Slots = sl
+	r.Succs = make([][]uint32, len(sl.obj))
+}
+
+// Slot returns the slot of (ℓ, o), and false if o is not in μ(ℓ)∪χ(ℓ).
+func (sl *Slots) Slot(l uint32, o ir.Obj) (int, bool) {
+	lo, hi := sl.SlotRange(l)
+	i, ok := slices.BinarySearch(sl.obj[lo:hi], o)
+	return lo + i, ok
+}
+
+// SlotRange returns ℓ's slots: lo .. hi-1, ordered by object.
+func (sl *Slots) SlotRange(l uint32) (lo, hi int) {
+	return sl.start[l], sl.start[l+1]
+}
+
+// NumSlots returns the number of (node, object) slots.
+func (sl *Slots) NumSlots() int { return len(sl.obj) }
+
+// SlotObj returns slot s's object.
+func (sl *Slots) SlotObj(s int) ir.Obj { return sl.obj[s] }
+
+// SlotNode returns slot s's node.
+func (sl *Slots) SlotNode(s int) uint32 { return sl.node[s] }
+
+// ObjSlots returns object o's slots, ascending; none for an object
+// numbered after the slots were. The result must not be mutated.
+func (sl *Slots) ObjSlots(o ir.Obj) []uint32 {
+	if int(o)+1 >= len(sl.objStart) {
+		return nil
+	}
+	return sl.objSlots[sl.objStart[o]:sl.objStart[o+1]]
+}
+
 // Build constructs the memory SSA form. It inserts MEMPHI instructions
 // into prog's blocks and renumbers instruction labels.
 func Build(prog *ir.Program, aux *andersen.Result) *Result {
@@ -97,8 +189,9 @@ func Build(prog *ir.Program, aux *andersen.Result) *Result {
 
 // BuildContext is Build with cooperative cancellation: construction
 // polls ctx (and any guard budget or fault plan attached to it) between
-// passes and periodically inside the mod/ref fixpoint, returning the
-// context or budget error instead of a Result.
+// passes and periodically inside the mod/ref fixpoint and while linking
+// def-use chains, returning the context or budget error instead of a
+// Result.
 func BuildContext(ctx context.Context, prog *ir.Program, aux *andersen.Result) (*Result, error) {
 	b := &builder{
 		ctx:  ctx,
@@ -118,9 +211,9 @@ func BuildContext(ctx context.Context, prog *ir.Program, aux *andersen.Result) (
 		func() error { b.insertCallRets(); return nil },
 		func() error { b.placeMemPhis(); return nil },
 		func() error { prog.Renumber(); return nil },
-		func() error { b.annotate(); return nil },
+		func() error { b.annotate(); b.res.NumberSlots(); return nil },
 		b.rename,
-		func() error { b.interprocDirectCalls(); return nil },
+		b.interprocDirectCalls,
 	} {
 		if err := b.tick(0); err != nil {
 			return nil, err
@@ -140,6 +233,9 @@ type builder struct {
 
 	mod map[*ir.Function]*bitset.Sparse
 	ref map[*ir.Function]*bitset.Sparse
+
+	chains int   // successors linked so far
+	err    error // the first failed poll while linking
 }
 
 func (b *builder) tick(n int64) error {
@@ -371,21 +467,31 @@ func (b *builder) annotate() {
 	}
 }
 
-func (b *builder) addEdge(from, to uint32, obj ir.Obj) {
-	b.res.Edges = append(b.res.Edges, IndirEdge{From: from, To: to, Obj: obj})
+// link appends slot t to slot s's successors. Every
+// cancelCheckInterval successors it polls ctx, so one huge function
+// stays interruptible and a steps budget pays a step per chain; the
+// pass that linked stops at its next check of b.err.
+func (b *builder) link(s, t int) {
+	b.res.Succs[s] = append(b.res.Succs[s], uint32(t))
+	if b.chains++; b.chains%cancelCheckInterval == 0 && b.err == nil {
+		b.err = b.tick(cancelCheckInterval)
+	}
 }
 
 // rename walks each function's dominator tree, maintaining a stack of
-// reaching definitions per object, and records def→use edges. Each edge
-// is added once by construction: a (node, object) use has one reaching
-// definition, and a MEMPHI remembers the operands it already has, since
-// two predecessors (or one listed twice) may feed it the same one.
+// reaching definitions (slots) per object, and links each definition to
+// its uses. Each chain is linked once by construction: a (node, object)
+// use has one reaching definition, and a MEMPHI remembers the operands
+// it already has, since two predecessors (or one listed twice) may feed
+// it the same one.
 func (b *builder) rename() error {
-	phiOps := make([][]uint32, len(b.prog.Instrs))
-	// stacks[o] holds the reaching definitions of o. A block pops what
-	// it pushed, so the stacks are empty again after every function.
-	stacks := make([][]uint32, b.prog.NumObjects())
-	top := func(o ir.Obj) (uint32, bool) {
+	r := b.res
+	phiOps := make([][]int, len(b.prog.Instrs))
+	// stacks[o] holds the slots of o's reaching definitions. A block
+	// pops what it pushed, so the stacks are empty again after every
+	// function.
+	stacks := make([][]int, b.prog.NumObjects())
+	top := func(o ir.Obj) (int, bool) {
 		s := stacks[o]
 		if len(s) == 0 {
 			return 0, false
@@ -408,42 +514,38 @@ func (b *builder) rename() error {
 
 		var visit func(blk *ir.Block)
 		visit = func(blk *ir.Block) {
+			if b.err != nil {
+				return
+			}
 			var pushed []ir.Obj
 			for _, in := range blk.Instrs {
-				if in.Op == ir.MemPhi {
-					o := b.prog.ObjNum(in.Obj)
-					stacks[o] = append(stacks[o], in.Label)
-					pushed = append(pushed, o)
-					continue
+				// A use (μ) or the previous version flowing into a
+				// (weak) update (χ) links the reaching definition, but a
+				// MEMPHI's operands are linked from its predecessors; a
+				// χ then defines the object.
+				lo, hi := r.SlotRange(in.Label)
+				chi := r.ChiOf(in.Label)
+				for s := lo; s < hi; s++ {
+					o := r.SlotObj(s)
+					if d, ok := top(o); ok && in.Op != ir.MemPhi {
+						b.link(d, s)
+					}
+					if chi.Has(uint32(o)) {
+						stacks[o] = append(stacks[o], s)
+						pushed = append(pushed, o)
+					}
 				}
-				mu := b.res.MuOf(in.Label)
-				mu.ForEach(func(o32 uint32) {
-					o := ir.Obj(o32)
-					if d, ok := top(o); ok {
-						b.addEdge(d, in.Label, o)
-					}
-				})
-				b.res.ChiOf(in.Label).ForEach(func(o32 uint32) {
-					o := ir.Obj(o32)
-					// The previous version flows into the (weak) update,
-					// unless the μ above already added that edge.
-					if d, ok := top(o); ok && !mu.Has(o32) {
-						b.addEdge(d, in.Label, o)
-					}
-					stacks[o] = append(stacks[o], in.Label)
-					pushed = append(pushed, o)
-				})
 			}
 			// Feed MEMPHI operands of CFG successors.
-			for _, s := range blk.Succs {
-				for _, in := range s.Instrs {
+			for _, succ := range blk.Succs {
+				for _, in := range succ.Instrs {
 					if in.Op != ir.MemPhi {
 						break // phis are grouped at the top
 					}
-					o := b.prog.ObjNum(in.Obj)
-					if d, ok := top(o); ok && !slices.Contains(phiOps[in.Label], d) {
+					phi, _ := r.SlotRange(in.Label)
+					if d, ok := top(r.SlotObj(phi)); ok && !slices.Contains(phiOps[in.Label], d) {
 						phiOps[in.Label] = append(phiOps[in.Label], d)
-						b.addEdge(d, in.Label, o)
+						b.link(d, phi)
 					}
 				}
 			}
@@ -455,35 +557,49 @@ func (b *builder) rename() error {
 				stacks[o] = stacks[o][:len(stacks[o])-1]
 			}
 		}
-		visit(f.Entry)
+		if visit(f.Entry); b.err != nil {
+			return b.err
+		}
 	}
 	return nil
 }
 
-// interprocDirectCalls wires the μ/χ chains across direct calls: the
-// definition reaching a call site flows into the callee's FUNENTRY, and
-// the definition reaching the callee's FUNEXIT flows back into the call
-// site's χ. Indirect calls are wired during flow-sensitive solving.
-func (b *builder) interprocDirectCalls() {
+// interprocDirectCalls links the μ/χ chains across direct calls.
+// Indirect calls are linked during flow-sensitive solving.
+func (b *builder) interprocDirectCalls() error {
 	for _, f := range b.prog.Funcs {
 		f.ForEachInstr(func(in *ir.Instr) {
-			if in.Op != ir.Call || in.Callee == nil {
-				return
-			}
-			callee := in.Callee
-			entry, exit := callee.EntryInstr.Label, callee.ExitInstr.Label
-			b.res.FormalIn[callee].ForEach(func(o uint32) {
-				if b.res.MuOf(in.Label).Has(o) {
-					b.addEdge(in.Label, entry, ir.Obj(o))
-				}
-			})
-			if ret := b.res.CallRets[in]; ret != nil {
-				b.res.FormalOut[callee].ForEach(func(o uint32) {
-					if b.res.ChiOf(ret.Label).Has(o) {
-						b.addEdge(exit, ret.Label, ir.Obj(o))
-					}
-				})
+			if in.Op == ir.Call && in.Callee != nil {
+				b.res.CallChains(in, in.Callee, b.link)
 			}
 		})
+		if b.err != nil {
+			return b.err
+		}
+	}
+	return nil
+}
+
+// CallChains calls link(s, t) for each chain that call reaching callee
+// adds, from slot s to slot t: the definition reaching the call flows
+// into the callee's FUNENTRY, and the definition reaching the callee's
+// FUNEXIT flows back into the call's CallRet. The entry chains come
+// first, each group by ascending object. χ(FUNENTRY) = FormalIn and
+// μ(FUNEXIT) = FormalOut, so walking those slots walks the callee's
+// formals.
+func (r *Result) CallChains(call *ir.Instr, callee *ir.Function, link func(s, t int)) {
+	lo, hi := r.SlotRange(callee.EntryInstr.Label)
+	for t := lo; t < hi; t++ {
+		if s, ok := r.Slot(call.Label, r.SlotObj(t)); ok {
+			link(s, t)
+		}
+	}
+	if ret := r.CallRets[call]; ret != nil {
+		lo, hi = r.SlotRange(callee.ExitInstr.Label)
+		for s := lo; s < hi; s++ {
+			if t, ok := r.Slot(ret.Label, r.SlotObj(s)); ok {
+				link(s, t)
+			}
+		}
 	}
 }

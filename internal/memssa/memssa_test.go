@@ -43,8 +43,12 @@ func objByName(prog *ir.Program, name string) ir.Obj {
 }
 
 func hasEdge(r *Result, from, to uint32, obj ir.Obj) bool {
-	for _, e := range r.Edges {
-		if e.From == from && e.To == to && e.Obj == obj {
+	s, ok := r.Slot(from, obj)
+	if !ok {
+		return false
+	}
+	for _, d := range r.Succs[s] {
+		if r.SlotNode(int(d)) == to {
 			return true
 		}
 	}
@@ -73,7 +77,7 @@ entry:
 		t.Errorf("load not annotated with μ(a); mu = %v", r.MuOf(load.Label))
 	}
 	if !hasEdge(r, store.Label, load.Label, a) {
-		t.Errorf("missing indirect edge store --a--> load; edges = %v", r.Edges)
+		t.Errorf("missing indirect edge store --a--> load; edges = %v", edges(t, r))
 	}
 	if len(r.MemPhis) != 0 {
 		t.Errorf("straight-line code got %d memphis", len(r.MemPhis))
@@ -115,10 +119,10 @@ join:
 	s2 := findInstr(prog, ir.Store, 1)
 	load := findInstr(prog, ir.Load, 0)
 	if !hasEdge(r, s1.Label, phi.Label, a) || !hasEdge(r, s2.Label, phi.Label, a) {
-		t.Errorf("stores do not feed memphi: %v", r.Edges)
+		t.Errorf("stores do not feed memphi: %v", edges(t, r))
 	}
 	if !hasEdge(r, phi.Label, load.Label, a) {
-		t.Errorf("memphi does not feed load: %v", r.Edges)
+		t.Errorf("memphi does not feed load: %v", edges(t, r))
 	}
 	if hasEdge(r, s1.Label, load.Label, a) {
 		t.Errorf("store 1 directly feeds load despite memphi")
@@ -142,7 +146,7 @@ entry:
 	s1 := findInstr(prog, ir.Store, 0)
 	s2 := findInstr(prog, ir.Store, 1)
 	if !hasEdge(r, s1.Label, s2.Label, a) {
-		t.Errorf("second store does not consume first store's def of a: %v", r.Edges)
+		t.Errorf("second store does not consume first store's def of a: %v", edges(t, r))
 	}
 }
 
@@ -225,7 +229,7 @@ entry:
 	entry := setter.EntryInstr.Label
 	exit := setter.ExitInstr.Label
 	if !hasEdge(r, call.Label, entry, a) {
-		t.Errorf("call does not send a into setter entry: %v", r.Edges)
+		t.Errorf("call does not send a into setter entry: %v", edges(t, r))
 	}
 	store := findInstr(prog, ir.Store, 0)
 	if !hasEdge(r, setter.EntryInstr.Label, store.Label, a) {
@@ -371,7 +375,7 @@ func TestQuickEdgeConsistency(t *testing.T) {
 			prog := workload.Random(seed, workload.DefaultRandomConfig())
 			aux := andersen.Analyze(prog)
 			r := Build(prog, aux)
-			for _, e := range r.Edges {
+			for _, e := range edges(t, r) {
 				from := prog.Instrs[e.From]
 				to := prog.Instrs[e.To]
 				if from == nil || to == nil {

@@ -485,29 +485,19 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 	if !m[callee] {
 		// Newly resolved: record and add the interprocedural indirect
 		// edges (for direct calls they exist in the built graph already;
-		// AddIndirectEdge deduplicates).
+		// AddSlotEdge deduplicates).
 		m[callee] = true
 		s.Stats.CallEdges++
 		s.fsCallers[callee] = append(s.fsCallers[callee], call.Label)
 
-		entry := callee.EntryInstr.Label
-		g.MSSA.FormalIn[callee].ForEach(func(o uint32) {
-			if g.MSSA.MuOf(call.Label).Has(o) {
-				g.AddIndirectEdge(call.Label, entry, ir.Obj(o))
+		g.MSSA.CallChains(call, callee, func(from, to int) {
+			g.AddSlotEdge(from, to)
+			if g.SlotNode(from) == callee.ExitInstr.Label {
+				// Ship anything already sitting at the exit.
+				s.propagate(to, s.inAt(from))
 			}
 		})
-		if ret := g.MSSA.CallRets[call]; ret != nil {
-			exit := callee.ExitInstr.Label
-			g.MSSA.FormalOut[callee].ForEach(func(o uint32) {
-				if g.MSSA.ChiOf(ret.Label).Has(o) {
-					g.AddIndirectEdge(exit, ret.Label, ir.Obj(o))
-					// Ship anything already sitting at the exit.
-					t, _ := g.Slot(ret.Label, ir.Obj(o))
-					s.propagate(t, s.ConsumedSet(exit, ir.Obj(o)))
-				}
-			})
-		}
-		s.work.push(entry)
+		s.work.push(callee.EntryInstr.Label)
 	}
 
 	// Top-level flow (repeated on every call reprocessing: argument sets

@@ -49,12 +49,12 @@ func (g *Graph) WriteDot(w io.Writer) error {
 	}
 
 	// Indirect (object) value-flow edges, by node then object.
-	for from := uint32(0); int(from) < len(g.slotStart)-1; from++ {
+	for from := uint32(0); int(from) < len(prog.Instrs); from++ {
 		lo, hi := g.SlotRange(from)
 		for s := lo; s < hi; s++ {
 			for _, t := range g.indirOut[s] {
 				fmt.Fprintf(w, "  n%d -> n%d [style=dashed, label=%q, fontsize=8];\n",
-					from, g.slotNode[t], prog.ObjValue(g.slotObj[s]).Name)
+					from, g.SlotNode(int(t)), prog.ObjValue(g.SlotObj(s)).Name)
 			}
 		}
 	}

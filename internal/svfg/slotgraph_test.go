@@ -100,3 +100,46 @@ func TestSlotGraphInvariants(t *testing.T) {
 		})
 	}
 }
+
+// TestSuccessorListOwnership: Build adopts memory SSA's successor lists
+// without copying them, while BuildAuxCallGraph starts from its own
+// copy, so prewiring and solving the ablation graph built from the same
+// memssa.Result leaves the on-the-fly graph's lists as they were.
+func TestSuccessorListOwnership(t *testing.T) {
+	prog := workload.ProfileByName("du").Build()
+	aux := andersen.Analyze(prog)
+	mssa := memssa.Build(prog, aux)
+	g := svfg.Build(prog, aux, mssa)
+	before := make([][]uint32, g.NumSlots())
+	for s := range before {
+		before[s] = slices.Clone(g.SlotSuccs(s))
+	}
+
+	pre := svfg.BuildAuxCallGraph(prog, aux, mssa)
+	core.Solve(pre)
+	grown := 0
+	for s := range before {
+		if !slices.Equal(g.SlotSuccs(s), before[s]) || !slices.Equal(mssa.Succs[s], before[s]) {
+			t.Fatalf("slot %d: successors %v after the ablation solve, were %v", s, g.SlotSuccs(s), before[s])
+		}
+		if len(pre.SlotSuccs(s)) > len(before[s]) {
+			grown++
+		}
+	}
+	if grown == 0 {
+		t.Fatal("the ablation graph gained no edges: the test checks nothing")
+	}
+
+	// An edge the on-the-fly graph gains lands in memssa's own lists.
+	for s := range before {
+		for _, d := range pre.SlotSuccs(s)[len(before[s]):] {
+			if !g.AddIndirectEdge(g.SlotNode(s), g.SlotNode(int(d)), g.SlotObj(s)) {
+				t.Fatalf("slot %d: prewired edge to slot %d already in the on-the-fly graph", s, d)
+			}
+			if !slices.Equal(mssa.Succs[s], g.SlotSuccs(s)) {
+				t.Fatalf("slot %d: graph successors %v, memssa's %v: Build copied the lists", s, g.SlotSuccs(s), mssa.Succs[s])
+			}
+			return
+		}
+	}
+}

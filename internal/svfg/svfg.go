@@ -20,10 +20,6 @@ import (
 	"vsfs/internal/memssa"
 )
 
-// cancelCheckInterval is how many indirect edges are wired between
-// context/budget polls during construction.
-const cancelCheckInterval = 1024
-
 // Graph is the sparse value-flow graph.
 type Graph struct {
 	Prog *ir.Program
@@ -38,17 +34,10 @@ type Graph struct {
 	// use it as an operand.
 	users [][]uint32
 
-	// Every node ℓ has a fixed object domain μ(ℓ)∪χ(ℓ), ascending; each
-	// (node, object) pair of it is a dense slot. ℓ's slots are
-	// slotStart[ℓ] .. slotStart[ℓ+1]-1; slotObj[s] and slotNode[s] are
-	// slot s's object and node. objSlots[objStart[o]:objStart[o+1]]
-	// lists object o's slots, ascending. Immutable after build, so clones
-	// share them.
-	slotStart []int
-	slotObj   []ir.Obj
-	slotNode  []uint32
-	objStart  []int
-	objSlots  []uint32
+	// Every node ℓ has a fixed object domain μ(ℓ)∪χ(ℓ); each (node,
+	// object) pair of it is a dense slot, numbered by memory SSA.
+	// Immutable, so clones share it.
+	memssa.Slots
 
 	// indirOut[s] lists the target slots (ℓ', o) of indirect edges
 	// ℓ --o--> ℓ' for slot s = (ℓ, o): an o-edge joins two o-slots, so
@@ -76,7 +65,11 @@ type Graph struct {
 
 // Build assembles the SVFG from a finalized program, its auxiliary
 // results and memory-SSA form, with on-the-fly call-graph resolution
-// left to the flow-sensitive solvers (the paper's configuration).
+// left to the flow-sensitive solvers (the paper's configuration). The
+// graph adopts mssa's slots and successor lists as its indirect edges
+// without copying them, so from then on the graph owns the lists:
+// edges it gains appear in mssa.Succs too, and another graph built
+// with Build from the same mssa starts with them.
 func Build(prog *ir.Program, aux *andersen.Result, mssa *memssa.Result) *Graph {
 	g, err := build(context.Background(), prog, aux, mssa, false)
 	if err != nil {
@@ -89,8 +82,7 @@ func Build(prog *ir.Program, aux *andersen.Result, mssa *memssa.Result) *Graph {
 
 // BuildContext is Build with cooperative cancellation: construction
 // polls ctx (and any guard budget or fault plan attached to it) between
-// sub-passes and periodically while wiring indirect edges, returning
-// the context or budget error instead of a Graph.
+// sub-passes, returning the context or budget error instead of a Graph.
 func BuildContext(ctx context.Context, prog *ir.Program, aux *andersen.Result, mssa *memssa.Result) (*Graph, error) {
 	return build(ctx, prog, aux, mssa, false)
 }
@@ -101,7 +93,9 @@ func BuildContext(ctx context.Context, prog *ir.Program, aux *andersen.Result, m
 // Section IV-C1 of the paper notes store prelabelling alone is
 // sufficient in this configuration; it trades the precision (and,
 // per the paper, performance) of on-the-fly resolution for a simpler
-// pre-analysis. Kept as an ablation.
+// pre-analysis. Kept as an ablation. It starts from a copy of mssa's
+// successor lists, clipped as Clone clips them, so a graph built with
+// Build from the same mssa keeps its own.
 func BuildAuxCallGraph(prog *ir.Program, aux *andersen.Result, mssa *memssa.Result) *Graph {
 	g, err := build(context.Background(), prog, aux, mssa, true)
 	if err != nil {
@@ -111,114 +105,47 @@ func BuildAuxCallGraph(prog *ir.Program, aux *andersen.Result, mssa *memssa.Resu
 }
 
 func build(ctx context.Context, prog *ir.Program, aux *andersen.Result, mssa *memssa.Result, prewire bool) (*Graph, error) {
-	n := len(prog.Instrs)
 	g := &Graph{
 		Prog:     prog,
 		Aux:      aux,
 		MSSA:     mssa,
+		Slots:    mssa.Slots,
+		indirOut: mssa.Succs,
 		Prewired: prewire,
 		DefSite:  make([]uint32, prog.NumValues()),
 		users:    make([][]uint32, prog.NumValues()),
-		Delta:    make([]bool, n),
-	}
-	if err := guard.Tick(ctx, "svfg", 0); err != nil {
-		return nil, err
-	}
-	g.buildSlots()
-	g.buildDirect()
-	for i, e := range mssa.Edges {
-		if i%cancelCheckInterval == 0 {
-			if err := guard.Tick(ctx, "svfg", cancelCheckInterval); err != nil {
-				return nil, err
-			}
-		}
-		g.AddIndirectEdge(e.From, e.To, e.Obj)
-	}
-	if err := guard.Tick(ctx, "svfg", 0); err != nil {
-		return nil, err
+		Delta:    make([]bool, len(prog.Instrs)),
 	}
 	if prewire {
-		g.prewireIndirectCalls()
-	} else {
-		g.markDelta()
+		g.indirOut = clipped(mssa.Succs)
 	}
-	if err := guard.Tick(ctx, "svfg", 0); err != nil {
-		return nil, err
+	for _, succs := range g.indirOut {
+		g.NumIndirectEdges += len(succs)
 	}
-	g.computeSingletons()
-	g.countStats()
+	for _, pass := range []func(){g.buildDirect, g.prewireIndirectCalls, g.markDelta, g.computeSingletons, g.countStats} {
+		if err := guard.Tick(ctx, "svfg", 0); err != nil {
+			return nil, err
+		}
+		pass()
+	}
 	return g, nil
 }
 
 // prewireIndirectCalls adds the interprocedural value-flow edges of
-// every auxiliary-resolved indirect call at build time.
+// every auxiliary-resolved indirect call at build time, if Prewired.
 func (g *Graph) prewireIndirectCalls() {
+	if !g.Prewired {
+		return
+	}
 	for _, f := range g.Prog.Funcs {
 		f.ForEachInstr(func(in *ir.Instr) {
 			if in.Op != ir.Call || !in.IsIndirectCall() {
 				return
 			}
 			for _, callee := range g.Aux.CalleesOf(in) {
-				entry := callee.EntryInstr.Label
-				g.MSSA.FormalIn[callee].ForEach(func(o uint32) {
-					if g.MSSA.MuOf(in.Label).Has(o) {
-						g.AddIndirectEdge(in.Label, entry, ir.Obj(o))
-					}
-				})
-				if ret := g.MSSA.CallRets[in]; ret != nil {
-					exit := callee.ExitInstr.Label
-					g.MSSA.FormalOut[callee].ForEach(func(o uint32) {
-						if g.MSSA.ChiOf(ret.Label).Has(o) {
-							g.AddIndirectEdge(exit, ret.Label, ir.Obj(o))
-						}
-					})
-				}
+				g.MSSA.CallChains(in, callee, func(s, t int) { g.AddSlotEdge(s, t) })
 			}
 		})
-	}
-}
-
-// buildSlots numbers every node's μ∪χ domain into dense slots.
-func (g *Graph) buildSlots() {
-	n := len(g.Prog.Instrs)
-	size := 0
-	for l := range n {
-		size += g.MSSA.MuOf(uint32(l)).Len() + g.MSSA.ChiOf(uint32(l)).Len()
-	}
-	g.slotStart = make([]int, n+1)
-	g.slotObj = make([]ir.Obj, 0, size)
-	g.slotNode = make([]uint32, 0, size)
-	for l := range n {
-		g.slotStart[l] = len(g.slotObj)
-		dom := g.MSSA.MuOf(uint32(l))
-		if chi := g.MSSA.ChiOf(uint32(l)); dom.IsEmpty() {
-			dom = chi
-		} else if !chi.IsEmpty() {
-			dom = dom.Clone()
-			dom.UnionWith(chi)
-		}
-		dom.ForEach(func(o uint32) {
-			g.slotObj = append(g.slotObj, ir.Obj(o))
-			g.slotNode = append(g.slotNode, uint32(l))
-		})
-	}
-	g.slotStart[n] = len(g.slotObj)
-	g.indirOut = make([][]uint32, len(g.slotObj))
-
-	// Counting sort by object; slots are visited ascending, so each
-	// object's list comes out ascending too.
-	g.objStart = make([]int, g.Prog.NumObjects()+1)
-	for _, o := range g.slotObj {
-		g.objStart[o+1]++
-	}
-	for o := range g.Prog.NumObjects() {
-		g.objStart[o+1] += g.objStart[o]
-	}
-	next := slices.Clone(g.objStart[:len(g.objStart)-1])
-	g.objSlots = make([]uint32, len(g.slotObj))
-	for s, o := range g.slotObj {
-		g.objSlots[next[o]] = uint32(s)
-		next[o]++
 	}
 }
 
@@ -232,11 +159,17 @@ func (g *Graph) buildSlots() {
 // reallocates instead of writing into the other's array.
 func (g *Graph) Clone() *Graph {
 	c := *g
-	c.indirOut = make([][]uint32, len(g.indirOut))
-	for s, succs := range g.indirOut {
-		c.indirOut[s] = slices.Clip(succs)
-	}
+	c.indirOut = clipped(g.indirOut)
 	return &c
+}
+
+// clipped copies a list of successor lists, each clipped to its length.
+func clipped(lists [][]uint32) [][]uint32 {
+	out := make([][]uint32, len(lists))
+	for s, succs := range lists {
+		out[s] = slices.Clip(succs)
+	}
+	return out
 }
 
 func (g *Graph) buildDirect() {
@@ -288,9 +221,8 @@ func (g *Graph) buildDirect() {
 func (g *Graph) UsersOf(v ir.ID) []uint32 { return g.users[v] }
 
 // AddIndirectEdge inserts ℓfrom --obj--> ℓto, reporting whether it was
-// new. The flow-sensitive solvers call this during on-the-fly call-graph
-// resolution. Both endpoints must carry obj in μ∪χ; an edge outside the
-// slot domain is a construction bug and panics.
+// new. Both endpoints must carry obj in μ∪χ; an edge outside the slot
+// domain is a construction bug and panics.
 func (g *Graph) AddIndirectEdge(from, to uint32, obj ir.Obj) bool {
 	s, ok := g.Slot(from, obj)
 	if !ok {
@@ -300,6 +232,13 @@ func (g *Graph) AddIndirectEdge(from, to uint32, obj ir.Obj) bool {
 	if !ok {
 		g.outsideDomain(from, to, obj, to)
 	}
+	return g.AddSlotEdge(s, t)
+}
+
+// AddSlotEdge inserts the edge from slot s to slot t, two slots of one
+// object, reporting whether it was new. The flow-sensitive solvers call
+// this during on-the-fly call-graph resolution.
+func (g *Graph) AddSlotEdge(s, t int) bool {
 	if slices.Contains(g.indirOut[s], uint32(t)) {
 		return false
 	}
@@ -312,36 +251,6 @@ func (g *Graph) outsideDomain(from, to uint32, obj ir.Obj, at uint32) {
 	name := g.Prog.ObjValue(obj).Name
 	panic(fmt.Sprintf("svfg: indirect edge ℓ%d --%s--> ℓ%d: object %s (#%d) is not in μ∪χ of ℓ%d",
 		from, name, to, name, obj, at))
-}
-
-// Slot returns the slot of (ℓ, o), and false if o is not in μ(ℓ)∪χ(ℓ).
-func (g *Graph) Slot(l uint32, o ir.Obj) (int, bool) {
-	lo, hi := g.SlotRange(l)
-	i, ok := slices.BinarySearch(g.slotObj[lo:hi], o)
-	return lo + i, ok
-}
-
-// SlotRange returns ℓ's slots: lo .. hi-1, ordered by object.
-func (g *Graph) SlotRange(l uint32) (lo, hi int) {
-	return g.slotStart[l], g.slotStart[l+1]
-}
-
-// NumSlots returns the number of (node, object) slots.
-func (g *Graph) NumSlots() int { return len(g.slotObj) }
-
-// SlotObj returns slot s's object.
-func (g *Graph) SlotObj(s int) ir.Obj { return g.slotObj[s] }
-
-// SlotNode returns slot s's node.
-func (g *Graph) SlotNode(s int) uint32 { return g.slotNode[s] }
-
-// ObjSlots returns object o's slots, ascending; none for an object
-// numbered after the graph was built. The result must not be mutated.
-func (g *Graph) ObjSlots(o ir.Obj) []uint32 {
-	if int(o)+1 >= len(g.objStart) {
-		return nil
-	}
-	return g.objSlots[g.objStart[o]:g.objStart[o+1]]
 }
 
 // SlotSuccs returns the target slots of indirect edges out of slot
@@ -358,15 +267,18 @@ func (g *Graph) IndirSuccs(from uint32, obj ir.Obj) []uint32 {
 	}
 	out := make([]uint32, len(g.indirOut[s]))
 	for i, t := range g.indirOut[s] {
-		out[i] = g.slotNode[t]
+		out[i] = g.SlotNode(int(t))
 	}
 	return out
 }
 
 // markDelta marks δ nodes: FUNENTRY of address-taken functions (possible
 // indirect-call targets) and the CallRet side of indirect calls (return
-// targets of indirect calls).
+// targets of indirect calls), unless Prewired.
 func (g *Graph) markDelta() {
+	if g.Prewired {
+		return
+	}
 	for _, f := range g.Prog.Funcs {
 		if f.AddressTaken {
 			g.Delta[f.EntryInstr.Label] = true

@@ -141,9 +141,9 @@ func (g *Graph) ExplainPointsTo(holds func(x ir.ID, o ir.Obj) bool, v ir.ID, obj
 		// witness it finds are deterministic.
 		lo, hi := g.SlotRange(l)
 		for s := lo; s < hi; s++ {
-			if o := prog.ObjID(g.slotObj[s]); len(g.indirOut[s]) > 0 && holds(o, obj) {
+			if o := prog.ObjID(g.SlotObj(s)); len(g.indirOut[s]) > 0 && holds(o, obj) {
 				for _, t := range g.indirOut[s] {
-					out = append(out, edgeKind{to: g.slotNode[t], note: "in " + prog.NameOf(o)})
+					out = append(out, edgeKind{to: g.SlotNode(int(t)), note: "in " + prog.NameOf(o)})
 				}
 			}
 		}

@@ -569,9 +569,6 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, hash st
 		Arg("directEdges", r.g.NumDirectEdges).
 		Arg("indirectEdges", r.g.NumIndirectEdges).
 		End()
-	// The graph now holds every def-use chain as slot successors; the
-	// edge list it was built from has no other reader.
-	mssa.Edges = nil
 
 	t = time.Now()
 	sp = obs.StartSpan(ctx, "solve").Arg("mode", opts.Mode.String())
