@@ -159,7 +159,7 @@ func FuzzSparseLaws(f *testing.F) {
 // on destinations that reach its different paths: a plain clone, a
 // clone left with spare capacity by a Clear that compacted a word away
 // (so growth reuses stale storage), and the set itself. For each, the
-// result must match the model, the source must be untouched, the return
+// result must match the model, the source must be unchanged, the return
 // value must be !src ⊆ dst-before, and AllocatedWords must advance by
 // exactly the number of words the union added.
 func FuzzUnionInPlace(f *testing.F) {

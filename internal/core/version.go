@@ -27,14 +27,12 @@ import (
 // and YieldEntries describe the fixpoint; the effort counters describe
 // the one-pass labelling that reaches it.
 type VersionStats struct {
-	Prelabels        int // fresh versions from [STORE]^P and [OTF-CG]^P
-	DistinctVersions int // distinct labels interned (incl. ε)
-	MeldOps          int // external melds that grew a component's pending label
-	ConsumeEntries   int // (node, object) consume slots materialised
-	YieldEntries     int // (node, object) yield slots materialised
-	Iterations       int // value-flow components labelled
-	WorklistHW       int // Tarjan stack high-water mark over all objects
-	Meld             meld.TableStats
+	Prelabels        int           // fresh versions from [STORE]^P and [OTF-CG]^P
+	DistinctVersions int           // distinct labels interned (incl. ε)
+	MeldOps          int           // external melds that grew a component's pending label
+	ConsumeEntries   int           // (node, object) consume slots materialised
+	YieldEntries     int           // (node, object) yield slots materialised
+	Iterations       int           // value-flow components labelled
 	Duration         time.Duration // wall-clock versioning time
 }
 
@@ -53,16 +51,15 @@ type versioning struct {
 	consume []meld.Version // ξ_ℓ(o) by slot
 	yield   []meld.Version // η_ℓ(o) by slot
 
-	stats VersionStats
-}
+	// first[o] .. first[o+1]-1 are object o's versions. Labelling
+	// interns o's labels only during o's pass, and a meld of o's labels
+	// is never another object's label, so each object's versions are
+	// one id range and the ranges tile 1 .. DistinctVersions-1 in object
+	// order. Some ids in a range may be intermediate labels no slot
+	// carries.
+	first []meld.Version
 
-func newVersioning(g *svfg.Graph, tab *meld.Table) *versioning {
-	return &versioning{
-		g:       g,
-		tab:     tab,
-		consume: make([]meld.Version, g.NumSlots()),
-		yield:   make([]meld.Version, g.NumSlots()),
-	}
+	stats VersionStats
 }
 
 func (v *versioning) consumeOf(l uint32, o ir.Obj) meld.Version {
@@ -79,6 +76,15 @@ func (v *versioning) yieldOf(l uint32, o ir.Obj) meld.Version {
 	return meld.Epsilon
 }
 
+// versions returns object o's version range; empty for an object
+// numbered after labelling ran.
+func (v *versioning) versions(o ir.Obj) (lo, hi meld.Version) {
+	if int(o)+1 >= len(v.first) {
+		return 0, 0
+	}
+	return v.first[o], v.first[o+1]
+}
+
 // countEntries fills the fixpoint-shaped entry counters.
 func (v *versioning) countEntries() {
 	for s := range v.consume {
@@ -91,114 +97,105 @@ func (v *versioning) countEntries() {
 	}
 }
 
-// prelabel is one [STORE]^P / [OTF-CG]^P seed of an object's meld
-// labelling: a store's yield (delta false) or a δ node's consume, at
-// slot (l, o).
-type prelabel struct {
-	l     uint32
-	slot  int
-	delta bool
-}
-
-// collectPrelabels scans the SVFG in label order and returns every
-// object's prelabels, indexed by object number, plus the objects that
-// have any, ascending.
-func collectPrelabels(g *svfg.Graph) ([]ir.Obj, [][]prelabel) {
-	perObj := make([][]prelabel, g.Prog.NumObjects())
-	for l := uint32(1); l < uint32(len(g.Prog.Instrs)); l++ {
-		isStore := g.Prog.Instrs[l].Op == ir.Store
-		if !isStore && !g.Delta[l] {
-			continue
-		}
-		g.MSSA.ChiOf(l).ForEach(func(o uint32) {
-			s, _ := g.Slot(l, ir.Obj(o))
-			if isStore {
-				perObj[o] = append(perObj[o], prelabel{l: l, slot: s})
-			}
-			if g.Delta[l] {
-				// δ nodes consume a fresh version for each object they
-				// may propagate forward (their χ set).
-				perObj[o] = append(perObj[o], prelabel{l: l, slot: s, delta: true})
-			}
-		})
-	}
-	var objs []ir.Obj
-	for o, pre := range perObj {
-		if len(pre) > 0 {
-			objs = append(objs, ir.Obj(o))
-		}
-	}
-	return objs, perObj
-}
-
 // runVersioning performs prelabelling and meld labelling over the SVFG,
 // one object at a time, polling ctx periodically so a cancelled request
 // aborts the pre-analysis too, not just the main phase.
 func runVersioning(ctx context.Context, g *svfg.Graph) (*versioning, error) {
 	start := time.Now()
-	v := newVersioning(g, meld.NewTable())
-	objs, perObj := collectPrelabels(g)
-	lb := newLabeller(g.Prog, obs.AttrFrom(ctx))
-	for _, o := range objs {
-		if err := lb.labelObject(ctx, g, v, o, perObj[o]); err != nil {
+	n := g.Prog.NumObjects()
+	v := &versioning{
+		g:       g,
+		tab:     meld.NewTable(),
+		consume: make([]meld.Version, g.NumSlots()),
+		yield:   make([]meld.Version, g.NumSlots()),
+		first:   make([]meld.Version, n+1),
+	}
+	lb := newLabeller(g, obs.AttrFrom(ctx))
+	for o := range n {
+		v.first[o] = meld.Version(v.tab.Distinct())
+		if err := lb.labelObject(ctx, v, ir.Obj(o)); err != nil {
 			return nil, err
 		}
 	}
+	v.first[n] = meld.Version(v.tab.Distinct())
 	v.stats.DistinctVersions = v.tab.Distinct()
-	v.stats.Meld = v.tab.Stats()
 	v.tab = nil
 	v.countEntries()
 	v.stats.Duration = time.Since(start)
 	return v, nil
 }
 
-// labeller is the scratch state of the per-object labelling pass. Its
-// per-node arrays are indexed by label and reset after every object
-// through touched, so one labeller serves any number of objects.
+// slotKind classifies a slot by its node: a δ node's slot consumes a
+// frozen atom ([OTF-CG]^P), a store's slot yields one ([STORE]^P), and
+// every other slot is 0.
+type slotKind uint8
+
+const (
+	deltaSlot slotKind = 1 + iota
+	storeSlot
+)
+
+// labeller is the scratch state of the labelling pass. Its arrays are
+// indexed by slot and never reset: a slot belongs to one object, so no
+// object's pass sees another's state.
 type labeller struct {
-	index   []int32 // Tarjan DFS number + 1; 0 = not visited for this object
-	low     []int32 // Tarjan low-link
-	comp    []int32 // component of a finished node; -1 while on the stack
-	slot    []int   // the visited node's slot for the current object
-	touched []uint32
+	g     *svfg.Graph
+	kind  []slotKind
+	index []int32 // Tarjan DFS number; 0 = not yet visited
+	low   []int32 // Tarjan low-link
+	comp  []int32 // component of a finished slot in its object's pass; -1 while on the stack
 
 	counter int32
-	hw      int      // Tarjan stack high-water mark for the current object
-	stack   []uint32 // Tarjan's node stack
+	stack   []uint32 // Tarjan's slot stack
 	frames  []frame  // explicit DFS call stack
-	members []uint32 // components' members, in completion order
+	members []uint32 // components' member slots, in completion order
 	bounds  []int    // bounds[c] = end of component c in members
 	acc     []meld.Version
 
-	// Governance: checkpoints fall every cancelCheckInterval (node,
-	// object) visits; attr takes one meld charge per MeldOps increment,
-	// by the object's value ID.
-	prog   *ir.Program
+	// Governance: checkpoints fall every cancelCheckInterval slot
+	// visits; attr takes one meld charge per MeldOps increment, by the
+	// object's value ID.
 	attr   *obs.ObjectAttr
 	visits int
 }
 
 // frame is one suspended DFS call of the iterative Tarjan.
 type frame struct {
-	node  uint32
-	base  int      // Tarjan stack height before node was pushed
-	succs []uint32 // the successor slots followed from node
+	slot  uint32
+	base  int      // Tarjan stack height before slot was pushed
+	succs []uint32 // the successor slots followed from slot
 	next  int
 }
 
-func newLabeller(prog *ir.Program, attr *obs.ObjectAttr) *labeller {
-	n := len(prog.Instrs)
-	return &labeller{
+func newLabeller(g *svfg.Graph, attr *obs.ObjectAttr) *labeller {
+	n := g.NumSlots()
+	lb := &labeller{
+		g:     g,
+		kind:  make([]slotKind, n),
 		index: make([]int32, n),
 		low:   make([]int32, n),
 		comp:  make([]int32, n),
-		slot:  make([]int, n),
-		prog:  prog,
 		attr:  attr,
 	}
+	for l := uint32(1); l < uint32(len(g.Prog.Instrs)); l++ {
+		var k slotKind
+		switch {
+		case g.Delta[l]:
+			k = deltaSlot
+		case g.Prog.Instrs[l].Op == ir.Store:
+			k = storeSlot
+		default:
+			continue
+		}
+		lo, hi := g.SlotRange(l)
+		for s := lo; s < hi; s++ {
+			lb.kind[s] = k
+		}
+	}
+	return lb
 }
 
-// poll counts one (node, object) visit and charges the budget every
+// poll counts one slot visit and charges the budget every
 // cancelCheckInterval visits.
 func (lb *labeller) poll(ctx context.Context) error {
 	if lb.visits%cancelCheckInterval == 0 {
@@ -214,34 +211,36 @@ func (lb *labeller) poll(ctx context.Context) error {
 // pass. Its value-flow subgraph is the SVFG's o-labelled indirect edges
 // with two cuts: a store's out-edges carry its fixed atom and are not
 // followed, and edges into δ nodes are dropped (a δ consume is frozen).
-// The roots are the δ nodes and the non-δ successors of stores. The
-// subgraph is condensed into strongly connected components, and each
-// component, in topological order, gets the meld of the store atoms and
-// predecessor-component labels flowing into it — computed once, from
-// final inputs — as every member's consume and (for non-stores) yield.
-// The result is the least fixpoint of [EXTERNAL]^V and [INTERNAL]^V.
-func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versioning, o ir.Obj, pre []prelabel) error {
-	tab := v.tab
-	for _, pe := range pre {
-		if pe.delta {
-			v.consume[pe.slot] = tab.NewAtom()
-		} else {
-			v.yield[pe.slot] = tab.NewAtom()
-		}
-		v.stats.Prelabels++
-	}
-
-	for _, pe := range pre {
-		if pe.delta {
-			if err := lb.strongConnect(ctx, g, pe.l, pe.slot); err != nil {
+// The roots are the δ slots and the non-δ successors of store slots.
+// The subgraph is condensed into strongly connected components, and
+// each component, in topological order, gets the meld of the store
+// atoms and predecessor-component labels flowing into it — computed
+// once, from final inputs — as every member's consume and (for
+// non-stores) yield. The result is the least fixpoint of [EXTERNAL]^V
+// and [INTERNAL]^V.
+//
+// memssa gives stores and δ nodes only χ, so each of their o-slots is
+// a prelabel. o's slots ascend in label order, so atoms are allocated
+// in label order.
+func (lb *labeller) labelObject(ctx context.Context, v *versioning, o ir.Obj) error {
+	g, tab := lb.g, v.tab
+	slots := g.ObjSlots(o)
+	for _, s := range slots {
+		switch lb.kind[s] {
+		case deltaSlot:
+			v.consume[s] = tab.NewAtom()
+			v.stats.Prelabels++
+			if err := lb.strongConnect(ctx, s); err != nil {
 				return err
 			}
-			continue
-		}
-		for _, t := range g.SlotSuccs(pe.slot) {
-			if n := g.SlotNode(int(t)); !g.Delta[n] {
-				if err := lb.strongConnect(ctx, g, n, int(t)); err != nil {
-					return err
+		case storeSlot:
+			v.yield[s] = tab.NewAtom()
+			v.stats.Prelabels++
+			for _, t := range g.SlotSuccs(int(s)) {
+				if lb.kind[t] != deltaSlot {
+					if err := lb.strongConnect(ctx, t); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -249,14 +248,13 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 
 	lb.acc = slices.Grow(lb.acc[:0], len(lb.bounds))[:len(lb.bounds)]
 	clear(lb.acc)
-	for _, pe := range pre {
-		if pe.delta {
+	for _, s := range slots {
+		if lb.kind[s] != storeSlot {
 			continue
 		}
-		atom := v.yield[pe.slot]
-		for _, t := range g.SlotSuccs(pe.slot) {
-			if n := g.SlotNode(int(t)); !g.Delta[n] {
-				lb.meld(v, o, lb.comp[n], atom)
+		for _, t := range g.SlotSuccs(int(s)) {
+			if lb.kind[t] != deltaSlot {
+				lb.meld(v, o, lb.comp[t], v.yield[s])
 			}
 		}
 	}
@@ -269,39 +267,32 @@ func (lb *labeller) labelObject(ctx context.Context, g *svfg.Graph, v *versionin
 		}
 		members := lb.members[start:lb.bounds[c]]
 		label := lb.acc[c]
-		if n := members[0]; len(members) == 1 && g.Delta[n] {
-			label = v.consume[lb.slot[n]]
+		if s := members[0]; len(members) == 1 && lb.kind[s] == deltaSlot {
+			label = v.consume[s]
 		}
 		v.stats.Iterations++
-		for _, n := range members {
+		for _, s := range members {
 			if err := lb.poll(ctx); err != nil {
 				return err
 			}
-			sl := lb.slot[n]
-			if !g.Delta[n] {
-				v.consume[sl] = label
+			k := lb.kind[s]
+			if k != deltaSlot {
+				v.consume[s] = label
 			}
-			if g.Prog.Instrs[n].Op == ir.Store {
+			if k == storeSlot {
 				continue
 			}
-			v.yield[sl] = label
-			for _, t := range g.SlotSuccs(sl) {
-				w := g.SlotNode(int(t))
-				if cs := lb.comp[w]; !g.Delta[w] && cs != int32(c) {
+			v.yield[s] = label
+			for _, t := range g.SlotSuccs(int(s)) {
+				if cs := lb.comp[t]; lb.kind[t] != deltaSlot && cs != int32(c) {
 					lb.meld(v, o, cs, label)
 				}
 			}
 		}
 	}
 
-	v.stats.WorklistHW = max(v.stats.WorklistHW, lb.hw)
-	for _, n := range lb.touched {
-		lb.index[n] = 0
-	}
-	lb.touched = lb.touched[:0]
 	lb.members = lb.members[:0]
 	lb.bounds = lb.bounds[:0]
-	lb.counter, lb.hw = 0, 0
 	return nil
 }
 
@@ -311,54 +302,44 @@ func (lb *labeller) meld(v *versioning, o ir.Obj, c int32, label meld.Version) {
 	if m := v.tab.Meld(old, label); m != old {
 		lb.acc[c] = m
 		v.stats.MeldOps++
-		lb.attr.Meld(uint32(lb.prog.ObjID(o)))
+		lb.attr.Meld(uint32(lb.g.Prog.ObjID(o)))
 	}
 }
 
-// followed returns the out-edges of slot sl = (n, o) the labelling
-// follows: none from a store, whose yield is its own atom.
-func followed(g *svfg.Graph, n uint32, sl int) []uint32 {
-	if g.Prog.Instrs[n].Op == ir.Store {
-		return nil
-	}
-	return g.SlotSuccs(sl)
-}
-
-// strongConnect runs an iterative Tarjan from root, whose slot for the
-// current object is sl (if not yet visited for this object), appending
-// each finished component to members and bounds. There is no recursion,
-// so a deep value-flow chain cannot grow the goroutine stack.
-func (lb *labeller) strongConnect(ctx context.Context, g *svfg.Graph, root uint32, sl int) error {
+// strongConnect runs an iterative Tarjan from slot root (if not yet
+// visited), appending each finished component to members and bounds.
+// There is no recursion, so a deep value-flow chain cannot grow the
+// goroutine stack.
+func (lb *labeller) strongConnect(ctx context.Context, root uint32) error {
 	if lb.index[root] != 0 {
 		return nil
 	}
-	if err := lb.enter(ctx, g, root, sl); err != nil {
+	if err := lb.enter(ctx, root); err != nil {
 		return err
 	}
 	for len(lb.frames) > 0 {
 		f := &lb.frames[len(lb.frames)-1]
 		if f.next < len(f.succs) {
-			t := int(f.succs[f.next])
-			w := g.SlotNode(t)
+			t := f.succs[f.next]
 			f.next++
 			switch {
-			case g.Delta[w]:
-			case lb.index[w] == 0:
-				if err := lb.enter(ctx, g, w, t); err != nil {
+			case lb.kind[t] == deltaSlot:
+			case lb.index[t] == 0:
+				if err := lb.enter(ctx, t); err != nil {
 					return err
 				}
-			case lb.comp[w] < 0:
-				lb.low[f.node] = min(lb.low[f.node], lb.index[w])
+			case lb.comp[t] < 0:
+				lb.low[f.slot] = min(lb.low[f.slot], lb.index[t])
 			}
 			continue
 		}
-		n, base := f.node, f.base
+		s, base := f.slot, f.base
 		lb.frames = lb.frames[:len(lb.frames)-1]
 		if len(lb.frames) > 0 {
-			p := lb.frames[len(lb.frames)-1].node
-			lb.low[p] = min(lb.low[p], lb.low[n])
+			p := lb.frames[len(lb.frames)-1].slot
+			lb.low[p] = min(lb.low[p], lb.low[s])
 		}
-		if lb.low[n] != lb.index[n] {
+		if lb.low[s] != lb.index[s] {
 			continue
 		}
 		c := int32(len(lb.bounds))
@@ -372,19 +353,21 @@ func (lb *labeller) strongConnect(ctx context.Context, g *svfg.Graph, root uint3
 	return nil
 }
 
-// enter visits n through its slot sl for the current object: numbers
-// it, pushes it on the Tarjan stack and opens its DFS frame.
-func (lb *labeller) enter(ctx context.Context, g *svfg.Graph, n uint32, sl int) error {
+// enter visits slot s: numbers it, pushes it on the Tarjan stack and
+// opens its DFS frame. A store slot's out-edges are not followed: its
+// yield is its own atom.
+func (lb *labeller) enter(ctx context.Context, s uint32) error {
 	if err := lb.poll(ctx); err != nil {
 		return err
 	}
 	lb.counter++
-	lb.index[n], lb.low[n], lb.comp[n] = lb.counter, lb.counter, -1
-	lb.slot[n] = sl
-	lb.touched = append(lb.touched, n)
-	lb.frames = append(lb.frames, frame{node: n, base: len(lb.stack), succs: followed(g, n, sl)})
-	lb.stack = append(lb.stack, n)
-	lb.hw = max(lb.hw, len(lb.stack))
+	lb.index[s], lb.low[s], lb.comp[s] = lb.counter, lb.counter, -1
+	var succs []uint32
+	if lb.kind[s] != storeSlot {
+		succs = lb.g.SlotSuccs(int(s))
+	}
+	lb.frames = append(lb.frames, frame{slot: s, base: len(lb.stack), succs: succs})
+	lb.stack = append(lb.stack, s)
 	return nil
 }
 

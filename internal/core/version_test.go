@@ -180,20 +180,29 @@ func requireSamePartition(t *testing.T, g *svfg.Graph, want *refVersioning, got 
 
 // requireOneObjectPerVersion asserts the invariant the main phase's
 // version-indexed tables rest on: no version other than ε is carried by
-// slots of two different objects.
+// slots of two different objects. It checks the stronger form
+// ObjectSummary and collectStats read: the objects' version ranges tile
+// 1 .. DistinctVersions-1 in object order, and every version on a slot
+// of o lies in o's range.
 func requireOneObjectPerVersion(t *testing.T, g *svfg.Graph, v *versioning) {
 	t.Helper()
-	owner := map[meld.Version]ir.Obj{}
+	n := g.Prog.NumObjects()
+	if len(v.first) != n+1 || v.first[0] != 1 || int(v.first[n]) != v.stats.DistinctVersions {
+		t.Fatalf("version ranges %v do not tile 1 .. %d over %d objects",
+			v.first, v.stats.DistinctVersions-1, n)
+	}
+	for o := range n {
+		if v.first[o] > v.first[o+1] {
+			t.Fatalf("object %d: range %d .. %d runs backwards", o, v.first[o], v.first[o+1])
+		}
+	}
 	for sl := range g.NumSlots() {
 		o := g.SlotObj(sl)
+		lo, hi := v.versions(o)
 		for _, ver := range []meld.Version{v.consume[sl], v.yield[sl]} {
-			if ver == meld.Epsilon {
-				continue
+			if ver != meld.Epsilon && (ver < lo || ver >= hi) {
+				t.Fatalf("version %d of object %d outside its range %d .. %d", ver, o, lo, hi-1)
 			}
-			if prev, ok := owner[ver]; ok && prev != o {
-				t.Fatalf("version %d carried by objects %d and %d", ver, prev, o)
-			}
-			owner[ver] = o
 		}
 	}
 }

@@ -50,10 +50,6 @@ type Result struct {
 	// belongs to exactly one object.
 	ptv []*bitset.Sparse
 
-	// objVids[o] lists the versions some slot of o carries: all that
-	// ObjectSummary reads.
-	objVids [][]meld.Version
-
 	callees map[*ir.Instr]map[*ir.Function]bool
 
 	Stats Stats
@@ -108,11 +104,10 @@ func funcLess(a, b *ir.Function) bool {
 // version: everything the object may ever hold.
 func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
 	out := bitset.New()
-	if int(o) < len(r.objVids) {
-		for _, v := range r.objVids[o] {
-			if set := r.ptv[v]; set != nil {
-				out.UnionWith(set)
-			}
+	lo, hi := r.ver.versions(o)
+	for _, set := range r.ptv[lo:hi] {
+		if set != nil {
+			out.UnionWith(set)
 		}
 	}
 	return out
@@ -182,7 +177,6 @@ func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, er
 			ver:     ver,
 			pt:      make([]*bitset.Sparse, g.Prog.NumValues()+1),
 			ptv:     make([]*bitset.Sparse, nv),
-			objVids: objVersions(g, ver),
 			callees: make(map[*ir.Instr]map[*ir.Function]bool),
 		},
 		ctx:          ctx,
@@ -270,22 +264,6 @@ type state struct {
 
 // owner returns the value ID attribution charges object o's work to.
 func (s *state) owner(o ir.Obj) uint32 { return uint32(s.Graph.Prog.ObjID(o)) }
-
-// objVersions lists, per object, the distinct versions its slots carry.
-func objVersions(g *svfg.Graph, ver *versioning) [][]meld.Version {
-	out := make([][]meld.Version, g.Prog.NumObjects())
-	seen := make([]bool, ver.stats.DistinctVersions)
-	for sl := range g.NumSlots() {
-		o := g.SlotObj(sl)
-		for _, v := range [2]meld.Version{ver.consume[sl], ver.yield[sl]} {
-			if v != meld.Epsilon && !seen[v] {
-				seen[v] = true
-				out[o] = append(out[o], v)
-			}
-		}
-	}
-	return out
-}
 
 // buildReliances turns every static indirect edge into a version
 // constraint and registers statement reliances for loads and stores.
@@ -591,9 +569,10 @@ func (s *state) collectStats() {
 	for _, targets := range s.verReliance {
 		s.Stats.VersionConstraints += len(targets)
 	}
-	for o, vids := range s.objVids {
-		for _, v := range vids {
-			if set := s.ptv[v]; set != nil {
+	for o := range len(s.ver.first) - 1 {
+		lo, hi := s.ver.versions(ir.Obj(o))
+		for _, set := range s.ptv[lo:hi] {
+			if set != nil {
 				s.Stats.PtsSets++
 				s.Stats.PtsWords += set.Words()
 				s.attr.Set(s.owner(ir.Obj(o)))

@@ -329,7 +329,7 @@ func (fl *funcLowerer) stmt(st Stmt) error {
 			// in the IR so memory-safety checkers see it: emit a "touch"
 			// load of the location. Its fresh def is never used, so it
 			// cannot perturb any points-to result. Plain variable writes
-			// (x = n) are direct frame accesses and are not touched.
+			// (x = n) are direct frame accesses and get no touch load.
 			if _, plain := s.LHS.(*Ident); !plain {
 				tmp := fl.lo.temp("w")
 				at(fl.f.EmitLoad(fl.cur, tmp, addr), s.LHS)

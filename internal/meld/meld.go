@@ -17,25 +17,12 @@ type Version = uint32
 // Epsilon is the identity label ε.
 const Epsilon Version = 0
 
-// TableStats quantifies meld-operator effort: how many melds were
-// evaluated, how many were answered from the pair cache or the subset
-// fast paths without touching the interner, and how many allocated a
-// genuinely new label. These are the per-run numbers behind the
-// "distinct versions" column of the versioning-effectiveness table.
-type TableStats struct {
-	Melds      int // non-trivial Meld evaluations (identity/ε short-circuits excluded)
-	CacheHits  int // melds answered from the pair cache
-	SubsetFast int // melds answered by a subset fast path
-	NewLabels  int // melds that interned a new label
-}
-
 // Table allocates atoms and evaluates the meld operator over interned
 // label sets. It is the label domain 𝒦 of the paper.
 type Table struct {
 	in    *bitset.Interner
 	atoms uint32
 	cache map[[2]Version]Version
-	stats TableStats
 }
 
 // NewTable returns an empty label domain.
@@ -62,13 +49,11 @@ func (t *Table) Meld(a, b Version) Version {
 	if a == Epsilon {
 		return b
 	}
-	t.stats.Melds++
 	key := [2]Version{a, b}
 	if a > b {
 		key = [2]Version{b, a}
 	}
 	if r, ok := t.cache[key]; ok {
-		t.stats.CacheHits++
 		return r
 	}
 	// Subset fast paths avoid interner churn: melding a label into one
@@ -78,25 +63,16 @@ func (t *Table) Meld(a, b Version) Version {
 	switch {
 	case sb.SubsetOf(sa):
 		r = a
-		t.stats.SubsetFast++
 	case sa.SubsetOf(sb):
 		r = b
-		t.stats.SubsetFast++
 	default:
-		before := t.in.Len()
 		u := sa.Clone()
 		u.UnionWith(sb)
 		r = t.in.Intern(u)
-		if t.in.Len() > before {
-			t.stats.NewLabels++
-		}
 	}
 	t.cache[key] = r
 	return r
 }
-
-// Stats returns the table's effort counters.
-func (t *Table) Stats() TableStats { return t.stats }
 
 // Atoms returns the number of atoms allocated.
 func (t *Table) Atoms() int { return int(t.atoms) }

@@ -204,10 +204,10 @@ func New(cfg Config) *Server {
 		jitter:  rand.New(rand.NewSource(seed)),
 	}
 	if cfg.StepBudget > 0 {
-		s.stepsPerSolve = max64(1, cfg.StepBudget/int64(cfg.Workers))
+		s.stepsPerSolve = max(1, cfg.StepBudget/int64(cfg.Workers))
 	}
 	if cfg.MemBudget > 0 {
-		s.memPerSolve = max64(1, cfg.MemBudget/int64(cfg.Workers))
+		s.memPerSolve = max(1, cfg.MemBudget/int64(cfg.Workers))
 	}
 	s.met = newServerMetrics(s)
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, func(v any) {
@@ -893,13 +893,6 @@ func statusFor(err error) int {
 		}
 		return http.StatusUnprocessableEntity
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 type errorResponse struct {

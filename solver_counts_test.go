@@ -1,12 +1,16 @@
 package vsfs
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"vsfs/internal/guard"
 	"vsfs/internal/workload"
 )
 
@@ -18,7 +22,8 @@ var updateCounts = flag.Bool("update-counts", false, "rewrite "+countsFixture)
 const countsFixture = "testdata/solver_counts.json"
 
 // solverCounts is the part of Summary that counts graph size and solver
-// effort; timings and high-water marks are left out.
+// effort, plus the steps the run charges its budget; timings and
+// high-water marks are left out.
 type solverCounts struct {
 	IndirectEdges    int `json:"indirectEdges"`
 	SVFGNodes        int `json:"svfgNodes"`
@@ -29,6 +34,9 @@ type solverCounts struct {
 	DistinctVersions int `json:"distinctVersions"`
 	MeldOps          int `json:"meldOps"`
 	MeldIterations   int `json:"meldIterations"`
+	// Steps is what an unlimited budget is charged: the spend that
+	// decides where a budgeted run degrades.
+	Steps int64 `json:"steps"`
 }
 
 // TestSolverCounts checks the flow-sensitive solvers' Stats on every
@@ -54,7 +62,8 @@ func TestSolverCounts(t *testing.T) {
 		src := p.Build().String()
 		for _, mode := range []Mode{VSFS, SFS} {
 			key := p.Name + "/" + mode.String()
-			r, err := AnalyzeIR(src, Options{Mode: mode})
+			ctx := guard.WithBudget(context.Background(), guard.NewBudget(math.MaxInt64, 0, 0))
+			r, err := AnalyzeContext(ctx, src, Options{Mode: mode, Input: InputIR})
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
@@ -62,6 +71,7 @@ func TestSolverCounts(t *testing.T) {
 			c := solverCounts{
 				s.IndirectEdges, s.SVFGNodes, s.NodesProcessed, s.Propagations, s.PtsSets,
 				s.Prelabels, s.DistinctVersions, s.MeldOps, s.MeldIterations,
+				r.RunRecord(time.Time{}, 0).BudgetSteps,
 			}
 			got[key] = c
 			if !*updateCounts && c != want[key] {
