@@ -19,6 +19,7 @@ var MetricNames = map[string]Kind{
 	"vsfs_breaker_rejects_total":     KindCounter,
 	"vsfs_budget_exceeded_total":     KindCounter,
 	"vsfs_build_info":                KindGauge,
+	"vsfs_cache_body_bytes":          KindGauge,
 	"vsfs_cache_entries":             KindGauge,
 	"vsfs_cache_requests_total":      KindCounter,
 	"vsfs_degraded_results_total":    KindCounter,

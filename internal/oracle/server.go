@@ -20,8 +20,13 @@ import (
 //
 //	server-cache-identity:        per mode (vsfs and cfgfree), a cache
 //	                              hit's body is byte-identical to the
-//	                              miss that populated it, and marked as
-//	                              a hit.
+//	                              miss that populated it and to a cold
+//	                              solve on a second fresh server, and
+//	                              marked as a hit. A hit writes the
+//	                              bytes its entry's first render
+//	                              stored, so only the second server's
+//	                              cold body checks them against an
+//	                              independent render.
 //	server-mode-cache-separation: the two modes' responses differ (the
 //	                              mode field at minimum), so a shared
 //	                              cache entry would be a cache-key bug.
@@ -72,7 +77,7 @@ func CheckServerIdentity(prog *ir.Program) []Violation {
 	// so a cache key that ignored the mode would cross-contaminate.
 	srv := server.New(server.Config{Workers: 2})
 	ts := httptest.NewServer(srv)
-	coldByMode := map[string][]byte{}
+	coldByMode, warmByMode := map[string][]byte{}, map[string][]byte{}
 	for _, mode := range []string{"vsfs", "cfgfree"} {
 		coldStatus, coldCache, coldBody, err := post(ts, mode)
 		if err != nil {
@@ -102,8 +107,23 @@ func CheckServerIdentity(prog *ir.Program) []Violation {
 			failf("server-cache-identity", "%s: cache hit body differs from the miss that populated it at %s",
 				mode, jsonDiffPath(coldBody, warmBody))
 		}
+		warmByMode[mode] = warmBody
 	}
 	closeAll(srv, ts)
+	srvFresh := server.New(server.Config{Workers: 2})
+	tsFresh := httptest.NewServer(srvFresh)
+	for _, mode := range []string{"vsfs", "cfgfree"} {
+		status, _, fresh, err := post(tsFresh, mode)
+		if err != nil || status != http.StatusOK {
+			failf("server-cache-identity", "%s: cold request on a second server failed: status %d, err %v", mode, status, err)
+			continue
+		}
+		if !bytes.Equal(fresh, warmByMode[mode]) {
+			failf("server-cache-identity", "%s: cache hit body differs from a cold solve on a second server at %s",
+				mode, jsonDiffPath(fresh, warmByMode[mode]))
+		}
+	}
+	closeAll(srvFresh, tsFresh)
 	if bytes.Equal(coldByMode["vsfs"], coldByMode["cfgfree"]) {
 		failf("server-mode-cache-separation",
 			"vsfs and cfgfree responses are byte-identical; the mode is not reaching the solve or the cache key")

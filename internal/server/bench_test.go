@@ -21,7 +21,8 @@ func benchRequest(b *testing.B, s *Server, body []byte) {
 }
 
 // BenchmarkServerCacheHit measures a fully warm request: the program is
-// already solved, so the cost is hashing + cache lookup + rendering.
+// already solved and its /analyze body already rendered, so the cost is
+// decoding + hashing + cache lookup + writing the stored bytes.
 func BenchmarkServerCacheHit(b *testing.B) {
 	s := New(Config{})
 	defer closeQuiet(b, s)

@@ -337,3 +337,35 @@ func TestConcurrentObserveScrapeStats(t *testing.T) {
 		t.Fatal("shape gauges never set")
 	}
 }
+
+// TestCacheBodyBytesExposed: the memory held by stored /analyze bodies
+// shows on both surfaces, zero on a fresh server and the stored body's
+// length after one /analyze.
+func TestCacheBodyBytesExposed(t *testing.T) {
+	s := newTestServer(t, Config{})
+	read := func() (gauge float64, stats int) {
+		t.Helper()
+		_, mbody := get(t, s, "/metrics")
+		samples := parsePrometheus(t, string(mbody))
+		g, ok := samples["vsfs_cache_body_bytes"]
+		if !ok {
+			t.Fatal("/metrics has no vsfs_cache_body_bytes")
+		}
+		_, sbody := get(t, s, "/stats")
+		var st StatsSnapshot
+		if err := json.Unmarshal(sbody, &st); err != nil {
+			t.Fatal(err)
+		}
+		return g, st.CacheBodyBytes
+	}
+	if g, st := read(); g != 0 || st != 0 {
+		t.Fatalf("fresh server: gauge %v, cacheBodyBytes %d, want 0", g, st)
+	}
+	code, _, body := post(t, s, "/analyze", AnalyzeRequest{Source: smallC})
+	if code != http.StatusOK {
+		t.Fatalf("analyze = %d: %s", code, body)
+	}
+	if g, st := read(); g <= 0 || st != len(body) || g != float64(st) {
+		t.Fatalf("after one /analyze: gauge %v, cacheBodyBytes %d, want both %d", g, st, len(body))
+	}
+}

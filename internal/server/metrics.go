@@ -156,6 +156,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("vsfs_cache_entries",
 		"Solved programs currently cached.",
 		func() float64 { return float64(s.cache.len()) })
+	r.GaugeFunc("vsfs_cache_body_bytes",
+		"Bytes of rendered /analyze bodies held by the result cache.",
+		func() float64 { return float64(s.cache.storedBodyBytes()) })
 	r.GaugeFunc("vsfs_uptime_seconds",
 		"Seconds since the server was created.",
 		func() float64 { return time.Since(s.started).Seconds() })

@@ -685,12 +685,21 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setResultHeaders(w, key, hit, res)
-	writeJSON(w, http.StatusOK, AnalyzeResponse{
-		Key:    key,
-		Mode:   res.Stats().Mode,
-		Report: res.Report(),
-		Dump:   res.Dump(),
-	})
+	// The first /analyze request on an entry renders its body, outside
+	// the cache lock; every later one writes the stored bytes.
+	body := s.cache.body(key, res)
+	if body == nil {
+		body, err = marshalBody(AnalyzeResponse{
+			Key:    key,
+			Mode:   res.Stats().Mode,
+			Report: res.Report(),
+			Dump:   res.Dump(),
+		})
+		if err == nil {
+			s.cache.setBody(key, res, body)
+		}
+	}
+	writeBody(w, http.StatusOK, body, err)
 }
 
 // handleCheck solves the program (cached), runs the full checker suite
@@ -915,13 +924,31 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 // in declaration order and map keys sorted, and every slice we emit is
 // pre-sorted, so identical values produce identical bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := marshalBody(v)
+	writeBody(w, status, body, err)
+}
+
+// marshalBody renders v as a response body: indented JSON and a
+// trailing newline, at its exact length, so a body the cache keeps
+// retains no spare capacity.
+func marshalBody(v any) ([]byte, error) {
 	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, len(data)+1)
+	copy(body, data)
+	body[len(data)] = '\n'
+	return body, nil
+}
+
+// writeBody writes a rendered JSON body, or a 500 if rendering failed.
+func writeBody(w http.ResponseWriter, status int, body []byte, err error) {
 	if err != nil {
 		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
 		return
 	}
-	data = append(data, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(data)
+	w.Write(body)
 }

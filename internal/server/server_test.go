@@ -198,6 +198,103 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheHitWritesStoredBody: a hit writes the body stored by the
+// first render, which must be exactly what rendering the cached Result
+// afresh gives, held at its exact length.
+func TestCacheHitWritesStoredBody(t *testing.T) {
+	s := newTestServer(t, Config{})
+	req := AnalyzeRequest{Source: mediumIR(7), Lang: "ir"}
+	post(t, s, "/analyze", req)
+	code, hdr, body := post(t, s, "/analyze", req)
+	if code != http.StatusOK || hdr.Get("X-Vsfs-Cache") != "hit" {
+		t.Fatalf("repeat analyze: %d, cache %q", code, hdr.Get("X-Vsfs-Cache"))
+	}
+	key := hdr.Get("X-Vsfs-Key")
+	res, ok := s.cache.get(key)
+	if !ok {
+		t.Fatal("program not cached")
+	}
+	want, err := json.MarshalIndent(AnalyzeResponse{
+		Key:    key,
+		Mode:   res.Stats().Mode,
+		Report: res.Report(),
+		Dump:   res.Dump(),
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	if !bytes.Equal(body, want) {
+		t.Fatalf("hit body (%d bytes) differs from a fresh render of the cached Result (%d bytes)",
+			len(body), len(want))
+	}
+	if stored := s.cache.body(key, res); len(stored) != cap(stored) || !bytes.Equal(stored, want) {
+		t.Fatalf("stored body: len %d cap %d, want the rendered %d bytes at exact length",
+			len(stored), cap(stored), len(want))
+	}
+}
+
+// TestCacheDropsStoredBody: a stored body lives only as long as the
+// result it was rendered from. Replacing an entry's result and evicting
+// the entry both drop it, and the body-bytes total follows.
+func TestCacheDropsStoredBody(t *testing.T) {
+	s := newTestServer(t, Config{CacheEntries: 1})
+	_, hdr, first := post(t, s, "/analyze", AnalyzeRequest{Source: smallC})
+	key := hdr.Get("X-Vsfs-Key")
+	res, _ := s.cache.get(key)
+	if s.cache.body(key, res) == nil || s.cache.storedBodyBytes() != len(first) {
+		t.Fatalf("after a miss: body stored %v, %d body bytes, want %d",
+			s.cache.body(key, res) != nil, s.cache.storedBodyBytes(), len(first))
+	}
+
+	fresh, err := vsfs.AnalyzeC(smallC, vsfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.add(key, fresh)
+	if s.cache.body(key, fresh) != nil || s.cache.body(key, res) != nil || s.cache.storedBodyBytes() != 0 {
+		t.Fatalf("add on an existing key kept a body: %d body bytes", s.cache.storedBodyBytes())
+	}
+	code, hdr, again := post(t, s, "/analyze", AnalyzeRequest{Source: smallC})
+	if code != http.StatusOK || hdr.Get("X-Vsfs-Cache") != "hit" || !bytes.Equal(again, first) {
+		t.Fatalf("hit on the replaced result: %d, cache %q, body equal %v",
+			code, hdr.Get("X-Vsfs-Cache"), bytes.Equal(again, first))
+	}
+	if s.cache.body(key, res) != nil {
+		t.Fatal("the replaced result is served the body rendered from its successor")
+	}
+
+	other := strings.Replace(smallC, "int g;", "int g; int h;", 1)
+	_, _, otherBody := post(t, s, "/analyze", AnalyzeRequest{Source: other})
+	if s.cache.body(key, fresh) != nil || s.cache.storedBodyBytes() != len(otherBody) {
+		t.Fatalf("eviction kept a body: %d body bytes, want %d", s.cache.storedBodyBytes(), len(otherBody))
+	}
+}
+
+// TestCacheHitAllocsBounded: a hit decodes, hashes and writes stored
+// bytes, so its allocations are a fixed handful however large the
+// program's report is. Rendering the report allocates per fact.
+func TestCacheHitAllocsBounded(t *testing.T) {
+	s := newTestServer(t, Config{})
+	data, err := json.Marshal(AnalyzeRequest{Source: mediumIR(7), Lang: "ir"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/analyze", bytes.NewReader(data)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("analyze = %d", rec.Code)
+		}
+	}
+	hit() // the miss that fills the entry
+	hit() // the first hit; nothing is rendered from here on
+	const bound = 150
+	if n := testing.AllocsPerRun(10, hit); n > bound {
+		t.Fatalf("a cache hit allocates %.0f times, want at most %d", n, bound)
+	}
+}
+
 // twoTargetsC reads p while it points to a and again while it points
 // to b, so a by-name query on p unions two different sets.
 const twoTargetsC = `
@@ -225,6 +322,7 @@ func TestCacheHitsLeaveSetsFrozen(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4})
 	progs := []AnalyzeRequest{{Source: twoTargetsC}, {Source: mediumIR(7), Lang: "ir"}}
 	digests := make([]uint64, len(progs))
+	results := make([]*vsfs.Result, len(progs))
 	for i, req := range progs {
 		code, hdr, body := post(t, s, "/analyze", req)
 		if code != http.StatusOK {
@@ -235,6 +333,7 @@ func TestCacheHitsLeaveSetsFrozen(t *testing.T) {
 			t.Fatalf("program %d not cached after a solve", i)
 		}
 		digests[i] = res.SetsDigest()
+		results[i] = res
 	}
 
 	queries := []QueryRequest{
@@ -253,11 +352,18 @@ func TestCacheHitsLeaveSetsFrozen(t *testing.T) {
 			var code int
 			var hdr http.Header
 			var body []byte
-			switch k := i / len(progs) % (len(queries) + 2); k {
+			switch k := i / len(progs) % (len(queries) + 3); k {
 			case len(queries):
 				code, hdr, body = post(t, s, "/analyze", req)
 			case len(queries) + 1:
 				code, hdr, body = post(t, s, "/check", req)
+			case len(queries) + 2:
+				// An /analyze hit writes stored bytes and renders
+				// nothing, so render the shared Result directly.
+				res := results[i%len(progs)]
+				res.Report()
+				res.Dump()
+				return
 			default:
 				q := queries[k]
 				q.AnalyzeRequest = req

@@ -64,6 +64,10 @@ type StatsSnapshot struct {
 	Phase      PhaseMillis `json:"phase"`
 
 	LastShape LastShape `json:"lastShape"`
+
+	// CacheBodyBytes is the memory held by the cache's stored /analyze
+	// bodies, one per entry that has been rendered.
+	CacheBodyBytes int `json:"cacheBodyBytes"`
 }
 
 func (s *Server) snapshot() StatsSnapshot {
@@ -118,6 +122,8 @@ func (s *Server) snapshot() StatsSnapshot {
 			SingletonRatio:  m.shapeSingletonRatio.Value(),
 			IndirectDensity: m.shapeIndirectDensity.Value(),
 		},
+
+		CacheBodyBytes: s.cache.storedBodyBytes(),
 	}
 	snap.RequestsByMode = make(map[string]int64, len(analysisModes))
 	for _, mode := range analysisModes {
