@@ -72,5 +72,5 @@ fuzz-native:
 	$(GO) test -run NONE -fuzz FuzzCompile -fuzztime 30s ./internal/lang/
 
 faults:
-	$(GO) test -race -run 'Fault|Shed|Degrad|Breaker|Overload' ./...
+	$(GO) test -race -run 'Fault|Shed|Degrad|Repeat|Overload' ./...
 	$(GO) run ./cmd/vsfs-fuzz -faults -skip-resolve -seeds 50

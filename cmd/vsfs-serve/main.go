@@ -13,15 +13,14 @@
 //	curl -d '{"source":"...","kind":"points-to","func":"main","var":"p"}' localhost:8080/query
 //
 // Telemetry: -log-format selects the structured access-log format
-// (text, json, or off), -metrics=false unmounts /metrics, and -pprof
-// exposes the Go runtime profiles under /debug/pprof/.
+// (text, json, or off), and -pprof exposes the Go runtime profiles
+// under /debug/pprof/.
 //
 // Resource governance: -max-steps and -max-mem bound the server-wide
 // solve budget (split evenly across workers); a solve that blows its
 // share degrades to the flow-insensitive result instead of failing.
-// -breaker-threshold consecutive hard failures for one program open a
-// per-program circuit for -breaker-open, answering further requests
-// for it with 503 + Retry-After without burning a worker.
+// A request's answer depends only on its own input and budget: a
+// program that fails is answered the same way each time it is sent.
 //
 // The process exits cleanly on SIGINT/SIGTERM, draining in-flight
 // solves for up to -drain.
@@ -63,11 +62,8 @@ func run(args []string, ctx context.Context, ready chan<- string, stdout, stderr
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	logFormat := fs.String("log-format", "text", `structured access-log format: "text", "json", or "off"`)
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/")
-	metricsOn := fs.Bool("metrics", true, "expose Prometheus metrics at /metrics")
 	maxSteps := fs.Int64("max-steps", 0, "server-wide worklist-step budget, split across workers; over-budget solves degrade to Andersen (0 = no limit)")
 	maxMem := fs.Int64("max-mem", 0, "server-wide points-to storage budget in bytes, split across workers (0 = no limit)")
-	breakerThreshold := fs.Int("breaker-threshold", server.DefaultBreakerThreshold, "consecutive hard failures per program before its circuit opens (<0 disables)")
-	breakerOpen := fs.Duration("breaker-open", server.DefaultBreakerOpenFor, "how long an opened per-program circuit rejects before a half-open probe")
 	ledgerPath := fs.String("ledger", "", "append a run record per solve to this JSONL ledger, served at GET /runs")
 	ledgerMax := fs.Int64("ledger-max-bytes", obs.DefaultLedgerMaxBytes, "rotate the ledger past this many bytes (one .1 generation kept)")
 	traceDir := fs.String("trace-dir", "", "write one Chrome trace_event file per solve into this directory, tagged with the request ID")
@@ -107,20 +103,17 @@ func run(args []string, ctx context.Context, ready chan<- string, stdout, stderr
 		solveTimeout = -1 // Config: negative disables the budget
 	}
 	svc := server.New(server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		SolveTimeout:     solveTimeout,
-		CacheEntries:     *cacheEntries,
-		StepBudget:       *maxSteps,
-		MemBudget:        *maxMem,
-		BreakerThreshold: *breakerThreshold,
-		BreakerOpenFor:   *breakerOpen,
-		Logger:           logger,
-		EnablePprof:      *pprofOn,
-		DisableMetrics:   !*metricsOn,
-		Ledger:           ledger,
-		TraceDir:         *traceDir,
-		Attribution:      *attr,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		SolveTimeout: solveTimeout,
+		CacheEntries: *cacheEntries,
+		StepBudget:   *maxSteps,
+		MemBudget:    *maxMem,
+		Logger:       logger,
+		EnablePprof:  *pprofOn,
+		Ledger:       ledger,
+		TraceDir:     *traceDir,
+		Attribution:  *attr,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

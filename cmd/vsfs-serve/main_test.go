@@ -137,8 +137,7 @@ func TestServeGovernanceFlags(t *testing.T) {
 	exit := make(chan int, 1)
 	go func() {
 		exit <- run([]string{"-addr", "127.0.0.1:0",
-			"-max-steps", "1000000000", "-max-mem", "1000000000",
-			"-breaker-threshold", "5", "-breaker-open", "10s"},
+			"-max-steps", "1000000000", "-max-mem", "1000000000"},
 			ctx, ready, &out, &errb)
 	}()
 
@@ -174,7 +173,6 @@ func TestServeGovernanceFlags(t *testing.T) {
 	for _, want := range []string{
 		"vsfs_shed_requests_total 0",
 		"vsfs_degraded_results_total 0",
-		"vsfs_breaker_opens_total 0",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -209,7 +207,7 @@ func TestServeBadFlags(t *testing.T) {
 }
 
 // TestServeTelemetryFlags boots with the observability knobs flipped:
-// JSON access logs, pprof on, metrics off.
+// JSON access logs and pprof on; /metrics is always mounted.
 func TestServeTelemetryFlags(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -218,7 +216,7 @@ func TestServeTelemetryFlags(t *testing.T) {
 	var out, errb strings.Builder
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run([]string{"-addr", "127.0.0.1:0", "-log-format", "json", "-pprof", "-metrics=false"},
+		exit <- run([]string{"-addr", "127.0.0.1:0", "-log-format", "json", "-pprof"},
 			ctx, ready, &out, &errb)
 	}()
 
@@ -235,8 +233,8 @@ func TestServeTelemetryFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("/metrics with -metrics=false = %d, want 404", resp.StatusCode)
+	if resp.StatusCode != 200 {
+		t.Fatalf("/metrics = %d, want 200", resp.StatusCode)
 	}
 	resp, err = http.Get(base + "/debug/pprof/")
 	if err != nil {

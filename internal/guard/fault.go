@@ -55,7 +55,7 @@ type Fault struct {
 	// Amount is the budget charge for Slow/AllocSpike; 0 means "huge".
 	Amount int64
 	// Times bounds how many phase entries fire this fault; 0 means
-	// every one (the shape a circuit-breaker test wants).
+	// every one, so each repeat of a faulted program fails alike.
 	Times int
 }
 

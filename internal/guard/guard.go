@@ -188,7 +188,7 @@ func Tick(ctx context.Context, phase string, n int64) error {
 
 // PhaseError is a pipeline-phase panic converted into a value: the
 // worker that hit it survives, the daemon can answer with a structured
-// 500, and the circuit breaker can key off the program hash.
+// 500, and the log line names the program by its hash.
 type PhaseError struct {
 	// Phase is the pipeline phase that panicked.
 	Phase string
@@ -226,7 +226,7 @@ func Recover(ctx context.Context, phase, programHash string, fn func() error) (e
 }
 
 // Hash returns the short content hash used to identify a program in
-// PhaseErrors, circuit-breaker keys, and logs: the first 16 hex digits
+// PhaseErrors and logs: the first 16 hex digits
 // of the SHA-256 of src.
 func Hash(src []byte) string {
 	sum := sha256.Sum256(src)

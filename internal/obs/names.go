@@ -15,8 +15,6 @@ package obs
 var MetricNames = map[string]Kind{
 	"vsfs_attr_charges_total":        KindCounter,
 	"vsfs_attr_object_cost":          KindHistogram,
-	"vsfs_breaker_opens_total":       KindCounter,
-	"vsfs_breaker_rejects_total":     KindCounter,
 	"vsfs_budget_exceeded_total":     KindCounter,
 	"vsfs_build_info":                KindGauge,
 	"vsfs_cache_body_bytes":          KindGauge,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -131,80 +130,54 @@ func TestDegradedThroughServer(t *testing.T) {
 	}
 }
 
-// TestBreakerShortCircuits: a program that keeps panicking trips its
-// circuit; further requests for it are answered from the cached failure
-// with Retry-After, without burning a worker; other programs still run.
-func TestBreakerShortCircuits(t *testing.T) {
-	plan := guard.NewFaultPlan(guard.Fault{Phase: "solve", Step: 0, Kind: guard.FaultPanic, Times: 2})
-	s := newTestServer(t, Config{Workers: 1, BreakerThreshold: 2, BreakerOpenFor: time.Hour, Faults: plan})
-
-	for i := 0; i < 2; i++ {
-		if code, _, body := post(t, s, "/analyze", AnalyzeRequest{Source: smallC}); code != http.StatusInternalServerError {
-			t.Fatalf("panic request %d = %d, want 500 (body %s)", i, code, body)
+// TestRepeatFailureAnswersAlike pins that a request's answer depends
+// only on its input and its budget, never on earlier traffic: a program
+// that fails on every solve is solved, and fails, the same way each time
+// it is sent, however often it has failed before.
+func TestRepeatFailureAnswersAlike(t *testing.T) {
+	const repeats = 6
+	t.Run("panic", func(t *testing.T) {
+		plan := guard.NewFaultPlan(guard.Fault{Phase: "solve", Step: 0, Kind: guard.FaultPanic, Times: 0})
+		s := newTestServer(t, Config{Workers: 1, Faults: plan})
+		for i := 1; i <= repeats; i++ {
+			code, hdr, body := post(t, s, "/analyze", AnalyzeRequest{Source: smallC})
+			if code != http.StatusInternalServerError {
+				t.Fatalf("request %d = %d, want 500 (body %s)", i, code, body)
+			}
+			if ra := hdr.Get("Retry-After"); ra != "" {
+				t.Fatalf("request %d: a panic carries Retry-After %q", i, ra)
+			}
+			if !strings.Contains(string(body), "panic in solve") {
+				t.Fatalf("request %d body: %s", i, body)
+			}
+			if st := s.Stats(); st.GuardPanics != int64(i) || st.Solves != int64(i) {
+				t.Fatalf("after request %d: GuardPanics = %d, Solves = %d; want %d, %d",
+					i, st.GuardPanics, st.Solves, i, i)
+			}
 		}
-	}
-	code, hdr, body := post(t, s, "/analyze", AnalyzeRequest{Source: smallC})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("breaker request = %d, want 503 (body %s)", code, body)
-	}
-	if hdr.Get("Retry-After") == "" || hdr.Get("X-Vsfs-Breaker") != "open" {
-		t.Fatalf("breaker 503 headers = Retry-After %q, X-Vsfs-Breaker %q",
-			hdr.Get("Retry-After"), hdr.Get("X-Vsfs-Breaker"))
-	}
-	if !strings.Contains(string(body), "circuit open") {
-		t.Fatalf("breaker body: %s", body)
-	}
-
-	// A different program is unaffected (the fault plan is spent).
-	if code, _, body := post(t, s, "/analyze", AnalyzeRequest{Source: mediumIR(900), Lang: "ir"}); code != http.StatusOK {
-		t.Fatalf("other program = %d, want 200 (body %s)", code, body)
-	}
-
-	st := s.Stats()
-	if st.BreakerOpens != 1 || st.BreakerRejects != 1 {
-		t.Fatalf("BreakerOpens = %d, BreakerRejects = %d, want 1, 1", st.BreakerOpens, st.BreakerRejects)
-	}
-}
-
-// TestBreakerHalfOpenRecovers exercises the unit-level state machine
-// with a fake clock: open → cooled off → half-open probe → reset.
-func TestBreakerHalfOpenRecovers(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := newBreaker(2, 10*time.Second, func() time.Time { return now })
-	cause := errors.New("boom")
-
-	if b.recordFailure("k", cause) {
-		t.Fatal("tripped below threshold")
-	}
-	if !b.recordFailure("k", cause) {
-		t.Fatal("did not trip at threshold")
-	}
-	err := b.allow("k")
-	var bo errBreakerOpen
-	if !errors.As(err, &bo) || !errors.Is(err, cause) {
-		t.Fatalf("allow while open = %v", err)
-	}
-	if bo.retryAfter <= 0 || bo.retryAfter > 10*time.Second {
-		t.Fatalf("retryAfter = %v", bo.retryAfter)
-	}
-
-	now = now.Add(11 * time.Second)
-	if err := b.allow("k"); err != nil {
-		t.Fatalf("half-open probe refused: %v", err)
-	}
-	// A half-open failure reopens immediately...
-	if !b.recordFailure("k", cause) {
-		t.Fatal("half-open failure did not reopen")
-	}
-	now = now.Add(11 * time.Second)
-	if err := b.allow("k"); err != nil {
-		t.Fatalf("second probe refused: %v", err)
-	}
-	// ...and a half-open success resets the entry for good.
-	b.recordSuccess("k")
-	if err := b.allow("k"); err != nil || b.tracked() != 0 {
-		t.Fatalf("after success: allow=%v tracked=%d", err, b.tracked())
-	}
+	})
+	t.Run("budget", func(t *testing.T) {
+		// One step is far below what Andersen needs, and a breach before
+		// the auxiliary result exists has no rung to degrade to.
+		s := newTestServer(t, Config{Workers: 1, StepBudget: 1})
+		for i := 1; i <= repeats; i++ {
+			code, hdr, body := post(t, s, "/analyze", AnalyzeRequest{Source: smallC})
+			if code != http.StatusServiceUnavailable {
+				t.Fatalf("request %d = %d, want 503 (body %s)", i, code, body)
+			}
+			if ra := hdr.Get("Retry-After"); ra != "5" {
+				t.Fatalf("request %d: Retry-After = %q, want 5", i, ra)
+			}
+			if st := s.Stats(); st.BudgetExceeded != int64(i) || st.Solves != int64(i) {
+				t.Fatalf("after request %d: BudgetExceeded = %d, Solves = %d; want %d, %d",
+					i, st.BudgetExceeded, st.Solves, i, i)
+			}
+		}
+		if _, metrics := get(t, s, "/metrics"); !strings.Contains(string(metrics),
+			fmt.Sprintf(`vsfs_budget_exceeded_total{phase="andersen",resource="steps"} %d`, repeats)) {
+			t.Errorf("/metrics does not count %d andersen step breaches:\n%s", repeats, metrics)
+		}
+	})
 }
 
 // TestOverloadRecovery floods a tiny server far past its queue bound
@@ -269,8 +242,5 @@ func TestServerBudgetPoolSplit(t *testing.T) {
 	defer s.Close(context.Background())
 	if s.stepsPerSolve != 250 || s.memPerSolve != 100 {
 		t.Fatalf("per-solve budgets = %d steps, %d bytes; want 250, 100", s.stepsPerSolve, s.memPerSolve)
-	}
-	if fmt.Sprint(s.brk.threshold) != fmt.Sprint(DefaultBreakerThreshold) {
-		t.Fatalf("breaker threshold = %d", s.brk.threshold)
 	}
 }

@@ -39,8 +39,6 @@ type serverMetrics struct {
 	guardPanics     *obs.Family // counter by phase (pipeline phases + "server")
 	degradedResults *obs.Series
 	budgetExceeded  *obs.Family // counter by phase and resource
-	breakerOpens    *obs.Series
-	breakerRejects  *obs.Series
 
 	solveSeconds *obs.Series // histogram: total solve latency
 	phaseSeconds *obs.Family // histogram by phase (andersen|memssa|svfg|solve)
@@ -102,10 +100,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Solves that exhausted their budget and fell down the backend ladder."),
 		budgetExceeded: r.CounterVec("vsfs_budget_exceeded_total",
 			"Budget breaches, by pipeline phase and exhausted resource."),
-		breakerOpens: r.Counter("vsfs_breaker_opens_total",
-			"Per-program circuits tripped open by repeated hard failures."),
-		breakerRejects: r.Counter("vsfs_breaker_rejects_total",
-			"Requests short-circuited to a cached failure by an open circuit."),
 
 		solveSeconds: r.Histogram("vsfs_solve_seconds",
 			"End-to-end solve latency (parse through main phase).", obs.LatencyBuckets),

@@ -179,13 +179,6 @@ func checkHistogram(t *testing.T, samples map[string]float64, name, label string
 	}
 }
 
-func TestMetricsDisabled(t *testing.T) {
-	s := newTestServer(t, Config{DisableMetrics: true})
-	if code, _ := get(t, s, "/metrics"); code != http.StatusNotFound {
-		t.Fatalf("GET /metrics with DisableMetrics = %d, want 404", code)
-	}
-}
-
 func TestPprofGatedByConfig(t *testing.T) {
 	off := newTestServer(t, Config{})
 	if code, _ := get(t, off, "/debug/pprof/"); code != http.StatusNotFound {

@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -46,7 +45,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,9 +70,6 @@ type Config struct {
 	Logger *slog.Logger
 	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
 	EnablePprof bool
-	// DisableMetrics leaves GET /metrics unmounted. The registry still
-	// runs either way — /stats is derived from it.
-	DisableMetrics bool
 
 	// StepBudget is a server-wide pool of worklist steps: each solve
 	// runs under a budget of StepBudget/Workers steps. A solve that
@@ -85,16 +80,6 @@ type Config struct {
 	// MemBudget is the server-wide pool of points-to storage bytes,
 	// split across Workers like StepBudget. Zero means unbounded.
 	MemBudget int64
-
-	// BreakerThreshold is how many consecutive hard failures (panics or
-	// non-degradable budget blowouts) a single program may cause before
-	// its circuit opens and requests for it are short-circuited to the
-	// cached failure. Zero selects the default; negative disables the
-	// breaker.
-	BreakerThreshold int
-	// BreakerOpenFor is the cooling-off period of an open circuit;
-	// default 30s.
-	BreakerOpenFor time.Duration
 
 	// Faults injects a deterministic guard.FaultPlan into every solve.
 	// Test hook; leave nil in production.
@@ -112,22 +97,13 @@ type Config struct {
 	// reports embed the hot-object table and /metrics gains the
 	// vsfs_attr_* series. Adds ~four slice writes per solver event.
 	Attribution bool
-
-	// RetryJitterSeed seeds the bounded jitter added to Retry-After
-	// values on shed/shutdown/budget rejections, so a burst of rejected
-	// clients does not resynchronize into a retry stampede. Zero draws a
-	// random seed; tests fix it for deterministic spreads (no wall clock
-	// is involved either way).
-	RetryJitterSeed int64
 }
 
 // Defaults for Config's zero values.
 const (
-	DefaultQueueDepth       = 64
-	DefaultCacheEntries     = 128
-	DefaultSolveTimeout     = 30 * time.Second
-	DefaultBreakerThreshold = 3
-	DefaultBreakerOpenFor   = 30 * time.Second
+	DefaultQueueDepth   = 64
+	DefaultCacheEntries = 128
+	DefaultSolveTimeout = 30 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -148,14 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = obs.Discard()
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = DefaultBreakerThreshold
-	} else if c.BreakerThreshold < 0 {
-		c.BreakerThreshold = 0
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = DefaultBreakerOpenFor
-	}
 	return c
 }
 
@@ -166,7 +134,6 @@ type Server struct {
 	cache   *resultCache
 	flight  *flightGroup
 	pool    *pool
-	brk     *breaker
 	met     *serverMetrics
 	logger  *slog.Logger
 	started time.Time
@@ -177,11 +144,6 @@ type Server struct {
 	// finish. /healthz stays 200 — the process is alive, just leaving.
 	draining atomic.Bool
 
-	// jitter randomizes Retry-After values under jitterMu; seeded from
-	// Config.RetryJitterSeed.
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
-
 	// Per-solve share of the server-wide budget pools.
 	stepsPerSolve int64
 	memPerSolve   int64
@@ -190,18 +152,12 @@ type Server struct {
 // New builds a Server with its worker pool already running.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	seed := cfg.RetryJitterSeed
-	if seed == 0 {
-		seed = rand.Int63()
-	}
 	s := &Server{
 		cfg:     cfg,
 		cache:   newResultCache(cfg.CacheEntries),
 		flight:  newFlightGroup(cfg.SolveTimeout),
-		brk:     newBreaker(cfg.BreakerThreshold, cfg.BreakerOpenFor, nil),
 		logger:  cfg.Logger,
 		started: time.Now(),
-		jitter:  rand.New(rand.NewSource(seed)),
 	}
 	if cfg.StepBudget > 0 {
 		s.stepsPerSolve = max(1, cfg.StepBudget/int64(cfg.Workers))
@@ -225,9 +181,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /check", s.handleCheck)
-	if !cfg.DisableMetrics {
-		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -302,7 +256,7 @@ type AnalyzeResponse struct {
 }
 
 // CheckRequest is the body of POST /check. The solve itself rides the
-// same cache/single-flight/pool/breaker path as /analyze; the checkers
+// same cache/single-flight/pool path as /analyze; the checkers
 // and the diagnostics pipeline run per request on the solved facts.
 type CheckRequest struct {
 	AnalyzeRequest
@@ -386,14 +340,6 @@ func (s *Server) resolve(ctx context.Context, req AnalyzeRequest) (res *vsfs.Res
 	}
 	s.met.cacheReqs.With("result", "miss").Inc()
 
-	// A program that keeps taking workers down is short-circuited to
-	// its cached failure until the circuit's cooling-off period ends.
-	if err := s.brk.allow(key); err != nil {
-		s.met.breakerRejects.Inc()
-		s.logger.Warn("request short-circuited, breaker open", "id", obs.RequestID(ctx), "key", key)
-		return nil, key, false, err
-	}
-
 	if req.TimeoutMs > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
@@ -473,7 +419,6 @@ func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, i
 		case err == nil:
 			s.met.solveOutcomes.With("outcome", "ok").Inc()
 			s.met.observeSolve(res)
-			s.brk.recordSuccess(key)
 			if res.Degraded() {
 				phase, resource := res.DegradedCause()
 				s.met.degradedResults.Inc()
@@ -505,18 +450,11 @@ func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, i
 			switch {
 			case errors.As(err, &pe):
 				s.met.guardPanics.With("phase", pe.Phase).Inc()
-				if s.brk.recordFailure(key, err) {
-					s.met.breakerOpens.Inc()
-				}
 				s.logger.Error("solve panicked", "id", reqID, "key", key,
 					"phase", pe.Phase, "program", pe.ProgramHash, "panic", fmt.Sprint(pe.Value))
 			case errors.As(err, &be):
-				// A breach before the auxiliary result exists has no
-				// fallback; repeated ones trip the breaker like panics.
+				// A breach before the auxiliary result exists has no fallback.
 				s.met.budgetExceeded.With("phase", be.Phase, "resource", string(be.Resource)).Inc()
-				if s.brk.recordFailure(key, err) {
-					s.met.breakerOpens.Inc()
-				}
 				s.logger.Warn("solve over budget, no fallback", "id", reqID, "key", key, "err", err)
 			}
 		}
@@ -586,7 +524,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // healthy, it is just not taking new work.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs(1, 2)))
+		w.Header().Set("Retry-After", retryAfterShed)
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 			"status":  "draining",
 			"version": obs.Version,
@@ -680,7 +618,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	res, key, hit, err := s.resolve(r.Context(), req)
 	if err != nil {
-		s.setRetryHeaders(w, err)
+		setRetryHeaders(w, err)
 		s.writeError(w, r, statusFor(err), err)
 		return
 	}
@@ -728,7 +666,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	res, key, hit, err := s.resolve(r.Context(), req.AnalyzeRequest)
 	if err != nil {
-		s.setRetryHeaders(w, err)
+		setRetryHeaders(w, err)
 		s.writeError(w, r, statusFor(err), err)
 		return
 	}
@@ -773,7 +711,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, key, hit, err := s.resolve(r.Context(), req.AnalyzeRequest)
 	if err != nil {
-		s.setRetryHeaders(w, err)
+		setRetryHeaders(w, err)
 		s.writeError(w, r, statusFor(err), err)
 		return
 	}
@@ -844,49 +782,34 @@ func setResultHeaders(w http.ResponseWriter, key string, hit bool, res *vsfs.Res
 	}
 }
 
-// retryAfterSecs returns base plus a bounded random offset in
-// [0, spread] seconds. Fixed Retry-After values synchronize every
-// rejected client's retry into the next stampede; the jitter spreads
-// the horde without wall-clock involvement (the RNG is seeded, so tests
-// are deterministic).
-func (s *Server) retryAfterSecs(base, spread int) int {
-	s.jitterMu.Lock()
-	defer s.jitterMu.Unlock()
-	return base + s.jitter.Intn(spread+1)
-}
+// Retry-After values, in seconds: a shed, shutting-down or draining
+// request may retry almost at once; a budget breach with no fallback
+// after backing off. Both are constants, so the answer to a request
+// never depends on what other requests were answered before it.
+const (
+	retryAfterShed   = "1"
+	retryAfterBudget = "5"
+)
 
-// setRetryHeaders attaches Retry-After to retryable failures: a shed or
-// shutting-down request may retry almost immediately, an open circuit
-// when it closes, and a budget breach after backing off. The shed and
-// budget values are jittered (see retryAfterSecs); the breaker value is
-// the circuit's actual remaining cooling-off, which is monotonically
-// non-increasing while the circuit stays open.
-func (s *Server) setRetryHeaders(w http.ResponseWriter, err error) {
-	var bo errBreakerOpen
+// setRetryHeaders attaches Retry-After to retryable failures.
+func setRetryHeaders(w http.ResponseWriter, err error) {
 	var be *guard.ErrBudgetExceeded
 	switch {
-	case errors.As(err, &bo):
-		secs := int(bo.retryAfter/time.Second) + 1
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		w.Header().Set("X-Vsfs-Breaker", "open")
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShutdown):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs(1, 2)))
+		w.Header().Set("Retry-After", retryAfterShed)
 	case errors.As(err, &be):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs(5, 5)))
+		w.Header().Set("Retry-After", retryAfterBudget)
 	}
 }
 
 // statusFor maps resolve errors to HTTP statuses: queue pressure,
-// shutdown, open circuits, and non-degradable budget breaches are 503
+// shutdown, and non-degradable budget breaches are 503
 // (retryable), cancellation/deadline is 504, a pipeline panic is 500,
 // malformed requests are 400, and programs that fail to compile are 422.
 func statusFor(err error) int {
-	var bo errBreakerOpen
 	var pe *guard.PhaseError
 	var be *guard.ErrBudgetExceeded
 	switch {
-	case errors.As(err, &bo):
-		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShutdown):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

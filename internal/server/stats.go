@@ -53,9 +53,6 @@ type StatsSnapshot struct {
 	GuardPanics     int64 `json:"guardPanics"`
 	DegradedResults int64 `json:"degradedResults"`
 	BudgetExceeded  int64 `json:"budgetExceeded"`
-	BreakerOpens    int64 `json:"breakerOpens"`
-	BreakerRejects  int64 `json:"breakerRejects"`
-	BreakerTracked  int   `json:"breakerTracked"`
 
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 
@@ -101,9 +98,6 @@ func (s *Server) snapshot() StatsSnapshot {
 		GuardPanics:     int64(m.guardPanics.Total()),
 		DegradedResults: int64(m.degradedResults.Value()),
 		BudgetExceeded:  int64(m.budgetExceeded.Total()),
-		BreakerOpens:    int64(m.breakerOpens.Value()),
-		BreakerRejects:  int64(m.breakerRejects.Value()),
-		BreakerTracked:  s.brk.tracked(),
 
 		UptimeSeconds: time.Since(s.started).Seconds(),
 
