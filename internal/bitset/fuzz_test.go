@@ -219,13 +219,11 @@ func FuzzUnionInPlace(f *testing.F) {
 	})
 }
 
-// FuzzInternerStability checks the interner against the same op
-// decoder: equal contents always map to the same ID, distinct contents
-// to distinct IDs, Get returns the canonical contents, and mutating an
-// argument after interning never disturbs previously issued IDs. Canon
-// calls are interleaved with Intern: a canonical set is the one Get
-// returns for its contents, and IDs stay stable whichever call saw the
-// contents first.
+// FuzzInternerStability checks Canon against the same op decoder:
+// equal contents always share one canonical set and distinct contents
+// never do, each canonical set keeps its contents and its ID, Len counts
+// distinct contents, new contents are adopted under the next ID, and
+// mutating a set the caller kept never disturbs the table.
 func FuzzInternerStability(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 2, 0, 1})
@@ -234,32 +232,32 @@ func FuzzInternerStability(f *testing.F) {
 		a, b, _, _ := decodeOps(data)
 		in := NewInterner()
 
-		ida := in.Intern(a)
-		idb := in.Intern(b)
-		if (ida == idb) != a.Equal(b) {
-			t.Fatalf("Intern IDs %d/%d disagree with Equal = %v", ida, idb, a.Equal(b))
+		ca, cb := in.Canon(a.Clone()), in.Canon(b.Clone())
+		if (ca == cb) != a.Equal(b) {
+			t.Fatalf("canonical sets shared = %v, but Equal = %v", ca == cb, a.Equal(b))
 		}
-		if !in.Get(ida).Equal(a) || !in.Get(idb).Equal(b) {
-			t.Fatal("Get does not round-trip the interned contents")
+		if !ca.Equal(a) || !cb.Equal(b) {
+			t.Fatal("a canonical set does not keep its contents")
 		}
+		ida, idb := idOf(t, in, ca), idOf(t, in, cb)
 
-		// Mutate the argument; the canonical set and the ID mapping for
+		// Mutate the caller's own set; the canonical set and its ID for
 		// the original contents must both survive.
 		snapshot := a.Clone()
 		a.Set(60000)
 		a.Clear(0)
 		if !in.Get(ida).Equal(snapshot) {
-			t.Fatalf("canonical set changed after argument mutation: %v vs %v",
+			t.Fatalf("canonical set changed after a caller's mutation: %v vs %v",
 				in.Get(ida), snapshot)
 		}
-		if got := in.Intern(snapshot); got != ida {
-			t.Fatalf("re-interning the original contents gives %d, want %d", got, ida)
+		if got := in.Canon(snapshot.Clone()); got != ca {
+			t.Fatalf("Canon of the original contents = %p, want %p", got, ca)
 		}
 
-		// Interning is idempotent per contents and Len counts distinct
-		// contents only (+1 for the preassigned empty set ε).
-		if got := in.Intern(b.Clone()); got != idb {
-			t.Fatalf("re-interning b gives %d, want %d", got, idb)
+		// Canon is idempotent per contents and Len counts distinct
+		// contents only (+1 for the preassigned empty set).
+		if got := in.Canon(b.Clone()); got != cb {
+			t.Fatalf("Canon of b again = %p, want %p", got, cb)
 		}
 		wantLen := 1
 		if !snapshot.IsEmpty() {
@@ -269,15 +267,11 @@ func FuzzInternerStability(f *testing.F) {
 			wantLen++
 		}
 		if in.Len() != wantLen {
-			t.Fatalf("Len = %d after interning two sets, want %d", in.Len(), wantLen)
+			t.Fatalf("Len = %d after two sets, want %d", in.Len(), wantLen)
 		}
 
-		// Canon of seen contents is the stored set behind their ID.
-		if got := in.Canon(b.Clone()); got != in.Get(idb) {
-			t.Fatalf("Canon(b) = %v, not the set stored under ID %d", got, idb)
-		}
-		// Canon of new contents adopts the argument under the next ID,
-		// which Intern then returns for those contents.
+		// New contents are adopted under the next ID; earlier IDs keep
+		// their sets.
 		c := a.Clone()
 		fresh := in.Len()
 		isNew := !c.Equal(snapshot) && !c.Equal(b) && !c.IsEmpty()
@@ -285,15 +279,23 @@ func FuzzInternerStability(f *testing.F) {
 		if isNew != (canon == c) {
 			t.Fatalf("Canon adopted the argument = %v, want %v", canon == c, isNew)
 		}
-		idc := in.Intern(a)
-		if isNew && idc != uint32(fresh) {
-			t.Fatalf("Intern after Canon of new contents = %d, want %d", idc, fresh)
+		if isNew && in.Get(uint32(fresh)) != c {
+			t.Fatalf("new contents are not stored under ID %d", fresh)
 		}
-		if in.Get(idc) != canon {
-			t.Fatalf("Get(%d) is not the set Canon returned", idc)
-		}
-		if in.Intern(snapshot) != ida || in.Intern(b) != idb || !in.Get(ida).Equal(snapshot) {
-			t.Fatal("Canon disturbed an ID issued by Intern")
+		if in.Get(ida) != ca || in.Get(idb) != cb || !ca.Equal(snapshot) {
+			t.Fatal("a later Canon disturbed an earlier ID")
 		}
 	})
+}
+
+// idOf returns the ID under which in stores the canonical set c.
+func idOf(t *testing.T, in *Interner, c *Sparse) uint32 {
+	t.Helper()
+	for id := range in.Len() {
+		if in.Get(uint32(id)) == c {
+			return uint32(id)
+		}
+	}
+	t.Fatalf("canonical set %v is stored under no ID", c)
+	return 0
 }

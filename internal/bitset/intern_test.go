@@ -4,77 +4,35 @@ import "testing"
 
 func TestInternEmptyIsZero(t *testing.T) {
 	in := NewInterner()
-	if got := in.Intern(New()); got != 0 {
-		t.Fatalf("Intern(∅) = %d, want 0 (the meld identity ε)", got)
+	if got := in.Canon(New()); got != in.Get(0) || !got.IsEmpty() {
+		t.Fatalf("Canon(∅) = %v, want the empty set stored under ID 0", got)
 	}
 	if in.Len() != 1 {
-		t.Fatalf("Len = %d after interning only ∅, want 1", in.Len())
+		t.Fatalf("Len = %d after canonicalising only ∅, want 1", in.Len())
 	}
 }
 
 func TestInternDeduplicates(t *testing.T) {
 	in := NewInterner()
-	a := in.Intern(Of(1, 2, 300))
-	b := in.Intern(Of(1, 2, 300))
-	if a != b {
-		t.Fatalf("equal contents interned to different IDs %d and %d", a, b)
+	a := in.Canon(Of(1, 2, 300))
+	if b := in.Canon(Of(1, 2, 300)); a != b {
+		t.Fatalf("equal contents have different canonical sets %p and %p", a, b)
 	}
-	c := in.Intern(Of(1, 2, 301))
-	if c == a {
-		t.Fatalf("different contents interned to the same ID %d", c)
+	if c := in.Canon(Of(1, 2, 301)); c == a {
+		t.Fatal("different contents share a canonical set")
 	}
-	if got := in.Get(a); !got.Equal(Of(1, 2, 300)) {
-		t.Fatalf("Get(%d) = %v, want {1, 2, 300}", a, got)
+	if got := in.Get(1); got != a || !got.Equal(Of(1, 2, 300)) {
+		t.Fatalf("Get(1) = %v, want {1, 2, 300}", got)
 	}
 }
 
-// TestInternPostMutationSafety pins the contract the Intern doc comment
-// states: Intern stores a clone, so mutating the argument afterwards —
-// including growing it, clearing it, and re-interning it — cannot
-// corrupt the canonical set behind the assigned ID.
-func TestInternPostMutationSafety(t *testing.T) {
-	in := NewInterner()
-	s := Of(5, 70, 700)
-	id := in.Intern(s)
-
-	s.Set(9000)
-	s.Clear(5)
-	if got := in.Get(id); !got.Equal(Of(5, 70, 700)) {
-		t.Fatalf("canonical set corrupted by post-intern mutation: Get(%d) = %v", id, got)
-	}
-
-	// The mutated value is new content and must intern to a fresh ID;
-	// the original content must still resolve to the original ID.
-	id2 := in.Intern(s)
-	if id2 == id {
-		t.Fatalf("mutated set interned to the old ID %d", id)
-	}
-	if got := in.Intern(Of(5, 70, 700)); got != id {
-		t.Fatalf("original contents re-interned to %d, want %d", got, id)
-	}
-
-	// Draining the argument entirely must not drain the canonical sets.
-	s.Clear(9000)
-	s.Clear(70)
-	s.Clear(700)
-	if !s.IsEmpty() {
-		t.Fatalf("test bug: s should be empty, got %v", s)
-	}
-	if got := in.Get(id2); !got.Equal(Of(70, 700, 9000)) {
-		t.Fatalf("canonical set for %d corrupted by draining the argument: %v", id2, got)
-	}
-	if got := in.Intern(s); got != 0 {
-		t.Fatalf("Intern(drained) = %d, want 0", got)
-	}
-}
-
-// TestCanonReturnsStoredEqualSet: Canon of contents already seen, by
-// Intern or by Canon, returns the stored set itself, not the argument.
+// TestCanonReturnsStoredEqualSet: Canon of contents already seen
+// returns the stored set itself, not the argument.
 func TestCanonReturnsStoredEqualSet(t *testing.T) {
 	in := NewInterner()
-	id := in.Intern(Of(1, 2, 300))
-	if got := in.Canon(Of(300, 2, 1)); got != in.Get(id) {
-		t.Fatalf("Canon of interned contents = %p, want the stored set %p", got, in.Get(id))
+	stored := in.Canon(Of(1, 2, 300))
+	if got := in.Canon(Of(300, 2, 1)); got != stored {
+		t.Fatalf("Canon of seen contents = %p, want the stored set %p", got, stored)
 	}
 	first := Of(7, 8)
 	if got := in.Canon(first); got != first {

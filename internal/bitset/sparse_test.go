@@ -330,30 +330,29 @@ func equalIDs(a, b []uint32) bool {
 
 func TestInterner(t *testing.T) {
 	in := NewInterner()
-	if got := in.Intern(New()); got != 0 {
-		t.Errorf("empty set interned to %d, want 0 (ε)", got)
+	if got := in.Canon(New()); got != in.Get(0) {
+		t.Errorf("empty set canonicalised to %v, not ID 0's set", got)
 	}
-	a := in.Intern(Of(1, 2, 3))
-	b := in.Intern(Of(3, 2, 1))
-	if a != b {
-		t.Errorf("equal contents interned to %d and %d", a, b)
+	a := in.Canon(Of(1, 2, 3))
+	if b := in.Canon(Of(3, 2, 1)); a != b {
+		t.Errorf("equal contents canonicalised to %p and %p", a, b)
 	}
-	c := in.Intern(Of(1, 2))
-	if c == a {
-		t.Error("distinct contents interned to same ID")
+	if c := in.Canon(Of(1, 2)); c == a {
+		t.Error("distinct contents canonicalised to the same set")
 	}
-	if got := in.Get(a); !got.Equal(Of(1, 2, 3)) {
-		t.Errorf("Get(%d) = %v", a, got)
+	if got := in.Get(1); got != a || !got.Equal(Of(1, 2, 3)) {
+		t.Errorf("Get(1) = %v", got)
 	}
 	if in.Len() != 3 {
 		t.Errorf("Len = %d, want 3", in.Len())
 	}
-	// Mutating the argument after interning must not corrupt the table.
-	s := Of(9)
-	id := in.Intern(s)
+	// Mutating a set the caller kept, equal to a stored one but not
+	// handed over, must not corrupt the table.
+	s := Of(1, 2, 3)
+	in.Canon(s)
 	s.Set(10)
-	if !in.Get(id).Equal(Of(9)) {
-		t.Error("interned set aliased caller's storage")
+	if !in.Get(1).Equal(Of(1, 2, 3)) {
+		t.Error("stored set aliased a caller's storage")
 	}
 }
 

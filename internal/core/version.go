@@ -42,11 +42,6 @@ type VersionStats struct {
 // every slot it reaches a non-ε version, so ε stands for "never set".
 type versioning struct {
 	g *svfg.Graph
-	// tab is the label domain while labelling runs. runVersioning drops
-	// it at the end: its atom sets and pair cache have no later reader,
-	// and stats.DistinctVersions keeps the one number the main phase
-	// needs, the size of the dense version-id space.
-	tab *meld.Table
 
 	consume []meld.Version // ξ_ℓ(o) by slot
 	yield   []meld.Version // η_ℓ(o) by slot
@@ -105,21 +100,20 @@ func runVersioning(ctx context.Context, g *svfg.Graph) (*versioning, error) {
 	n := g.Prog.NumObjects()
 	v := &versioning{
 		g:       g,
-		tab:     meld.NewTable(),
 		consume: make([]meld.Version, g.NumSlots()),
 		yield:   make([]meld.Version, g.NumSlots()),
 		first:   make([]meld.Version, n+1),
 	}
 	lb := newLabeller(g, obs.AttrFrom(ctx))
 	for o := range n {
-		v.first[o] = meld.Version(v.tab.Distinct())
+		v.first[o] = meld.Version(lb.tab.Distinct())
+		lb.tab.Reset()
 		if err := lb.labelObject(ctx, v, ir.Obj(o)); err != nil {
 			return nil, err
 		}
 	}
-	v.first[n] = meld.Version(v.tab.Distinct())
-	v.stats.DistinctVersions = v.tab.Distinct()
-	v.tab = nil
+	v.first[n] = meld.Version(lb.tab.Distinct())
+	v.stats.DistinctVersions = lb.tab.Distinct()
 	v.countEntries()
 	v.stats.Duration = time.Since(start)
 	return v, nil
@@ -139,7 +133,12 @@ const (
 // indexed by slot and never reset: a slot belongs to one object, so no
 // object's pass sees another's state.
 type labeller struct {
-	g     *svfg.Graph
+	g *svfg.Graph
+	// tab is the label domain, reset before each object's pass: a meld
+	// of one object's labels is never another object's label. It dies
+	// with the labeller; stats.DistinctVersions keeps the one number the
+	// main phase needs, the size of the dense version-id space.
+	tab   *meld.Table
 	kind  []slotKind
 	index []int32 // Tarjan DFS number; 0 = not yet visited
 	low   []int32 // Tarjan low-link
@@ -153,10 +152,12 @@ type labeller struct {
 	acc     []meld.Version
 
 	// Governance: checkpoints fall every cancelCheckInterval slot
-	// visits; attr takes one meld charge per MeldOps increment, by the
-	// object's value ID.
-	attr   *obs.ObjectAttr
-	visits int
+	// visits and charge the steps and the table's growth in bytes since
+	// the last one (charged); attr takes one meld charge per MeldOps
+	// increment, by the object's value ID.
+	attr    *obs.ObjectAttr
+	visits  int
+	charged int64
 }
 
 // frame is one suspended DFS call of the iterative Tarjan.
@@ -171,6 +172,7 @@ func newLabeller(g *svfg.Graph, attr *obs.ObjectAttr) *labeller {
 	n := g.NumSlots()
 	lb := &labeller{
 		g:     g,
+		tab:   meld.NewTable(),
 		kind:  make([]slotKind, n),
 		index: make([]int32, n),
 		low:   make([]int32, n),
@@ -199,7 +201,9 @@ func newLabeller(g *svfg.Graph, attr *obs.ObjectAttr) *labeller {
 // cancelCheckInterval visits.
 func (lb *labeller) poll(ctx context.Context) error {
 	if lb.visits%cancelCheckInterval == 0 {
-		if err := guard.Tick(ctx, "solve", cancelCheckInterval); err != nil {
+		grown := lb.tab.Bytes() - lb.charged
+		lb.charged += grown
+		if err := guard.TickBytes(ctx, "solve", cancelCheckInterval, grown); err != nil {
 			return err
 		}
 	}
@@ -223,7 +227,7 @@ func (lb *labeller) poll(ctx context.Context) error {
 // a prelabel. o's slots ascend in label order, so atoms are allocated
 // in label order.
 func (lb *labeller) labelObject(ctx context.Context, v *versioning, o ir.Obj) error {
-	g, tab := lb.g, v.tab
+	g, tab := lb.g, lb.tab
 	slots := g.ObjSlots(o)
 	for _, s := range slots {
 		switch lb.kind[s] {
@@ -299,7 +303,7 @@ func (lb *labeller) labelObject(ctx context.Context, v *versioning, o ir.Obj) er
 // meld folds label into component c's pending label.
 func (lb *labeller) meld(v *versioning, o ir.Obj, c int32, label meld.Version) {
 	old := lb.acc[c]
-	if m := v.tab.Meld(old, label); m != old {
+	if m := lb.tab.Meld(old, label); m != old {
 		lb.acc[c] = m
 		v.stats.MeldOps++
 		lb.attr.Meld(uint32(lb.g.Prog.ObjID(o)))

@@ -288,6 +288,37 @@ func TestVersioningGovernance(t *testing.T) {
 	}
 }
 
+// TestVersioningByteBudget: the label table's storage is charged to
+// the memory budget at the labeller's checkpoints, so a bash versioning
+// pass under a 1 KiB memory limit breaches in the solve phase.
+func TestVersioningByteBudget(t *testing.T) {
+	g := profileGraph(t, "bash")
+	b := guard.NewBudget(0, 1024, 0)
+	v, err := runVersioning(guard.WithBudget(context.Background(), b), g)
+	var be *guard.ErrBudgetExceeded
+	if !errors.As(err, &be) || v != nil {
+		t.Fatalf("versioning=%v err=%v, want nil and a budget breach", v, err)
+	}
+	if be.Phase != "solve" || be.Resource != guard.ResourceMem {
+		t.Fatalf("breach = %+v, want mem in phase solve", be)
+	}
+}
+
+// TestVersioningAllocsBounded pins the flat label table: one bash
+// versioning pass allocates its slot arrays and a few growing buffers,
+// not one object per label or meld (the Sparse-set table made 374,656).
+func TestVersioningAllocsBounded(t *testing.T) {
+	g := profileGraph(t, "bash")
+	n := testing.AllocsPerRun(1, func() {
+		if _, err := runVersioning(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 1000 {
+		t.Fatalf("bash versioning made %v allocations, want at most 1,000", n)
+	}
+}
+
 var versioningSink *versioning
 
 // BenchmarkVersioning times the meld-labelling pre-analysis alone.

@@ -177,7 +177,7 @@ func (p *FaultPlan) checkpoint(ctx context.Context, phase string) {
 			}
 		case FaultAllocSpike:
 			if b := BudgetFrom(ctx); b != nil {
-				b.extraBytes.Add(amount)
+				b.chargedBytes.Add(amount)
 			}
 		}
 	}

@@ -39,7 +39,8 @@ const (
 	// ResourceSteps is worklist/build iterations across all phases.
 	ResourceSteps Resource = "steps"
 	// ResourceMem is bytes of points-to storage allocated by the bitset
-	// layer since the budget was armed.
+	// layer since the budget was armed, plus the bytes charged to it at
+	// checkpoints by phases with storage of their own.
 	ResourceMem Resource = "mem"
 	// ResourceWall is elapsed wall clock since the budget was armed.
 	ResourceWall Resource = "wall"
@@ -74,10 +75,10 @@ type Budget struct {
 	maxBytes int64
 	maxWall  time.Duration
 
-	steps      atomic.Int64
-	extraBytes atomic.Int64 // injected by FaultAllocSpike
-	baseWords  int64
-	armedAt    time.Time
+	steps        atomic.Int64
+	chargedBytes atomic.Int64 // charged by TickBytes and FaultAllocSpike
+	baseWords    int64
+	armedAt      time.Time
 }
 
 // NewBudget returns an armed budget. Zero (or negative) limits mean
@@ -114,15 +115,16 @@ func (b *Budget) StepsUsed() int64 {
 	return b.steps.Load()
 }
 
-// BytesUsed returns the points-to storage growth observed so far.
-// Accounting is process-global at the bitset layer, so concurrent
-// solves see each other's allocations; under a shared budget pool that
-// conservatism is intentional — the pool protects the process.
+// BytesUsed returns the points-to storage growth observed so far, plus
+// the bytes charged to this budget. Accounting at the bitset layer is
+// process-global, so concurrent solves see each other's allocations;
+// under a shared budget pool that conservatism is intentional — the
+// pool protects the process. Charged bytes are this budget's own.
 func (b *Budget) BytesUsed() int64 {
 	if b == nil {
 		return 0
 	}
-	return (bitset.AllocatedWords()-b.baseWords)*bitset.WordBytes + b.extraBytes.Load()
+	return (bitset.AllocatedWords()-b.baseWords)*bitset.WordBytes + b.chargedBytes.Load()
 }
 
 // addSteps charges n steps and reports whether the step limit is now
@@ -131,12 +133,13 @@ func (b *Budget) addSteps(n int64) bool {
 	return b.steps.Add(n) > b.maxSteps && b.maxSteps > 0
 }
 
-// check charges n steps against the budget and verifies every
-// dimension, attributing any breach to phase.
-func (b *Budget) check(phase string, n int64) error {
+// check charges n steps and bytes against the budget and verifies
+// every dimension, attributing any breach to phase.
+func (b *Budget) check(phase string, n, bytes int64) error {
 	if b == nil {
 		return nil
 	}
+	b.chargedBytes.Add(bytes)
 	if b.addSteps(n) {
 		return &ErrBudgetExceeded{Phase: phase, Resource: ResourceSteps, Limit: b.maxSteps}
 	}
@@ -174,6 +177,13 @@ func BudgetFrom(ctx context.Context) *Budget {
 // against the budget and enforces every limit. It returns nil when the
 // run may continue.
 func Tick(ctx context.Context, phase string, n int64) error {
+	return TickBytes(ctx, phase, n, 0)
+}
+
+// TickBytes is Tick for a phase that grows storage of its own outside
+// the bitset layer: it also charges that growth, in bytes, to the
+// budget's memory dimension before enforcing the limits.
+func TickBytes(ctx context.Context, phase string, n, bytes int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -181,7 +191,7 @@ func Tick(ctx context.Context, phase string, n int64) error {
 		p.checkpoint(ctx, phase)
 	}
 	if b := BudgetFrom(ctx); b != nil {
-		return b.check(phase, n)
+		return b.check(phase, n, bytes)
 	}
 	return nil
 }

@@ -14,7 +14,7 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 		t.Fatalf("all-unbounded budget = %v, want nil", b)
 	}
 	var b *Budget
-	if err := b.check("solve", 1<<40); err != nil {
+	if err := b.check("solve", 1<<40, 1<<40); err != nil {
 		t.Fatalf("nil budget check: %v", err)
 	}
 	if b.StepsUsed() != 0 || b.BytesUsed() != 0 {
@@ -62,6 +62,29 @@ func TestMemBudget(t *testing.T) {
 	}
 	if b.BytesUsed() < 64*bitset.WordBytes {
 		t.Fatalf("BytesUsed = %d, want >= %d", b.BytesUsed(), 64*bitset.WordBytes)
+	}
+}
+
+// TestTickBytesChargesMemBudget: bytes charged at checkpoints count
+// toward the memory limit beside the bitset layer's growth, and only
+// toward the budget they were charged to.
+func TestTickBytesChargesMemBudget(t *testing.T) {
+	b := NewBudget(0, 1024, 0)
+	other := NewBudget(0, 1024, 0)
+	ctx := WithBudget(context.Background(), b)
+	if err := TickBytes(ctx, "solve", 1, 1000); err != nil {
+		t.Fatalf("charge under the limit: %v", err)
+	}
+	err := TickBytes(ctx, "solve", 1, 100)
+	var be *ErrBudgetExceeded
+	if !errors.As(err, &be) || be.Resource != ResourceMem || be.Phase != "solve" {
+		t.Fatalf("charge past the limit: %v, want mem breach in solve", err)
+	}
+	if b.BytesUsed() < 1100 {
+		t.Fatalf("BytesUsed = %d, want >= 1100", b.BytesUsed())
+	}
+	if other.BytesUsed() >= 1100 {
+		t.Fatalf("another budget sees the charge: BytesUsed = %d", other.BytesUsed())
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // GuardTick requires every unbounded loop in the solver worklist
-// packages to reach a guard.Tick checkpoint. The
+// packages to reach a guard.Tick (or guard.TickBytes) checkpoint. The
 // guard subsystem's budget accounting (and its exact-conservation
 // oracle invariant) only sees work that passes a checkpoint; an
 // unbounded drain loop with no reachable Tick is work the budget
@@ -110,7 +110,7 @@ func tickingFuncs(p *Pass) map[*types.Func]bool {
 				return false
 			}
 			if call, ok := n.(*ast.CallExpr); ok {
-				if _, ok := isPkgCall(p, imports, call, guardPath, "Tick"); ok {
+				if _, ok := isPkgCall(p, imports, call, guardPath, "Tick", "TickBytes"); ok {
 					direct = true
 					return false
 				}
@@ -152,8 +152,8 @@ func tickingFuncs(p *Pass) map[*types.Func]bool {
 	return ticking
 }
 
-// reachesTick reports whether body contains a direct guard.Tick call
-// or a call to a same-package function known to tick.
+// reachesTick reports whether body contains a direct guard.Tick or
+// guard.TickBytes call or a call to a same-package function known to tick.
 func reachesTick(p *Pass, imports map[string]string, body *ast.BlockStmt, ticking map[*types.Func]bool) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -164,7 +164,7 @@ func reachesTick(p *Pass, imports map[string]string, body *ast.BlockStmt, tickin
 		if !ok {
 			return true
 		}
-		if _, ok := isPkgCall(p, imports, call, guardPath, "Tick"); ok {
+		if _, ok := isPkgCall(p, imports, call, guardPath, "Tick", "TickBytes"); ok {
 			found = true
 			return false
 		}

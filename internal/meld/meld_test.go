@@ -68,6 +68,54 @@ func TestAtomsAreDistinct(t *testing.T) {
 	}
 }
 
+// TestMeldOfInternedUnionAllocatesNothing: once a union is interned,
+// melding its parts again is a merge into reused scratch and a table
+// probe, with no allocation; so are the subset fast paths.
+func TestMeldOfInternedUnionAllocatesNothing(t *testing.T) {
+	tab := NewTable()
+	a, b, c := tab.NewAtom(), tab.NewAtom(), tab.NewAtom()
+	ab := tab.Meld(a, b)
+	abc := tab.Meld(ab, c)
+	if n := testing.AllocsPerRun(100, func() {
+		if tab.Meld(ab, c) != abc || tab.Meld(c, ab) != abc || tab.Meld(a, b) != ab {
+			t.Fatal("re-meld gave a different label")
+		}
+		if tab.Meld(abc, a) != abc || tab.Meld(b, abc) != abc {
+			t.Fatal("subset meld gave a different label")
+		}
+	}); n != 0 {
+		t.Fatalf("melding interned labels allocates %v times per run, want 0", n)
+	}
+}
+
+// TestResetStartsFreshDomain: after Reset, ids continue from Distinct,
+// contents seen before the reset get new ids, and Reset itself interns
+// nothing.
+func TestResetStartsFreshDomain(t *testing.T) {
+	tab := NewTable()
+	a, b := tab.NewAtom(), tab.NewAtom()
+	old := tab.Meld(a, b)
+	d := tab.Distinct()
+	tab.Reset()
+	if tab.Distinct() != d {
+		t.Fatalf("Distinct = %d after Reset, want %d", tab.Distinct(), d)
+	}
+	x, y := tab.NewAtom(), tab.NewAtom()
+	if x != Version(d) || y != Version(d+1) {
+		t.Fatalf("atoms after Reset = %d, %d, want %d, %d", x, y, d, d+1)
+	}
+	xy := tab.Meld(x, y)
+	if xy == old || xy != Version(d+2) || tab.Meld(y, x) != xy {
+		t.Fatalf("union after Reset = %d, want the fresh id %d", xy, d+2)
+	}
+	if got := tab.AtomSet(xy).Slice(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("AtomSet(%d) = %v, want [2 3]", xy, got)
+	}
+	if tab.Atoms() != 4 || tab.Distinct() != d+3 {
+		t.Fatalf("Atoms, Distinct = %d, %d, want 4, %d", tab.Atoms(), tab.Distinct(), d+3)
+	}
+}
+
 // TestFigure4 reconstructs the paper's Figure 4: a 9-node graph with two
 // prelabelled nodes. Node numbering (1-based in the figure, 0-based
 // here):
