@@ -323,7 +323,7 @@ var versioningSink *versioning
 
 // BenchmarkVersioning times the meld-labelling pre-analysis alone.
 func BenchmarkVersioning(b *testing.B) {
-	for _, name := range []string{"nano", "bash", "lynx"} {
+	for _, name := range []string{"nano", "bash", "i3", "lynx"} {
 		b.Run(name, func(b *testing.B) {
 			g := profileGraph(b, name)
 			b.ReportAllocs()
@@ -345,7 +345,7 @@ var mainSink *Result
 // built once; each iteration solves a fresh clone of the graph, since
 // on-the-fly resolution adds edges to it.
 func BenchmarkMainSolve(b *testing.B) {
-	for _, name := range []string{"nano", "bash", "lynx"} {
+	for _, name := range []string{"nano", "bash", "i3", "lynx"} {
 		b.Run(name, func(b *testing.B) {
 			g := profileGraph(b, name)
 			ver, err := runVersioning(context.Background(), g)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"vsfs/internal/bitset"
@@ -166,10 +165,35 @@ func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 	return solveMain(ctx, g, ver)
 }
 
-// solveMain runs the main phase over g's versioning ver.
+// solveMain runs the main phase over g's versioning ver. Right after
+// the static reliances are built, every strongly connected component of
+// the version-reliance graph collapses to one representative version:
+// pt_κ ⊆ pt_κ' around a cycle makes every member's set equal, so the
+// solve keeps, reads and writes only the representative's.
 func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, error) {
 	sp := obs.StartSpan(ctx, "main")
 	start := time.Now()
+	s := newState(ctx, g, ver)
+	if err := s.condense(s.staticReliances()); err != nil {
+		return nil, err
+	}
+	if err := s.run(); err != nil {
+		return nil, err
+	}
+	s.finish(start)
+	sp.Arg("nodesProcessed", s.Stats.NodesProcessed).
+		Arg("propagations", s.Stats.Propagations).
+		Arg("ptsSets", s.Stats.PtsSets).
+		Arg("storedSets", s.Stats.StoredSets).
+		Arg("storedWords", s.Stats.StoredWords).
+		Arg("worklistHW", s.Stats.WorklistHW).
+		Arg("versionSCCs", s.versionSCCs).
+		Arg("collapsedVersions", s.collapsedVersions).
+		End()
+	return s.Result, nil
+}
+
+func newState(ctx context.Context, g *svfg.Graph, ver *versioning) *state {
 	nv := ver.stats.DistinctVersions
 	s := &state{
 		Result: &Result{
@@ -179,30 +203,30 @@ func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, er
 			ptv:     make([]*bitset.Sparse, nv),
 			callees: make(map[*ir.Instr]map[*ir.Function]bool),
 		},
-		ctx:          ctx,
-		attr:         obs.AttrFrom(ctx),
-		verReliance:  make([][]meld.Version, nv),
-		stmtReliance: make([][]uint32, nv),
-		fsCallers:    make(map[*ir.Function][]uint32),
-		work:         worklist{mark: make([]bool, len(g.Prog.Instrs))},
+		ctx:       ctx,
+		attr:      obs.AttrFrom(ctx),
+		extra:     overflow{head: make([]int32, nv)},
+		fsCallers: make(map[*ir.Function][]uint32),
+		work:      worklist{mark: make([]bool, len(g.Prog.Instrs))},
 	}
 	s.Stats.Versioning = ver.stats
-	s.buildReliances()
-	if err := s.run(); err != nil {
-		return nil, err
+	return s
+}
+
+// finish ends a solve: every collapsed version's set becomes its
+// representative's, then the sets are counted and frozen. SolveTime
+// includes the constraint count, which walks the wired chains again.
+func (s *state) finish(start time.Time) {
+	for v, r := range s.rep {
+		if r != meld.Version(v) {
+			s.ptv[v] = s.ptv[r]
+		}
 	}
+	s.countVersionConstraints()
 	s.Stats.SolveTime = time.Since(start)
 	s.Stats.WorklistHW = s.work.hw
 	s.collectStats()
 	s.freeze()
-	sp.Arg("nodesProcessed", s.Stats.NodesProcessed).
-		Arg("propagations", s.Stats.Propagations).
-		Arg("ptsSets", s.Stats.PtsSets).
-		Arg("storedSets", s.Stats.StoredSets).
-		Arg("storedWords", s.Stats.StoredWords).
-		Arg("worklistHW", s.Stats.WorklistHW).
-		End()
-	return s.Result, nil
 }
 
 // freeze replaces every solved set with its canonical equal set, so
@@ -248,14 +272,26 @@ type state struct {
 	// work.
 	attr *obs.ObjectAttr
 
-	// verReliance[κ] lists versions κ' with pt_κ(o) ⊆ pt_κ'(o), derived
-	// from indirect edges whose endpoints carry different versions
-	// ([A-PROP]^F reduced to version constraints).
-	verReliance [][]meld.Version
+	// static row κ lists the versions κ' with pt_κ(o) ⊆ pt_κ'(o) that
+	// static indirect edges imply.
+	static csr
 
-	// stmtReliance[κ] lists nodes to reprocess when pt_κ(o) grows: loads
-	// that consume it and stores whose weak update consumes it.
-	stmtReliance [][]uint32
+	// rep[κ] is the representative of κ's strongly connected component
+	// in static. The solve reads and writes only representatives' sets.
+	// verReliance is static condensed onto representatives.
+	// stmtReliance row r lists the nodes to reprocess when pt_r grows:
+	// loads that consume a member of r and stores whose weak update
+	// does. extra holds the version reliances between representatives
+	// added on the fly.
+	rep                       []meld.Version
+	verReliance, stmtReliance csr
+	extra                     overflow
+
+	// repPairs holds every reliance between representatives, static
+	// and on the fly, so an on-the-fly one is added to extra once.
+	repPairs pairSet
+
+	versionSCCs, collapsedVersions int // components of two or more versions, and their versions
 
 	fsCallers map[*ir.Function][]uint32
 
@@ -265,46 +301,128 @@ type state struct {
 // owner returns the value ID attribution charges object o's work to.
 func (s *state) owner(o ir.Obj) uint32 { return uint32(s.Graph.Prog.ObjID(o)) }
 
-// buildReliances turns every static indirect edge into a version
-// constraint and registers statement reliances for loads and stores.
-func (s *state) buildReliances() {
+// staticReliances turns every static indirect edge whose endpoints
+// carry different versions into a version constraint ([A-PROP]^F
+// reduced to version constraints): row κ of the result lists the
+// versions κ' with pt_κ(o) ⊆ pt_κ'(o).
+func (s *state) staticReliances() csr {
 	g := s.Graph
-	prog := g.Prog
-	for l := uint32(1); l < uint32(len(prog.Instrs)); l++ {
-		lo, hi := g.SlotRange(l)
-		// Edge-derived version constraints.
-		for sl := lo; sl < hi; sl++ {
+	return buildCSR(len(s.ptv), len(s.ptv), func(emit func(from, to uint32)) {
+		for sl := range g.NumSlots() {
 			if yv := s.ver.yield[sl]; yv != meld.Epsilon {
 				for _, t := range g.SlotSuccs(sl) {
-					s.addVerConstraint(yv, s.ver.consume[t])
+					if cv := s.ver.consume[t]; cv != yv {
+						emit(yv, cv)
+					}
 				}
 			}
 		}
-		// A load's slots are its μ, a store's its χ.
-		if op := prog.Instrs[l].Op; op == ir.Load || op == ir.Store {
-			for sl := lo; sl < hi; sl++ {
-				s.addStmtReliance(s.ver.consume[sl], l)
+	})
+}
+
+// condense collapses the strongly connected components of static, the
+// static version-reliance graph, onto their representatives.
+func (s *state) condense(static csr) error {
+	f, err := collapse(s.ctx, &static)
+	if err != nil {
+		return err
+	}
+	s.versionSCCs, s.collapsedVersions = f.sccs, f.members
+	s.adopt(static, f.rep)
+	return nil
+}
+
+// adopt makes rep the version → representative map and builds the
+// representatives' reliances. A representative's version reliances are
+// its members', in version order, less the edges inside its component;
+// its statement reliances are the loads and stores that consume any
+// member.
+func (s *state) adopt(static csr, rep []meld.Version) {
+	s.static, s.rep = static, rep
+	nv := len(rep)
+	s.verReliance = buildCSR(nv, nv, func(emit func(from, to uint32)) {
+		for v := range uint32(nv) {
+			for _, t := range static.row(v) {
+				if r, rt := rep[v], rep[t]; r != rt {
+					emit(r, rt)
+				}
 			}
+		}
+	})
+	// A load's slots are its μ, a store's its χ. pt_ε is permanently
+	// empty, so no reprocessing can arise from it.
+	g := s.Graph
+	s.stmtReliance = buildCSR(nv, len(g.Prog.Instrs), func(emit func(r, l uint32)) {
+		for l := uint32(1); l < uint32(len(g.Prog.Instrs)); l++ {
+			if op := g.Prog.Instrs[l].Op; op == ir.Load || op == ir.Store {
+				lo, hi := g.SlotRange(l)
+				for sl := lo; sl < hi; sl++ {
+					if cv := s.ver.consume[sl]; cv != meld.Epsilon {
+						emit(rep[cv], l)
+					}
+				}
+			}
+		}
+	})
+	s.repPairs = newPairSet(len(s.verReliance.adj))
+	for r := range uint32(nv) {
+		for _, t := range s.verReliance.row(r) {
+			s.repPairs.add(r, t)
 		}
 	}
 }
 
+// addVerConstraint registers pt_from ⊆ pt_to during the solve, between
+// the representatives of from and to.
 func (s *state) addVerConstraint(from, to meld.Version) {
 	if from == to || from == meld.Epsilon {
 		return
 	}
-	if !slices.Contains(s.verReliance[from], to) {
-		s.verReliance[from] = append(s.verReliance[from], to)
+	if a, b := s.rep[from], s.rep[to]; a != b && s.repPairs.add(a, b) {
+		s.extra.add(a, b)
 	}
 }
 
-func (s *state) addStmtReliance(v meld.Version, l uint32) {
-	if v == meld.Epsilon {
-		// pt_ε is permanently empty; no reprocessing can arise from it.
-		return
+// countVersionConstraints sets VersionConstraints to the distinct
+// constraints registered between original versions: the static ones
+// and those of the chains that on-the-fly call resolution wired. The
+// wired ones are grouped by source into a csr, which drops their
+// repeats, and each row is then checked against the source's static
+// row with a stamp array.
+func (s *state) countVersionConstraints() {
+	nv := len(s.ptv)
+	wired := buildCSR(nv, nv, s.wiredConstraints)
+	n := len(s.static.adj)
+	stamp := make([]uint32, nv)
+	for v := range uint32(nv) {
+		for _, t := range s.static.row(v) {
+			stamp[t] = v + 1
+		}
+		for _, t := range wired.row(v) {
+			if stamp[t] != v+1 {
+				n++
+			}
+		}
 	}
-	if !slices.Contains(s.stmtReliance[v], l) {
-		s.stmtReliance[v] = append(s.stmtReliance[v], l)
+	s.Stats.VersionConstraints = n
+}
+
+// wiredConstraints emits the constraint of every chain that on-the-fly
+// resolution wired: the chains of each indirect call to each callee
+// resolved for it. A chain that was already in the graph emits a
+// static constraint, which the count drops.
+func (s *state) wiredConstraints(emit func(from, to uint32)) {
+	for _, call := range s.Graph.Prog.Instrs {
+		if call == nil || !call.IsIndirectCall() {
+			continue
+		}
+		for _, callee := range s.CalleesOf(call) {
+			s.Graph.MSSA.CallChains(call, callee, func(from, to int) {
+				if y, c := s.ver.yield[from], s.ver.consume[to]; y != meld.Epsilon && y != c {
+					emit(y, c)
+				}
+			})
+		}
 	}
 }
 
@@ -320,11 +438,15 @@ func (s *state) ptOf(v ir.ID) *bitset.Sparse {
 	return s.pt[v]
 }
 
-func (s *state) ptvSet(v meld.Version) *bitset.Sparse {
-	set := s.ptv[v]
+// setOf returns the set of κ's representative.
+func (s *state) setOf(v meld.Version) *bitset.Sparse { return s.ptvOf(s.rep[v]) }
+
+// ptvSet returns representative r's set, allocating it on first use.
+func (s *state) ptvSet(r meld.Version) *bitset.Sparse {
+	set := s.ptv[r]
 	if set == nil {
 		set = bitset.New()
-		s.ptv[v] = set
+		s.ptv[r] = set
 	}
 	return set
 }
@@ -341,12 +463,14 @@ func (s *state) addPt(v ir.ID, src *bitset.Sparse) {
 	}
 }
 
-// growVersion unions src into pt_κ(o) and, on change, propagates to
-// reliant versions (transitively) and reschedules reliant statements.
+// growVersion unions src into pt_κ(o), held by κ's representative,
+// and, on change, propagates to reliant representatives (transitively)
+// and reschedules reliant statements.
 func (s *state) growVersion(o ir.Obj, v meld.Version, src *bitset.Sparse) {
 	if src.IsEmpty() || v == meld.Epsilon {
 		return
 	}
+	v = s.rep[v]
 	s.Stats.Propagations++
 	s.attr.Prop(s.owner(o))
 	if !s.ptvSet(v).UnionWith(src) {
@@ -358,20 +482,30 @@ func (s *state) growVersion(o ir.Obj, v meld.Version, src *bitset.Sparse) {
 	for len(queue) > 0 {
 		cur := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, l := range s.stmtReliance[cur] {
+		for _, l := range s.stmtReliance.row(cur) {
 			s.work.push(l)
 		}
 		set := s.ptv[cur]
-		for _, to := range s.verReliance[cur] {
-			s.Stats.Propagations++
-			s.Stats.VersionProps++
-			s.attr.Prop(s.owner(o))
-			if s.ptvSet(to).UnionWith(set) {
-				s.Stats.Changed++
-				queue = append(queue, to)
-			}
+		for _, to := range s.verReliance.row(cur) {
+			queue = s.propagate(o, set, to, queue)
+		}
+		for e := s.extra.head[cur]; e != 0; e = s.extra.next[e-1] {
+			queue = s.propagate(o, set, s.extra.to[e-1], queue)
 		}
 	}
+}
+
+// propagate unions set into representative to's set along a version
+// reliance, queueing to if it grew.
+func (s *state) propagate(o ir.Obj, set *bitset.Sparse, to meld.Version, queue []meld.Version) []meld.Version {
+	s.Stats.Propagations++
+	s.Stats.VersionProps++
+	s.attr.Prop(s.owner(o))
+	if s.ptvSet(to).UnionWith(set) {
+		s.Stats.Changed++
+		queue = append(queue, to)
+	}
+	return queue
 }
 
 func (s *state) run() error {
@@ -454,7 +588,7 @@ func (s *state) process(in *ir.Instr) {
 		// [LOAD]^F: pt(p) ⊇ pt_{ξ_ℓ(o)}(o) for each o ∈ pt(q).
 		l := in.Label
 		s.ptOf(in.Uses[0]).Clone().ForEach(func(o uint32) {
-			s.addPt(in.Def, s.ConsumedSet(l, ir.Obj(o)))
+			s.addPt(in.Def, s.setOf(s.ver.consumeOf(l, ir.Obj(o))))
 		})
 
 	case ir.Store:
@@ -497,7 +631,7 @@ func (s *state) processStore(in *ir.Instr) {
 			s.growVersion(o, yv, ptq)
 			continue
 		}
-		s.growVersion(o, yv, s.ptvOf(s.ver.consume[sl]))
+		s.growVersion(o, yv, s.setOf(s.ver.consume[sl]))
 		if ptp.Has(uint32(o)) {
 			s.growVersion(o, yv, ptq)
 		}
@@ -547,7 +681,7 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 			if g.AddSlotEdge(from, to) {
 				y, c := s.ver.yield[from], s.ver.consume[to]
 				s.addVerConstraint(y, c)
-				s.growVersion(g.SlotObj(from), c, s.ptvOf(y))
+				s.growVersion(g.SlotObj(from), c, s.setOf(y))
 			}
 		})
 		s.work.push(callee.EntryInstr.Label)
@@ -566,9 +700,6 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 }
 
 func (s *state) collectStats() {
-	for _, targets := range s.verReliance {
-		s.Stats.VersionConstraints += len(targets)
-	}
 	for o := range len(s.ver.first) - 1 {
 		lo, hi := s.ver.versions(ir.Obj(o))
 		for _, set := range s.ptv[lo:hi] {

@@ -588,18 +588,28 @@ func (b *builder) interprocDirectCalls() error {
 // μ(FUNEXIT) = FormalOut, so walking those slots walks the callee's
 // formals.
 func (r *Result) CallChains(call *ir.Instr, callee *ir.Function, link func(s, t int)) {
-	lo, hi := r.SlotRange(callee.EntryInstr.Label)
-	for t := lo; t < hi; t++ {
-		if s, ok := r.Slot(call.Label, r.SlotObj(t)); ok {
-			link(s, t)
-		}
-	}
+	r.matchSlots(call.Label, callee.EntryInstr.Label, link)
 	if ret := r.CallRets[call]; ret != nil {
-		lo, hi = r.SlotRange(callee.ExitInstr.Label)
-		for s := lo; s < hi; s++ {
-			if t, ok := r.Slot(ret.Label, r.SlotObj(s)); ok {
-				link(s, t)
-			}
+		r.matchSlots(callee.ExitInstr.Label, ret.Label, link)
+	}
+}
+
+// matchSlots calls link(s, t) for each object with a slot s at node
+// from and a slot t at node to, by ascending object. Both nodes' slots
+// ascend by object, so one merge pass pairs them.
+func (r *Result) matchSlots(from, to uint32, link func(s, t int)) {
+	s, shi := r.SlotRange(from)
+	t, thi := r.SlotRange(to)
+	for s < shi && t < thi {
+		switch os, ot := r.obj[s], r.obj[t]; {
+		case os < ot:
+			s++
+		case os > ot:
+			t++
+		default:
+			link(s, t)
+			s++
+			t++
 		}
 	}
 }
