@@ -65,11 +65,12 @@ fuzz:
 	$(GO) run ./cmd/vsfs-fuzz -seeds 500 -minimize
 
 fuzz-native:
-	$(GO) test -run NONE -fuzz FuzzSparseLaws -fuzztime 30s ./internal/bitset/
-	$(GO) test -run NONE -fuzz FuzzUnionInPlace -fuzztime 30s ./internal/bitset/
-	$(GO) test -run NONE -fuzz FuzzInternerStability -fuzztime 30s ./internal/bitset/
-	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 30s ./internal/irparse/
-	$(GO) test -run NONE -fuzz FuzzCompile -fuzztime 30s ./internal/lang/
+	$(GO) test -run NONE -fuzz FuzzSparseLaws -fuzztime 30s -fuzzminimizetime 1s ./internal/bitset/
+	$(GO) test -run NONE -fuzz FuzzUnionInPlace -fuzztime 30s -fuzzminimizetime 1s ./internal/bitset/
+	$(GO) test -run NONE -fuzz FuzzInternerStability -fuzztime 30s -fuzzminimizetime 1s ./internal/bitset/
+	$(GO) test -run NONE -fuzz FuzzMeldLaws -fuzztime 30s -fuzzminimizetime 1s ./internal/meld/
+	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 30s -fuzzminimizetime 1s ./internal/irparse/
+	$(GO) test -run NONE -fuzz FuzzCompile -fuzztime 30s -fuzzminimizetime 1s ./internal/lang/
 
 faults:
 	$(GO) test -race -run 'Fault|Shed|Degrad|Repeat|Overload' ./...

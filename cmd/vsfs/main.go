@@ -203,9 +203,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Info("analyzing", "file", path, "mode", m.String(), "bytes", len(src))
 		r, err := vsfs.AnalyzeContext(ctx, string(src), vsfs.Options{Mode: m, Input: input, Filename: path, Attr: *attr})
 		if err == nil {
-			t := r.Timings()
-			logger.Info("analysis complete", "total", t.Total,
-				"andersen", t.Andersen, "memssa", t.MemSSA, "svfg", t.SVFG, "solve", t.Solve)
+			var total time.Duration
+			var phases []any
+			for _, ph := range guard.PipelinePhases {
+				d := r.PhaseWall(ph)
+				total += d
+				phases = append(phases, ph, d)
+			}
+			logger.Info("analysis complete", append([]any{"total", total}, phases...)...)
 		}
 		return r, err
 	}

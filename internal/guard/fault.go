@@ -90,9 +90,25 @@ func NewFaultPlan(faults ...Fault) *FaultPlan {
 	return &FaultPlan{faults: faults, count: make(map[string]int), fired: make([]int, len(faults))}
 }
 
+// The facade's phase names: its span, guard.Recover and phase-record
+// names.
+const (
+	PhaseParse    = "parse"
+	PhaseAndersen = "andersen"
+	PhaseMemSSA   = "memssa"
+	PhaseSVFG     = "svfg"
+	PhaseSolve    = "solve"
+	// PhaseRung is the degradation ladder's CFG-free retry. Its own name
+	// keeps a breached phase's faults from replaying into the rung's
+	// fresh budget and lets a fault plan target the rung. Timing views
+	// count it as PhaseSolve, the main phase it stands in for.
+	PhaseRung = "cfgfree"
+)
+
 // PipelinePhases lists the five facade phases in execution order — the
-// namespace Fault.Phase draws from.
-var PipelinePhases = []string{"parse", "andersen", "memssa", "svfg", "solve"}
+// namespace Fault.Phase draws from, and the phases every timing view
+// (run ledger, /metrics, /stats, vsfs -v) reports.
+var PipelinePhases = []string{PhaseParse, PhaseAndersen, PhaseMemSSA, PhaseSVFG, PhaseSolve}
 
 // SeededPlan derives one pseudo-random fault from seed: a phase, an
 // early checkpoint, and a kind. Same seed, same plan — the property the

@@ -16,13 +16,13 @@ import (
 // and vsfs.RunRecord plus every module struct reachable through their
 // fields (FuncReport, VarFacts, Finding, Summary, shape.Profile,
 // obs.HotObject, ...) — against the committed golden schema at
-// internal/lint/report_schema.json. The contract is append-only, per
-// PR 7: ROADMAP item 3's auto-heuristic trains on ledger records and
-// report shapes, so a removed field, a renamed JSON tag, a changed
-// type, or a reorder of existing fields silently corrupts every
-// downstream consumer and cached byte-identity golden. New fields and
-// new types are always legal; regenerate the golden with
-// `vsfs-lint -update-schema` after adding them.
+// internal/lint/report_schema.json. The contract is append-only:
+// report and run-ledger readers rely on the fields they already parse,
+// so a removed field, a renamed JSON tag, a changed type, or a reorder
+// of existing fields silently corrupts every downstream consumer and
+// cached byte-identity golden. New fields and new types are always
+// legal; regenerate the golden with `vsfs-lint -update-schema` after
+// adding them.
 var ReportContract = &Analyzer{
 	Name: "reportcontract",
 	Doc: "Report/shape.Profile/RunRecord JSON structs are append-only against the committed " +

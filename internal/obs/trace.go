@@ -150,6 +150,13 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	return err
 }
 
+// Phase is one entry of a run's phase record: a pipeline phase and the
+// wall time it took.
+type Phase struct {
+	Name string
+	Wall time.Duration
+}
+
 // traceKey keys a *Trace in a context.
 type traceKey struct{}
 

@@ -451,8 +451,8 @@ func (c *checker) checkCfgfree() {
 
 // checkShape asserts the shape profile is a pure function of (program,
 // auxiliary result): computing it twice must be bit-identical
-// (shape-deterministic) — the contract the auto-backend heuristic and
-// the run ledger rely on.
+// (shape-deterministic) — the contract report and run-ledger readers
+// rely on.
 func (c *checker) checkShape() {
 	p1 := shape.Of(c.b.Prog, c.b.Aux)
 	p2 := shape.Of(c.b.Prog, c.b.Aux)

@@ -41,7 +41,7 @@ type serverMetrics struct {
 	budgetExceeded  *obs.Family // counter by phase and resource
 
 	solveSeconds *obs.Series // histogram: total solve latency
-	phaseSeconds *obs.Family // histogram by phase (andersen|memssa|svfg|solve)
+	phaseSeconds *obs.Family // histogram by phase (guard.PipelinePhases)
 	solveMax     *obs.Series // gauge: slowest solve seen
 
 	ptsSets     *obs.Series // histogram: (object, version) sets stored per solve
@@ -52,7 +52,7 @@ type serverMetrics struct {
 	prelabels        *obs.Series // gauge: last solve's prelabel count
 
 	// Program-shape gauges: the Table II-style feature vector of the
-	// most recent successful solve (the auto-backend heuristic's input).
+	// most recent successful solve.
 	shapeInstrs          *obs.Series
 	shapeAddressTaken    *obs.Series
 	shapeStoreLoadRatio  *obs.Series
@@ -174,10 +174,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	for _, out := range []string{"ok", "error", "cancelled"} {
 		m.solveOutcomes.With("outcome", out)
 	}
-	for _, ph := range []string{"andersen", "memssa", "svfg", "solve"} {
-		m.phaseSeconds.With("phase", ph)
-	}
 	for _, ph := range guard.PipelinePhases {
+		m.phaseSeconds.With("phase", ph)
 		m.guardPanics.With("phase", ph)
 	}
 	m.guardPanics.With("phase", "server")
@@ -188,16 +186,18 @@ func newServerMetrics(s *Server) *serverMetrics {
 }
 
 // observeSolve folds one successful run into the registry: latency by
-// phase, solver effort, and the versioning quantities the paper's
-// Table III tracks.
+// phase, read from the run's phase record (a phase the run skipped
+// observes zero), solver effort, and the versioning quantities the
+// paper's Table III tracks.
 func (m *serverMetrics) observeSolve(res *vsfs.Result) {
-	t := res.Timings()
-	m.solveSeconds.Observe(t.Total.Seconds())
-	m.phaseSeconds.With("phase", "andersen").Observe(t.Andersen.Seconds())
-	m.phaseSeconds.With("phase", "memssa").Observe(t.MemSSA.Seconds())
-	m.phaseSeconds.With("phase", "svfg").Observe(t.SVFG.Seconds())
-	m.phaseSeconds.With("phase", "solve").Observe(t.Solve.Seconds())
-	m.solveMax.SetMax(t.Total.Seconds())
+	var total time.Duration
+	for _, ph := range guard.PipelinePhases {
+		d := res.PhaseWall(ph)
+		total += d
+		m.phaseSeconds.With("phase", ph).Observe(d.Seconds())
+	}
+	m.solveSeconds.Observe(total.Seconds())
+	m.solveMax.SetMax(total.Seconds())
 
 	st := res.Stats()
 	m.ptsSets.Observe(float64(st.PtsSets))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -13,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vsfs/internal/guard"
 )
 
 var promSample = regexp.MustCompile(
@@ -288,6 +291,60 @@ func TestAccessLogCarriesRequestIDAndCacheStatus(t *testing.T) {
 	} {
 		if !strings.Contains(logs, want) {
 			t.Errorf("access log missing %s; got:\n%s", want, logs)
+		}
+	}
+}
+
+// TestStatsPhasesReadPhaseRecords: /stats' phase sums are the sums of
+// the solved Results' phase records, the CFG-free rung counted as
+// solve, and /metrics carries a vsfs_solve_phase_seconds series for
+// every pipeline phase. A solve-phase fault under a step budget sends
+// the vsfs and sfs solves down the ladder, so the rung is in the sums.
+func TestStatsPhasesReadPhaseRecords(t *testing.T) {
+	plan := guard.NewFaultPlan(guard.Fault{Phase: guard.PhaseSolve, Kind: guard.FaultSlow})
+	s := newTestServer(t, Config{Workers: 1, StepBudget: 1 << 30, Faults: plan})
+	for _, mode := range analysisModes {
+		if code, _, body := post(t, s, "/analyze", AnalyzeRequest{Source: smallC, Mode: mode}); code != http.StatusOK {
+			t.Fatalf("%s: POST /analyze = %d: %s", mode, code, body)
+		}
+	}
+
+	want := map[string]time.Duration{}
+	s.cache.mu.Lock()
+	for _, el := range s.cache.m {
+		for _, p := range el.Value.(*cacheEntry).res.Phases() {
+			want[p.Name] += p.Wall
+		}
+	}
+	n := len(s.cache.m)
+	s.cache.mu.Unlock()
+	if n != len(analysisModes) || want[guard.PhaseRung] == 0 {
+		t.Fatalf("cached %d results (rung wall %v), want %d and a rung", n, want[guard.PhaseRung], len(analysisModes))
+	}
+	want[guard.PhaseSolve] += want[guard.PhaseRung]
+
+	st := s.Stats()
+	for _, c := range []struct {
+		phase string
+		got   float64
+	}{
+		{guard.PhaseAndersen, st.Phase.Andersen},
+		{guard.PhaseMemSSA, st.Phase.MemSSA},
+		{guard.PhaseSVFG, st.Phase.SVFG},
+		{guard.PhaseSolve, st.Phase.Solve},
+	} {
+		ms := want[c.phase].Seconds() * 1e3
+		if math.Abs(c.got-ms) > 1e-6*ms+1e-9 {
+			t.Errorf("/stats phase %s = %v ms, want %v ms from the phase records", c.phase, c.got, ms)
+		}
+	}
+
+	_, body := get(t, s, "/metrics")
+	samples := parsePrometheus(t, string(body))
+	for _, ph := range guard.PipelinePhases {
+		key := `vsfs_solve_phase_seconds_count{phase="` + ph + `"}`
+		if got, ok := samples[key]; !ok || got != float64(n) {
+			t.Errorf("%s = %v (present %v), want %d", key, got, ok, n)
 		}
 	}
 }

@@ -18,12 +18,11 @@
 //     most QueueDepth wait, and anything beyond that is shed with 503
 //     instead of accumulating goroutines. Close drains in-flight work.
 //
-// Endpoints: GET /healthz, GET /stats, GET /metrics, POST /analyze,
-// POST /query, POST /check, and (opt-in) GET /debug/pprof/*. All
-// response bodies
-// are deterministic — sorted keys and slices everywhere — so a cache
-// hit is byte-identical to the cache miss that populated it; only the
-// X-Vsfs-Cache header differs.
+// Endpoints: GET /healthz, GET /readyz, GET /stats, GET /runs,
+// GET /metrics, POST /analyze, POST /query, POST /check, and (opt-in)
+// GET /debug/pprof/*. All response bodies are deterministic — sorted
+// keys and slices everywhere — so a cache hit is byte-identical to the
+// cache miss that populated it; only the X-Vsfs-Cache header differs.
 //
 // Every request is tagged with a request ID (client-supplied
 // X-Request-Id or generated), which is echoed in the response header,

@@ -1,8 +1,14 @@
 package server
 
-import "time"
+import (
+	"time"
 
-// PhaseMillis breaks cumulative solve time down by pipeline phase.
+	"vsfs/internal/guard"
+)
+
+// PhaseMillis breaks cumulative solve time down by pipeline phase: the
+// sums of the vsfs_solve_phase_seconds series, which the solved runs'
+// phase records feed.
 type PhaseMillis struct {
 	Andersen float64 `json:"andersenMs"`
 	MemSSA   float64 `json:"memSSAMs"`
@@ -103,10 +109,10 @@ func (s *Server) snapshot() StatsSnapshot {
 
 		MaxSolveMs: m.solveMax.Value() * 1e3,
 		Phase: PhaseMillis{
-			Andersen: phaseSum("andersen"),
-			MemSSA:   phaseSum("memssa"),
-			SVFG:     phaseSum("svfg"),
-			Solve:    phaseSum("solve"),
+			Andersen: phaseSum(guard.PhaseAndersen),
+			MemSSA:   phaseSum(guard.PhaseMemSSA),
+			SVFG:     phaseSum(guard.PhaseSVFG),
+			Solve:    phaseSum(guard.PhaseSolve),
 		},
 
 		LastShape: LastShape{

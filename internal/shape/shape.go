@@ -18,8 +18,8 @@ import (
 )
 
 // Profile is the feature vector. Ratios are 0 when their denominator
-// is 0. This is the exact input contract for the auto-backend
-// heuristic (ROADMAP item 3): keep fields append-only.
+// is 0. Reports and run-ledger records carry it, and their readers
+// rely on its fields: keep them append-only.
 type Profile struct {
 	// IR size.
 	Instrs    int `json:"instrs"`

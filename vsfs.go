@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -152,15 +153,6 @@ type Options struct {
 // the auxiliary phase; see internal/shape.
 type Shape = shape.Profile
 
-// Timings records per-phase wall-clock durations of one Analyze run.
-type Timings struct {
-	Andersen time.Duration `json:"andersen"`
-	MemSSA   time.Duration `json:"memSSA"`
-	SVFG     time.Duration `json:"svfg"`
-	Solve    time.Duration `json:"solve"`
-	Total    time.Duration `json:"total"`
-}
-
 // Result is a solved program: flow-(in)sensitive points-to facts plus
 // the resolved call graph. A Result is immutable once returned and safe
 // for concurrent queries.
@@ -177,7 +169,9 @@ type Result struct {
 	// nil pointer.
 	backend backend
 
-	timings Timings
+	// phases is the run's phase record: one entry per phase run, in run
+	// order, appended by phase.
+	phases []obs.Phase
 
 	// hash identifies the source text (guard.Hash); "" for runs over
 	// pre-built programs.
@@ -228,8 +222,24 @@ func solved[T backend](res T, err error) (backend, error) {
 	return res, nil
 }
 
-// Timings returns the per-phase wall-clock durations of the run.
-func (r *Result) Timings() Timings { return r.timings }
+// Phases returns the run's phase record: every pipeline phase the run
+// entered, in run order, with its wall time. A degraded run's CFG-free
+// rung appears under guard.PhaseRung.
+func (r *Result) Phases() []obs.Phase { return slices.Clone(r.phases) }
+
+// PhaseWall returns the wall time the run spent in name, one of
+// guard.PipelinePhases, summed over the phase record. The CFG-free rung
+// counts as guard.PhaseSolve, the main phase it stands in for, so the
+// walls of guard.PipelinePhases sum to the whole record.
+func (r *Result) PhaseWall(name string) time.Duration {
+	var d time.Duration
+	for _, p := range r.phases {
+		if p.Name == name || p.Name == guard.PhaseRung && name == guard.PhaseSolve {
+			d += p.Wall
+		}
+	}
+	return d
+}
 
 // Shape returns the Table II-style program feature vector. It is
 // computed right after the auxiliary phase, so it is valid even on
@@ -281,8 +291,14 @@ func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 
 // RunRecord builds the ledger entry for this run. The caller supplies
 // the timestamp and the findings count (len(r.Check()) or a cached
-// value) so building a record never re-runs the checkers.
+// value) so building a record never re-runs the checkers. Its
+// millisecond fields read the phase record: SolveMs includes the
+// CFG-free rung, and TotalMs is the whole record.
 func (r *Result) RunRecord(now time.Time, findings int) RunRecord {
+	var total time.Duration
+	for _, p := range r.phases {
+		total += p.Wall
+	}
 	return RunRecord{
 		Time:        now.UTC().Format(time.RFC3339Nano),
 		Program:     r.hash,
@@ -291,11 +307,11 @@ func (r *Result) RunRecord(now time.Time, findings int) RunRecord {
 		Degraded:    r.degraded,
 		Degradation: r.degradation,
 		Shape:       r.shape,
-		AndersenMs:  millis(r.timings.Andersen),
-		MemSSAMs:    millis(r.timings.MemSSA),
-		SVFGMs:      millis(r.timings.SVFG),
-		SolveMs:     millis(r.timings.Solve),
-		TotalMs:     millis(r.timings.Total),
+		AndersenMs:  millis(r.PhaseWall(guard.PhaseAndersen)),
+		MemSSAMs:    millis(r.PhaseWall(guard.PhaseMemSSA)),
+		SVFGMs:      millis(r.PhaseWall(guard.PhaseSVFG)),
+		SolveMs:     millis(r.PhaseWall(guard.PhaseSolve)),
+		TotalMs:     millis(total),
 		BudgetSteps: r.budgetSteps,
 		BudgetBytes: r.budgetBytes,
 		Findings:    findings,
@@ -326,19 +342,19 @@ func (r *Result) DegradedCause() (phase, resource string) {
 	return r.degradedPhase, r.degradedResource
 }
 
-// degrade rewrites the Result to answer every query from the
-// already-computed auxiliary analysis. Only *guard.ErrBudgetExceeded
-// qualifies: cancellation is the caller's abort and panics are
-// correctness failures — neither may silently lose precision.
-func (r *Result) degrade(be *guard.ErrBudgetExceeded) {
-	r.mode = FlowInsensitive
-	r.degraded = true
-	r.degradedPhase = be.Phase
-	r.degradedResource = string(be.Resource)
-	r.degradation = fmt.Sprintf(
-		"%s budget exceeded in %s phase (limit %d); fell back to flow-insensitive (Andersen) result",
-		be.Resource, be.Phase, be.Limit)
-	r.backend = r.aux
+// degradeTo rewrites the Result to answer every query from the ladder
+// rung m, whose solved result is b. Degradation provenance (phase,
+// resource, Degradation text) always names the original breach be,
+// never a rung's.
+func (r *Result) degradeTo(m Mode, b backend, be *guard.ErrBudgetExceeded) {
+	r.mode, r.backend, r.degraded = m, b, true
+	r.degradedPhase, r.degradedResource = be.Phase, string(be.Resource)
+	result := "flow-insensitive (Andersen)"
+	if m == CFGFree {
+		result = "CFG-free flow-sensitive"
+	}
+	r.degradation = fmt.Sprintf("%s budget exceeded in %s phase (limit %d); fell back to %s result",
+		be.Resource, be.Phase, be.Limit, result)
 }
 
 // degradeVia is the degradation ladder. A requested VSFS/SFS run that
@@ -348,55 +364,54 @@ func (r *Result) degrade(be *guard.ErrBudgetExceeded) {
 // is spent, and re-arming re-bases the memory baseline). Only if the
 // rung itself breaches does the run bottom out on the auxiliary
 // Andersen result. A requested CFGFree or FlowInsensitive run has no
-// rung above Andersen and degrades directly. Degradation provenance
-// (phase, resource, Degradation text) always names the ORIGINAL
-// breach, never the rung's. A panic or cancellation inside the rung
-// propagates as an error — those must not silently lose precision.
-func (r *Result) degradeVia(ctx context.Context, hash string, be *guard.ErrBudgetExceeded) error {
-	if r.requested != VSFS && r.requested != SFS {
-		r.degrade(be)
-		return nil
-	}
-	rungCtx := ctx
-	if b := guard.BudgetFrom(ctx); b != nil {
-		rungCtx = guard.WithBudget(ctx, guard.NewBudget(b.Limits()))
-	}
-	// The breach may have interrupted the memory-SSA pass mid-rewrite,
-	// leaving instruction labels stale; renumbering is idempotent and
-	// restores the label table. The CFG-free facts themselves are
-	// invariant under memssa's rewrites (entry pre-blocks, CallRet
-	// markers, MEMPHIs) — only labels shift.
-	r.prog.Renumber()
-	t := time.Now()
-	sp := obs.StartSpan(ctx, "cfgfree-retry").Arg("after", be.Phase)
-	var cf *cfgfree.Result
-	// The rung runs under its own phase name: re-entering the breached
-	// phase would replay that phase's injected faults into the fresh
-	// budget, and "cfgfree" gives the fault plan a way to target the
-	// rung itself.
-	err := guard.Recover(rungCtx, "cfgfree", hash, func() error {
-		var cerr error
-		cf, cerr = cfgfree.SolveContext(rungCtx, r.prog, r.aux)
-		return cerr
-	})
-	sp.End()
-	r.timings.Solve += time.Since(t)
-	if err != nil {
-		if _, ok := budgetBreach(err); ok {
-			r.degrade(be)
+// rung above Andersen and degrades directly. A panic or cancellation
+// inside the rung propagates as an error — those must not silently
+// lose precision.
+func (r *Result) degradeVia(ctx context.Context, be *guard.ErrBudgetExceeded) error {
+	if r.requested == VSFS || r.requested == SFS {
+		if b := guard.BudgetFrom(ctx); b != nil {
+			ctx = guard.WithBudget(ctx, guard.NewBudget(b.Limits()))
+		}
+		// The breach may have interrupted the memory-SSA pass
+		// mid-rewrite, leaving instruction labels stale; renumbering is
+		// idempotent and restores the label table. The CFG-free facts
+		// themselves are invariant under memssa's rewrites (entry
+		// pre-blocks, CallRet markers, MEMPHIs) — only labels shift.
+		r.prog.Renumber()
+		var cf *cfgfree.Result
+		err := r.phase(ctx, guard.PhaseRung, func(sp *obs.Span) (err error) {
+			sp.Arg("after", be.Phase)
+			cf, err = cfgfree.SolveContext(ctx, r.prog, r.aux)
+			return err
+		})
+		if err == nil {
+			r.degradeTo(CFGFree, cf, be)
 			return nil
 		}
-		return err
+		if _, ok := budgetBreach(err); !ok {
+			return err
+		}
 	}
-	r.mode = CFGFree
-	r.degraded = true
-	r.degradedPhase = be.Phase
-	r.degradedResource = string(be.Resource)
-	r.degradation = fmt.Sprintf(
-		"%s budget exceeded in %s phase (limit %d); fell back to CFG-free flow-sensitive result",
-		be.Resource, be.Phase, be.Limit)
-	r.backend = cf
+	r.degradeTo(FlowInsensitive, r.aux, be)
 	return nil
+}
+
+// phase runs one pipeline phase: it opens the phase's span, reads the
+// clock once, runs fn under guard.Recover and appends the phase's wall
+// time to the run's phase record, whether fn failed or not. fn may
+// attach arguments to the span.
+func (r *Result) phase(ctx context.Context, name string, fn func(sp *obs.Span) error) error {
+	span := name
+	if name == guard.PhaseRung {
+		span += "-retry"
+	}
+	sp := obs.StartSpan(ctx, span)
+	start := time.Now()
+	err := guard.Recover(ctx, name, r.hash, func() error { return fn(sp) })
+	wall := time.Since(start)
+	sp.End()
+	r.phases = append(r.phases, obs.Phase{Name: name, Wall: wall})
+	return err
 }
 
 // AnalyzeC compiles mini-C source and solves it.
@@ -418,28 +433,25 @@ func AnalyzeIR(src string, opts Options) (*Result, error) {
 //
 // Resource governance rides on the context: attach a *guard.Budget with
 // guard.WithBudget to bound the run, in which case a budget exhausted
-// after the auxiliary phase degrades the Result (Degraded reports true)
-// to the flow-insensitive answer instead of failing. A panic in any
+// after the auxiliary phase walks the Result down the degradation
+// ladder (Degraded reports true) instead of failing. A panic in any
 // phase is isolated and returned as a *guard.PhaseError.
 func AnalyzeContext(ctx context.Context, src string, opts Options) (*Result, error) {
-	hash := guard.Hash([]byte(src))
-	sp := obs.StartSpan(ctx, "parse").Arg("input", opts.Input.String()).Arg("bytes", len(src))
-	var prog *ir.Program
-	err := guard.Recover(ctx, "parse", hash, func() error {
-		var perr error
+	r := &Result{hash: guard.Hash([]byte(src))}
+	err := r.phase(ctx, guard.PhaseParse, func(sp *obs.Span) (err error) {
+		sp.Arg("input", opts.Input.String()).Arg("bytes", len(src))
 		if opts.Input == InputIR {
-			prog, perr = irparse.Parse(src)
+			r.prog, err = irparse.Parse(src)
 		} else {
-			prog, perr = lang.Compile(src)
+			r.prog, err = lang.Compile(src)
 		}
-		return perr
+		return err
 	})
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	prog.File = opts.Filename
-	return analyzeProgram(ctx, prog, opts, hash)
+	r.prog.File = opts.Filename
+	return r.analyze(ctx, opts)
 }
 
 // AnalyzeProgram runs the staged pipeline over an already-built program.
@@ -452,7 +464,7 @@ func AnalyzeProgram(prog *ir.Program, opts Options) (*Result, error) {
 // AnalyzeProgramContext is AnalyzeProgram with cancellation and
 // resource governance; see AnalyzeContext.
 func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) (*Result, error) {
-	return analyzeProgram(ctx, prog, opts, "")
+	return (&Result{prog: prog}).analyze(ctx, opts)
 }
 
 // budgetBreach extracts the degradation trigger from a phase error:
@@ -467,137 +479,86 @@ func budgetBreach(err error) (*guard.ErrBudgetExceeded, bool) {
 	return nil, false
 }
 
-func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, hash string) (*Result, error) {
-	r := &Result{mode: opts.Mode, requested: opts.Mode, prog: prog, hash: hash}
+// analyze runs the auxiliary analysis, then the staged phases of
+// opts.Mode. A budget breach after the auxiliary phase walks down the
+// degradation ladder instead of failing the run.
+func (r *Result) analyze(ctx context.Context, opts Options) (*Result, error) {
+	r.mode, r.requested = opts.Mode, opts.Mode
 	if opts.Attr {
-		r.attr = obs.NewObjectAttr(prog.NumValues())
+		r.attr = obs.NewObjectAttr(r.prog.NumValues())
 		ctx = obs.WithCollector(ctx, r.attr)
 	}
-	start := time.Now()
-	sp := obs.StartSpan(ctx, "andersen")
-	err := guard.Recover(ctx, "andersen", hash, func() error {
-		var aerr error
-		r.aux, aerr = andersen.AnalyzeContext(ctx, prog)
-		return aerr
+	err := r.phase(ctx, guard.PhaseAndersen, func(sp *obs.Span) (err error) {
+		if r.aux, err = andersen.AnalyzeContext(ctx, r.prog); err == nil {
+			sp.Arg("pops", r.aux.Stats.Pops).Arg("propagations", r.aux.Stats.Propagations)
+		}
+		return err
 	})
 	if err != nil {
 		// Nothing to degrade to: the auxiliary result is the fallback.
 		return nil, err
 	}
-	sp.Arg("pops", r.aux.Stats.Pops).Arg("propagations", r.aux.Stats.Propagations).End()
-	r.timings.Andersen = time.Since(start)
 	// The shape profile needs only the IR and the auxiliary result, so
-	// it is available to every later consumer — including the backend
-	// chooser that runs before the staged pipeline, and degraded runs.
-	r.shape = shape.Of(prog, r.aux)
-
-	finish := func() (*Result, error) {
-		r.timings.Total = time.Since(start)
-		if b := guard.BudgetFrom(ctx); b != nil {
-			r.budgetSteps = b.StepsUsed()
-			r.budgetBytes = b.BytesUsed()
-		}
-		return r, nil
-	}
-
-	if opts.Mode == CFGFree {
-		// The CFG-free backend consumes the partial-SSA program
-		// directly: no memory SSA, no SVFG. Its worklist ticks under
-		// the phase name "cfgfree", but for budget/fault attribution
-		// the phase wrapper is "solve" like every other main phase.
-		t := time.Now()
-		sp = obs.StartSpan(ctx, "solve").Arg("mode", opts.Mode.String())
-		var res backend
-		err = guard.Recover(ctx, "solve", hash, func() error {
-			var cerr error
-			res, cerr = solved(cfgfree.SolveContext(ctx, prog, r.aux))
-			return cerr
-		})
-		sp.End()
-		r.timings.Solve = time.Since(t)
-		if err != nil {
-			if be, ok := budgetBreach(err); ok {
-				r.degrade(be)
-				return finish()
-			}
-			return nil, err
-		}
-		r.backend = res
-		return finish()
-	}
-
-	var mssa *memssa.Result
-	t := time.Now()
-	sp = obs.StartSpan(ctx, "memssa")
-	err = guard.Recover(ctx, "memssa", hash, func() error {
-		var merr error
-		mssa, merr = memssa.BuildContext(ctx, prog, r.aux)
-		return merr
-	})
-	sp.End()
-	r.timings.MemSSA = time.Since(t)
-	if err != nil {
-		if be, ok := budgetBreach(err); ok {
-			if lerr := r.degradeVia(ctx, hash, be); lerr != nil {
-				return nil, lerr
-			}
-			return finish()
-		}
-		return nil, err
-	}
-
-	t = time.Now()
-	sp = obs.StartSpan(ctx, "svfg")
-	err = guard.Recover(ctx, "svfg", hash, func() error {
-		var gerr error
-		r.g, gerr = svfg.BuildContext(ctx, prog, r.aux, mssa)
-		return gerr
-	})
-	r.timings.SVFG = time.Since(t)
-	if err != nil {
-		sp.End()
-		r.g = nil
-		if be, ok := budgetBreach(err); ok {
-			if lerr := r.degradeVia(ctx, hash, be); lerr != nil {
-				return nil, lerr
-			}
-			return finish()
-		}
-		return nil, err
-	}
-	sp.Arg("nodes", r.g.NumNodes).
-		Arg("directEdges", r.g.NumDirectEdges).
-		Arg("indirectEdges", r.g.NumIndirectEdges).
-		End()
-
-	t = time.Now()
-	sp = obs.StartSpan(ctx, "solve").Arg("mode", opts.Mode.String())
+	// degraded runs carry it too.
+	r.shape = shape.Of(r.prog, r.aux)
 	// FlowInsensitive answers from the auxiliary result; its pipeline
 	// stops at the pristine SVFG (see WriteDot).
-	var res backend = r.aux
-	err = guard.Recover(ctx, "solve", hash, func() error {
-		var serr error
-		switch opts.Mode {
-		case SFS:
-			res, serr = solved(sfs.SolveContext(ctx, r.g))
-		case VSFS:
-			res, serr = solved(core.SolveContext(ctx, r.g))
+	r.backend = r.aux
+	if err := r.staged(ctx, opts.Mode); err != nil {
+		be, ok := budgetBreach(err)
+		if !ok {
+			return nil, err
 		}
-		return serr
-	})
-	sp.End()
-	r.timings.Solve = time.Since(t)
-	if err != nil {
-		if be, ok := budgetBreach(err); ok {
-			if lerr := r.degradeVia(ctx, hash, be); lerr != nil {
-				return nil, lerr
-			}
-			return finish()
+		if err := r.degradeVia(ctx, be); err != nil {
+			return nil, err
 		}
-		return nil, err
 	}
-	r.backend = res
-	return finish()
+	if b := guard.BudgetFrom(ctx); b != nil {
+		r.budgetSteps = b.StepsUsed()
+		r.budgetBytes = b.BytesUsed()
+	}
+	return r, nil
+}
+
+// staged runs the phases after the auxiliary analysis and leaves the
+// solved result in r.backend. The CFG-free backend consumes the
+// partial-SSA program directly, with no memory SSA and no SVFG. Its
+// worklist ticks under its own phase name, but for budget and fault
+// attribution its phase is solve, like every other main phase.
+func (r *Result) staged(ctx context.Context, mode Mode) error {
+	if mode != CFGFree {
+		var mssa *memssa.Result
+		err := r.phase(ctx, guard.PhaseMemSSA, func(*obs.Span) (err error) {
+			mssa, err = memssa.BuildContext(ctx, r.prog, r.aux)
+			return err
+		})
+		if err == nil {
+			err = r.phase(ctx, guard.PhaseSVFG, func(sp *obs.Span) error {
+				g, err := svfg.BuildContext(ctx, r.prog, r.aux, mssa)
+				if err == nil {
+					r.g = g
+					sp.Arg("nodes", g.NumNodes).Arg("directEdges", g.NumDirectEdges).
+						Arg("indirectEdges", g.NumIndirectEdges)
+				}
+				return err
+			})
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return r.phase(ctx, guard.PhaseSolve, func(sp *obs.Span) (err error) {
+		sp.Arg("mode", mode.String())
+		switch mode {
+		case SFS:
+			r.backend, err = solved(sfs.SolveContext(ctx, r.g))
+		case VSFS:
+			r.backend, err = solved(core.SolveContext(ctx, r.g))
+		case CFGFree:
+			r.backend, err = solved(cfgfree.SolveContext(ctx, r.prog, r.aux))
+		}
+		return err
+	})
 }
 
 // matchingVars returns the pointer temps belonging to the source-level
