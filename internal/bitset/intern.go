@@ -26,14 +26,40 @@ func NewInterner() *Interner {
 // holders share it.
 func (in *Interner) Canon(s *Sparse) *Sparse {
 	h := s.Hash()
+	if c := in.find(s, h); c != nil {
+		return c
+	}
+	in.add(s, h)
+	return s
+}
+
+// Intern is Canon for a set the caller keeps: when the contents are
+// new, it stores a copy of s, so s is neither handed over nor copied
+// when an equal set is already stored.
+func (in *Interner) Intern(s *Sparse) *Sparse {
+	h := s.Hash()
+	if c := in.find(s, h); c != nil {
+		return c
+	}
+	c := s.Clone()
+	in.add(c, h)
+	return c
+}
+
+// find returns the stored set equal to s, whose hash is h, or nil.
+func (in *Interner) find(s *Sparse, h uint64) *Sparse {
 	for _, id := range in.byHash[h] {
 		if in.sets[id].Equal(s) {
 			return in.sets[id]
 		}
 	}
+	return nil
+}
+
+// add stores s, whose hash is h, under the next ID.
+func (in *Interner) add(s *Sparse, h uint64) {
 	in.byHash[h] = append(in.byHash[h], uint32(len(in.sets)))
 	in.sets = append(in.sets, s)
-	return s
 }
 
 // Get returns the canonical set for an ID. The result must not be mutated.

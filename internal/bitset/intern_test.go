@@ -66,3 +66,23 @@ func TestCanonAdoptsWithoutCopying(t *testing.T) {
 		t.Fatal("Canon stored a copy of new contents instead of adopting them")
 	}
 }
+
+// TestInternKeepsArgument: Intern returns the stored set for contents
+// already seen, and for new contents stores a copy, so the caller's set
+// stays its own to mutate.
+func TestInternKeepsArgument(t *testing.T) {
+	in := NewInterner()
+	stored := in.Canon(Of(1, 2, 300))
+	if got := in.Intern(Of(300, 2, 1)); got != stored {
+		t.Fatalf("Intern of seen contents = %p, want the stored set %p", got, stored)
+	}
+	mine := Of(7, 8)
+	got := in.Intern(mine)
+	if got == mine || !got.Equal(mine) {
+		t.Fatalf("Intern of new contents = %p %v, want a copy of %p %v", got, got, mine, mine)
+	}
+	mine.Set(9)
+	if !in.Get(2).Equal(Of(7, 8)) || in.Intern(Of(8, 7)) != got {
+		t.Fatal("mutating the argument reached the stored copy")
+	}
+}

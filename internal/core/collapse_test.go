@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vsfs/internal/andersen"
+	"vsfs/internal/graph"
 	"vsfs/internal/ir"
 	"vsfs/internal/irparse"
 	"vsfs/internal/meld"
@@ -160,12 +161,11 @@ func TestCycleClosedOnTheFly(t *testing.T) {
 	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
-	// The edges wired during the solve follow the static ones in each
-	// successor list.
+	// The edges wired during the solve are the ones the graph gained.
 	onCollapsed := false
 	for sl := range g.NumSlots() {
 		y := ver.yield[sl]
-		for _, to := range s.Graph.SlotSuccs(sl)[len(g.SlotSuccs(sl)):] {
+		for _, to := range s.Graph.AppendGained(nil, sl) {
 			c := ver.consume[to]
 			onCollapsed = onCollapsed || s.rep[y] != y || s.rep[c] != c
 		}
@@ -175,9 +175,9 @@ func TestCycleClosedOnTheFly(t *testing.T) {
 	}
 	// The representatives' reliances, static and on the fly, form a
 	// cycle: one the static collapse could not see.
-	reps := buildCSR(len(s.rep), len(s.rep), func(emit func(from, to uint32)) {
+	reps := graph.BuildCSR(len(s.rep), len(s.rep), func(emit func(from, to uint32)) {
 		for r := range uint32(len(s.rep)) {
-			for _, to := range s.verReliance.row(r) {
+			for _, to := range s.verReliance.Row(r) {
 				emit(r, to)
 			}
 			for e := s.extra.head[r]; e != 0; e = s.extra.next[e-1] {

@@ -151,6 +151,12 @@ type labeller struct {
 	bounds  []int    // bounds[c] = end of component c in members
 	acc     []meld.Version
 
+	// The successors slots gained after the graph was built (none in
+	// the paper's configuration, where versioning runs first): row
+	// holds one slot's while a loop reads them, gained those of every
+	// frame, emptied with each object's pass.
+	row, gained []uint32
+
 	// Governance: checkpoints fall every cancelCheckInterval slot
 	// visits and charge the steps and the table's growth in bytes since
 	// the last one (charged); attr takes one meld charge per MeldOps
@@ -164,7 +170,8 @@ type labeller struct {
 type frame struct {
 	slot  uint32
 	base  int      // Tarjan stack height before slot was pushed
-	succs []uint32 // the successor slots followed from slot
+	succs []uint32 // the successor slots followed from slot: its static ones,
+	added []uint32 // then, once those are done, the ones its graph gained
 	next  int
 }
 
@@ -240,10 +247,12 @@ func (lb *labeller) labelObject(ctx context.Context, v *versioning, o ir.Obj) er
 		case storeSlot:
 			v.yield[s] = tab.NewAtom()
 			v.stats.Prelabels++
-			for _, t := range g.SlotSuccs(int(s)) {
-				if lb.kind[t] != deltaSlot {
-					if err := lb.strongConnect(ctx, t); err != nil {
-						return err
+			for _, row := range [2][]uint32{g.SlotSuccs(int(s)), lb.gainedOf(s)} {
+				for _, t := range row {
+					if lb.kind[t] != deltaSlot {
+						if err := lb.strongConnect(ctx, t); err != nil {
+							return err
+						}
 					}
 				}
 			}
@@ -256,9 +265,11 @@ func (lb *labeller) labelObject(ctx context.Context, v *versioning, o ir.Obj) er
 		if lb.kind[s] != storeSlot {
 			continue
 		}
-		for _, t := range g.SlotSuccs(int(s)) {
-			if lb.kind[t] != deltaSlot {
-				lb.meld(v, o, lb.comp[t], v.yield[s])
+		for _, row := range [2][]uint32{g.SlotSuccs(int(s)), lb.gainedOf(s)} {
+			for _, t := range row {
+				if lb.kind[t] != deltaSlot {
+					lb.meld(v, o, lb.comp[t], v.yield[s])
+				}
 			}
 		}
 	}
@@ -287,9 +298,11 @@ func (lb *labeller) labelObject(ctx context.Context, v *versioning, o ir.Obj) er
 				continue
 			}
 			v.yield[s] = label
-			for _, t := range g.SlotSuccs(int(s)) {
-				if cs := lb.comp[t]; lb.kind[t] != deltaSlot && cs != int32(c) {
-					lb.meld(v, o, cs, label)
+			for _, row := range [2][]uint32{g.SlotSuccs(int(s)), lb.gainedOf(s)} {
+				for _, t := range row {
+					if cs := lb.comp[t]; lb.kind[t] != deltaSlot && cs != int32(c) {
+						lb.meld(v, o, cs, label)
+					}
 				}
 			}
 		}
@@ -297,7 +310,18 @@ func (lb *labeller) labelObject(ctx context.Context, v *versioning, o ir.Obj) er
 
 	lb.members = lb.members[:0]
 	lb.bounds = lb.bounds[:0]
+	lb.gained = lb.gained[:0]
 	return nil
+}
+
+// gainedOf returns the successors slot s's graph gained after it was
+// built, in lb.row, or nil when it gained none.
+func (lb *labeller) gainedOf(s uint32) []uint32 {
+	if !lb.g.HasGained(int(s)) {
+		return nil
+	}
+	lb.row = lb.g.AppendGained(lb.row[:0], int(s))
+	return lb.row
 }
 
 // meld folds label into component c's pending label.
@@ -323,6 +347,9 @@ func (lb *labeller) strongConnect(ctx context.Context, root uint32) error {
 	}
 	for len(lb.frames) > 0 {
 		f := &lb.frames[len(lb.frames)-1]
+		if f.next == len(f.succs) && len(f.added) > 0 {
+			f.succs, f.added, f.next = f.added, nil, 0
+		}
 		if f.next < len(f.succs) {
 			t := f.succs[f.next]
 			f.next++
@@ -366,11 +393,18 @@ func (lb *labeller) enter(ctx context.Context, s uint32) error {
 	}
 	lb.counter++
 	lb.index[s], lb.low[s], lb.comp[s] = lb.counter, lb.counter, -1
-	var succs []uint32
+	var succs, added []uint32
 	if lb.kind[s] != storeSlot {
 		succs = lb.g.SlotSuccs(int(s))
+		if lb.g.HasGained(int(s)) {
+			// lb.gained only grows during the pass, and when growing
+			// moves it, the frames' slices keep the old cells.
+			n := len(lb.gained)
+			lb.gained = lb.g.AppendGained(lb.gained, int(s))
+			added = lb.gained[n:len(lb.gained):len(lb.gained)]
+		}
 	}
-	lb.frames = append(lb.frames, frame{slot: s, base: len(lb.stack), succs: succs})
+	lb.frames = append(lb.frames, frame{slot: s, base: len(lb.stack), succs: succs, added: added})
 	lb.stack = append(lb.stack, s)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vsfs/internal/bitset"
+	"vsfs/internal/graph"
 	"vsfs/internal/guard"
 	"vsfs/internal/ir"
 	"vsfs/internal/meld"
@@ -208,6 +209,7 @@ func newState(ctx context.Context, g *svfg.Graph, ver *versioning) *state {
 		extra:     overflow{head: make([]int32, nv)},
 		fsCallers: make(map[*ir.Function][]uint32),
 		work:      worklist{mark: make([]bool, len(g.Prog.Instrs))},
+		charged:   g.OverflowBytes(),
 	}
 	s.Stats.Versioning = ver.stats
 	return s
@@ -274,7 +276,7 @@ type state struct {
 
 	// static row κ lists the versions κ' with pt_κ(o) ⊆ pt_κ'(o) that
 	// static indirect edges imply.
-	static csr
+	static graph.CSR
 
 	// rep[κ] is the representative of κ's strongly connected component
 	// in static. The solve reads and writes only representatives' sets.
@@ -284,18 +286,22 @@ type state struct {
 	// does. extra holds the version reliances between representatives
 	// added on the fly.
 	rep                       []meld.Version
-	verReliance, stmtReliance csr
+	verReliance, stmtReliance graph.CSR
 	extra                     overflow
 
 	// repPairs holds every reliance between representatives, static
 	// and on the fly, so an on-the-fly one is added to extra once.
-	repPairs pairSet
+	repPairs graph.PairSet
 
 	versionSCCs, collapsedVersions int // components of two or more versions, and their versions
 
 	fsCallers map[*ir.Function][]uint32
 
 	work worklist
+
+	// charged is the part of the graph's overflow (the edges it gained)
+	// already charged to the budget.
+	charged int64
 }
 
 // owner returns the value ID attribution charges object o's work to.
@@ -305,14 +311,21 @@ func (s *state) owner(o ir.Obj) uint32 { return uint32(s.Graph.Prog.ObjID(o)) }
 // carry different versions into a version constraint ([A-PROP]^F
 // reduced to version constraints): row κ of the result lists the
 // versions κ' with pt_κ(o) ⊆ pt_κ'(o).
-func (s *state) staticReliances() csr {
+func (s *state) staticReliances() graph.CSR {
 	g := s.Graph
-	return buildCSR(len(s.ptv), len(s.ptv), func(emit func(from, to uint32)) {
+	var gained []uint32
+	return graph.BuildCSR(len(s.ptv), len(s.ptv), func(emit func(from, to uint32)) {
 		for sl := range g.NumSlots() {
 			if yv := s.ver.yield[sl]; yv != meld.Epsilon {
-				for _, t := range g.SlotSuccs(sl) {
-					if cv := s.ver.consume[t]; cv != yv {
-						emit(yv, cv)
+				gained = gained[:0]
+				if g.HasGained(sl) {
+					gained = g.AppendGained(gained, sl)
+				}
+				for _, row := range [2][]uint32{g.SlotSuccs(sl), gained} {
+					for _, t := range row {
+						if cv := s.ver.consume[t]; cv != yv {
+							emit(yv, cv)
+						}
 					}
 				}
 			}
@@ -322,7 +335,7 @@ func (s *state) staticReliances() csr {
 
 // condense collapses the strongly connected components of static, the
 // static version-reliance graph, onto their representatives.
-func (s *state) condense(static csr) error {
+func (s *state) condense(static graph.CSR) error {
 	f, err := collapse(s.ctx, &static)
 	if err != nil {
 		return err
@@ -337,12 +350,12 @@ func (s *state) condense(static csr) error {
 // its members', in version order, less the edges inside its component;
 // its statement reliances are the loads and stores that consume any
 // member.
-func (s *state) adopt(static csr, rep []meld.Version) {
+func (s *state) adopt(static graph.CSR, rep []meld.Version) {
 	s.static, s.rep = static, rep
 	nv := len(rep)
-	s.verReliance = buildCSR(nv, nv, func(emit func(from, to uint32)) {
+	s.verReliance = graph.BuildCSR(nv, nv, func(emit func(from, to uint32)) {
 		for v := range uint32(nv) {
-			for _, t := range static.row(v) {
+			for _, t := range static.Row(v) {
 				if r, rt := rep[v], rep[t]; r != rt {
 					emit(r, rt)
 				}
@@ -352,7 +365,7 @@ func (s *state) adopt(static csr, rep []meld.Version) {
 	// A load's slots are its μ, a store's its χ. pt_ε is permanently
 	// empty, so no reprocessing can arise from it.
 	g := s.Graph
-	s.stmtReliance = buildCSR(nv, len(g.Prog.Instrs), func(emit func(r, l uint32)) {
+	s.stmtReliance = graph.BuildCSR(nv, len(g.Prog.Instrs), func(emit func(r, l uint32)) {
 		for l := uint32(1); l < uint32(len(g.Prog.Instrs)); l++ {
 			if op := g.Prog.Instrs[l].Op; op == ir.Load || op == ir.Store {
 				lo, hi := g.SlotRange(l)
@@ -364,10 +377,10 @@ func (s *state) adopt(static csr, rep []meld.Version) {
 			}
 		}
 	})
-	s.repPairs = newPairSet(len(s.verReliance.adj))
+	s.repPairs = graph.NewPairSet(len(s.verReliance.Adj))
 	for r := range uint32(nv) {
-		for _, t := range s.verReliance.row(r) {
-			s.repPairs.add(r, t)
+		for _, t := range s.verReliance.Row(r) {
+			s.repPairs.Add(r, t)
 		}
 	}
 }
@@ -378,7 +391,7 @@ func (s *state) addVerConstraint(from, to meld.Version) {
 	if from == to || from == meld.Epsilon {
 		return
 	}
-	if a, b := s.rep[from], s.rep[to]; a != b && s.repPairs.add(a, b) {
+	if a, b := s.rep[from], s.rep[to]; a != b && s.repPairs.Add(a, b) {
 		s.extra.add(a, b)
 	}
 }
@@ -386,19 +399,19 @@ func (s *state) addVerConstraint(from, to meld.Version) {
 // countVersionConstraints sets VersionConstraints to the distinct
 // constraints registered between original versions: the static ones
 // and those of the chains that on-the-fly call resolution wired. The
-// wired ones are grouped by source into a csr, which drops their
+// wired ones are grouped by source into a CSR, which drops their
 // repeats, and each row is then checked against the source's static
 // row with a stamp array.
 func (s *state) countVersionConstraints() {
 	nv := len(s.ptv)
-	wired := buildCSR(nv, nv, s.wiredConstraints)
-	n := len(s.static.adj)
+	wired := graph.BuildCSR(nv, nv, s.wiredConstraints)
+	n := len(s.static.Adj)
 	stamp := make([]uint32, nv)
 	for v := range uint32(nv) {
-		for _, t := range s.static.row(v) {
+		for _, t := range s.static.Row(v) {
 			stamp[t] = v + 1
 		}
-		for _, t := range wired.row(v) {
+		for _, t := range wired.Row(v) {
 			if stamp[t] != v+1 {
 				n++
 			}
@@ -482,11 +495,11 @@ func (s *state) growVersion(o ir.Obj, v meld.Version, src *bitset.Sparse) {
 	for len(queue) > 0 {
 		cur := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, l := range s.stmtReliance.row(cur) {
+		for _, l := range s.stmtReliance.Row(cur) {
 			s.work.push(l)
 		}
 		set := s.ptv[cur]
-		for _, to := range s.verReliance.row(cur) {
+		for _, to := range s.verReliance.Row(cur) {
 			queue = s.propagate(o, set, to, queue)
 		}
 		for e := s.extra.head[cur]; e != 0; e = s.extra.next[e-1] {
@@ -508,6 +521,14 @@ func (s *state) propagate(o ir.Obj, set *bitset.Sparse, to meld.Version, queue [
 	return queue
 }
 
+// tick polls the budget every cancelCheckInterval pops, charging it
+// with the graph's overflow grown since the last poll.
+func (s *state) tick() error {
+	grown := s.Graph.OverflowBytes() - s.charged
+	s.charged += grown
+	return guard.TickBytes(s.ctx, "solve", cancelCheckInterval, grown)
+}
+
 func (s *state) run() error {
 	prog := s.Graph.Prog
 	for l := 1; l < len(prog.Instrs); l++ {
@@ -515,7 +536,7 @@ func (s *state) run() error {
 	}
 	for steps := 0; ; steps++ {
 		if steps%cancelCheckInterval == 0 {
-			if err := guard.Tick(s.ctx, "solve", cancelCheckInterval); err != nil {
+			if err := s.tick(); err != nil {
 				return err
 			}
 		}
@@ -677,12 +698,10 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 		s.Stats.CallEdges++
 		s.fsCallers[callee] = append(s.fsCallers[callee], call.Label)
 
-		g.MSSA.CallChains(call, callee, func(from, to int) {
-			if g.AddSlotEdge(from, to) {
-				y, c := s.ver.yield[from], s.ver.consume[to]
-				s.addVerConstraint(y, c)
-				s.growVersion(g.SlotObj(from), c, s.setOf(y))
-			}
+		g.AddCallEdges(call, callee, func(from, to int) {
+			y, c := s.ver.yield[from], s.ver.consume[to]
+			s.addVerConstraint(y, c)
+			s.growVersion(g.SlotObj(from), c, s.setOf(y))
 		})
 		s.work.push(callee.EntryInstr.Label)
 	}

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -295,7 +296,13 @@ func (p *Program) Finalize() error {
 // (function creation order, block order, instruction order) and rebuilds
 // Instrs. The memory-SSA pass calls this after inserting MemPhi nodes.
 func (p *Program) Renumber() {
-	p.Instrs = p.Instrs[:0]
+	n := 1
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			n += len(b.Instrs)
+		}
+	}
+	p.Instrs = slices.Grow(p.Instrs[:0], n)
 	// Label 0 is reserved so that "no node" is expressible.
 	p.Instrs = append(p.Instrs, nil)
 	for _, f := range p.Funcs {

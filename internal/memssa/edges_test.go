@@ -26,8 +26,8 @@ type IndirEdge struct {
 func edges(t testing.TB, r *Result) []IndirEdge {
 	t.Helper()
 	var out []IndirEdge
-	for s, succs := range r.Succs {
-		for _, d := range succs {
+	for s := range r.NumSlots() {
+		for _, d := range r.Succs.Row(uint32(s)) {
 			if r.SlotObj(int(d)) != r.SlotObj(s) {
 				t.Fatalf("slot %d of #%d links slot %d of #%d", s, r.SlotObj(s), d, r.SlotObj(int(d)))
 			}
@@ -217,7 +217,7 @@ var mssaSink *Result
 // the program (MEMPHIs, labels), so each iteration stages a fresh one
 // with the clock stopped.
 func BenchmarkMemSSA(b *testing.B) {
-	for _, name := range []string{"nano", "bash", "lynx"} {
+	for _, name := range []string{"nano", "bash", "i3", "lynx", "hyriseConsole"} {
 		b.Run(name, func(b *testing.B) {
 			p := workload.ProfileByName(name)
 			b.ReportAllocs()

@@ -10,10 +10,12 @@ package memssa
 import (
 	"context"
 	"slices"
+	"unsafe"
 
 	"vsfs/internal/andersen"
 	"vsfs/internal/bitset"
 	"vsfs/internal/cfg"
+	"vsfs/internal/graph"
 	"vsfs/internal/guard"
 	"vsfs/internal/ir"
 )
@@ -45,15 +47,16 @@ type Result struct {
 	// Slots numbers every node's μ∪χ into (node, object) slots.
 	Slots
 
-	// Succs[s] lists, in visit order, the slots whose definition or use
-	// of o the definition at slot s = (ℓ, o) reaches: a use (μ), the
+	// Succs row s lists, in visit order, the slots whose definition or
+	// use of o the definition at slot s = (ℓ, o) reaches: a use (μ), the
 	// previous-version operand of a χ, or a MEMPHI operand. An o-chain
 	// joins two o-slots, so the object is implied. These are the
 	// intraprocedural indirect def-use chains plus the interprocedural
 	// chains of direct calls; chains for indirect calls are added during
-	// flow-sensitive solving (on-the-fly call graph). svfg.Build adopts
-	// the lists, and from then on the graph owns them.
-	Succs [][]uint32
+	// flow-sensitive solving (on-the-fly call graph), by the graph that
+	// solves, never here. One arena holds every row and nothing writes
+	// it once built, so every graph built from this Result shares it.
+	Succs graph.CSR
 
 	// MemPhis lists the inserted MEMPHI instructions.
 	MemPhis []*ir.Instr
@@ -88,15 +91,15 @@ var empty = bitset.New()
 // ascending. Immutable once numbered, so every graph built from one
 // Result shares it.
 type Slots struct {
-	start    []int
+	start    []uint32
 	obj      []ir.Obj
 	node     []uint32
-	objStart []int
+	objStart []uint32
 	objSlots []uint32
 }
 
 // NumberSlots numbers the slots of the current μ/χ annotation and gives
-// each an empty successor list. BuildContext calls it once the
+// each an empty row of successors. BuildContext calls it once the
 // annotation is final; a hand-annotated Result calls it before a graph
 // is built from it.
 func (r *Result) NumberSlots() {
@@ -106,12 +109,12 @@ func (r *Result) NumberSlots() {
 		size += r.MuOf(uint32(l)).Len() + r.ChiOf(uint32(l)).Len()
 	}
 	sl := Slots{
-		start: make([]int, n+1),
+		start: make([]uint32, n+1),
 		obj:   make([]ir.Obj, 0, size),
 		node:  make([]uint32, 0, size),
 	}
 	for l := range n {
-		sl.start[l] = len(sl.obj)
+		sl.start[l] = uint32(len(sl.obj))
 		dom := r.MuOf(uint32(l))
 		if chi := r.ChiOf(uint32(l)); dom.IsEmpty() {
 			dom = chi
@@ -124,11 +127,11 @@ func (r *Result) NumberSlots() {
 			sl.node = append(sl.node, uint32(l))
 		})
 	}
-	sl.start[n] = len(sl.obj)
+	sl.start[n] = uint32(len(sl.obj))
 
 	// Counting sort by object; slots are visited ascending, so each
 	// object's list comes out ascending too.
-	sl.objStart = make([]int, r.Prog.NumObjects()+1)
+	sl.objStart = make([]uint32, r.Prog.NumObjects()+1)
 	for _, o := range sl.obj {
 		sl.objStart[o+1]++
 	}
@@ -142,7 +145,12 @@ func (r *Result) NumberSlots() {
 		next[o]++
 	}
 	r.Slots = sl
-	r.Succs = make([][]uint32, len(sl.obj))
+	r.Succs = graph.NewCSR(len(sl.obj))
+}
+
+// bytes returns the storage the slot numbering holds.
+func (sl *Slots) bytes() int64 {
+	return 4 * int64(len(sl.start)+len(sl.obj)+len(sl.node)+len(sl.objStart)+len(sl.objSlots))
 }
 
 // Slot returns the slot of (ℓ, o), and false if o is not in μ(ℓ)∪χ(ℓ).
@@ -154,7 +162,7 @@ func (sl *Slots) Slot(l uint32, o ir.Obj) (int, bool) {
 
 // SlotRange returns ℓ's slots: lo .. hi-1, ordered by object.
 func (sl *Slots) SlotRange(l uint32) (lo, hi int) {
-	return sl.start[l], sl.start[l+1]
+	return int(sl.start[l]), int(sl.start[l+1])
 }
 
 // NumSlots returns the number of (node, object) slots.
@@ -191,7 +199,9 @@ func Build(prog *ir.Program, aux *andersen.Result) *Result {
 // polls ctx (and any guard budget or fault plan attached to it) between
 // passes and periodically inside the mod/ref fixpoint and while linking
 // def-use chains, returning the context or budget error instead of a
-// Result.
+// Result. Each poll also charges the budget's memory dimension with the
+// Result's storage grown since the last one, except its bitsets, whose
+// words the bitset layer counts itself.
 func BuildContext(ctx context.Context, prog *ir.Program, aux *andersen.Result) (*Result, error) {
 	b := &builder{
 		ctx:  ctx,
@@ -211,7 +221,12 @@ func BuildContext(ctx context.Context, prog *ir.Program, aux *andersen.Result) (
 		func() error { b.insertCallRets(); return nil },
 		func() error { b.placeMemPhis(); return nil },
 		func() error { prog.Renumber(); return nil },
-		func() error { b.annotate(); b.res.NumberSlots(); return nil },
+		func() error {
+			b.annotate()
+			b.res.NumberSlots()
+			b.grew(b.res.Slots.bytes() + b.res.Succs.Bytes())
+			return nil
+		},
 		b.rename,
 		b.interprocDirectCalls,
 	} {
@@ -222,6 +237,7 @@ func BuildContext(ctx context.Context, prog *ir.Program, aux *andersen.Result) (
 			return nil, err
 		}
 	}
+	b.fill()
 	return b.res, nil
 }
 
@@ -234,12 +250,71 @@ type builder struct {
 	mod map[*ir.Function]*bitset.Sparse
 	ref map[*ir.Function]*bitset.Sparse
 
-	chains int   // successors linked so far
-	err    error // the first failed poll while linking
+	// bytes is the Result's storage outside its bitsets, and charged
+	// the part of it the budget has been charged with.
+	bytes, charged int64
+
+	// Linking walks the renaming twice: the first walk counts each
+	// slot's successors and polls, the second, filling, writes them
+	// into the arena in the same order.
+	filling bool
+	chains  int   // successors counted so far
+	err     error // the first failed poll while linking
+
+	// kids row kidBase[fi] + blk.Index lists the dominator-tree
+	// children of block blk of function fi, in block order, numbered
+	// like it.
+	kids    graph.CSR
+	kidBase []uint32
+
+	// Rename scratch. defs is one stack of every object's reaching
+	// definitions: entry i is a definition slot and the index of the
+	// entry it shadows for the same object; top[o] indexes o's newest
+	// entry, -1 for none. A block pops back to the height it entered at.
+	defs []reachingDef
+	top  []int32
+
+	// MEMPHI operands seen, so a definition two predecessors share is
+	// linked once: phi ordinal q (in block order within the function)
+	// holds ops[opOff[q] : opOff[q]+opLen[q]]; a block's first phi is
+	// ordinal firstPhi[blk.Index].
+	firstPhi     []int32
+	opOff, opLen []int32
+	ops          []uint32
+
+	// Placement scratch, by object: the head and tail of its list of
+	// χ blocks (entries defBlk/defNext) when stamp[o] == gen.
+	headDef, tailDef, stamp []int32
+	defBlk, defNext         []int32
+	defined                 []uint32
+	gen                     int32
+	placed                  []uint32 // by block: the object pass that placed a MEMPHI there
+	pass                    uint32
+	work                    []int32
+	phiBlk                  []int32 // placements, in order: block index and object
+	phiObj                  []ir.Obj
+	phiCount                []int32      // by block
+	slabs                   [][]ir.Instr // each function's MEMPHIs
+
+	singleton []*bitset.Sparse // canonical {o}, by object
 }
 
+// instrBytes is the size of one instruction in a MEMPHI or CallRet slab.
+const instrBytes = int64(unsafe.Sizeof(ir.Instr{}))
+
+// reachingDef is one entry of the rename stack.
+type reachingDef struct {
+	slot uint32
+	prev int32
+}
+
+// grew records n bytes of new Result storage, charged at the next poll.
+func (b *builder) grew(n int64) { b.bytes += n }
+
 func (b *builder) tick(n int64) error {
-	return guard.Tick(b.ctx, "memssa", n)
+	grown := b.bytes - b.charged
+	b.charged = b.bytes
+	return guard.TickBytes(b.ctx, "memssa", n, grown)
 }
 
 // normalizeEntries guarantees no entry block has CFG predecessors, so
@@ -331,36 +406,60 @@ func (b *builder) modRef() error {
 // insertCallRets gives every call that may modify objects (per the
 // auxiliary analysis) a companion CallRet node placed right after it, so
 // returned definitions merge after the call rather than into the values
-// sent to the callee.
+// sent to the callee. A function's CallRets live in one slab, and the
+// instruction lists of the blocks that gain some in another.
 func (b *builder) insertCallRets() {
+	mayModify := func(in *ir.Instr) bool {
+		return in.Op == ir.Call && !b.calleeSet(in, b.res.FormalOut).IsEmpty()
+	}
 	for _, f := range b.prog.Funcs {
+		rets, size := 0, 0
 		for _, blk := range f.Blocks {
-			out := make([]*ir.Instr, 0, len(blk.Instrs))
+			n := 0
 			for _, in := range blk.Instrs {
-				out = append(out, in)
-				if in.Op != ir.Call {
-					continue
+				if mayModify(in) {
+					n++
 				}
-				chi := bitset.New()
-				for _, callee := range b.aux.CalleesOf(in) {
-					chi.UnionWith(b.res.FormalOut[callee])
-				}
-				if chi.IsEmpty() {
-					continue
-				}
-				ret := &ir.Instr{Op: ir.CallRet, CallSite: in, Block: blk, Parent: f}
-				b.res.CallRets[in] = ret
-				out = append(out, ret)
 			}
-			blk.Instrs = out
+			if n > 0 {
+				rets += n
+				size += n + len(blk.Instrs)
+			}
+		}
+		if rets == 0 {
+			continue
+		}
+		slab := make([]ir.Instr, 0, rets)
+		lists := make([]*ir.Instr, 0, size)
+		b.grew(int64(rets)*instrBytes + 8*int64(size))
+		for _, blk := range f.Blocks {
+			if !slices.ContainsFunc(blk.Instrs, mayModify) {
+				continue
+			}
+			start := len(lists)
+			for _, in := range blk.Instrs {
+				lists = append(lists, in)
+				if mayModify(in) {
+					slab = append(slab, ir.Instr{Op: ir.CallRet, CallSite: in, Block: blk, Parent: f})
+					ret := &slab[len(slab)-1]
+					b.res.CallRets[in] = ret
+					lists = append(lists, ret)
+				}
+			}
+			blk.Instrs = lists[start:len(lists):len(lists)]
 		}
 	}
 }
 
 // calleeSet unions a per-callee set over a call's auxiliary targets.
+// The result may be one callee's own set, so it must not be mutated.
 func (b *builder) calleeSet(call *ir.Instr, of map[*ir.Function]*bitset.Sparse) *bitset.Sparse {
+	callees := b.aux.CalleesOf(call)
+	if len(callees) == 1 {
+		return of[callees[0]]
+	}
 	out := bitset.New()
-	for _, callee := range b.aux.CalleesOf(call) {
+	for _, callee := range callees {
 		out.UnionWith(of[callee])
 	}
 	return out
@@ -381,101 +480,225 @@ func (b *builder) chiObjectsAt(in *ir.Instr) *bitset.Sparse {
 }
 
 // placeMemPhis inserts MEMPHI instructions at the iterated dominance
-// frontier of each object's χ blocks.
+// frontier of each object's χ blocks, and keeps each function's
+// dominator tree for rename, so cfg.Compute runs once per function.
 func (b *builder) placeMemPhis() {
-	// defBlocks[o] lists the blocks of the current function holding a χ
-	// for o, and defined holds the objects with any. Placement empties
-	// each list again, so the table serves every function.
-	defBlocks := make([][]*ir.Block, b.prog.NumObjects())
-	for _, f := range b.prog.Funcs {
+	nobj := b.prog.NumObjects()
+	b.headDef = make([]int32, nobj)
+	b.tailDef = make([]int32, nobj)
+	b.stamp = make([]int32, nobj)
+	// Blocks are numbered program-wide, function by function: block
+	// blk of function fi is kidBase[fi] + blk.Index.
+	b.kidBase = make([]uint32, len(b.prog.Funcs))
+	nblk := uint32(0)
+	for fi, f := range b.prog.Funcs {
+		b.kidBase[fi] = nblk
+		nblk += uint32(len(f.Blocks))
+	}
+	idom := make([]int32, nblk) // -1 for the entry and unreachable blocks
+	for fi, f := range b.prog.Funcs {
 		info := cfg.Compute(f)
-		defined := bitset.New()
-
-		f.ForEachInstr(func(in *ir.Instr) {
-			if !info.Reachable(in.Block) {
-				return
-			}
-			chi := b.chiObjectsAt(in)
-			defined.UnionWith(chi)
-			chi.ForEach(func(o uint32) {
-				blks := defBlocks[o]
-				if len(blks) == 0 || blks[len(blks)-1] != in.Block {
-					defBlocks[o] = append(blks, in.Block)
-				}
-			})
-		})
-
-		// Objects in ascending order, for a deterministic placement.
-		phiAt := make(map[*ir.Block][]*ir.Instr)
-		defined.ForEach(func(o32 uint32) {
-			o := ir.Obj(o32)
-			placed := make(map[*ir.Block]bool)
-			work := defBlocks[o]
-			defBlocks[o] = nil
-			for len(work) > 0 {
-				blk := work[len(work)-1]
-				work = work[:len(work)-1]
-				for _, df := range info.Frontier(blk) {
-					if placed[df] {
-						continue
-					}
-					placed[df] = true
-					phi := &ir.Instr{Op: ir.MemPhi, Obj: b.prog.ObjID(o), Block: df, Parent: f}
-					phiAt[df] = append(phiAt[df], phi)
-					b.res.MemPhis = append(b.res.MemPhis, phi)
-					// The phi is itself a definition of o.
-					work = append(work, df)
-				}
-			}
-		})
 		for _, blk := range f.Blocks {
-			if phis := phiAt[blk]; len(phis) > 0 {
-				blk.Instrs = append(phis, blk.Instrs...)
+			d := int32(-1)
+			if p := info.Idom(blk); p != nil {
+				d = int32(b.kidBase[fi]) + int32(p.Index)
+			}
+			idom[b.kidBase[fi]+uint32(blk.Index)] = d
+		}
+		b.placeIn(f, info)
+	}
+	b.kids = graph.NewCSR(int(nblk))
+	for _, d := range idom {
+		if d >= 0 {
+			b.kids.Count(uint32(d))
+		}
+	}
+	b.kids.Alloc()
+	for v, d := range idom {
+		if d >= 0 {
+			b.kids.Put(uint32(d), uint32(v))
+		}
+	}
+	b.kids.Done()
+	n := 0
+	for _, phis := range b.slabs {
+		n += len(phis)
+	}
+	b.res.MemPhis = make([]*ir.Instr, 0, n)
+	for _, phis := range b.slabs {
+		for i := range phis {
+			b.res.MemPhis = append(b.res.MemPhis, &phis[i])
+		}
+	}
+	b.slabs = nil
+}
+
+// placeIn places f's MEMPHIs. They live in one slab, and the
+// instruction lists of the blocks that gain some in another.
+func (b *builder) placeIn(f *ir.Function, info *cfg.Info) {
+	// Each object's χ blocks, in instruction order, each once.
+	b.gen++
+	b.defBlk, b.defNext, b.defined = b.defBlk[:0], b.defNext[:0], b.defined[:0]
+	for _, blk := range f.Blocks {
+		if !info.Reachable(blk) {
+			continue
+		}
+		for _, in := range blk.Instrs {
+			b.chiObjectsAt(in).ForEach(func(o uint32) {
+				e := int32(len(b.defBlk))
+				switch {
+				case b.stamp[o] != b.gen:
+					b.stamp[o] = b.gen
+					b.headDef[o] = e
+					b.defined = append(b.defined, o)
+				case b.defBlk[b.tailDef[o]] == int32(blk.Index):
+					return
+				default:
+					b.defNext[b.tailDef[o]] = e
+				}
+				b.tailDef[o] = e
+				b.defBlk = append(b.defBlk, int32(blk.Index))
+				b.defNext = append(b.defNext, -1)
+			})
+		}
+	}
+
+	// Objects in ascending order, for a deterministic placement.
+	slices.Sort(b.defined)
+	b.placed = grown(b.placed, len(f.Blocks))
+	b.phiBlk, b.phiObj = b.phiBlk[:0], b.phiObj[:0]
+	for _, o := range b.defined {
+		b.pass++
+		b.work = b.work[:0]
+		for e := b.headDef[o]; e >= 0; e = b.defNext[e] {
+			b.work = append(b.work, b.defBlk[e])
+		}
+		for len(b.work) > 0 {
+			blk := f.Blocks[b.work[len(b.work)-1]]
+			b.work = b.work[:len(b.work)-1]
+			for _, df := range info.Frontier(blk) {
+				if b.placed[df.Index] == b.pass {
+					continue
+				}
+				b.placed[df.Index] = b.pass
+				b.phiBlk = append(b.phiBlk, int32(df.Index))
+				b.phiObj = append(b.phiObj, ir.Obj(o))
+				// The phi is itself a definition of o.
+				b.work = append(b.work, int32(df.Index))
 			}
 		}
 	}
+	if len(b.phiBlk) == 0 {
+		return
+	}
+
+	phis := make([]ir.Instr, len(b.phiBlk))
+	b.slabs = append(b.slabs, phis)
+	b.phiCount = grown(b.phiCount, len(f.Blocks))
+	clear(b.phiCount[:len(f.Blocks)])
+	size := 0
+	for i, bi := range b.phiBlk {
+		phis[i] = ir.Instr{Op: ir.MemPhi, Obj: b.prog.ObjID(b.phiObj[i]), Block: f.Blocks[bi], Parent: f}
+		if b.phiCount[bi]++; b.phiCount[bi] == 1 {
+			size += len(f.Blocks[bi].Instrs)
+		}
+	}
+	size += len(phis)
+	b.grew(int64(len(phis))*instrBytes + 8*int64(size))
+
+	// Each block's phis, in placement order, then its old instructions.
+	// phiCount[bi] becomes the block's next free cell in lists.
+	lists := make([]*ir.Instr, size)
+	at := 0
+	for _, blk := range f.Blocks {
+		n := int(b.phiCount[blk.Index])
+		if n == 0 {
+			continue
+		}
+		end := at + n + len(blk.Instrs)
+		copy(lists[at+n:end], blk.Instrs)
+		blk.Instrs = lists[at:end:end]
+		b.phiCount[blk.Index] = int32(at)
+		at = end
+	}
+	for i, bi := range b.phiBlk {
+		lists[b.phiCount[bi]] = &phis[i]
+		b.phiCount[bi]++
+	}
+}
+
+// grown returns s with length at least n, reusing its storage when it
+// can. New cells are zero; reused ones keep their contents.
+func grown[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // annotate fills label-indexed Mu/Chi after renumbering. Each set is
-// built as before and then replaced by its canonical equal set, so the
-// many loads and stores through equal pointers, and the MEMPHIs of one
-// object, share one μ or χ set. The sets are frozen from here on.
+// replaced by its canonical equal set, so the many loads and stores
+// through equal pointers, and the MEMPHIs of one object, share one μ or
+// χ set. The sets are frozen from here on.
 func (b *builder) annotate() {
 	n := len(b.prog.Instrs)
 	b.res.Mu = make([]*bitset.Sparse, n)
 	b.res.Chi = make([]*bitset.Sparse, n)
+	b.grew(16 * int64(n))
 	sets := bitset.NewInterner()
+	b.singleton = make([]*bitset.Sparse, b.prog.NumObjects())
 	for _, f := range b.prog.Funcs {
 		f.ForEachInstr(func(in *ir.Instr) {
 			switch in.Op {
 			case ir.Load:
-				b.res.Mu[in.Label] = sets.Canon(b.aux.PointsTo(in.Uses[0]).Clone())
+				b.res.Mu[in.Label] = sets.Intern(b.aux.PointsTo(in.Uses[0]))
 			case ir.Store:
-				b.res.Chi[in.Label] = sets.Canon(b.aux.PointsTo(in.Uses[0]).Clone())
+				b.res.Chi[in.Label] = sets.Intern(b.aux.PointsTo(in.Uses[0]))
 			case ir.Call:
-				b.res.Mu[in.Label] = sets.Canon(b.calleeSet(in, b.res.FormalIn))
+				b.res.Mu[in.Label] = sets.Intern(b.calleeSet(in, b.res.FormalIn))
 			case ir.CallRet:
-				b.res.Chi[in.Label] = sets.Canon(b.calleeSet(in.CallSite, b.res.FormalOut))
+				b.res.Chi[in.Label] = sets.Intern(b.calleeSet(in.CallSite, b.res.FormalOut))
 			case ir.FunEntry:
-				b.res.Chi[in.Label] = sets.Canon(b.res.FormalIn[in.Parent].Clone())
+				b.res.Chi[in.Label] = sets.Intern(b.res.FormalIn[in.Parent])
 			case ir.FunExit:
-				b.res.Mu[in.Label] = sets.Canon(b.res.FormalOut[in.Parent].Clone())
+				b.res.Mu[in.Label] = sets.Intern(b.res.FormalOut[in.Parent])
 			case ir.MemPhi:
-				b.res.Chi[in.Label] = sets.Canon(bitset.Of(uint32(b.prog.ObjNum(in.Obj))))
+				o := b.prog.ObjNum(in.Obj)
+				if b.singleton[o] == nil {
+					b.singleton[o] = sets.Canon(bitset.Of(uint32(o)))
+				}
+				b.res.Chi[in.Label] = b.singleton[o]
 			}
 		})
 	}
 }
 
-// link appends slot t to slot s's successors. Every
-// cancelCheckInterval successors it polls ctx, so one huge function
-// stays interruptible and a steps budget pays a step per chain; the
-// pass that linked stops at its next check of b.err.
+// link adds slot t to slot s's successors: the counting walk counts it,
+// and every cancelCheckInterval successors polls ctx, so one huge
+// function stays interruptible and a steps budget pays a step per
+// chain; the pass that linked stops at its next check of b.err. The
+// filling walk writes it into the arena.
 func (b *builder) link(s, t int) {
-	b.res.Succs[s] = append(b.res.Succs[s], uint32(t))
+	if b.filling {
+		b.res.Succs.Put(uint32(s), uint32(t))
+		return
+	}
+	b.res.Succs.Count(uint32(s))
+	b.grew(4)
 	if b.chains++; b.chains%cancelCheckInterval == 0 && b.err == nil {
 		b.err = b.tick(cancelCheckInterval)
 	}
+}
+
+// fill allocates the arena to the counted size and repeats both linking
+// walks, writing each chain into it in the order the count met it.
+// Filling neither polls nor charges: the counting walks did.
+func (b *builder) fill() {
+	b.res.Succs.Alloc()
+	b.filling = true
+	b.rename()
+	b.interprocDirectCalls()
+	b.res.Succs.Done()
 }
 
 // rename walks each function's dominator tree, maintaining a stack of
@@ -485,83 +708,107 @@ func (b *builder) link(s, t int) {
 // it already has, since two predecessors (or one listed twice) may feed
 // it the same one.
 func (b *builder) rename() error {
-	r := b.res
-	phiOps := make([][]int, len(b.prog.Instrs))
-	// stacks[o] holds the slots of o's reaching definitions. A block
-	// pops what it pushed, so the stacks are empty again after every
-	// function.
-	stacks := make([][]int, b.prog.NumObjects())
-	top := func(o ir.Obj) (int, bool) {
-		s := stacks[o]
-		if len(s) == 0 {
-			return 0, false
+	if b.top == nil {
+		b.top = make([]int32, b.prog.NumObjects())
+		for o := range b.top {
+			b.top[o] = -1
 		}
-		return s[len(s)-1], true
 	}
-	for _, f := range b.prog.Funcs {
-		if err := b.tick(int64(len(f.Blocks))); err != nil {
-			return err
-		}
-		info := cfg.Compute(f)
-
-		// Dominator-tree children.
-		children := make(map[*ir.Block][]*ir.Block)
-		for _, blk := range f.Blocks {
-			if idom := info.Idom(blk); idom != nil {
-				children[idom] = append(children[idom], blk)
+	for fi, f := range b.prog.Funcs {
+		if !b.filling {
+			if err := b.tick(int64(len(f.Blocks))); err != nil {
+				return err
 			}
 		}
-
-		var visit func(blk *ir.Block)
-		visit = func(blk *ir.Block) {
-			if b.err != nil {
-				return
-			}
-			var pushed []ir.Obj
-			for _, in := range blk.Instrs {
-				// A use (μ) or the previous version flowing into a
-				// (weak) update (χ) links the reaching definition, but a
-				// MEMPHI's operands are linked from its predecessors; a
-				// χ then defines the object.
-				lo, hi := r.SlotRange(in.Label)
-				chi := r.ChiOf(in.Label)
-				for s := lo; s < hi; s++ {
-					o := r.SlotObj(s)
-					if d, ok := top(o); ok && in.Op != ir.MemPhi {
-						b.link(d, s)
-					}
-					if chi.Has(uint32(o)) {
-						stacks[o] = append(stacks[o], s)
-						pushed = append(pushed, o)
-					}
-				}
-			}
-			// Feed MEMPHI operands of CFG successors.
-			for _, succ := range blk.Succs {
-				for _, in := range succ.Instrs {
-					if in.Op != ir.MemPhi {
-						break // phis are grouped at the top
-					}
-					phi, _ := r.SlotRange(in.Label)
-					if d, ok := top(r.SlotObj(phi)); ok && !slices.Contains(phiOps[in.Label], d) {
-						phiOps[in.Label] = append(phiOps[in.Label], d)
-						b.link(d, phi)
-					}
-				}
-			}
-			for _, c := range children[blk] {
-				visit(c)
-			}
-			for i := len(pushed) - 1; i >= 0; i-- {
-				o := pushed[i]
-				stacks[o] = stacks[o][:len(stacks[o])-1]
-			}
-		}
-		if visit(f.Entry); b.err != nil {
+		b.phiOperands(f)
+		if b.visit(f, b.kidBase[fi], f.Entry); b.err != nil {
 			return b.err
 		}
 	}
 	return nil
+}
+
+// phiOperands gives each of f's MEMPHIs an empty operand list with room
+// for one operand per predecessor of its block.
+func (b *builder) phiOperands(f *ir.Function) {
+	b.firstPhi = grown(b.firstPhi, len(f.Blocks))
+	b.opOff, b.opLen = b.opOff[:0], b.opLen[:0]
+	room := int32(0)
+	for _, blk := range f.Blocks {
+		b.firstPhi[blk.Index] = int32(len(b.opOff))
+		for _, in := range blk.Instrs {
+			if in.Op != ir.MemPhi {
+				break // phis are grouped at the top
+			}
+			b.opOff = append(b.opOff, room)
+			b.opLen = append(b.opLen, 0)
+			room += int32(len(blk.Preds))
+		}
+	}
+	b.ops = grown(b.ops, int(room))
+}
+
+// visit renames blk and then its dominator-tree children; base is the
+// number of f's first block in b.kids.
+func (b *builder) visit(f *ir.Function, base uint32, blk *ir.Block) {
+	if b.err != nil {
+		return
+	}
+	r := b.res
+	height := len(b.defs)
+	for _, in := range blk.Instrs {
+		// A use (μ) or the previous version flowing into a (weak)
+		// update (χ) links the reaching definition, but a MEMPHI's
+		// operands are linked from its predecessors; a χ then defines
+		// the object.
+		lo, hi := r.SlotRange(in.Label)
+		chi := r.ChiOf(in.Label)
+		allChi, someChi := r.MuOf(in.Label).IsEmpty(), !chi.IsEmpty()
+		for s := lo; s < hi; s++ {
+			o := r.obj[s]
+			if d := b.top[o]; d >= 0 && in.Op != ir.MemPhi {
+				b.link(int(b.defs[d].slot), s)
+			}
+			if allChi || someChi && chi.Has(uint32(o)) {
+				b.defs = append(b.defs, reachingDef{slot: uint32(s), prev: b.top[o]})
+				b.top[o] = int32(len(b.defs) - 1)
+			}
+		}
+	}
+	// Feed MEMPHI operands of CFG successors.
+	for _, succ := range blk.Succs {
+		q := b.firstPhi[succ.Index]
+		for _, in := range succ.Instrs {
+			if in.Op != ir.MemPhi {
+				break
+			}
+			phi := r.start[in.Label]
+			if d := b.top[r.obj[phi]]; d >= 0 {
+				b.operand(q, b.defs[d].slot, phi)
+			}
+			q++
+		}
+	}
+	for _, c := range b.kids.Row(base + uint32(blk.Index)) {
+		b.visit(f, base, f.Blocks[c-base])
+	}
+	for len(b.defs) > height {
+		d := b.defs[len(b.defs)-1]
+		b.top[r.obj[d.slot]] = d.prev
+		b.defs = b.defs[:len(b.defs)-1]
+	}
+}
+
+// operand links definition d to the MEMPHI slot phi, phi ordinal q,
+// unless it already is one of phi's operands.
+func (b *builder) operand(q int32, d, phi uint32) {
+	ops := b.ops[b.opOff[q]:][:b.opLen[q]]
+	if slices.Contains(ops, d) {
+		return
+	}
+	b.ops[b.opOff[q]+b.opLen[q]] = d
+	b.opLen[q]++
+	b.link(int(d), int(phi))
 }
 
 // interprocDirectCalls links the μ/χ chains across direct calls.

@@ -47,7 +47,7 @@ func hasEdge(r *Result, from, to uint32, obj ir.Obj) bool {
 	if !ok {
 		return false
 	}
-	for _, d := range r.Succs[s] {
+	for _, d := range r.Succs.Row(uint32(s)) {
 		if r.SlotNode(int(d)) == to {
 			return true
 		}

@@ -167,6 +167,7 @@ func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 		ctx:       ctx,
 		attr:      obs.AttrFrom(ctx),
 		fsCallers: make(map[*ir.Function][]uint32),
+		charged:   g.OverflowBytes(),
 	}
 	if err := s.run(); err != nil {
 		return nil, err
@@ -196,6 +197,13 @@ type state struct {
 	// fsCallers maps a function to the call-site labels resolved to it,
 	// so a growing return value reschedules its callers.
 	fsCallers map[*ir.Function][]uint32
+
+	// charged is the part of the graph's overflow (the edges it gained)
+	// already charged to the budget.
+	charged int64
+
+	// gained holds the successors one slot gained, while they are read.
+	gained []uint32
 }
 
 // worklist is FIFO with a membership set.
@@ -271,6 +279,14 @@ func (s *state) propagate(t int, src *bitset.Sparse) {
 	}
 }
 
+// tick polls the budget every cancelCheckInterval pops, charging it
+// with the graph's overflow grown since the last poll.
+func (s *state) tick() error {
+	grown := s.Graph.OverflowBytes() - s.charged
+	s.charged += grown
+	return guard.TickBytes(s.ctx, "solve", cancelCheckInterval, grown)
+}
+
 func (s *state) run() error {
 	prog := s.Graph.Prog
 	for l := 1; l < len(prog.Instrs); l++ {
@@ -278,7 +294,7 @@ func (s *state) run() error {
 	}
 	for steps := 0; ; steps++ {
 		if steps%cancelCheckInterval == 0 {
-			if err := guard.Tick(s.ctx, "solve", cancelCheckInterval); err != nil {
+			if err := s.tick(); err != nil {
 				return err
 			}
 		}
@@ -384,6 +400,12 @@ func (s *state) forwardObjects(in *ir.Instr) {
 			for _, t := range g.SlotSuccs(sl) {
 				s.propagate(int(t), src)
 			}
+			if g.HasGained(sl) {
+				s.gained = g.AppendGained(s.gained[:0], sl)
+				for _, t := range s.gained {
+					s.propagate(int(t), src)
+				}
+			}
 		}
 	}
 }
@@ -443,6 +465,12 @@ func (s *state) processStore(in *ir.Instr) {
 			for _, t := range g.SlotSuccs(sl) {
 				s.propagate(int(t), out)
 			}
+			if g.HasGained(sl) {
+				s.gained = g.AppendGained(s.gained[:0], sl)
+				for _, t := range s.gained {
+					s.propagate(int(t), out)
+				}
+			}
 		}
 	}
 }
@@ -484,14 +512,13 @@ func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
 	}
 	if !m[callee] {
 		// Newly resolved: record and add the interprocedural indirect
-		// edges (for direct calls they exist in the built graph already;
-		// AddSlotEdge deduplicates).
+		// edges (for direct calls they exist in the built graph already).
 		m[callee] = true
 		s.Stats.CallEdges++
 		s.fsCallers[callee] = append(s.fsCallers[callee], call.Label)
 
+		g.AddCallEdges(call, callee, nil)
 		g.MSSA.CallChains(call, callee, func(from, to int) {
-			g.AddSlotEdge(from, to)
 			if g.SlotNode(from) == callee.ExitInstr.Label {
 				// Ship anything already sitting at the exit.
 				s.propagate(to, s.inAt(from))

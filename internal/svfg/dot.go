@@ -52,7 +52,7 @@ func (g *Graph) WriteDot(w io.Writer) error {
 	for from := uint32(0); int(from) < len(prog.Instrs); from++ {
 		lo, hi := g.SlotRange(from)
 		for s := lo; s < hi; s++ {
-			for _, t := range g.indirOut[s] {
+			for _, t := range g.AppendGained(g.SlotSuccs(s), s) {
 				fmt.Fprintf(w, "  n%d -> n%d [style=dashed, label=%q, fontsize=8];\n",
 					from, g.SlotNode(int(t)), prog.ObjValue(g.SlotObj(s)).Name)
 			}

@@ -19,9 +19,10 @@ import (
 var slotGraphShortProfiles = map[string]bool{"du": true, "dpkg": true, "nano": true, "psql": true}
 
 // checkSlotGraph verifies the slot graph's structural contract: every
-// successor of an o-slot is an o-slot of its own node, no successor list
-// repeats a slot, IndirSuccs is SlotSuccs mapped through SlotNode, and
-// the object index lists exactly each object's slots, ascending.
+// successor of an o-slot, static or gained, is an o-slot of its own
+// node, no slot's successors repeat a slot, IndirSuccs is them mapped
+// through SlotNode, and the object index lists exactly each object's
+// slots, ascending.
 func checkSlotGraph(t *testing.T, g *svfg.Graph) {
 	t.Helper()
 	for l := uint32(0); int(l) < len(g.Prog.Instrs); l++ {
@@ -34,7 +35,7 @@ func checkSlotGraph(t *testing.T, g *svfg.Graph) {
 			if got, ok := g.Slot(l, o); !ok || got != s {
 				t.Fatalf("Slot(ℓ%d, #%d) = %d, %v; want %d", l, o, got, ok, s)
 			}
-			succs := g.SlotSuccs(s)
+			succs := g.AppendGained(g.SlotSuccs(s), s)
 			nodes := make([]uint32, len(succs))
 			for i, t32 := range succs {
 				tgt := int(t32)
@@ -101,28 +102,40 @@ func TestSlotGraphInvariants(t *testing.T) {
 	}
 }
 
-// TestSuccessorListOwnership: Build adopts memory SSA's successor lists
-// without copying them, while BuildAuxCallGraph starts from its own
-// copy, so prewiring and solving the ablation graph built from the same
-// memssa.Result leaves the on-the-fly graph's lists as they were.
+// TestSuccessorListOwnership: memory SSA's successor arena is immutable
+// once built. Build and BuildAuxCallGraph both share it; the edges a
+// graph gains, by prewiring or solving, land only in that graph's own
+// overflow, so the ablation graph never writes into the on-the-fly
+// graph, nor the on-the-fly graph into the ablation graph.
 func TestSuccessorListOwnership(t *testing.T) {
 	prog := workload.ProfileByName("du").Build()
 	aux := andersen.Analyze(prog)
 	mssa := memssa.Build(prog, aux)
-	g := svfg.Build(prog, aux, mssa)
-	before := make([][]uint32, g.NumSlots())
-	for s := range before {
-		before[s] = slices.Clone(g.SlotSuccs(s))
+	off, adj := slices.Clone(mssa.Succs.Off), slices.Clone(mssa.Succs.Adj)
+	arenaUnchanged := func(when string) {
+		t.Helper()
+		if !slices.Equal(mssa.Succs.Off, off) || !slices.Equal(mssa.Succs.Adj, adj) {
+			t.Fatalf("memory SSA's arena changed %s", when)
+		}
 	}
+	g := svfg.Build(prog, aux, mssa)
 
 	pre := svfg.BuildAuxCallGraph(prog, aux, mssa)
 	core.Solve(pre)
+	arenaUnchanged("while the ablation graph was prewired and solved")
+	preAdded := make([][]uint32, g.NumSlots())
 	grown := 0
-	for s := range before {
-		if !slices.Equal(g.SlotSuccs(s), before[s]) || !slices.Equal(mssa.Succs[s], before[s]) {
-			t.Fatalf("slot %d: successors %v after the ablation solve, were %v", s, g.SlotSuccs(s), before[s])
+	for s := range g.NumSlots() {
+		static, added := g.SlotSuccs(s), g.AppendGained(nil, s)
+		if !slices.Equal(static, mssa.Succs.Row(uint32(s))) || len(added) != 0 {
+			t.Fatalf("slot %d: successors %v + %v after the ablation solve, want memory SSA's %v", s, static, added, mssa.Succs.Row(uint32(s)))
 		}
-		if len(pre.SlotSuccs(s)) > len(before[s]) {
+		preStatic, gained := pre.SlotSuccs(s), pre.AppendGained(nil, s)
+		if !slices.Equal(preStatic, static) {
+			t.Fatalf("slot %d: the ablation graph's static successors %v, memory SSA's %v", s, preStatic, static)
+		}
+		preAdded[s] = gained
+		if len(gained) > 0 {
 			grown++
 		}
 	}
@@ -130,16 +143,84 @@ func TestSuccessorListOwnership(t *testing.T) {
 		t.Fatal("the ablation graph gained no edges: the test checks nothing")
 	}
 
-	// An edge the on-the-fly graph gains lands in memssa's own lists.
-	for s := range before {
-		for _, d := range pre.SlotSuccs(s)[len(before[s]):] {
-			if !g.AddIndirectEdge(g.SlotNode(s), g.SlotNode(int(d)), g.SlotObj(s)) {
-				t.Fatalf("slot %d: prewired edge to slot %d already in the on-the-fly graph", s, d)
+	// Wiring the on-the-fly graph as the ablation graph was prewired
+	// gains the same edges, in the same order, into its own overflow.
+	preEdges := pre.NumIndirectEdges
+	for _, f := range prog.Funcs {
+		f.ForEachInstr(func(in *ir.Instr) {
+			if in.IsIndirectCall() {
+				for _, callee := range aux.CalleesOf(in) {
+					g.AddCallEdges(in, callee, nil)
+				}
 			}
-			if !slices.Equal(mssa.Succs[s], g.SlotSuccs(s)) {
-				t.Fatalf("slot %d: graph successors %v, memssa's %v: Build copied the lists", s, g.SlotSuccs(s), mssa.Succs[s])
-			}
-			return
+		})
+	}
+	arenaUnchanged("while the on-the-fly graph gained edges")
+	if g.NumIndirectEdges != preEdges || pre.NumIndirectEdges != preEdges {
+		t.Fatalf("%d edges on the fly and %d in the ablation graph, which had %d", g.NumIndirectEdges, pre.NumIndirectEdges, preEdges)
+	}
+	for s := range g.NumSlots() {
+		added, gained := g.AppendGained(nil, s), pre.AppendGained(nil, s)
+		if !slices.Equal(added, preAdded[s]) || !slices.Equal(gained, preAdded[s]) {
+			t.Fatalf("slot %d: gained %v on the fly, %v in the ablation graph, which had %v", s, added, gained, preAdded[s])
 		}
+	}
+}
+
+// TestCloneSharesArena: a clone shares its graph's static arena, and an
+// edge either side gains after cloning is invisible to the other.
+func TestCloneSharesArena(t *testing.T) {
+	prog := workload.ProfileByName("du").Build()
+	aux := andersen.Analyze(prog)
+	g := svfg.Build(prog, aux, memssa.Build(prog, aux))
+	c := g.Clone()
+	core.Solve(c)
+
+	gained := make([][]uint32, g.NumSlots())
+	grown := 0
+	for s := range g.NumSlots() {
+		static, added := g.SlotSuccs(s), g.AppendGained(nil, s)
+		cStatic, cAdded := c.SlotSuccs(s), c.AppendGained(nil, s)
+		if len(added) != 0 {
+			t.Fatalf("slot %d: the clone's solve added %v to the original", s, added)
+		}
+		if len(static) > 0 && &static[0] != &cStatic[0] {
+			t.Fatalf("slot %d: the clone copied the static arena", s)
+		}
+		gained[s] = cAdded
+		if len(cAdded) > 0 {
+			grown++
+		}
+	}
+	if grown == 0 {
+		t.Fatal("the clone gained no edges: the test checks nothing")
+	}
+
+	// The original wires every indirect call to every auxiliary callee;
+	// the clone sees none of it, and a clone of the original starts with
+	// all of it.
+	for _, f := range prog.Funcs {
+		f.ForEachInstr(func(in *ir.Instr) {
+			if in.IsIndirectCall() {
+				for _, callee := range aux.CalleesOf(in) {
+					g.AddCallEdges(in, callee, nil)
+				}
+			}
+		})
+	}
+	d := g.Clone()
+	total := 0
+	for s := range g.NumSlots() {
+		cAdded, added, dAdded := c.AppendGained(nil, s), g.AppendGained(nil, s), d.AppendGained(nil, s)
+		if !slices.Equal(cAdded, gained[s]) {
+			t.Fatalf("slot %d: the clone's gained %v became %v when the original gained edges", s, gained[s], cAdded)
+		}
+		if !slices.Equal(dAdded, added) {
+			t.Fatalf("slot %d: a clone of the original gained %v, the original %v", s, dAdded, added)
+		}
+		total += len(added)
+	}
+	if total == 0 {
+		t.Fatal("the original gained no edges: the test checks nothing")
 	}
 }

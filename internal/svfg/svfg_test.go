@@ -222,8 +222,8 @@ func TestAddIndirectEdgeDedup(t *testing.T) {
 	if !ok {
 		t.Fatalf("Slot(call, a) = %d, %v", s, ok)
 	}
-	if succs := g.SlotSuccs(s); len(succs) != 1 || g.SlotNode(int(succs[0])) != entry || g.SlotObj(int(succs[0])) != a {
-		t.Errorf("SlotSuccs(%d) = %v, want the one slot (ℓ%d, a)", s, succs, entry)
+	if static, added := g.SlotSuccs(s), g.AppendGained(nil, s); len(static) != 0 || len(added) != 1 || g.SlotNode(int(added[0])) != entry || g.SlotObj(int(added[0])) != a {
+		t.Errorf("SlotSuccs(%d) = %v, %v; want no static successor and the one gained slot (ℓ%d, a)", s, static, added, entry)
 	}
 }
 
@@ -312,7 +312,8 @@ entry:
 `
 
 // Edges added to a clone or to its original after cloning are invisible
-// to the other side, including appends to a successor list both share.
+// to the other side, including edges the original puts in overflow
+// cells it had to spare when it was cloned.
 func TestCloneIsolation(t *testing.T) {
 	g := buildTestGraph(t, fanSrc)
 	var call uint32
@@ -338,11 +339,11 @@ func TestCloneIsolation(t *testing.T) {
 		t.Errorf("clone's edge leaked into the original: %v", got)
 	}
 
-	// A shared list with spare capacity: both sides append past it.
+	// Cells to spare: both sides add past the used ones.
 	g.AddIndirectEdge(call, e[1], a)
 	g.AddIndirectEdge(call, e[2], a)
-	if s, _ := g.Slot(call, a); cap(g.indirOut[s]) == len(g.indirOut[s]) {
-		t.Fatal("no spare capacity: the test does not exercise sharing")
+	if last := g.gained.chunks[len(g.gained.chunks)-1]; len(last) == cap(last) {
+		t.Fatal("no spare cells: the test does not exercise the copy")
 	}
 	d := g.Clone()
 	if !d.AddIndirectEdge(call, e[3], a) || !g.AddIndirectEdge(call, e[4], a) {

@@ -141,8 +141,9 @@ func (g *Graph) ExplainPointsTo(holds func(x ir.ID, o ir.Obj) bool, v ir.ID, obj
 		// witness it finds are deterministic.
 		lo, hi := g.SlotRange(l)
 		for s := lo; s < hi; s++ {
-			if o := prog.ObjID(g.SlotObj(s)); len(g.indirOut[s]) > 0 && holds(o, obj) {
-				for _, t := range g.indirOut[s] {
+			succs := g.AppendGained(g.SlotSuccs(s), s)
+			if o := prog.ObjID(g.SlotObj(s)); len(succs) > 0 && holds(o, obj) {
+				for _, t := range succs {
 					out = append(out, edgeKind{to: g.SlotNode(int(t)), note: "in " + prog.NameOf(o)})
 				}
 			}
