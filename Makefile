@@ -71,6 +71,7 @@ fuzz-native:
 	$(GO) test -run NONE -fuzz FuzzMeldLaws -fuzztime 30s -fuzzminimizetime 1s ./internal/meld/
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 30s -fuzzminimizetime 1s ./internal/irparse/
 	$(GO) test -run NONE -fuzz FuzzCompile -fuzztime 30s -fuzzminimizetime 1s ./internal/lang/
+	$(GO) test -run NONE -fuzz FuzzReportJSON -fuzztime 10s -fuzzminimizetime 1s .
 
 faults:
 	$(GO) test -race -run 'Fault|Shed|Degrad|Repeat|Overload' ./...

@@ -11,6 +11,7 @@
 //	BenchmarkFigure2         — the motivating-example fragment
 //	BenchmarkSweepRedundancy — Section V shape claim (speedup vs chains)
 //	BenchmarkRetained        — heap a solved Result keeps alive
+//	BenchmarkReport          — report build and JSON rendering
 //
 // The versioning pre-analysis alone is timed by BenchmarkVersioning in
 // internal/core.
@@ -205,4 +206,28 @@ func liveHeap() int64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return int64(m.HeapAlloc)
+}
+
+// reportProfiles are the two largest report producers of the
+// benchmark's workloads: bash (store-heavy) and lynx (large).
+var reportProfiles = []string{"bash", "lynx"}
+
+// BenchmarkReport times what `vsfs -json` does after the solve: build
+// the Report (checkers included) and render it with MarshalIndent.
+func BenchmarkReport(b *testing.B) {
+	for _, name := range reportProfiles {
+		b.Run(name, func(b *testing.B) {
+			res, err := AnalyzeIR(workload.ProfileByName(name).Build().String(), Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := res.Report().MarshalIndent(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

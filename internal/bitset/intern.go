@@ -24,13 +24,17 @@ func NewInterner() *Interner {
 // allocates no set elements. It hands s over: once the caller keeps the
 // result in place of s, neither may be mutated again, since other
 // holders share it.
-func (in *Interner) Canon(s *Sparse) *Sparse {
+func (in *Interner) Canon(s *Sparse) *Sparse { return in.sets[in.CanonID(s)] }
+
+// CanonID is Canon returning the canonical set's ID, which indexes
+// whatever the caller keeps per distinct contents. It hands s over as
+// Canon does.
+func (in *Interner) CanonID(s *Sparse) uint32 {
 	h := s.Hash()
-	if c := in.find(s, h); c != nil {
-		return c
+	if id, ok := in.find(s, h); ok {
+		return id
 	}
-	in.add(s, h)
-	return s
+	return in.add(s, h)
 }
 
 // Intern is Canon for a set the caller keeps: when the contents are
@@ -38,28 +42,30 @@ func (in *Interner) Canon(s *Sparse) *Sparse {
 // when an equal set is already stored.
 func (in *Interner) Intern(s *Sparse) *Sparse {
 	h := s.Hash()
-	if c := in.find(s, h); c != nil {
-		return c
+	if id, ok := in.find(s, h); ok {
+		return in.sets[id]
 	}
 	c := s.Clone()
 	in.add(c, h)
 	return c
 }
 
-// find returns the stored set equal to s, whose hash is h, or nil.
-func (in *Interner) find(s *Sparse, h uint64) *Sparse {
+// find returns the ID of the stored set equal to s, whose hash is h.
+func (in *Interner) find(s *Sparse, h uint64) (uint32, bool) {
 	for _, id := range in.byHash[h] {
 		if in.sets[id].Equal(s) {
-			return in.sets[id]
+			return id, true
 		}
 	}
-	return nil
+	return 0, false
 }
 
-// add stores s, whose hash is h, under the next ID.
-func (in *Interner) add(s *Sparse, h uint64) {
-	in.byHash[h] = append(in.byHash[h], uint32(len(in.sets)))
+// add stores s, whose hash is h, under the next ID and returns it.
+func (in *Interner) add(s *Sparse, h uint64) uint32 {
+	id := uint32(len(in.sets))
+	in.byHash[h] = append(in.byHash[h], id)
 	in.sets = append(in.sets, s)
+	return id
 }
 
 // Get returns the canonical set for an ID. The result must not be mutated.

@@ -626,12 +626,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// the cache lock; every later one writes the stored bytes.
 	body := s.cache.body(key, res)
 	if body == nil {
-		body, err = marshalBody(AnalyzeResponse{
-			Key:    key,
-			Mode:   res.Stats().Mode,
-			Report: res.Report(),
-			Dump:   res.Dump(),
-		})
+		body, err = analyzeBody(key, res.Report())
 		if err == nil {
 			s.cache.setBody(key, res, body)
 		}
@@ -861,6 +856,32 @@ func marshalBody(v any) ([]byte, error) {
 	body := make([]byte, len(data)+1)
 	copy(body, data)
 	body[len(data)] = '\n'
+	return body, nil
+}
+
+// analyzeBody renders the /analyze body of a result with key and
+// report rep: marshalBody(AnalyzeResponse{key, rep.Mode, rep,
+// rep.Dump()}), byte for byte, with the report written by its own
+// writer one level in and the dump rendered from the report's facts.
+func analyzeBody(key string, rep vsfs.Report) ([]byte, error) {
+	// Strings always marshal.
+	k, _ := json.Marshal(key)
+	m, _ := json.Marshal(rep.Mode)
+	d, _ := json.Marshal(rep.Dump())
+	b := append([]byte("{\n  \"key\": "), k...)
+	b = append(b, ",\n  \"mode\": "...)
+	b = append(b, m...)
+	b = append(b, ",\n  \"report\": "...)
+	b, err := rep.AppendIndent(b, "  ")
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, ",\n  \"dump\": "...)
+	b = append(b, d...)
+	b = append(b, "\n}\n"...)
+	// Held at its exact length, as marshalBody holds a body.
+	body := make([]byte, len(b))
+	copy(body, b)
 	return body, nil
 }
 

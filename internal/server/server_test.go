@@ -234,6 +234,37 @@ func TestCacheHitWritesStoredBody(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMissBodyMatchesEncodingJSON: the body a miss renders is
+// encoding/json's indented AnalyzeResponse plus a newline, byte for
+// byte, on three Table II profiles.
+func TestAnalyzeMissBodyMatchesEncodingJSON(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, name := range []string{"du", "nano", "psql"} {
+		req := AnalyzeRequest{Source: workload.ProfileByName(name).Build().String(), Lang: "ir"}
+		code, hdr, body := post(t, s, "/analyze", req)
+		if code != http.StatusOK || hdr.Get("X-Vsfs-Cache") != "miss" {
+			t.Fatalf("%s: analyze = %d, cache %q; want a 200 miss", name, code, hdr.Get("X-Vsfs-Cache"))
+		}
+		key := hdr.Get("X-Vsfs-Key")
+		res, ok := s.cache.get(key)
+		if !ok {
+			t.Fatalf("%s: program not cached", name)
+		}
+		want, err := json.MarshalIndent(AnalyzeResponse{
+			Key:    key,
+			Mode:   res.Stats().Mode,
+			Report: res.Report(),
+			Dump:   res.Dump(),
+		}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(body, want) {
+			t.Fatalf("%s: miss body (%d bytes) differs from encoding/json's (%d bytes)", name, len(body), len(want))
+		}
+	}
+}
+
 // TestCacheDropsStoredBody: a stored body lives only as long as the
 // result it was rendered from. Replacing an entry's result and evicting
 // the entry both drop it, and the body-bytes total follows.

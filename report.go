@@ -2,12 +2,18 @@ package vsfs
 
 import (
 	"encoding/json"
+	"slices"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"vsfs/internal/checker"
 	"vsfs/internal/obs"
 )
 
-// VarFacts is one source-level variable's points-to facts.
+// VarFacts is one source-level variable's points-to facts. Variables
+// whose sets are equal share one PointsTo slice, so it must not be
+// mutated.
 type VarFacts struct {
 	Var      string   `json:"var"`
 	PointsTo []string `json:"pointsTo"`
@@ -37,7 +43,9 @@ type Finding struct {
 // Report is the machine-readable form of Dump plus the call graph,
 // checker findings, and run statistics. Every slice is sorted, so two
 // runs over the same input marshal to byte-identical JSON — the
-// property the analysis service's result cache relies on.
+// property the analysis service's result cache relies on. A report is
+// read-only: the PointsTo lists of variables with equal sets share one
+// backing slice.
 type Report struct {
 	Mode      string       `json:"mode"`
 	Functions []FuncReport `json:"functions"`
@@ -72,6 +80,7 @@ const reportTopK = 10
 func (r *Result) Report() Report {
 	rep := Report{
 		Mode:        r.mode.String(),
+		Functions:   r.funcFacts(),
 		Findings:    r.Check(),
 		Stats:       r.Stats(),
 		Shape:       r.shape,
@@ -83,29 +92,288 @@ func (r *Result) Report() Report {
 		rep.Findings = []Finding{}
 	}
 	cg := r.CallGraph()
-	for _, f := range r.prog.Funcs {
-		if len(f.Name) >= 2 && f.Name[:2] == "__" {
-			continue
-		}
-		fr := FuncReport{Func: f.Name, Callees: cg[f.Name]}
-		names, groups := r.varGroups(f)
-		for _, n := range names {
-			if groups[n].IsEmpty() {
-				continue
-			}
-			fr.Vars = append(fr.Vars, VarFacts{Var: n, PointsTo: r.objNames(groups[n])})
-		}
-		rep.Functions = append(rep.Functions, fr)
+	for i := range rep.Functions {
+		rep.Functions[i].Callees = cg[rep.Functions[i].Func]
 	}
 	return rep
 }
 
-// MarshalJSON is not customised; Report marshals deterministically
-// because it holds only structs and sorted slices. MarshalIndent is a
-// convenience wrapper producing the canonical rendering used by
-// cmd/vsfs -json and the analysis server.
+// Dump renders the report's points-to facts as text: Result.Dump is
+// this over Result.Report's functions.
+func (rep Report) Dump() string {
+	var b strings.Builder
+	b.WriteString("analysis: ")
+	b.WriteString(rep.Mode)
+	b.WriteByte('\n')
+	for _, f := range rep.Functions {
+		b.WriteString("func ")
+		b.WriteString(f.Func)
+		b.WriteString(":\n")
+		for _, v := range f.Vars {
+			b.WriteString("  ")
+			b.WriteString(v.Var)
+			// fmt's %-16s: pad to 16 runes.
+			for n := utf8.RuneCountInString(v.Var); n < 16; n++ {
+				b.WriteByte(' ')
+			}
+			b.WriteString(" → {")
+			for i, o := range v.PointsTo {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString(o)
+			}
+			b.WriteString("}\n")
+		}
+	}
+	return b.String()
+}
+
+// MarshalIndent renders the report as json.MarshalIndent(rep, "", "  ")
+// does, byte for byte: the canonical rendering cmd/vsfs -json and the
+// analysis server emit. See AppendIndent.
 func (rep Report) MarshalIndent() ([]byte, error) {
-	return json.MarshalIndent(rep, "", "  ")
+	return rep.AppendIndent(nil, "")
+}
+
+// AppendIndent appends the report to dst as json.MarshalIndent(rep,
+// prefix, "  ") renders it, byte for byte, so a caller can embed the
+// report in a larger indented document. It writes functions and
+// findings directly, renders each shared PointsTo list once and copies
+// it for every later variable that shares it, and leaves only the
+// small fixed-shape tail (stats, shape, hot objects) to encoding/json.
+func (rep Report) AppendIndent(dst []byte, prefix string) ([]byte, error) {
+	w := reportWriter{
+		buf:    slices.Grow(dst, rep.sizeHint(len(prefix))),
+		indent: "\n" + prefix + strings.Repeat("  ", 6),
+		lists:  make(map[listKey][2]int),
+	}
+	w.buf = append(w.buf, '{')
+	w.key(1, "mode")
+	w.str(rep.Mode)
+	w.buf = append(w.buf, ',')
+	w.key(1, "functions")
+	w.array(1, len(rep.Functions), rep.Functions == nil, func(i int) { w.function(rep.Functions[i]) })
+	w.buf = append(w.buf, ',')
+	w.key(1, "findings")
+	w.array(1, len(rep.Findings), rep.Findings == nil, func(i int) { w.finding(rep.Findings[i]) })
+	tail := []struct {
+		name string
+		v    any
+		omit bool
+	}{
+		{"stats", rep.Stats, false},
+		{"shape", rep.Shape, false},
+		{"hotObjects", rep.HotObjects, len(rep.HotObjects) == 0},
+	}
+	for _, t := range tail {
+		if t.omit {
+			continue
+		}
+		data, err := json.MarshalIndent(t.v, prefix+"  ", "  ")
+		if err != nil {
+			return dst, err
+		}
+		w.buf = append(w.buf, ',')
+		w.key(1, t.name)
+		w.buf = append(w.buf, data...)
+	}
+	if rep.Degraded {
+		w.buf = append(w.buf, ',')
+		w.key(1, "degraded")
+		w.buf = append(w.buf, "true"...)
+	}
+	if rep.Degradation != "" {
+		w.buf = append(w.buf, ',')
+		w.key(1, "degradation")
+		w.str(rep.Degradation)
+	}
+	w.close(0, '}', 1)
+	return w.buf, nil
+}
+
+// reportWriter renders a Report as indented JSON. indent is a newline,
+// the prefix and enough indentation for the deepest line; a line at
+// depth d starts with its first 1+len(prefix)+2d bytes.
+type reportWriter struct {
+	buf    []byte
+	indent string
+	// lists maps a PointsTo slice already written to its rendering's
+	// bounds in buf. Every list sits at the same depth, so a shared
+	// list's bytes are the same wherever it appears.
+	lists map[listKey][2]int
+}
+
+// listKey identifies a PointsTo slice by its first element and length.
+type listKey struct {
+	first *string
+	n     int
+}
+
+// nl starts a new line at depth d.
+func (w *reportWriter) nl(d int) {
+	w.buf = append(w.buf, w.indent[:len(w.indent)-2*(6-d)]...)
+}
+
+// key starts a new line at depth d holding the object key k.
+func (w *reportWriter) key(d int, k string) {
+	w.nl(d)
+	w.buf = append(w.buf, '"')
+	w.buf = append(w.buf, k...)
+	w.buf = append(w.buf, `": `...)
+}
+
+// close ends an array or object of n elements whose closing bracket c
+// sits at depth d. An empty one stays on its opening line.
+func (w *reportWriter) close(d int, c byte, n int) {
+	if n > 0 {
+		w.nl(d)
+	}
+	w.buf = append(w.buf, c)
+}
+
+// array writes an array of n elements, each written by elem on lines
+// deeper than d, with its closing bracket at depth d. Like
+// encoding/json, it writes a nil slice as null and keeps an empty one
+// on its opening line.
+func (w *reportWriter) array(d, n int, isNil bool, elem func(i int)) {
+	if isNil {
+		w.buf = append(w.buf, "null"...)
+		return
+	}
+	w.buf = append(w.buf, '[')
+	for i := range n {
+		if i > 0 {
+			w.buf = append(w.buf, ',')
+		}
+		elem(i)
+	}
+	w.close(d, ']', n)
+}
+
+// strArray writes a string array whose elements sit at depth d.
+func (w *reportWriter) strArray(d int, ss []string) {
+	w.array(d-1, len(ss), ss == nil, func(i int) {
+		w.nl(d)
+		w.str(ss[i])
+	})
+}
+
+func (w *reportWriter) function(f FuncReport) {
+	w.nl(2)
+	w.buf = append(w.buf, '{')
+	w.key(3, "func")
+	w.str(f.Func)
+	if len(f.Vars) > 0 {
+		w.buf = append(w.buf, ',')
+		w.key(3, "vars")
+		w.array(3, len(f.Vars), false, func(i int) {
+			w.nl(4)
+			w.buf = append(w.buf, '{')
+			w.key(5, "var")
+			w.str(f.Vars[i].Var)
+			w.buf = append(w.buf, ',')
+			w.key(5, "pointsTo")
+			w.pointsTo(f.Vars[i].PointsTo)
+			w.close(4, '}', 1)
+		})
+	}
+	if len(f.Callees) > 0 {
+		w.buf = append(w.buf, ',')
+		w.key(3, "callees")
+		w.strArray(4, f.Callees)
+	}
+	w.close(2, '}', 1)
+}
+
+// pointsTo writes a PointsTo list, copying the bytes of its earlier
+// rendering when the same slice was written before.
+func (w *reportWriter) pointsTo(list []string) {
+	if len(list) == 0 {
+		w.strArray(6, list)
+		return
+	}
+	k := listKey{&list[0], len(list)}
+	if at, ok := w.lists[k]; ok {
+		w.buf = append(w.buf, w.buf[at[0]:at[1]]...)
+		return
+	}
+	start := len(w.buf)
+	w.strArray(6, list)
+	w.lists[k] = [2]int{start, len(w.buf)}
+}
+
+func (w *reportWriter) finding(f Finding) {
+	w.nl(2)
+	w.buf = append(w.buf, '{')
+	w.key(3, "kind")
+	w.str(f.Kind)
+	w.buf = append(w.buf, ',')
+	w.key(3, "func")
+	w.str(f.Func)
+	w.buf = append(w.buf, ',')
+	w.key(3, "label")
+	w.buf = strconv.AppendUint(w.buf, uint64(f.Label), 10)
+	if f.File != "" {
+		w.buf = append(w.buf, ',')
+		w.key(3, "file")
+		w.str(f.File)
+	}
+	if f.Line != 0 {
+		w.buf = append(w.buf, ',')
+		w.key(3, "line")
+		w.buf = strconv.AppendInt(w.buf, int64(f.Line), 10)
+	}
+	if f.Col != 0 {
+		w.buf = append(w.buf, ',')
+		w.key(3, "col")
+		w.buf = strconv.AppendInt(w.buf, int64(f.Col), 10)
+	}
+	w.buf = append(w.buf, ',')
+	w.key(3, "message")
+	w.str(f.Message)
+	w.close(2, '}', 1)
+}
+
+// str writes s as a JSON string. Printable ASCII that encoding/json
+// leaves alone is copied as it is; anything else (quotes, backslashes,
+// the HTML characters <, > and &, control bytes, non-ASCII, invalid
+// UTF-8) goes through encoding/json's own escaping.
+func (w *reportWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			data, _ := json.Marshal(s) // a string always marshals
+			w.buf = append(w.buf, data...)
+			return
+		}
+	}
+	w.buf = append(w.buf, '"')
+	w.buf = append(w.buf, s...)
+	w.buf = append(w.buf, '"')
+}
+
+// sizeHint estimates the rendered size of the report at a prefix of
+// length p, a little over for functions and findings of plain ASCII and
+// with room for the fixed-shape tail.
+func (rep *Report) sizeHint(p int) int {
+	line := func(d int) int { return 1 + p + 2*d }
+	n := 4096 + 64*p
+	for _, f := range rep.Functions {
+		n += 2*line(2) + line(3) + 12 + len(f.Func) + 2*(line(3)+16)
+		for _, v := range f.Vars {
+			n += 2*line(4) + 2*line(5) + 24 + len(v.Var) + line(5)
+			for _, o := range v.PointsTo {
+				n += line(6) + 3 + len(o)
+			}
+		}
+		for _, c := range f.Callees {
+			n += line(4) + 3 + len(c)
+		}
+	}
+	for _, f := range rep.Findings {
+		n += 9*line(3) + 96 + len(f.Kind) + len(f.Func) + len(f.File) + len(f.Message)
+	}
+	return n
 }
 
 // CheckConfig tunes Result.CheckWith. The zero value runs the

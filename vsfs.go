@@ -838,46 +838,90 @@ func (r *Result) SetsDigest() uint64 {
 	return h
 }
 
-// varGroups groups fn's temps by their source-variable prefix and
-// returns the sorted group names with the union of each group's
-// points-to sets. Shared by Dump and Report so the two renderings can
-// never drift apart.
-func (r *Result) varGroups(f *ir.Function) ([]string, map[string]*bitset.Sparse) {
-	groups := map[string]*bitset.Sparse{}
-	collect := func(v ir.ID) {
-		name := r.prog.Value(v).Name
-		if i := strings.LastIndexByte(name, '.'); i > 0 {
-			name = name[:i]
-		}
-		if strings.HasSuffix(name, ".addr") || strings.HasPrefix(name, "__") {
-			return
-		}
-		set := groups[name]
-		if set == nil {
-			set = bitset.New()
-			groups[name] = set
-		}
-		set.UnionWith(r.backend.PointsTo(v))
+// funcFacts returns every non-synthetic function's points-to facts,
+// in definition order and without callees: each source-level variable
+// whose temps' points-to sets have a non-empty union, sorted by name,
+// with that union's object names, sorted. A variable's temps are the
+// parameters and definitions named after it ("x" or "x.<n>"; ".addr"
+// slots and synthetic "__" names are left out). The name list of each
+// distinct union is built once, through an Interner over the unions, and
+// every variable with that union shares it. Report and Dump both render
+// these facts, so the two can never drift apart.
+func (r *Result) funcFacts() []FuncReport {
+	type member struct {
+		name string
+		v    ir.ID
 	}
-	for _, p := range f.Params {
-		collect(p)
-	}
-	f.ForEachInstr(func(in *ir.Instr) {
-		if in.Def != ir.None {
-			collect(in.Def)
+	var (
+		funcs   []FuncReport
+		vars    []VarFacts
+		ends    []int // ends[i] is where funcs[i]'s variables end in vars
+		members []member
+		lists   = [][]string{nil} // union ID -> sorted object names; ID 0 is ∅
+	)
+	unions := bitset.NewInterner()
+	for _, f := range r.prog.Funcs {
+		if strings.HasPrefix(f.Name, "__") {
+			continue
 		}
-	})
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
+		members = members[:0]
+		collect := func(v ir.ID) {
+			name := r.prog.Value(v).Name
+			if i := strings.LastIndexByte(name, '.'); i > 0 {
+				name = name[:i]
+			}
+			if !strings.HasSuffix(name, ".addr") && !strings.HasPrefix(name, "__") {
+				members = append(members, member{name, v})
+			}
+		}
+		for _, p := range f.Params {
+			collect(p)
+		}
+		f.ForEachInstr(func(in *ir.Instr) {
+			if in.Def != ir.None {
+				collect(in.Def)
+			}
+		})
+		slices.SortFunc(members, func(a, b member) int { return strings.Compare(a.name, b.name) })
+		for lo := 0; lo < len(members); {
+			hi := lo + 1
+			for hi < len(members) && members[hi].name == members[lo].name {
+				hi++
+			}
+			// A one-temp variable's union is the solver's own frozen
+			// set, which the Interner may keep as it is.
+			set := r.backend.PointsTo(members[lo].v)
+			if hi-lo > 1 {
+				set = set.Clone()
+				for _, m := range members[lo+1 : hi] {
+					set.UnionWith(r.backend.PointsTo(m.v))
+				}
+			}
+			if !set.IsEmpty() {
+				id := unions.CanonID(set)
+				if int(id) == len(lists) {
+					lists = append(lists, r.objNames(set))
+				}
+				vars = append(vars, VarFacts{Var: members[lo].name, PointsTo: lists[id]})
+			}
+			lo = hi
+		}
+		funcs = append(funcs, FuncReport{Func: f.Name})
+		ends = append(ends, len(vars))
 	}
-	sort.Strings(names)
-	return names, groups
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			funcs[i].Vars = vars[start:end:end]
+		}
+		start = end
+	}
+	return funcs
 }
 
 // objNames renders a points-to set as sorted object names.
 func (r *Result) objNames(set *bitset.Sparse) []string {
-	var objs []string
+	objs := make([]string, 0, set.Len())
 	set.ForEach(func(o uint32) { objs = append(objs, r.prog.ObjValue(ir.Obj(o)).Name) })
 	sort.Strings(objs)
 	return objs
@@ -885,21 +929,7 @@ func (r *Result) objNames(set *bitset.Sparse) []string {
 
 // Dump writes a human-readable points-to report: for every function,
 // every source-level pointer variable and the objects it may point to.
+// It is Report's facts rendered by Report.Dump.
 func (r *Result) Dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "analysis: %s\n", r.mode)
-	for _, f := range r.prog.Funcs {
-		if strings.HasPrefix(f.Name, "__") {
-			continue
-		}
-		fmt.Fprintf(&b, "func %s:\n", f.Name)
-		names, groups := r.varGroups(f)
-		for _, n := range names {
-			if groups[n].IsEmpty() {
-				continue
-			}
-			fmt.Fprintf(&b, "  %-16s → {%s}\n", n, strings.Join(r.objNames(groups[n]), ", "))
-		}
-	}
-	return b.String()
+	return Report{Mode: r.mode.String(), Functions: r.funcFacts()}.Dump()
 }
