@@ -8,6 +8,10 @@
 // propagation and periodic offline SCC collapsing of the copy-edge
 // graph (cycle elimination), field-sensitive via the ir.Program's field
 // objects, and with on-the-fly call-graph resolution for indirect calls.
+// It is the repository's one inclusion-constraint engine: Solve runs it
+// for the CFG-free backend (internal/cfgfree) too, whose strong-update
+// windows enter as data, a replacement load rule for the (load, object)
+// pairs they cover.
 //
 // Constraint nodes are value IDs: top-level pointers and objects alike,
 // since an object's contents are a node too. Points-to sets hold object
@@ -22,6 +26,7 @@ import (
 	"vsfs/internal/graph"
 	"vsfs/internal/guard"
 	"vsfs/internal/ir"
+	"vsfs/internal/obs"
 )
 
 // Stats reports solver effort, used by the benchmark harness.
@@ -106,13 +111,36 @@ func Analyze(prog *ir.Program) *Result {
 // context every cancelCheckInterval pops, so cancellation latency is
 // bounded by a small constant amount of solving work.
 func AnalyzeContext(ctx context.Context, prog *ir.Program) (*Result, error) {
-	s := newSolver(prog)
-	s.ctx = ctx
+	r, _, err := Solve(ctx, prog, "andersen", nil, nil)
+	return r, err
+}
+
+// Solve runs the inclusion-constraint engine to fixpoint, charging its
+// steps to guard phase phase. For the load defining def and an object
+// o of its base pointer's set, window(def, o), when it reports ok,
+// lists the values whose sets the load copies instead of o's contents;
+// a nil window
+// gives Andersen's load rule. A non-nil attr is charged every pop and
+// attempted propagation, each to the node's object (bucket 0 for a
+// top-level pointer). Besides the result, Solve returns the number of
+// propagations attempted; Stats.Propagations counts those that changed
+// a set.
+func Solve(ctx context.Context, prog *ir.Program, phase string,
+	window func(def ir.ID, o ir.Obj) ([]ir.ID, bool), attr *obs.ObjectAttr) (*Result, int, error) {
+	s := &solver{
+		prog:        prog,
+		ctx:         ctx,
+		phase:       phase,
+		window:      window,
+		attr:        attr,
+		resolved:    make(map[callTarget]bool),
+		callTargets: make(map[*ir.Instr][]*ir.Function),
+	}
 	s.generate()
 	if err := s.solve(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return s.finish(), nil
+	return s.finish(), s.attempted, nil
 }
 
 // cancelCheckInterval is how many worklist iterations pass between
@@ -121,8 +149,9 @@ const cancelCheckInterval = 1024
 
 // solver is the mutable analysis state.
 type solver struct {
-	prog *ir.Program
-	ctx  context.Context
+	prog  *ir.Program
+	ctx   context.Context
+	phase string
 
 	parent    []uint32
 	pts       []*bitset.Sparse
@@ -141,10 +170,14 @@ type solver struct {
 
 	callTargets map[*ir.Instr][]*ir.Function
 
+	window func(def ir.ID, o ir.Obj) ([]ir.ID, bool)
+	attr   *obs.ObjectAttr
+
 	work worklist
 
-	stats Stats
-	pops  int
+	stats     Stats
+	pops      int
+	attempted int
 }
 
 type fieldUse struct {
@@ -185,12 +218,13 @@ func (w *worklist) pop() (uint32, bool) {
 
 func (w *worklist) empty() bool { return len(w.queue) == 0 }
 
-func newSolver(prog *ir.Program) *solver {
-	return &solver{
-		prog:        prog,
-		resolved:    make(map[callTarget]bool),
-		callTargets: make(map[*ir.Instr][]*ir.Function),
+// owner maps a constraint node to the object charged for its work: the
+// node itself when it is an object, the unattributed bucket 0 otherwise.
+func (s *solver) owner(n uint32) uint32 {
+	if int(n) < s.prog.NumValues() && s.prog.IsObject(ir.ID(n)) {
+		return n
 	}
+	return 0
 }
 
 // ensure grows the per-node tables to cover id (field objects are created
@@ -247,15 +281,26 @@ func (s *solver) addCopy(dst, src ir.ID) {
 		return
 	}
 	if s.pts[c] != nil && !s.pts[c].IsEmpty() {
-		if s.ptsOf(d).UnionWith(s.pts[c]) {
-			s.stats.Propagations++
-			s.work.push(d)
-		}
+		s.propagate(d, s.pts[c])
+	}
+}
+
+// propagate unions set into pts(d), scheduling d on change.
+func (s *solver) propagate(d uint32, set *bitset.Sparse) {
+	s.attempted++
+	if s.attr != nil {
+		s.attr.Prop(s.owner(d))
+	}
+	if s.ptsOf(d).UnionWith(set) {
+		s.stats.Propagations++
+		s.work.push(d)
 	}
 }
 
 // generate installs the base and complex constraints for every
-// instruction.
+// instruction. MEMPHI and CallRet markers, present when the CFG-free
+// backend solves a program the memory-SSA pass has been through,
+// generate nothing: their clobber role is folded into its windows.
 func (s *solver) generate() {
 	s.ensure(uint32(s.prog.NumValues()))
 	for _, f := range s.prog.Funcs {
@@ -334,7 +379,7 @@ func (s *solver) solve() error {
 	s.collapseCycles()
 	for steps := 0; ; steps++ {
 		if steps%cancelCheckInterval == 0 {
-			if err := guard.Tick(s.ctx, "andersen", cancelCheckInterval); err != nil {
+			if err := guard.Tick(s.ctx, s.phase, cancelCheckInterval); err != nil {
 				return err
 			}
 		}
@@ -358,19 +403,17 @@ func (s *solver) solve() error {
 		}
 		s.processed[n].UnionWith(delta)
 		s.stats.Pops++
+		if s.attr != nil {
+			s.attr.Pop(s.owner(n))
+		}
 
 		s.applyComplex(n, delta)
 
 		// Propagate the delta along copy edges.
 		if s.succs[n] != nil {
 			s.succs[n].ForEach(func(d32 uint32) {
-				d := s.find(d32)
-				if d == n {
-					return
-				}
-				if s.ptsOf(d).UnionWith(delta) {
-					s.stats.Propagations++
-					s.work.push(d)
+				if d := s.find(d32); d != n {
+					s.propagate(d, delta)
 				}
 			})
 		}
@@ -390,6 +433,14 @@ func (s *solver) applyComplex(n uint32, delta *bitset.Sparse) {
 	prog := s.prog
 	for _, def := range s.loadsAt[n] {
 		delta.ForEach(func(o uint32) {
+			if s.window != nil {
+				if vals, ok := s.window(def, ir.Obj(o)); ok {
+					for _, val := range vals {
+						s.addCopy(def, val) // pts(def) ⊇ pts(val)
+					}
+					return
+				}
+			}
 			s.addCopy(def, prog.ObjID(ir.Obj(o))) // pts(def) ⊇ pts(o)
 		})
 	}

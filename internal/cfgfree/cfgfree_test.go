@@ -1,11 +1,14 @@
 package cfgfree_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vsfs/internal/andersen"
+	"vsfs/internal/bitset"
 	"vsfs/internal/cfgfree"
 	"vsfs/internal/ir"
 	"vsfs/internal/irparse"
@@ -283,5 +286,200 @@ entry:
 	// A non-store passes its consumed set through.
 	if got := res.YieldedSet(load.Label, qcell); !setEquals(prog, got, b) {
 		t.Errorf("YieldedSet(load, qcell) = %s, want {b}", got)
+	}
+}
+
+// TestWindowFreeEqualsAndersen pins "cfgfree = Andersen + windows": on
+// a program with no strong-update window — heap cells, and a pointer
+// with two targets — every points-to set and every call's callee set
+// must be Andersen's.
+func TestWindowFreeEqualsAndersen(t *testing.T) {
+	const src = `
+func id(x) {
+entry:
+  ret x
+}
+func id2(x) {
+entry:
+  y = copy x
+  ret y
+}
+func put(cell, v) {
+entry:
+  store cell, v
+  ret
+}
+func main() {
+entry:
+  h = alloc.heap ho 2
+  k = alloc.heap ko 1
+  a = alloc a 0
+  fa = funcaddr id
+  fb = funcaddr id2
+  br left, right
+left:
+  m1 = copy h
+  jmp join
+right:
+  m2 = copy k
+  jmp join
+join:
+  m = phi(m1, m2)
+  fp = phi(fa, fb)
+  call put(m, a)
+  f = field h, 1
+  store f, k
+  r = calli fp(m)
+  t = load m
+  u = load f
+  store m, t
+  v = load r
+  ret
+}
+`
+	prog, err := irparse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux, res := solveBoth(t, prog)
+	checkInvariants(t, prog, aux, res)
+	if res.Stats.WindowedAccesses != 0 {
+		t.Fatalf("%d windowed accesses, want none: the comparison would not be window-free",
+			res.Stats.WindowedAccesses)
+	}
+	for id := ir.ID(1); int(id) < prog.NumValues(); id++ {
+		if !res.PointsTo(id).Equal(aux.PointsTo(id)) {
+			t.Errorf("pts(%s): cfgfree %s, Andersen %s", prog.NameOf(id), res.PointsTo(id), aux.PointsTo(id))
+		}
+	}
+	icallees := 0
+	for _, f := range prog.Funcs {
+		f.ForEachInstr(func(in *ir.Instr) {
+			if in.Op != ir.Call {
+				return
+			}
+			if in.Callee == nil {
+				icallees = len(res.CalleesOf(in))
+			}
+			got, want := map[*ir.Function]bool{}, map[*ir.Function]bool{}
+			for _, fn := range res.CalleesOf(in) {
+				got[fn] = true
+			}
+			for _, fn := range aux.CalleesOf(in) {
+				want[fn] = true
+			}
+			if len(got) != len(want) || len(res.CalleesOf(in)) != len(got) {
+				t.Errorf("callees @%d: cfgfree %v, Andersen %v", in.Label, res.CalleesOf(in), aux.CalleesOf(in))
+				return
+			}
+			for fn := range want {
+				if !got[fn] {
+					t.Errorf("callees @%d: cfgfree %v, Andersen %v", in.Label, res.CalleesOf(in), aux.CalleesOf(in))
+					return
+				}
+			}
+		})
+	}
+	if icallees != 2 {
+		t.Fatalf("the indirect call resolves %d callees, want id and id2", icallees)
+	}
+}
+
+// collapseChain is how many copies TestCollapseMergesCycles appends: a
+// solve pops each once, which takes it past the engine's periodic cycle
+// collapse (every 20,000 pops) after the load/store rules have closed
+// a cycle through an object's contents.
+const collapseChain = 25000
+
+// TestCollapseMergesCycles runs the engine's cycle collapse under the
+// window load rule. A windowed load's store value v sits on the phi
+// cycle v ↔ w, merged before solving starts; the heap cell c's contents
+// sit on the cycle c ↔ y that "y = load r; store r, y" closes, merged
+// by the periodic collapse. Merged members share one set, every query
+// on them answers as their representative does, and the facts are the
+// ones the window rule gives without merging.
+func TestCollapseMergesCycles(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`
+func main() {
+entry:
+  pa = alloc a 0
+  pb = alloc b 0
+  q = alloc qcell 0
+  r = alloc.heap c 0
+  store r, pb
+  y = load r
+  store r, y
+  store q, pb
+  jmp loop
+loop:
+  v = phi(pa, w)
+  w = copy v
+  store q, v
+  x = load q
+  br loop, exit
+exit:
+  p0 = copy pa
+`)
+	for i := 1; i < collapseChain; i++ {
+		fmt.Fprintf(&b, "  p%d = copy p%d\n", i, i-1)
+	}
+	b.WriteString("  ret\n}\n")
+	prog, err := irparse.Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux, res := solveBoth(t, prog)
+	if err := cfgfree.Verify(prog, aux, res); err != nil {
+		t.Fatal(err)
+	}
+
+	a, bo, qcell, c := objOf(t, prog, "a"), objOf(t, prog, "b"), objOf(t, prog, "qcell"), objOf(t, prog, "c")
+	v, w, x, y := idOf(t, prog, "v"), idOf(t, prog, "w"), idOf(t, prog, "x"), idOf(t, prog, "y")
+	if res.PointsTo(v) != res.PointsTo(w) || res.ObjectSummary(c) != res.PointsTo(y) {
+		t.Fatal("the cycles v ↔ w and c ↔ y were not merged: the test would not exercise collapse")
+	}
+
+	for _, tc := range []struct {
+		name string
+		set  *bitset.Sparse
+		want []ir.Obj
+	}{
+		{"pts(v)", res.PointsTo(v), []ir.Obj{a}},
+		{"pts(x)", res.PointsTo(x), []ir.Obj{a}},
+		{"pts(y)", res.PointsTo(y), []ir.Obj{bo}},
+		{"pts(p" + fmt.Sprint(collapseChain-1) + ")", res.PointsTo(idOf(t, prog, fmt.Sprintf("p%d", collapseChain-1))), []ir.Obj{a}},
+		{"summary(c)", res.ObjectSummary(c), []ir.Obj{bo}},
+		{"summary(qcell)", res.ObjectSummary(qcell), []ir.Obj{a, bo}},
+	} {
+		if !setEquals(prog, tc.set, tc.want...) {
+			t.Errorf("%s = %s, want %v", tc.name, tc.set, tc.want)
+		}
+	}
+
+	// Every query on a merged member answers as the representative: the
+	// window at x reads v's set, and c answers with y's set everywhere.
+	var load, strong *ir.Instr
+	for _, blk := range prog.Funcs[0].Blocks {
+		for _, in := range blk.Instrs {
+			if in.Op == ir.Load && in.Def == x {
+				load = in
+			}
+			if in.Op == ir.Store && in.Uses[1] == v {
+				strong = in
+			}
+			if got := res.ConsumedSet(in.Label, c); !got.Equal(res.PointsTo(y)) {
+				t.Errorf("ConsumedSet(ℓ%d, c) = %s, want pts(y) = %s", in.Label, got, res.PointsTo(y))
+			}
+			if got := res.YieldedSet(in.Label, c); !got.Equal(res.PointsTo(y)) {
+				t.Errorf("YieldedSet(ℓ%d, c) = %s, want pts(y) = %s", in.Label, got, res.PointsTo(y))
+			}
+		}
+	}
+	if got := res.ConsumedSet(load.Label, qcell); !got.Equal(res.PointsTo(w)) {
+		t.Errorf("ConsumedSet(load x, qcell) = %s, want pts(w) = %s", got, res.PointsTo(w))
+	}
+	if got := res.YieldedSet(strong.Label, qcell); got != res.PointsTo(w) {
+		t.Errorf("YieldedSet(store v, qcell) = %s, want pts(w) = %s", got, res.PointsTo(w))
 	}
 }

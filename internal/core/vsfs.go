@@ -76,28 +76,8 @@ func (r *Result) CalleesOf(call *ir.Instr) []*ir.Function {
 	for f := range m {
 		out = append(out, f)
 	}
-	sortFuncs(out)
+	ir.SortFuncs(out)
 	return out
-}
-
-// sortFuncs orders functions by funcLess — a total order, so the
-// result is independent of the (randomized) map iteration order the
-// callers collect from.
-func sortFuncs(fs []*ir.Function) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && funcLess(fs[j], fs[j-1]); j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
-}
-
-// funcLess orders functions by name, then by entry label (unique per
-// function once the program is finalized).
-func funcLess(a, b *ir.Function) bool {
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	return a.EntryInstr.Label < b.EntryInstr.Label
 }
 
 // ObjectSummary returns the union of o's points-to sets over every

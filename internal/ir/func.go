@@ -152,3 +152,24 @@ func (f *Function) ForEachInstr(visit func(*Instr)) {
 		}
 	}
 }
+
+// FuncLess orders functions by name, then by entry label. Name is a
+// mutable display string with no uniqueness guarantee, and entry labels
+// are unique once the program is finalized, so the order is total.
+func FuncLess(a, b *Function) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return a.EntryInstr.Label < b.EntryInstr.Label
+}
+
+// SortFuncs sorts fs by FuncLess, the order in which SFS, VSFS and the
+// CFG-free backend report callees. A sort keyed on Name alone would
+// leak map iteration order whenever two distinct functions share a name.
+func SortFuncs(fs []*Function) {
+	for i := 1; i < len(fs); i++ {
+		for j := i; j > 0 && FuncLess(fs[j], fs[j-1]); j-- {
+			fs[j], fs[j-1] = fs[j-1], fs[j]
+		}
+	}
+}

@@ -70,7 +70,7 @@ func (r *Result) CalleesOf(call *ir.Instr) []*ir.Function {
 	for f := range m {
 		out = append(out, f)
 	}
-	sortFuncs(out)
+	ir.SortFuncs(out)
 	return out
 }
 
@@ -124,25 +124,6 @@ func (r *Result) inAt(sl int) *bitset.Sparse {
 }
 
 var empty = bitset.New()
-
-// sortFuncs orders callees by name, breaking ties by entry label:
-// Function.Name is a mutable display string with no uniqueness
-// guarantee, and a sort keyed on it alone would leak map iteration
-// order whenever two distinct functions share a name.
-func sortFuncs(fs []*ir.Function) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && funcLess(fs[j], fs[j-1]); j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
-}
-
-func funcLess(a, b *ir.Function) bool {
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	return a.EntryInstr.Label < b.EntryInstr.Label
-}
 
 // Solve runs the analysis to fixpoint. It mutates g (on-the-fly indirect
 // edges); pass a fresh or cloned graph.
