@@ -1,12 +1,21 @@
 GO ?= go
 
-.PHONY: build test race vet lint vsfs-lint lint-schema fmt-check bench bench-baseline bench-gate serve fuzz fuzz-native faults check golden
+.PHONY: build loc test race vet lint vsfs-lint lint-schema fmt-check bench bench-baseline bench-gate serve fuzz fuzz-native faults check golden
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Print the non-test Go line count of the tracked files, outside the
+# benchmark module and testdata: the whole repo, then per package. It
+# only prints; nothing gates on it.
+LOC_FILES = git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | grep -v '/testdata/'
+loc:
+	@$(LOC_FILES) | xargs cat | wc -l
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2
 
 race:
 	$(GO) test -race ./...

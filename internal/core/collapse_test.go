@@ -29,7 +29,7 @@ func solveUncollapsed(t testing.TB, g *svfg.Graph, ver *versioning) *Result {
 		rep[v] = meld.Version(v)
 	}
 	s.adopt(s.staticReliances(), rep)
-	if err := s.run(); err != nil {
+	if err := s.e.Run(s); err != nil {
 		t.Fatal(err)
 	}
 	s.finish(time.Now())
@@ -158,7 +158,7 @@ func TestCycleClosedOnTheFly(t *testing.T) {
 	if s.versionSCCs == 0 {
 		t.Fatal("no static version cycle to collapse")
 	}
-	if err := s.run(); err != nil {
+	if err := s.e.Run(s); err != nil {
 		t.Fatal(err)
 	}
 	// The edges wired during the solve are the ones the graph gained.

@@ -6,6 +6,7 @@ import (
 	"vsfs/internal/andersen"
 	"vsfs/internal/ir"
 	"vsfs/internal/memssa"
+	"vsfs/internal/sfs"
 	"vsfs/internal/svfg"
 )
 
@@ -42,21 +43,29 @@ func dupNameProgram(t *testing.T) (*ir.Program, *ir.Function, *ir.Function, *ir.
 // TestCalleesOfDuplicateNamesDeterministic is the regression test for
 // the insertion sort keyed on Name alone: with two equally-named
 // callees it returned map-iteration order, differing from call to
-// call. Ties must break by entry label (creation order).
+// call. Ties must break by entry label (creation order), in both
+// flow-sensitive solvers.
 func TestCalleesOfDuplicateNamesDeterministic(t *testing.T) {
 	prog, h1, h2, call := dupNameProgram(t)
 	aux := andersen.Analyze(prog)
 	mssa := memssa.Build(prog, aux)
-	r := Solve(svfg.Build(prog, aux, mssa))
-
-	for i := 0; i < 64; i++ {
-		got := r.CalleesOf(call)
-		if len(got) != 2 {
-			t.Fatalf("CalleesOf = %v, want both handlers", got)
-		}
-		if got[0] != h1 || got[1] != h2 {
-			t.Fatalf("iteration %d: CalleesOf order = [%p %p], want [h1=%p h2=%p] (entry-label tie-break)",
-				i, got[0], got[1], h1, h2)
+	for _, solver := range []struct {
+		name  string
+		solve func(*svfg.Graph) *sfs.TopLevel
+	}{
+		{"vsfs", func(g *svfg.Graph) *sfs.TopLevel { return &Solve(g).TopLevel }},
+		{"sfs", func(g *svfg.Graph) *sfs.TopLevel { return &sfs.Solve(g).TopLevel }},
+	} {
+		r := solver.solve(svfg.Build(prog, aux, mssa))
+		for i := 0; i < 64; i++ {
+			got := r.CalleesOf(call)
+			if len(got) != 2 {
+				t.Fatalf("%s: CalleesOf = %v, want both handlers", solver.name, got)
+			}
+			if got[0] != h1 || got[1] != h2 {
+				t.Fatalf("%s, iteration %d: CalleesOf order = [%p %p], want [h1=%p h2=%p] (entry-label tie-break)",
+					solver.name, i, got[0], got[1], h1, h2)
+			}
 		}
 	}
 }

@@ -61,8 +61,13 @@ func TestSolvedSetsShared(t *testing.T) {
 			if r.Stats.StoredSets > r.Stats.PtsSets {
 				t.Fatalf("StoredSets %d > PtsSets %d", r.Stats.StoredSets, r.Stats.PtsSets)
 			}
-			for _, set := range r.pt {
-				record("top-level", set)
+			// PointsTo answers a pointer with no set with a stand-in ∅,
+			// which is also its answer past the last value.
+			unset := r.PointsTo(ir.ID(g.Prog.NumValues() + 1))
+			for v := ir.ID(0); int(v) <= g.Prog.NumValues(); v++ {
+				if set := r.PointsTo(v); set != unset {
+					record("top-level", set)
+				}
 			}
 
 			prog := g.Prog

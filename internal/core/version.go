@@ -9,6 +9,12 @@
 // phase keeps one global points-to set per (object, version) instead of
 // per-node IN/OUT sets, eliminating SFS's redundant single-object
 // propagation and storage while producing identical results.
+//
+// This package owns the address-taken half of VSFS: versioning, the
+// version reliances and the per-version sets. The main phase runs on
+// internal/sfs's flow-sensitive engine, which owns the top-level half
+// (top-level sets, worklist, on-the-fly call resolution) that VSFS
+// shares with SFS.
 package core
 
 import (
@@ -407,32 +413,4 @@ func (lb *labeller) enter(ctx context.Context, s uint32) error {
 	lb.frames = append(lb.frames, frame{slot: s, base: len(lb.stack), succs: succs, added: added})
 	lb.stack = append(lb.stack, s)
 	return nil
-}
-
-// worklist is FIFO with membership dedup over node labels (used by the
-// solving phase). mark is indexed by label.
-type worklist struct {
-	queue []uint32
-	mark  []bool
-	hw    int // high-water mark of queued nodes
-}
-
-func (w *worklist) push(n uint32) {
-	if !w.mark[n] {
-		w.mark[n] = true
-		w.queue = append(w.queue, n)
-		if len(w.queue) > w.hw {
-			w.hw = len(w.queue)
-		}
-	}
-}
-
-func (w *worklist) pop() (uint32, bool) {
-	if len(w.queue) == 0 {
-		return 0, false
-	}
-	n := w.queue[0]
-	w.queue = w.queue[1:]
-	w.mark[n] = false
-	return n, true
 }

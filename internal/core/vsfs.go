@@ -6,42 +6,35 @@ import (
 
 	"vsfs/internal/bitset"
 	"vsfs/internal/graph"
-	"vsfs/internal/guard"
 	"vsfs/internal/ir"
 	"vsfs/internal/meld"
 	"vsfs/internal/obs"
+	"vsfs/internal/sfs"
 	"vsfs/internal/svfg"
 )
 
 // Stats quantifies the main phase, comparable field-for-field with
 // sfs.Stats.
 type Stats struct {
-	NodesProcessed     int
-	Propagations       int // set unions attempted
-	Changed            int // unions that grew the target
+	sfs.EngineStats
 	PtsSets            int // (object, version) points-to sets, one per non-empty version: the paper's model
 	PtsWords           int // 64-bit words backing those sets
 	StoredSets         int // distinct sets actually kept for them once frozen
 	StoredWords        int // 64-bit words backing the stored sets
-	TopLevelWords      int
-	CallEdges          int
 	VersionProps       int // version-reliance propagations
 	VersionConstraints int // pt_κ ⊆ pt_κ' constraints registered
-	WorklistHW         int // main-phase worklist high-water mark
 
 	Versioning VersionStats
 	SolveTime  time.Duration
 }
 
-// Result is the outcome of versioned staged flow-sensitive analysis.
+// Result is the outcome of versioned staged flow-sensitive analysis. Its
+// top-level half, identical to SFS's by the paper's correctness
+// argument, is the engine's.
 type Result struct {
-	Graph *svfg.Graph
+	sfs.TopLevel
 
 	ver *versioning
-
-	// pt[v] is the points-to set of top-level pointer v. Like every set
-	// here it holds object numbers.
-	pt []*bitset.Sparse
 
 	// ptv[κ] is pt_κ(o), the global points-to set of version κ of its
 	// object o; nil until it first grows. A version is a dense
@@ -50,35 +43,10 @@ type Result struct {
 	// belongs to exactly one object.
 	ptv []*bitset.Sparse
 
-	callees map[*ir.Instr]map[*ir.Function]bool
-
 	Stats Stats
 }
 
 var empty = bitset.New()
-
-// PointsTo returns the flow-sensitive points-to set of a top-level
-// pointer; identical to SFS's by the paper's correctness argument.
-func (r *Result) PointsTo(v ir.ID) *bitset.Sparse {
-	if int(v) < len(r.pt) && r.pt[v] != nil {
-		return r.pt[v]
-	}
-	return empty
-}
-
-// CalleesOf returns the flow-sensitively resolved callees of a call,
-// ordered by name with ties broken by entry label: names alone are not
-// unique (Function.Name is a mutable display string), and sorting map
-// keys by a non-unique key leaks map iteration order into the result.
-func (r *Result) CalleesOf(call *ir.Instr) []*ir.Function {
-	m := r.callees[call]
-	out := make([]*ir.Function, 0, len(m))
-	for f := range m {
-		out = append(out, f)
-	}
-	ir.SortFuncs(out)
-	return out
-}
 
 // ObjectSummary returns the union of o's points-to sets over every
 // version: everything the object may ever hold.
@@ -129,9 +97,9 @@ func Solve(g *svfg.Graph) *Result {
 }
 
 // SolveContext is Solve with cancellation: both the meld-labelling
-// pass and the main worklist loop poll ctx every cancelCheckInterval
-// steps and abort with ctx.Err() when the context is done. A cancelled solve returns no Result; the mutated
-// graph must be discarded.
+// pass and the main worklist loop poll ctx periodically and abort with
+// ctx.Err() when the context is done. A cancelled solve returns no
+// Result; the mutated graph must be discarded.
 func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
 	sp := obs.StartSpan(ctx, "meld")
 	ver, err := runVersioning(ctx, g)
@@ -158,7 +126,7 @@ func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, er
 	if err := s.condense(s.staticReliances()); err != nil {
 		return nil, err
 	}
-	if err := s.run(); err != nil {
+	if err := s.e.Run(s); err != nil {
 		return nil, err
 	}
 	s.finish(start)
@@ -176,22 +144,15 @@ func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, er
 
 func newState(ctx context.Context, g *svfg.Graph, ver *versioning) *state {
 	nv := ver.stats.DistinctVersions
+	r := &Result{ver: ver, ptv: make([]*bitset.Sparse, nv)}
+	r.Stats.Versioning = ver.stats
 	s := &state{
-		Result: &Result{
-			Graph:   g,
-			ver:     ver,
-			pt:      make([]*bitset.Sparse, g.Prog.NumValues()+1),
-			ptv:     make([]*bitset.Sparse, nv),
-			callees: make(map[*ir.Instr]map[*ir.Function]bool),
-		},
-		ctx:       ctx,
-		attr:      obs.AttrFrom(ctx),
-		extra:     overflow{head: make([]int32, nv)},
-		fsCallers: make(map[*ir.Function][]uint32),
-		work:      worklist{mark: make([]bool, len(g.Prog.Instrs))},
-		charged:   g.OverflowBytes(),
+		Result: r,
+		ctx:    ctx,
+		attr:   obs.AttrFrom(ctx),
+		extra:  overflow{head: make([]int32, nv)},
 	}
-	s.Stats.Versioning = ver.stats
+	s.e = sfs.NewEngine(ctx, g, &r.TopLevel, &r.Stats.EngineStats)
 	return s
 }
 
@@ -206,7 +167,6 @@ func (s *state) finish(start time.Time) {
 	}
 	s.countVersionConstraints()
 	s.Stats.SolveTime = time.Since(start)
-	s.Stats.WorklistHW = s.work.hw
 	s.collectStats()
 	s.freeze()
 }
@@ -229,29 +189,25 @@ func (s *state) freeze() {
 		s.Stats.StoredSets++
 		s.Stats.StoredWords += in.Get(uint32(id)).Words()
 	}
-	for v, set := range s.pt {
-		if set != nil {
-			s.pt[v] = in.Canon(set)
-		}
-	}
+	s.Canon(in)
 }
 
-// cancelCheckInterval is how many steps — worklist pops, or (node,
-// object) visits in meld labelling — pass between context polls in
-// this package's loops.
+// cancelCheckInterval is how many steps — (node, object) visits in meld
+// labelling, or vertex visits in the reliance collapse — pass between
+// context polls in this package's loops.
 const cancelCheckInterval = 1024
 
+// state is VSFS's memory side of the engine e: one points-to set per
+// (object, version), with the version reliances that move them.
 type state struct {
 	*Result
+	e sfs.Engine
 
 	ctx context.Context
 
 	// attr charges solver work to owning objects, by value ID (see
-	// owner); nil (a no-op receiver) when attribution is off, so the hot
-	// path pays one predicted branch per event. Charging follows the
-	// conservation rule: every Stats increment pairs with exactly one
-	// attr charge, with ID 0 as the bucket for top-level (objectless)
-	// work.
+	// owner); nil (a no-op receiver) when attribution is off. Every
+	// Stats increment pairs with exactly one attr charge.
 	attr *obs.ObjectAttr
 
 	// static row κ lists the versions κ' with pt_κ(o) ⊆ pt_κ'(o) that
@@ -274,14 +230,6 @@ type state struct {
 	repPairs graph.PairSet
 
 	versionSCCs, collapsedVersions int // components of two or more versions, and their versions
-
-	fsCallers map[*ir.Function][]uint32
-
-	work worklist
-
-	// charged is the part of the graph's overflow (the edges it gained)
-	// already charged to the budget.
-	charged int64
 }
 
 // owner returns the value ID attribution charges object o's work to.
@@ -419,18 +367,6 @@ func (s *state) wiredConstraints(emit func(from, to uint32)) {
 	}
 }
 
-func (s *state) ptOf(v ir.ID) *bitset.Sparse {
-	if int(v) >= len(s.pt) {
-		grown := make([]*bitset.Sparse, s.Graph.Prog.NumValues()+1)
-		copy(grown, s.pt)
-		s.pt = grown
-	}
-	if s.pt[v] == nil {
-		s.pt[v] = bitset.New()
-	}
-	return s.pt[v]
-}
-
 // setOf returns the set of κ's representative.
 func (s *state) setOf(v meld.Version) *bitset.Sparse { return s.ptvOf(s.rep[v]) }
 
@@ -442,18 +378,6 @@ func (s *state) ptvSet(r meld.Version) *bitset.Sparse {
 		s.ptv[r] = set
 	}
 	return set
-}
-
-// addPt unions src into pt(v), rescheduling users on change.
-func (s *state) addPt(v ir.ID, src *bitset.Sparse) {
-	s.Stats.Propagations++
-	s.attr.Prop(0)
-	if s.ptOf(v).UnionWith(src) {
-		s.Stats.Changed++
-		for _, u := range s.Graph.UsersOf(v) {
-			s.work.push(u)
-		}
-	}
 }
 
 // growVersion unions src into pt_κ(o), held by κ's representative,
@@ -476,7 +400,7 @@ func (s *state) growVersion(o ir.Obj, v meld.Version, src *bitset.Sparse) {
 		cur := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, l := range s.stmtReliance.Row(cur) {
-			s.work.push(l)
+			s.e.Push(l)
 		}
 		set := s.ptv[cur]
 		for _, to := range s.verReliance.Row(cur) {
@@ -501,130 +425,21 @@ func (s *state) propagate(o ir.Obj, set *bitset.Sparse, to meld.Version, queue [
 	return queue
 }
 
-// tick polls the budget every cancelCheckInterval pops, charging it
-// with the graph's overflow grown since the last poll.
-func (s *state) tick() error {
-	grown := s.Graph.OverflowBytes() - s.charged
-	s.charged += grown
-	return guard.TickBytes(s.ctx, "solve", cancelCheckInterval, grown)
-}
+// Consumed reads pt_{ξ_ℓ(o)}(o) for a load ([LOAD]^F).
+func (s *state) Consumed(sl int) *bitset.Sparse { return s.setOf(s.ver.consume[sl]) }
 
-func (s *state) run() error {
-	prog := s.Graph.Prog
-	for l := 1; l < len(prog.Instrs); l++ {
-		s.work.push(uint32(l))
-	}
-	for steps := 0; ; steps++ {
-		if steps%cancelCheckInterval == 0 {
-			if err := s.tick(); err != nil {
-				return err
-			}
-		}
-		l, ok := s.work.pop()
-		if !ok {
-			return nil
-		}
-		s.Stats.NodesProcessed++
-		in := prog.Instrs[l]
-		s.attr.Pop(popOwner(s.Graph, in))
-		s.process(in)
-	}
-}
+// Forward does nothing: the version flow through identity nodes (MEMPHI,
+// CallRet, FUNENTRY, FUNEXIT, calls) was folded into version constraints.
+// That is VSFS's saving.
+func (s *state) Forward(*ir.Instr) {}
 
-// popOwner charges a worklist pop to the object whose memory state the
-// node manipulates: the smallest χ'd object for stores, the smallest
-// μ'd object for loads, the unattributed bucket for pure top-level
-// nodes. Shared rule with internal/sfs so per-backend attribution is
-// comparable.
-func popOwner(g *svfg.Graph, in *ir.Instr) uint32 {
-	switch in.Op {
-	case ir.Store:
-		if chi := g.MSSA.ChiOf(in.Label); !chi.IsEmpty() {
-			return uint32(g.Prog.ObjID(ir.Obj(chi.Min())))
-		}
-	case ir.Load:
-		if mu := g.MSSA.MuOf(in.Label); !mu.IsEmpty() {
-			return uint32(g.Prog.ObjID(ir.Obj(mu.Min())))
-		}
-	}
-	return 0
-}
-
-// process applies the rules of Figure 10. Identity nodes (MEMPHI,
-// CallRet, FUNENTRY, FUNEXIT) need no object work at all: their version
-// flow was folded into version constraints — that is VSFS's saving.
-func (s *state) process(in *ir.Instr) {
+// Store applies [STORE]^F and [SU/WU]^F: pt_{η(o)} gains pt(q) for
+// stored-to objects, and the consumed version's set unless a strong
+// update kills it; χ'd objects not pointed to by p pass through.
+func (s *state) Store(in *ir.Instr, ptp, ptq *bitset.Sparse, strong bool) {
 	g := s.Graph
-	switch in.Op {
-	case ir.Alloc:
-		s.Stats.Propagations++
-		s.attr.Prop(0)
-		if s.ptOf(in.Def).Set(uint32(g.Prog.ObjNum(in.Obj))) {
-			s.Stats.Changed++
-			for _, u := range g.UsersOf(in.Def) {
-				s.work.push(u)
-			}
-		}
-
-	case ir.Copy:
-		s.addPt(in.Def, s.ptOf(in.Uses[0]))
-
-	case ir.Phi:
-		for _, u := range in.Uses {
-			s.addPt(in.Def, s.ptOf(u))
-		}
-
-	case ir.Field:
-		prog := g.Prog
-		add := bitset.New()
-		s.ptOf(in.Uses[0]).ForEach(func(o uint32) {
-			if prog.ObjValue(ir.Obj(o)).ObjKind == ir.FuncObj {
-				return
-			}
-			add.Set(uint32(prog.ObjNum(prog.FieldObj(prog.ObjID(ir.Obj(o)), in.Off))))
-		})
-		s.addPt(in.Def, add)
-
-	case ir.Load:
-		// [LOAD]^F: pt(p) ⊇ pt_{ξ_ℓ(o)}(o) for each o ∈ pt(q).
-		l := in.Label
-		s.ptOf(in.Uses[0]).Clone().ForEach(func(o uint32) {
-			s.addPt(in.Def, s.setOf(s.ver.consumeOf(l, ir.Obj(o))))
-		})
-
-	case ir.Store:
-		s.processStore(in)
-
-	case ir.Call:
-		s.processCall(in)
-
-	case ir.FunExit:
-		for _, c := range s.fsCallers[in.Parent] {
-			s.work.push(c)
-		}
-	}
-}
-
-// processStore applies [STORE]^F and [SU/WU]^F: pt_{η(o)} gains pt(q)
-// for stored-to objects, and the consumed version's set unless a strong
-// update kills it; χ'd objects not pointed to by p pass through. The
-// strong-update predicate uses the auxiliary points-to set of p so that
-// SFS and VSFS are least fixpoints of identical monotone equations (see
-// the matching comment in internal/sfs).
-func (s *state) processStore(in *ir.Instr) {
-	g := s.Graph
-	l := in.Label
-	p, q := in.Uses[0], in.Uses[1]
-	ptp := s.ptOf(p)
-	ptq := s.ptOf(q)
-
-	strong := false
-	if single, ok := g.Aux.PointsTo(p).Single(); ok && g.IsSingleton(ir.Obj(single)) {
-		strong = true
-	}
-
 	// A store's slots are its χ.
-	lo, hi := g.SlotRange(l)
+	lo, hi := g.SlotRange(in.Label)
 	for sl := lo; sl < hi; sl++ {
 		o := g.SlotObj(sl)
 		yv := s.ver.yield[sl]
@@ -639,63 +454,16 @@ func (s *state) processStore(in *ir.Instr) {
 	}
 }
 
-// processCall wires top-level flow and performs on-the-fly call-graph
-// resolution, adding version constraints for the new interprocedural
-// edges into the δ nodes' prelabelled consume versions.
-func (s *state) processCall(in *ir.Instr) {
+// Wire adds version constraints for the new interprocedural edges into
+// the δ nodes' prelabelled consume versions, and grows each consumed
+// version by what its source version already holds.
+func (s *state) Wire(call *ir.Instr, callee *ir.Function) {
 	g := s.Graph
-	if in.Callee != nil {
-		s.wireCallee(in, in.Callee)
-		return
-	}
-	if g.Prewired {
-		// Ablation mode: the auxiliary call graph was wired at build
-		// time; resolve targets from it instead of flow-sensitive
-		// function-pointer values.
-		for _, callee := range g.Aux.CalleesOf(in) {
-			s.wireCallee(in, callee)
-		}
-		return
-	}
-	prog := g.Prog
-	s.ptOf(in.CalleePtr()).Clone().ForEach(func(o uint32) {
-		v := prog.ObjValue(ir.Obj(o))
-		if v.ObjKind == ir.FuncObj {
-			s.wireCallee(in, v.Func)
-		}
+	g.AddCallEdges(call, callee, func(from, to int) {
+		y, c := s.ver.yield[from], s.ver.consume[to]
+		s.addVerConstraint(y, c)
+		s.growVersion(g.SlotObj(from), c, s.setOf(y))
 	})
-}
-
-func (s *state) wireCallee(call *ir.Instr, callee *ir.Function) {
-	g := s.Graph
-	m := s.callees[call]
-	if m == nil {
-		m = make(map[*ir.Function]bool)
-		s.callees[call] = m
-	}
-	if !m[callee] {
-		m[callee] = true
-		s.Stats.CallEdges++
-		s.fsCallers[callee] = append(s.fsCallers[callee], call.Label)
-
-		g.AddCallEdges(call, callee, func(from, to int) {
-			y, c := s.ver.yield[from], s.ver.consume[to]
-			s.addVerConstraint(y, c)
-			s.growVersion(g.SlotObj(from), c, s.setOf(y))
-		})
-		s.work.push(callee.EntryInstr.Label)
-	}
-
-	args := call.CallArgs()
-	for i, a := range args {
-		if i >= len(callee.Params) {
-			break
-		}
-		s.addPt(callee.Params[i], s.ptOf(a))
-	}
-	if call.Def != ir.None && callee.Ret != ir.None {
-		s.addPt(call.Def, s.ptOf(callee.Ret))
-	}
 }
 
 func (s *state) collectStats() {
@@ -707,11 +475,6 @@ func (s *state) collectStats() {
 				s.Stats.PtsWords += set.Words()
 				s.attr.Set(s.owner(ir.Obj(o)))
 			}
-		}
-	}
-	for _, set := range s.pt {
-		if set != nil {
-			s.Stats.TopLevelWords += set.Words()
 		}
 	}
 }

@@ -29,6 +29,7 @@ type solverCounts struct {
 	SVFGNodes        int `json:"svfgNodes"`
 	NodesProcessed   int `json:"nodesProcessed"`
 	Propagations     int `json:"propagations"`
+	Changed          int `json:"changed"`
 	PtsSets          int `json:"ptsSets"`
 	Prelabels        int `json:"prelabels"`
 	DistinctVersions int `json:"distinctVersions"`
@@ -69,7 +70,7 @@ func TestSolverCounts(t *testing.T) {
 			}
 			s := r.Stats()
 			c := solverCounts{
-				s.IndirectEdges, s.SVFGNodes, s.NodesProcessed, s.Propagations, s.PtsSets,
+				s.IndirectEdges, s.SVFGNodes, s.NodesProcessed, s.Propagations, s.Changed, s.PtsSets,
 				s.Prelabels, s.DistinctVersions, s.MeldOps, s.MeldIterations,
 				r.RunRecord(time.Time{}, 0).BudgetSteps,
 			}

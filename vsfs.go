@@ -738,24 +738,26 @@ func (r *Result) Stats() Summary {
 	s.AuxPropagations = r.aux.Stats.Propagations
 	s.AuxWorklistHighWater = r.aux.Stats.WorklistHW
 	// Main-phase effort; the Andersen backend has none beyond the
-	// auxiliary counters above.
+	// auxiliary counters above. SFS and VSFS count theirs in the one
+	// flow-sensitive engine; CFG-free runs on Andersen's.
+	var eng *sfs.EngineStats
 	switch b := r.backend.(type) {
 	case *sfs.Result:
-		st := b.Stats
-		s.NodesProcessed, s.Propagations, s.Changed = st.NodesProcessed, st.Propagations, st.Changed
-		s.PtsSets, s.WorklistHighWater = st.PtsSets, st.WorklistHW
+		eng, s.PtsSets = &b.Stats.EngineStats, b.Stats.PtsSets
+	case *core.Result:
+		eng, s.PtsSets = &b.Stats.EngineStats, b.Stats.PtsSets
+		s.Prelabels = b.Stats.Versioning.Prelabels
+		s.DistinctVersions = b.Stats.Versioning.DistinctVersions
+		s.MeldOps = b.Stats.Versioning.MeldOps
+		s.MeldIterations = b.Stats.Versioning.Iterations
 	case *cfgfree.Result:
 		st := b.Stats
 		s.NodesProcessed, s.Propagations, s.Changed = st.NodesProcessed, st.Propagations, st.Changed
 		s.PtsSets, s.WorklistHighWater = st.PtsSets, st.WorklistHW
-	case *core.Result:
-		st := b.Stats
-		s.NodesProcessed, s.Propagations, s.Changed = st.NodesProcessed, st.Propagations, st.Changed
-		s.PtsSets, s.WorklistHighWater = st.PtsSets, st.WorklistHW
-		s.Prelabels = st.Versioning.Prelabels
-		s.DistinctVersions = st.Versioning.DistinctVersions
-		s.MeldOps = st.Versioning.MeldOps
-		s.MeldIterations = st.Versioning.Iterations
+	}
+	if eng != nil {
+		s.NodesProcessed, s.Propagations, s.Changed = eng.NodesProcessed, eng.Propagations, eng.Changed
+		s.WorklistHighWater = eng.WorklistHW
 	}
 	return s
 }
