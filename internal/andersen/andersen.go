@@ -135,6 +135,7 @@ func Solve(ctx context.Context, prog *ir.Program, phase string,
 		attr:        attr,
 		resolved:    make(map[callTarget]bool),
 		callTargets: make(map[*ir.Instr][]*ir.Function),
+		work:        graph.NewWorklist(prog.NumValues() + 1),
 	}
 	s.generate()
 	if err := s.solve(); err != nil {
@@ -173,7 +174,7 @@ type solver struct {
 	window func(def ir.ID, o ir.Obj) ([]ir.ID, bool)
 	attr   *obs.ObjectAttr
 
-	work worklist
+	work graph.Worklist
 
 	stats     Stats
 	pops      int
@@ -189,34 +190,6 @@ type callTarget struct {
 	call *ir.Instr
 	fn   *ir.Function
 }
-
-// worklist is a FIFO queue with a membership bitset to avoid duplicates.
-type worklist struct {
-	queue []uint32
-	in    bitset.Sparse
-	hw    int // high-water mark of queued nodes
-}
-
-func (w *worklist) push(n uint32) {
-	if w.in.Set(n) {
-		w.queue = append(w.queue, n)
-		if len(w.queue) > w.hw {
-			w.hw = len(w.queue)
-		}
-	}
-}
-
-func (w *worklist) pop() (uint32, bool) {
-	if len(w.queue) == 0 {
-		return 0, false
-	}
-	n := w.queue[0]
-	w.queue = w.queue[1:]
-	w.in.Clear(n)
-	return n, true
-}
-
-func (w *worklist) empty() bool { return len(w.queue) == 0 }
 
 // owner maps a constraint node to the object charged for its work: the
 // node itself when it is an object, the unattributed bucket 0 otherwise.
@@ -263,7 +236,7 @@ func (s *solver) ptsOf(n uint32) *bitset.Sparse {
 func (s *solver) addPts(n uint32, obj ir.Obj) {
 	n = s.find(n)
 	if s.ptsOf(n).Set(uint32(obj)) {
-		s.work.push(n)
+		s.work.Push(n)
 	}
 }
 
@@ -293,7 +266,7 @@ func (s *solver) propagate(d uint32, set *bitset.Sparse) {
 	}
 	if s.ptsOf(d).UnionWith(set) {
 		s.stats.Propagations++
-		s.work.push(d)
+		s.work.Push(d)
 	}
 }
 
@@ -347,7 +320,7 @@ func (s *solver) reprocess(n uint32) {
 		s.processed[n] = nil
 	}
 	if s.pts[n] != nil && !s.pts[n].IsEmpty() {
-		s.work.push(n)
+		s.work.Push(n)
 	}
 }
 
@@ -383,7 +356,7 @@ func (s *solver) solve() error {
 				return err
 			}
 		}
-		n, ok := s.work.pop()
+		n, ok := s.work.Pop()
 		if !ok {
 			break
 		}
@@ -473,36 +446,33 @@ func (s *solver) applyComplex(n uint32, delta *bitset.Sparse) {
 }
 
 // collapseCycles finds SCCs of the copy graph and merges each cycle into
-// its representative.
+// its lowest node, the others in ascending order.
 func (s *solver) collapseCycles() {
 	n := len(s.parent)
-	g := graph.New(n)
-	for v := 0; v < n; v++ {
-		if s.succs[v] == nil || s.find(uint32(v)) != uint32(v) {
-			continue
-		}
-		s.succs[v].ForEach(func(d uint32) {
-			d = s.find(d)
-			if d != uint32(v) {
-				g.AddEdge(uint32(v), d)
+	g := graph.BuildCSR(n, n, func(emit func(v, d uint32)) {
+		for v := range uint32(n) {
+			if s.succs[v] == nil || s.find(v) != v {
+				continue
 			}
-		})
-	}
-	comp, k := g.SCCs()
-	repOf := make([]uint32, k)
-	for i := range repOf {
-		repOf[i] = ^uint32(0)
-	}
-	for v := 0; v < n; v++ {
-		if s.find(uint32(v)) != uint32(v) {
+			s.succs[v].ForEach(func(d uint32) {
+				if d = s.find(d); d != v {
+					emit(v, d)
+				}
+			})
+		}
+	})
+	comps, _ := graph.SCC(&g, nil)
+	lowest := make([]uint32, n) // 1 + the lowest node of the component rooted here; 0 = none yet
+	for v := range uint32(n) {
+		if s.find(v) != v {
 			continue
 		}
-		c := comp[v]
-		if repOf[c] == ^uint32(0) {
-			repOf[c] = uint32(v)
+		r := comps.Rep[v]
+		if lowest[r] == 0 {
+			lowest[r] = v + 1
 			continue
 		}
-		s.merge(repOf[c], uint32(v))
+		s.merge(lowest[r]-1, v)
 	}
 }
 
@@ -536,12 +506,12 @@ func (s *solver) merge(a, b uint32) {
 	// sound option after unioning constraint lists.
 	s.processed[a] = nil
 	s.processed[b] = nil
-	s.work.push(a)
+	s.work.Push(a)
 }
 
 func (s *solver) finish() *Result {
 	s.stats.FinalNodes = len(s.parent)
-	s.stats.WorklistHW = s.work.hw
+	s.stats.WorklistHW = s.work.HighWater()
 	for v := range s.parent {
 		s.parent[v] = s.find(uint32(v))
 	}

@@ -1,6 +1,7 @@
 package andersen
 
 import (
+	"slices"
 	"sync"
 
 	"vsfs/internal/bitset"
@@ -42,29 +43,29 @@ func computeSingletons(prog *ir.Program, aux *Result) *bitset.Sparse {
 	for i, f := range prog.Funcs {
 		idx[f] = uint32(i)
 	}
-	cg := graph.New(len(prog.Funcs))
-	selfLoop := make([]bool, len(prog.Funcs))
-	for _, f := range prog.Funcs {
-		f.ForEachInstr(func(in *ir.Instr) {
-			if in.Op != ir.Call {
-				return
-			}
-			for _, callee := range aux.CalleesOf(in) {
-				cg.AddEdge(idx[f], idx[callee])
-				if callee == f {
-					selfLoop[idx[f]] = true
+	n := len(prog.Funcs)
+	cg := graph.BuildCSR(n, n, func(emit func(f, callee uint32)) {
+		for i, f := range prog.Funcs {
+			f.ForEachInstr(func(in *ir.Instr) {
+				if in.Op == ir.Call {
+					for _, callee := range aux.CalleesOf(in) {
+						emit(uint32(i), idx[callee])
+					}
 				}
-			}
-		})
-	}
-	comp, k := cg.SCCs()
-	sccSize := make([]int, k)
-	for _, c := range comp {
-		sccSize[c]++
-	}
-	recursive := func(f *ir.Function) bool {
-		i := idx[f]
-		return selfLoop[i] || sccSize[comp[i]] > 1
+			})
+		}
+	})
+	comps, _ := graph.SCC(&cg, nil)
+	// A function is recursive when it calls itself or shares a component
+	// with another; such a member and its root differ.
+	recursive := make([]bool, n)
+	for i := range uint32(n) {
+		if r := comps.Rep[i]; r != i {
+			recursive[i], recursive[r] = true, true
+		}
+		if slices.Contains(cg.Row(i), i) {
+			recursive[i] = true
+		}
 	}
 
 	set := bitset.New()
@@ -77,7 +78,7 @@ func computeSingletons(prog *ir.Program, aux *Result) *bitset.Sparse {
 		case ir.GlobalObj:
 			set.Set(uint32(o))
 		case ir.StackObj:
-			if v.DefFunc != nil && !recursive(v.DefFunc) {
+			if v.DefFunc != nil && !recursive[idx[v.DefFunc]] {
 				set.Set(uint32(o))
 			}
 		}

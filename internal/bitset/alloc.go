@@ -12,9 +12,9 @@ const WordBytes = 16
 // UnionWith and Copy) adds to it. It is monotone — shrinking operations
 // do not subtract — making it a cheap cumulative-allocation clock the
 // guard layer reads twice (arm, check) to bound a run's points-to
-// storage growth. Accounting is global: concurrent solves observe each
-// other's allocations, which is the conservatism a process-protecting
-// budget pool wants.
+// storage growth. Accounting is global, so concurrent solves observe
+// each other's allocations: another solve's set growth counts against
+// this run's budget, although each solve has a budget of its own.
 var allocatedWords atomic.Int64
 
 // AllocatedWords returns the cumulative element-allocation count. The

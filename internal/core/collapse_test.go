@@ -185,7 +185,7 @@ func TestCycleClosedOnTheFly(t *testing.T) {
 			}
 		}
 	})
-	if f, err := collapse(context.Background(), &reps); err != nil || f.sccs == 0 {
+	if comps, err := graph.SCC(&reps, nil); err != nil || comps.Cycles == 0 {
 		t.Fatalf("no cycle closed on the fly among representatives (err %v)", err)
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"vsfs/internal/bitset"
 	"vsfs/internal/graph"
+	"vsfs/internal/guard"
 	"vsfs/internal/ir"
 	"vsfs/internal/meld"
 	"vsfs/internal/obs"
@@ -264,12 +265,14 @@ func (s *state) staticReliances() graph.CSR {
 // condense collapses the strongly connected components of static, the
 // static version-reliance graph, onto their representatives.
 func (s *state) condense(static graph.CSR) error {
-	f, err := collapse(s.ctx, &static)
+	comps, err := graph.SCC(&static, func() error {
+		return guard.Tick(s.ctx, "solve", graph.PollInterval)
+	})
 	if err != nil {
 		return err
 	}
-	s.versionSCCs, s.collapsedVersions = f.sccs, f.members
-	s.adopt(static, f.rep)
+	s.versionSCCs, s.collapsedVersions = comps.Cycles, comps.Members
+	s.adopt(static, comps.Rep)
 	return nil
 }
 

@@ -1,3 +1,8 @@
+// Package graph is the graph toolkit the analyses share, over dense
+// uint32 ids: CSR adjacency (rows of one pointer-free array), PairSet
+// (an open-addressing set of id pairs), SCC (an iterative Tarjan over a
+// CSR) and Worklist (a deduplicating FIFO). Labels and any other data
+// live with the caller.
 package graph
 
 // CSR is a graph over dense ids in compressed sparse row form: row v is

@@ -117,9 +117,9 @@ func (b *Budget) StepsUsed() int64 {
 
 // BytesUsed returns the points-to storage growth observed so far, plus
 // the bytes charged to this budget. Accounting at the bitset layer is
-// process-global, so concurrent solves see each other's allocations;
-// under a shared budget pool that conservatism is intentional — the
-// pool protects the process. Charged bytes are this budget's own.
+// process-global, so the growth includes every concurrent solve's: in
+// vsfs-serve, where each solve gets its own budget, another solve's set
+// growth counts against this one. Charged bytes are this budget's own.
 func (b *Budget) BytesUsed() int64 {
 	if b == nil {
 		return 0

@@ -27,11 +27,13 @@ var GuardTick = &Analyzer{
 const guardPath = "vsfs/internal/guard"
 
 // guardTickScope is the set of worklist solver packages: the three
-// backends plus the versioned core.
+// backends, the versioned core, and the graph toolkit whose SCC loop
+// the core runs under its budget.
 var guardTickScope = map[string]bool{
 	"vsfs/internal/andersen": true,
 	"vsfs/internal/cfgfree":  true,
 	"vsfs/internal/core":     true,
+	"vsfs/internal/graph":    true,
 	"vsfs/internal/sfs":      true,
 }
 

@@ -2,11 +2,22 @@ package meld
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"vsfs/internal/graph"
 )
+
+// digraph is a test adjacency list: row v lists v's successors, each
+// once.
+type digraph [][]uint32
+
+func (g digraph) addEdge(from, to uint32) {
+	if !slices.Contains(g[from], to) {
+		g[from] = append(g[from], to)
+	}
+}
+
+func (g digraph) succs(v uint32) []uint32 { return g[v] }
 
 // TestOperatorLaws checks the four laws of Section IV-B on random labels
 // built from random atom melds.
@@ -141,16 +152,16 @@ func TestFigure4Property(t *testing.T) {
 		e
 		n
 	)
-	g := graph.New(n)
-	g.AddEdge(p1, a)
-	g.AddEdge(a, c)
-	g.AddEdge(p2, b)
-	g.AddEdge(b, c)
-	g.AddEdge(c, d)
-	g.AddEdge(p1, e)
-	g.AddEdge(p2, e)
+	g := make(digraph, n)
+	g.addEdge(p1, a)
+	g.addEdge(a, c)
+	g.addEdge(p2, b)
+	g.addEdge(b, c)
+	g.addEdge(c, d)
+	g.addEdge(p1, e)
+	g.addEdge(p2, e)
 
-	label, tab := Run(n, g.Succs, []uint32{p1, p2})
+	label, tab := Run(n, g.succs, []uint32{p1, p2})
 
 	if label[a] != label[p1] {
 		t.Errorf("label(a) = %d, want p1's label %d", label[a], label[p1])
@@ -175,10 +186,10 @@ func TestFigure4Property(t *testing.T) {
 
 func TestPrelabelledNodesNeverChange(t *testing.T) {
 	// p2 is reachable from p1, but prelabels are frozen.
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	label, tab := Run(3, g.Succs, []uint32{0, 1})
+	g := make(digraph, 3)
+	g.addEdge(0, 1)
+	g.addEdge(1, 2)
+	label, tab := Run(3, g.succs, []uint32{0, 1})
 	if tab.AtomSet(label[1]).Len() != 1 {
 		t.Errorf("prelabelled node 1 changed: %v", tab.AtomSet(label[1]))
 	}
@@ -189,11 +200,11 @@ func TestPrelabelledNodesNeverChange(t *testing.T) {
 }
 
 func TestUnreachableStaysEpsilon(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
+	g := make(digraph, 4)
+	g.addEdge(0, 1)
 	// 2 → 3 unreachable from prelabel 0.
-	g.AddEdge(2, 3)
-	label, _ := Run(4, g.Succs, []uint32{0})
+	g.addEdge(2, 3)
+	label, _ := Run(4, g.succs, []uint32{0})
 	if label[2] != Epsilon || label[3] != Epsilon {
 		t.Errorf("unreachable nodes not ε: %v", label)
 	}
@@ -201,11 +212,11 @@ func TestUnreachableStaysEpsilon(t *testing.T) {
 
 func TestCycleConverges(t *testing.T) {
 	// p → a → b → a (cycle); both a and b end with p's label.
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	label, _ := Run(3, g.Succs, []uint32{0})
+	g := make(digraph, 3)
+	g.addEdge(0, 1)
+	g.addEdge(1, 2)
+	g.addEdge(2, 1)
+	label, _ := Run(3, g.succs, []uint32{0})
 	if label[1] != label[0] || label[2] != label[0] {
 		t.Errorf("cycle labels = %v", label)
 	}
@@ -217,9 +228,9 @@ func TestQuickLabelEqualsReachingPrelabels(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(15)
-		g := graph.New(n)
+		g := make(digraph, n)
 		for e := 0; e < 3*n; e++ {
-			g.AddEdge(uint32(r.Intn(n)), uint32(r.Intn(n)))
+			g.addEdge(uint32(r.Intn(n)), uint32(r.Intn(n)))
 		}
 		var pre []uint32
 		for v := 0; v < n; v++ {
@@ -227,7 +238,7 @@ func TestQuickLabelEqualsReachingPrelabels(t *testing.T) {
 				pre = append(pre, uint32(v))
 			}
 		}
-		label, tab := Run(n, g.Succs, pre)
+		label, tab := Run(n, g.succs, pre)
 
 		for v := 0; v < n; v++ {
 			frozen := false
@@ -268,7 +279,7 @@ func TestQuickLabelEqualsReachingPrelabels(t *testing.T) {
 // reachesAvoidingFrozen reports whether from's label flows to to:
 // a path from→…→to whose intermediate nodes are all unfrozen (frozen
 // nodes absorb incoming labels without changing).
-func reachesAvoidingFrozen(g *graph.Digraph, from, to uint32, pre []uint32) bool {
+func reachesAvoidingFrozen(g digraph, from, to uint32, pre []uint32) bool {
 	frozen := map[uint32]bool{}
 	for _, p := range pre {
 		frozen[p] = true
@@ -278,7 +289,7 @@ func reachesAvoidingFrozen(g *graph.Digraph, from, to uint32, pre []uint32) bool
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, s := range g.Succs(v) {
+		for _, s := range g.succs(v) {
 			if s == to {
 				return true
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"vsfs/internal/bitset"
+	"vsfs/internal/graph"
 	"vsfs/internal/guard"
 	"vsfs/internal/ir"
 	"vsfs/internal/obs"
@@ -105,7 +106,7 @@ type Engine struct {
 	// top-level work, so per-object sums are conserved against the
 	// solver-wide gauges.
 	attr *obs.ObjectAttr
-	work worklist
+	work graph.Worklist // node labels
 
 	// fsCallers maps a function to the call-site labels resolved to it,
 	// so a growing return value reschedules its callers.
@@ -138,7 +139,7 @@ func NewEngine(ctx context.Context, g *svfg.Graph, top *TopLevel, stats *EngineS
 		stats:     stats,
 		ctx:       ctx,
 		attr:      obs.AttrFrom(ctx),
-		work:      worklist{mark: make([]bool, len(g.Prog.Instrs))},
+		work:      graph.NewWorklist(len(g.Prog.Instrs)),
 		fsCallers: make(map[*ir.Function][]uint32),
 		charged:   g.OverflowBytes(),
 	}
@@ -163,7 +164,7 @@ func (e *Engine) Run(mem Memory) error {
 				return err
 			}
 		}
-		l, ok := e.work.pop()
+		l, ok := e.work.Pop()
 		if !ok {
 			break
 		}
@@ -172,7 +173,7 @@ func (e *Engine) Run(mem Memory) error {
 		e.attr.Pop(popOwner(e.Graph, in))
 		e.process(in)
 	}
-	e.stats.WorklistHW = e.work.hw
+	e.stats.WorklistHW = e.work.HighWater()
 	for _, set := range e.pt {
 		if set != nil {
 			e.stats.TopLevelWords += set.Words()
@@ -189,35 +190,8 @@ func (e *Engine) tick() error {
 	return guard.TickBytes(e.ctx, "solve", cancelCheckInterval, grown)
 }
 
-// worklist is FIFO with membership dedup over node labels; mark is
-// indexed by label.
-type worklist struct {
-	queue []uint32
-	mark  []bool
-	hw    int // high-water mark of queued nodes
-}
-
 // Push schedules the node labelled l unless it is already queued.
-func (e *Engine) Push(l uint32) {
-	w := &e.work
-	if !w.mark[l] {
-		w.mark[l] = true
-		w.queue = append(w.queue, l)
-		if len(w.queue) > w.hw {
-			w.hw = len(w.queue)
-		}
-	}
-}
-
-func (w *worklist) pop() (uint32, bool) {
-	if len(w.queue) == 0 {
-		return 0, false
-	}
-	n := w.queue[0]
-	w.queue = w.queue[1:]
-	w.mark[n] = false
-	return n, true
-}
+func (e *Engine) Push(l uint32) { e.work.Push(l) }
 
 // popOwner charges a worklist pop to the object whose memory state the
 // node manipulates: the smallest χ'd object for stores, the smallest

@@ -1,11 +1,12 @@
 // Package shape computes a Table II-style program feature vector from
 // the partial-SSA IR and the completed auxiliary (Andersen) result —
-// deliberately *before* memory-SSA or SVFG construction, so a backend
-// chooser can consult it without paying for the staged pipeline it is
-// choosing whether to run. The features mirror the program-shape
-// columns the paper's evaluation keys on (IR size, indirect density,
-// address-taken objects) plus the ratios the CFG-free backend's
-// usefulness hinges on (store/load balance, singleton coverage).
+// before memory-SSA or SVFG construction, so it costs none of the
+// staged pipeline and every run that completes the auxiliary phase
+// reports it (Report.Shape), degraded runs included. The features
+// mirror the program-shape columns the paper's evaluation keys on (IR
+// size, indirect density, address-taken objects) plus the ratios the
+// CFG-free backend's usefulness hinges on (store/load balance,
+// singleton coverage).
 //
 // The profile is a pure function of (program, auxiliary result): both
 // are deterministic, so re-solving the same source must reproduce the

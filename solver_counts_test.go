@@ -35,6 +35,10 @@ type solverCounts struct {
 	DistinctVersions int `json:"distinctVersions"`
 	MeldOps          int `json:"meldOps"`
 	MeldIterations   int `json:"meldIterations"`
+	// The auxiliary analysis's effort, from its own Stats.
+	AuxPops         int `json:"auxPops"`
+	AuxPropagations int `json:"auxPropagations"`
+	AuxSCCCollapses int `json:"auxSCCCollapses"`
 	// Steps is what an unlimited budget is charged: the spend that
 	// decides where a budgeted run degrades.
 	Steps int64 `json:"steps"`
@@ -72,6 +76,7 @@ func TestSolverCounts(t *testing.T) {
 			c := solverCounts{
 				s.IndirectEdges, s.SVFGNodes, s.NodesProcessed, s.Propagations, s.Changed, s.PtsSets,
 				s.Prelabels, s.DistinctVersions, s.MeldOps, s.MeldIterations,
+				r.aux.Stats.Pops, r.aux.Stats.Propagations, r.aux.Stats.SCCCollapses,
 				r.RunRecord(time.Time{}, 0).BudgetSteps,
 			}
 			got[key] = c
