@@ -77,6 +77,7 @@ fuzz-native:
 	$(GO) test -run NONE -fuzz FuzzSparseLaws -fuzztime 30s -fuzzminimizetime 1s ./internal/bitset/
 	$(GO) test -run NONE -fuzz FuzzUnionInPlace -fuzztime 30s -fuzzminimizetime 1s ./internal/bitset/
 	$(GO) test -run NONE -fuzz FuzzInternerStability -fuzztime 30s -fuzzminimizetime 1s ./internal/bitset/
+	$(GO) test -run NONE -fuzz FuzzStoreLaws -fuzztime 30s -fuzzminimizetime 1s ./internal/bitset/
 	$(GO) test -run NONE -fuzz FuzzMeldLaws -fuzztime 30s -fuzzminimizetime 1s ./internal/meld/
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 30s -fuzzminimizetime 1s ./internal/irparse/
 	$(GO) test -run NONE -fuzz FuzzCompile -fuzztime 30s -fuzzminimizetime 1s ./internal/lang/

@@ -12,6 +12,7 @@
 //	BenchmarkSweepRedundancy — Section V shape claim (speedup vs chains)
 //	BenchmarkRetained        — heap a solved Result keeps alive
 //	BenchmarkReport          — report build and JSON rendering
+//	BenchmarkSmallRequest    — a whole request on a small program
 //
 // The versioning pre-analysis alone is timed by BenchmarkVersioning in
 // internal/core.
@@ -224,6 +225,29 @@ func BenchmarkReport(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if _, err := res.Report().MarshalIndent(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSmallRequest times a whole `vsfs -json` request, the solve
+// and the report, on a small program: the end-to-end benchmark's
+// warm-up input, workload.Random(1, DefaultRandomConfig()), about 9 KB
+// of IR. Work that does not scale with the program, such as a table a
+// solve preallocates, shows here first.
+func BenchmarkSmallRequest(b *testing.B) {
+	src := workload.Random(1, workload.DefaultRandomConfig()).String()
+	for _, mode := range []Mode{VSFS, SFS} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := AnalyzeIR(src, Options{Mode: mode})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if _, err := res.Report().MarshalIndent(); err != nil {
 					b.Fatal(err)
 				}

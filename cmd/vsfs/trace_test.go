@@ -60,6 +60,37 @@ func TestTraceFlagCoversPipelinePhases(t *testing.T) {
 	}
 }
 
+// TestTraceStoreArgs: the span of every solve that keeps a set store
+// carries its counters, in both flow-sensitive modes.
+func TestTraceStoreArgs(t *testing.T) {
+	src := writeTemp(t, "p.c", okC)
+	for mode, spans := range map[string][]string{"vsfs": {"andersen", "main"}, "sfs": {"andersen", "sfs"}} {
+		out := filepath.Join(t.TempDir(), "trace.json")
+		if code, _, errb := runCLI(t, "-mode", mode, "-trace", out, src); code != 0 {
+			t.Fatalf("-mode %s exit = %d: %s", mode, code, errb)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tf traceFile
+		if err := json.Unmarshal(data, &tf); err != nil {
+			t.Fatalf("trace is not valid JSON: %v", err)
+		}
+		args := map[string]map[string]any{}
+		for _, e := range tf.TraceEvents {
+			args[e.Name] = e.Args
+		}
+		for _, span := range spans {
+			for _, arg := range []string{"storeSets", "memoHits", "memoMisses"} {
+				if _, ok := args[span][arg]; !ok {
+					t.Errorf("-mode %s: span %q has no %q arg (args %v)", mode, span, arg, args[span])
+				}
+			}
+		}
+	}
+}
+
 func TestVerboseFlagLogsProgress(t *testing.T) {
 	src := writeTemp(t, "p.c", okC)
 	code, _, errb := runCLI(t, "-v", src)

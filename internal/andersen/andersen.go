@@ -36,6 +36,8 @@ type Stats struct {
 	SCCCollapses int // nodes merged by cycle elimination
 	FinalNodes   int // value-ID space size at fixpoint
 	WorklistHW   int // worklist high-water mark
+
+	Store bitset.StoreStats // the solve's set store
 }
 
 // Result is the outcome of the auxiliary analysis. It is immutable once
@@ -46,7 +48,8 @@ type Result struct {
 
 	// rep[v] is the node whose set v shares after cycle elimination:
 	// every node points straight at its representative, so a query is
-	// one read and never writes.
+	// one read and never writes. pts[n] is node n's set, nil when empty;
+	// equal sets are one shared set.
 	rep []uint32
 	pts []*bitset.Sparse
 
@@ -76,6 +79,16 @@ func (r *Result) PointsTo(v ir.ID) *bitset.Sparse {
 		}
 	}
 	return emptySet
+}
+
+// Rep returns the node whose set v shares after cycle elimination.
+// Nodes with one Rep share their set by construction; nodes with equal
+// sets share one set too, whatever their Rep.
+func (r *Result) Rep(v ir.ID) ir.ID {
+	if int(v) < len(r.rep) {
+		return ir.ID(r.rep[v])
+	}
+	return v
 }
 
 // ObjectSummary returns everything object o may ever hold: its
@@ -136,6 +149,7 @@ func Solve(ctx context.Context, prog *ir.Program, phase string,
 		resolved:    make(map[callTarget]bool),
 		callTargets: make(map[*ir.Instr][]*ir.Function),
 		work:        graph.NewWorklist(prog.NumValues() + 1),
+		sets:        bitset.NewStore(),
 	}
 	s.generate()
 	if err := s.solve(); err != nil {
@@ -154,9 +168,13 @@ type solver struct {
 	ctx   context.Context
 	phase string
 
+	// pts[n] and processed[n] are IDs in sets, the solve's store:
+	// node n's points-to set and the part of it its complex constraints
+	// and copy edges have seen (a subset of pts[n]).
+	sets      *bitset.Store
 	parent    []uint32
-	pts       []*bitset.Sparse
-	processed []*bitset.Sparse
+	pts       []uint32
+	processed []uint32
 	succs     []*bitset.Sparse // copy edges, as successor bitsets
 
 	// Complex constraints, indexed by the (representative of the)
@@ -206,8 +224,8 @@ func (s *solver) ensure(id uint32) {
 	//vsfs:lint-ignore guardtick growth is bounded by the node-ID space; the pop that created the id was charged at the run checkpoint
 	for uint32(len(s.parent)) <= id {
 		s.parent = append(s.parent, uint32(len(s.parent)))
-		s.pts = append(s.pts, nil)
-		s.processed = append(s.processed, nil)
+		s.pts = append(s.pts, 0)
+		s.processed = append(s.processed, 0)
 		s.succs = append(s.succs, nil)
 		s.loadsAt = append(s.loadsAt, nil)
 		s.storesAt = append(s.storesAt, nil)
@@ -225,17 +243,11 @@ func (s *solver) find(x uint32) uint32 {
 	return x
 }
 
-func (s *solver) ptsOf(n uint32) *bitset.Sparse {
-	if s.pts[n] == nil {
-		s.pts[n] = bitset.New()
-	}
-	return s.pts[n]
-}
-
 // addPts inserts obj into pts(n) and schedules n on change.
 func (s *solver) addPts(n uint32, obj ir.Obj) {
 	n = s.find(n)
-	if s.ptsOf(n).Set(uint32(obj)) {
+	if p := s.sets.Insert(s.pts[n], uint32(obj)); p != s.pts[n] {
+		s.pts[n] = p
 		s.work.Push(n)
 	}
 }
@@ -253,18 +265,19 @@ func (s *solver) addCopy(dst, src ir.ID) {
 	if !s.succs[c].Set(d) {
 		return
 	}
-	if s.pts[c] != nil && !s.pts[c].IsEmpty() {
+	if s.pts[c] != 0 {
 		s.propagate(d, s.pts[c])
 	}
 }
 
 // propagate unions set into pts(d), scheduling d on change.
-func (s *solver) propagate(d uint32, set *bitset.Sparse) {
+func (s *solver) propagate(d, set uint32) {
 	s.attempted++
 	if s.attr != nil {
 		s.attr.Prop(s.owner(d))
 	}
-	if s.ptsOf(d).UnionWith(set) {
+	if p := s.sets.Union(s.pts[d], set); p != s.pts[d] {
+		s.pts[d] = p
 		s.stats.Propagations++
 		s.work.Push(d)
 	}
@@ -316,10 +329,8 @@ func (s *solver) generate() {
 // points-to set again (used when a new constraint arrives at a node whose
 // set is already partially processed).
 func (s *solver) reprocess(n uint32) {
-	if s.processed[n] != nil && !s.processed[n].IsEmpty() {
-		s.processed[n] = nil
-	}
-	if s.pts[n] != nil && !s.pts[n].IsEmpty() {
+	s.processed[n] = 0
+	if s.pts[n] != 0 {
 		s.work.Push(n)
 	}
 }
@@ -361,26 +372,18 @@ func (s *solver) solve() error {
 			break
 		}
 		n = s.find(n)
-		if s.pts[n] == nil {
+		delta := s.sets.Diff(s.pts[n], s.processed[n])
+		if delta == 0 {
 			continue
 		}
-		delta := s.pts[n].Clone()
-		if s.processed[n] != nil {
-			delta.DifferenceWith(s.processed[n])
-		}
-		if delta.IsEmpty() {
-			continue
-		}
-		if s.processed[n] == nil {
-			s.processed[n] = bitset.New()
-		}
-		s.processed[n].UnionWith(delta)
+		// processed ⊆ pts, so processed ∪ delta is pts.
+		s.processed[n] = s.pts[n]
 		s.stats.Pops++
 		if s.attr != nil {
 			s.attr.Pop(s.owner(n))
 		}
 
-		s.applyComplex(n, delta)
+		s.applyComplex(n, s.sets.Get(delta))
 
 		// Propagate the delta along copy edges.
 		if s.succs[n] != nil {
@@ -401,7 +404,8 @@ func (s *solver) solve() error {
 
 // applyComplex handles loads, stores, field addresses and indirect calls
 // whose base pointer gained the objects in delta. An object's contents
-// are the node named by its value ID.
+// are the node named by its value ID. delta is a stored set, so the
+// rules may grow any points-to set while they walk it.
 func (s *solver) applyComplex(n uint32, delta *bitset.Sparse) {
 	prog := s.prog
 	for _, def := range s.loadsAt[n] {
@@ -483,10 +487,8 @@ func (s *solver) merge(a, b uint32) {
 	}
 	s.stats.SCCCollapses++
 	s.parent[b] = a
-	if s.pts[b] != nil {
-		s.ptsOf(a).UnionWith(s.pts[b])
-		s.pts[b] = nil
-	}
+	s.pts[a] = s.sets.Union(s.pts[a], s.pts[b])
+	s.pts[b] = 0
 	if s.succs[b] != nil {
 		if s.succs[a] == nil {
 			s.succs[a] = bitset.New()
@@ -504,21 +506,22 @@ func (s *solver) merge(a, b uint32) {
 	s.icallsAt[b] = nil
 	// Force the merged node to reprocess its whole set: the cheapest
 	// sound option after unioning constraint lists.
-	s.processed[a] = nil
-	s.processed[b] = nil
+	s.processed[a] = 0
+	s.processed[b] = 0
 	s.work.Push(a)
 }
 
 func (s *solver) finish() *Result {
 	s.stats.FinalNodes = len(s.parent)
 	s.stats.WorklistHW = s.work.HighWater()
+	s.stats.Store = s.sets.Stats()
 	for v := range s.parent {
 		s.parent[v] = s.find(uint32(v))
 	}
 	return &Result{
 		prog:        s.prog,
 		rep:         s.parent,
-		pts:         s.pts,
+		pts:         s.sets.Sets(s.pts),
 		callTargets: s.callTargets,
 		Stats:       s.stats,
 	}

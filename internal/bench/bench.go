@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"vsfs/internal/andersen"
-	"vsfs/internal/bitset"
 	"vsfs/internal/cfgfree"
 	"vsfs/internal/checker"
 	"vsfs/internal/core"
@@ -114,17 +113,17 @@ func CfgfreeMemBytes(st cfgfree.Stats) int64 {
 }
 
 // AndersenMemBytes models the auxiliary analysis's storage. Cycle
-// collapsing shares one set across a merged equivalence class, so
-// distinct sets are counted once.
+// collapsing shares one set across a merged equivalence class, so each
+// class's set is counted once.
 func AndersenMemBytes(prog *ir.Program, aux *andersen.Result) int64 {
-	seen := make(map[*bitset.Sparse]bool)
+	seen := make(map[ir.ID]bool)
 	var bytes int64
 	for v := ir.ID(1); int(v) < prog.NumValues(); v++ {
-		s := aux.PointsTo(v)
-		if s.IsEmpty() || seen[s] {
+		s, rep := aux.PointsTo(v), aux.Rep(v)
+		if s.IsEmpty() || seen[rep] {
 			continue
 		}
-		seen[s] = true
+		seen[rep] = true
 		bytes += int64(s.Words())*8 + setOverhead
 	}
 	return bytes

@@ -1,21 +1,33 @@
 package bitset
 
+import "math/bits"
+
 // Interner keeps one canonical set per distinct Sparse contents, under a
 // stable dense uint32 ID. Canon lets the holders of equal finished sets
-// share one of them; Get and Len enumerate what was stored.
+// share one of them; Get and Len enumerate what was stored. It is the
+// content table of a Store.
 type Interner struct {
-	byHash map[uint64][]uint32 // content hash -> candidate IDs
-	sets   []*Sparse           // ID -> canonical (frozen) set
+	sets   []*Sparse // ID -> canonical (frozen) set
+	hashes []uint64  // ID -> content hash
+	// table is an open-addressing index from content hash to ID + 1 (0
+	// marks a free slot), linearly probed from slot(hash); its length
+	// is a power of two at least 4/3 of len(sets), 1<<(64-shift). It
+	// grows with the sets stored.
+	table []uint32
+	shift uint
 }
 
 // NewInterner returns an empty interner. ID 0 is pre-assigned to the empty
 // set.
 func NewInterner() *Interner {
-	in := &Interner{byHash: make(map[uint64][]uint32)}
-	empty := New()
-	in.byHash[empty.Hash()] = []uint32{0}
-	in.sets = append(in.sets, empty)
+	in := &Interner{}
+	in.init()
 	return in
+}
+
+// init stores the empty set under ID 0.
+func (in *Interner) init() {
+	in.add(New(), New().Hash())
 }
 
 // Canon returns the canonical set with the contents of s: the stored one
@@ -52,8 +64,9 @@ func (in *Interner) Intern(s *Sparse) *Sparse {
 
 // find returns the ID of the stored set equal to s, whose hash is h.
 func (in *Interner) find(s *Sparse, h uint64) (uint32, bool) {
-	for _, id := range in.byHash[h] {
-		if in.sets[id].Equal(s) {
+	mask := uint64(len(in.table) - 1)
+	for i := in.slot(h); in.table[i] != 0; i = (i + 1) & mask {
+		if id := in.table[i] - 1; in.hashes[id] == h && in.sets[id].Equal(s) {
 			return id, true
 		}
 	}
@@ -63,9 +76,37 @@ func (in *Interner) find(s *Sparse, h uint64) (uint32, bool) {
 // add stores s, whose hash is h, under the next ID and returns it.
 func (in *Interner) add(s *Sparse, h uint64) uint32 {
 	id := uint32(len(in.sets))
-	in.byHash[h] = append(in.byHash[h], id)
 	in.sets = append(in.sets, s)
+	in.hashes = append(in.hashes, h)
+	if 3*len(in.table) < 4*len(in.sets) {
+		in.rehash(max(8, 2*len(in.table)))
+	} else {
+		in.place(id)
+	}
 	return id
+}
+
+// slot is where the probe for hash h starts: Fibonacci hashing, whose
+// top bits depend on every bit of h.
+func (in *Interner) slot(h uint64) uint64 { return (h * 0x9e3779b97f4a7c15) >> in.shift }
+
+// rehash rebuilds the index with n slots, a power of two.
+func (in *Interner) rehash(n int) {
+	in.table = make([]uint32, n)
+	in.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for id := range uint32(len(in.sets)) {
+		in.place(id)
+	}
+}
+
+// place puts id into the first free slot of its probe sequence.
+func (in *Interner) place(id uint32) {
+	mask := uint64(len(in.table) - 1)
+	i := in.slot(in.hashes[id])
+	for in.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	in.table[i] = id + 1
 }
 
 // Get returns the canonical set for an ID. The result must not be mutated.

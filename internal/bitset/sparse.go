@@ -3,6 +3,12 @@
 // throughout the analysis. It mirrors the role LLVM's SparseBitVector
 // plays in SVF: membership, union, intersection and difference over
 // mostly-clustered small integer IDs, with cheap copy and equality.
+//
+// The solvers do not mutate points-to sets in place. Each solve keeps
+// one Store, which hash-conses sets: a set is a uint32 ID, each distinct
+// content is held once as a frozen Sparse, and union and difference of
+// IDs are memoised. An Interner, the Store's content table, also serves
+// passes that only share finished sets.
 package bitset
 
 import (
@@ -221,6 +227,70 @@ func (s *Sparse) UnionWith(t *Sparse) bool {
 	s.elems = out
 	trackAlloc(missing)
 	return true
+}
+
+// setUnion replaces s with a ∪ b, reusing s's storage and charging
+// nothing to AllocatedWords, and reports whether b has a member a lacks
+// and whether a has one b lacks. s must be neither a nor b.
+func (s *Sparse) setUnion(a, b *Sparse) (bAdds, aAdds bool) {
+	out := s.elems[:0]
+	ae, be := a.elems, b.elems
+	i, j := 0, 0
+	for i < len(ae) && j < len(be) {
+		switch x, y := ae[i], be[j]; {
+		case x.base < y.base:
+			out = append(out, x)
+			aAdds = true
+			i++
+		case x.base > y.base:
+			out = append(out, y)
+			bAdds = true
+			j++
+		default:
+			m := x.word | y.word
+			aAdds = aAdds || m != y.word
+			bAdds = bAdds || m != x.word
+			out = append(out, element{base: x.base, word: m})
+			i++
+			j++
+		}
+	}
+	aAdds = aAdds || i < len(ae)
+	bAdds = bAdds || j < len(be)
+	out = append(out, ae[i:]...)
+	s.elems = append(out, be[j:]...)
+	return bAdds, aAdds
+}
+
+// setDiff replaces s with a \ b, reusing s's storage and charging
+// nothing to AllocatedWords, and reports whether any member of a was
+// removed. s must be neither a nor b.
+func (s *Sparse) setDiff(a, b *Sparse) bool {
+	out := s.elems[:0]
+	removed := false
+	i, j := 0, 0
+	for i < len(a.elems) && j < len(b.elems) {
+		switch x, y := a.elems[i], b.elems[j]; {
+		case x.base < y.base:
+			out = append(out, x)
+			i++
+		case x.base > y.base:
+			j++
+		default:
+			if m := x.word &^ y.word; m != x.word {
+				removed = true
+				if m != 0 {
+					out = append(out, element{base: x.base, word: m})
+				}
+			} else {
+				out = append(out, x)
+			}
+			i++
+			j++
+		}
+	}
+	s.elems = append(out, a.elems[i:]...)
+	return removed
 }
 
 // IntersectWith removes members of s not in t, reporting whether s changed.

@@ -235,18 +235,18 @@ func computeWindows(prog *ir.Program, aux *andersen.Result) map[accessKey][]ir.I
 	return windows
 }
 
-// finish counts the fixpoint's sets, each merged set once, charging
+// finish counts the fixpoint's sets, once per merged class, charging
 // each to its first member; materialises the window contents so
 // ConsumedSet is an O(1) lookup; and sorts every call's callees. sol is
 // this package's own, so its callee lists are sorted in place.
 func (r *Result) finish(windows map[accessKey][]ir.ID, attr *obs.ObjectAttr) {
-	seen := make(map[*bitset.Sparse]bool)
+	seen := make(map[ir.ID]bool)
 	for v := ir.ID(1); int(v) < r.prog.NumValues(); v++ {
-		set := r.PointsTo(v)
-		if set.IsEmpty() || seen[set] {
+		set, rep := r.PointsTo(v), r.sol.Rep(v)
+		if set.IsEmpty() || seen[rep] {
 			continue
 		}
-		seen[set] = true
+		seen[rep] = true
 		r.Stats.PtsSets++
 		r.Stats.PtsWords += set.Words()
 		owner := uint32(0) // the unattributed bucket, for a top-level pointer

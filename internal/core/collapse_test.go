@@ -24,7 +24,7 @@ import (
 func solveUncollapsed(t testing.TB, g *svfg.Graph, ver *versioning) *Result {
 	t.Helper()
 	s := newState(context.Background(), g, ver)
-	rep := make([]meld.Version, len(s.ptv))
+	rep := make([]meld.Version, len(s.pts))
 	for v := range rep {
 		rep[v] = meld.Version(v)
 	}

@@ -9,12 +9,12 @@ import (
 	"vsfs/internal/workload"
 )
 
-// TestSolvedSetsShared checks the freeze that ends the main phase, on
-// every profile: equal ptv and pt contents are one shared set (as many
-// distinct pointers as distinct contents), StoredSets and StoredWords
-// count the distinct version sets, and no query — the checker suite,
-// ConsumedSet, YieldedSet, PointsTo and ObjectSummary — mutates a
-// shared set.
+// TestSolvedSetsShared checks the sets the main phase's store hands
+// its Result, on every profile: equal version, top-level and summary
+// contents are one shared set (as many distinct pointers as distinct
+// contents), StoredSets and StoredWords count the distinct version
+// sets, and no query — the checker suite, ConsumedSet, YieldedSet,
+// PointsTo and ObjectSummary — mutates a shared set.
 func TestSolvedSetsShared(t *testing.T) {
 	for _, p := range workload.Profiles() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -67,6 +67,11 @@ func TestSolvedSetsShared(t *testing.T) {
 			for v := ir.ID(0); int(v) <= g.Prog.NumValues(); v++ {
 				if set := r.PointsTo(v); set != unset {
 					record("top-level", set)
+				}
+			}
+			for o := range ir.Obj(g.Prog.NumObjects()) {
+				if set := r.ObjectSummary(o); !set.IsEmpty() {
+					record("summary", set)
 				}
 			}
 

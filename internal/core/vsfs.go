@@ -20,7 +20,7 @@ type Stats struct {
 	sfs.EngineStats
 	PtsSets            int // (object, version) points-to sets, one per non-empty version: the paper's model
 	PtsWords           int // 64-bit words backing those sets
-	StoredSets         int // distinct sets actually kept for them once frozen
+	StoredSets         int // distinct sets actually kept for them
 	StoredWords        int // 64-bit words backing the stored sets
 	VersionProps       int // version-reliance propagations
 	VersionConstraints int // pt_κ ⊆ pt_κ' constraints registered
@@ -38,11 +38,14 @@ type Result struct {
 	ver *versioning
 
 	// ptv[κ] is pt_κ(o), the global points-to set of version κ of its
-	// object o; nil until it first grows. A version is a dense
-	// (object, version) id: atoms are fresh per prelabel and a meld only
-	// combines one object's labels, so every version other than ε
-	// belongs to exactly one object.
+	// object o; nil when empty. A version is a dense (object, version)
+	// id: atoms are fresh per prelabel and a meld only combines one
+	// object's labels, so every version other than ε belongs to exactly
+	// one object. Equal sets are one shared set.
 	ptv []*bitset.Sparse
+
+	// summary[o] is ObjectSummary(o), nil when empty.
+	summary []*bitset.Sparse
 
 	Stats Stats
 }
@@ -52,14 +55,10 @@ var empty = bitset.New()
 // ObjectSummary returns the union of o's points-to sets over every
 // version: everything the object may ever hold.
 func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
-	out := bitset.New()
-	lo, hi := r.ver.versions(o)
-	for _, set := range r.ptv[lo:hi] {
-		if set != nil {
-			out.UnionWith(set)
-		}
+	if int(o) < len(r.summary) && r.summary[o] != nil {
+		return r.summary[o]
 	}
-	return out
+	return empty
 }
 
 // ConsumedSet returns pt_{ξ_ℓ(o)}(o): the points-to set of the version
@@ -136,6 +135,9 @@ func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, er
 		Arg("ptsSets", s.Stats.PtsSets).
 		Arg("storedSets", s.Stats.StoredSets).
 		Arg("storedWords", s.Stats.StoredWords).
+		Arg("storeSets", s.Stats.Store.Sets).
+		Arg("memoHits", s.Stats.Store.MemoHits).
+		Arg("memoMisses", s.Stats.Store.MemoMisses).
 		Arg("worklistHW", s.Stats.WorklistHW).
 		Arg("versionSCCs", s.versionSCCs).
 		Arg("collapsedVersions", s.collapsedVersions).
@@ -145,12 +147,13 @@ func solveMain(ctx context.Context, g *svfg.Graph, ver *versioning) (*Result, er
 
 func newState(ctx context.Context, g *svfg.Graph, ver *versioning) *state {
 	nv := ver.stats.DistinctVersions
-	r := &Result{ver: ver, ptv: make([]*bitset.Sparse, nv)}
+	r := &Result{ver: ver}
 	r.Stats.Versioning = ver.stats
 	s := &state{
 		Result: r,
 		ctx:    ctx,
 		attr:   obs.AttrFrom(ctx),
+		pts:    make([]uint32, nv),
 		extra:  overflow{head: make([]int32, nv)},
 	}
 	s.e = sfs.NewEngine(ctx, g, &r.TopLevel, &r.Stats.EngineStats)
@@ -158,39 +161,29 @@ func newState(ctx context.Context, g *svfg.Graph, ver *versioning) *state {
 }
 
 // finish ends a solve: every collapsed version's set becomes its
-// representative's, then the sets are counted and frozen. SolveTime
+// representative's, the sets are counted, and the Result gets them and
+// each object's summary, the union of its versions' sets. SolveTime
 // includes the constraint count, which walks the wired chains again.
 func (s *state) finish(start time.Time) {
 	for v, r := range s.rep {
 		if r != meld.Version(v) {
-			s.ptv[v] = s.ptv[r]
+			s.pts[v] = s.pts[r]
 		}
 	}
 	s.countVersionConstraints()
 	s.Stats.SolveTime = time.Since(start)
 	s.collectStats()
-	s.freeze()
-}
-
-// freeze replaces every solved set with its canonical equal set, so
-// equal contents share one set: most versions of an object, and many
-// top-level pointers, end up with the same points-to set. Canon adopts
-// rather than copies, so freezing allocates no set elements and budget
-// accounting is unchanged. From here on every set the Result hands out
-// may be shared and must never be mutated.
-func (s *state) freeze() {
-	in := bitset.NewInterner()
-	for v, set := range s.ptv {
-		if set != nil {
-			s.ptv[v] = in.Canon(set)
+	sets := s.e.Sets
+	summary := make([]uint32, len(s.ver.first)-1)
+	for o := range summary {
+		lo, hi := s.ver.versions(ir.Obj(o))
+		for _, id := range s.pts[lo:hi] {
+			summary[o] = sets.Union(summary[o], id)
 		}
 	}
-	// ID 0 is the interner's empty set, which no version holds.
-	for id := 1; id < in.Len(); id++ {
-		s.Stats.StoredSets++
-		s.Stats.StoredWords += in.Get(uint32(id)).Words()
-	}
-	s.Canon(in)
+	s.summary = sets.Sets(summary)
+	s.ptv = sets.Sets(s.pts)
+	s.Stats.Store = sets.Stats()
 }
 
 // cancelCheckInterval is how many steps — (node, object) visits in meld
@@ -203,6 +196,10 @@ const cancelCheckInterval = 1024
 type state struct {
 	*Result
 	e sfs.Engine
+
+	// pts[κ] is pt_κ(o) as an ID in the engine's store; the solve reads
+	// and writes only representatives' (see rep).
+	pts []uint32
 
 	ctx context.Context
 
@@ -243,7 +240,7 @@ func (s *state) owner(o ir.Obj) uint32 { return uint32(s.Graph.Prog.ObjID(o)) }
 func (s *state) staticReliances() graph.CSR {
 	g := s.Graph
 	var gained []uint32
-	return graph.BuildCSR(len(s.ptv), len(s.ptv), func(emit func(from, to uint32)) {
+	return graph.BuildCSR(len(s.pts), len(s.pts), func(emit func(from, to uint32)) {
 		for sl := range g.NumSlots() {
 			if yv := s.ver.yield[sl]; yv != meld.Epsilon {
 				gained = gained[:0]
@@ -334,7 +331,7 @@ func (s *state) addVerConstraint(from, to meld.Version) {
 // repeats, and each row is then checked against the source's static
 // row with a stamp array.
 func (s *state) countVersionConstraints() {
-	nv := len(s.ptv)
+	nv := len(s.pts)
 	wired := graph.BuildCSR(nv, nv, s.wiredConstraints)
 	n := len(s.static.Adj)
 	stamp := make([]uint32, nv)
@@ -371,31 +368,23 @@ func (s *state) wiredConstraints(emit func(from, to uint32)) {
 }
 
 // setOf returns the set of κ's representative.
-func (s *state) setOf(v meld.Version) *bitset.Sparse { return s.ptvOf(s.rep[v]) }
-
-// ptvSet returns representative r's set, allocating it on first use.
-func (s *state) ptvSet(r meld.Version) *bitset.Sparse {
-	set := s.ptv[r]
-	if set == nil {
-		set = bitset.New()
-		s.ptv[r] = set
-	}
-	return set
-}
+func (s *state) setOf(v meld.Version) uint32 { return s.pts[s.rep[v]] }
 
 // growVersion unions src into pt_κ(o), held by κ's representative,
 // and, on change, propagates to reliant representatives (transitively)
 // and reschedules reliant statements.
-func (s *state) growVersion(o ir.Obj, v meld.Version, src *bitset.Sparse) {
-	if src.IsEmpty() || v == meld.Epsilon {
+func (s *state) growVersion(o ir.Obj, v meld.Version, src uint32) {
+	if src == 0 || v == meld.Epsilon {
 		return
 	}
 	v = s.rep[v]
 	s.Stats.Propagations++
 	s.attr.Prop(s.owner(o))
-	if !s.ptvSet(v).UnionWith(src) {
+	set := s.e.Sets.Union(s.pts[v], src)
+	if set == s.pts[v] {
 		return
 	}
+	s.pts[v] = set
 	s.Stats.Changed++
 	queue := []meld.Version{v}
 	//vsfs:lint-ignore guardtick version cascade is finite (monotone sets over prelabelled versions) and metered at the next run checkpoint; see DESIGN §14
@@ -405,7 +394,7 @@ func (s *state) growVersion(o ir.Obj, v meld.Version, src *bitset.Sparse) {
 		for _, l := range s.stmtReliance.Row(cur) {
 			s.e.Push(l)
 		}
-		set := s.ptv[cur]
+		set := s.pts[cur]
 		for _, to := range s.verReliance.Row(cur) {
 			queue = s.propagate(o, set, to, queue)
 		}
@@ -417,11 +406,12 @@ func (s *state) growVersion(o ir.Obj, v meld.Version, src *bitset.Sparse) {
 
 // propagate unions set into representative to's set along a version
 // reliance, queueing to if it grew.
-func (s *state) propagate(o ir.Obj, set *bitset.Sparse, to meld.Version, queue []meld.Version) []meld.Version {
+func (s *state) propagate(o ir.Obj, set uint32, to meld.Version, queue []meld.Version) []meld.Version {
 	s.Stats.Propagations++
 	s.Stats.VersionProps++
 	s.attr.Prop(s.owner(o))
-	if s.ptvSet(to).UnionWith(set) {
+	if grown := s.e.Sets.Union(s.pts[to], set); grown != s.pts[to] {
+		s.pts[to] = grown
 		s.Stats.Changed++
 		queue = append(queue, to)
 	}
@@ -429,7 +419,7 @@ func (s *state) propagate(o ir.Obj, set *bitset.Sparse, to meld.Version, queue [
 }
 
 // Consumed reads pt_{ξ_ℓ(o)}(o) for a load ([LOAD]^F).
-func (s *state) Consumed(sl int) *bitset.Sparse { return s.setOf(s.ver.consume[sl]) }
+func (s *state) Consumed(sl int) uint32 { return s.setOf(s.ver.consume[sl]) }
 
 // Forward does nothing: the version flow through identity nodes (MEMPHI,
 // CallRet, FUNENTRY, FUNEXIT, calls) was folded into version constraints.
@@ -439,8 +429,9 @@ func (s *state) Forward(*ir.Instr) {}
 // Store applies [STORE]^F and [SU/WU]^F: pt_{η(o)} gains pt(q) for
 // stored-to objects, and the consumed version's set unless a strong
 // update kills it; χ'd objects not pointed to by p pass through.
-func (s *state) Store(in *ir.Instr, ptp, ptq *bitset.Sparse, strong bool) {
+func (s *state) Store(in *ir.Instr, ptp, ptq uint32, strong bool) {
 	g := s.Graph
+	pointees := s.e.Sets.Get(ptp)
 	// A store's slots are its χ.
 	lo, hi := g.SlotRange(in.Label)
 	for sl := lo; sl < hi; sl++ {
@@ -451,7 +442,7 @@ func (s *state) Store(in *ir.Instr, ptp, ptq *bitset.Sparse, strong bool) {
 			continue
 		}
 		s.growVersion(o, yv, s.setOf(s.ver.consume[sl]))
-		if ptp.Has(uint32(o)) {
+		if pointees.Has(uint32(o)) {
 			s.growVersion(o, yv, ptq)
 		}
 	}
@@ -469,15 +460,27 @@ func (s *state) Wire(call *ir.Instr, callee *ir.Function) {
 	})
 }
 
+// collectStats counts the version sets twice: one per non-empty
+// version, the paper's model, and one per distinct set the store keeps
+// for them.
 func (s *state) collectStats() {
+	sets := s.e.Sets
 	for o := range len(s.ver.first) - 1 {
 		lo, hi := s.ver.versions(ir.Obj(o))
-		for _, set := range s.ptv[lo:hi] {
-			if set != nil {
+		for _, id := range s.pts[lo:hi] {
+			if id != 0 {
 				s.Stats.PtsSets++
-				s.Stats.PtsWords += set.Words()
+				s.Stats.PtsWords += sets.Get(id).Words()
 				s.attr.Set(s.owner(ir.Obj(o)))
 			}
+		}
+	}
+	stored := make([]bool, sets.Len())
+	for _, id := range s.pts {
+		if id != 0 && !stored[id] {
+			stored[id] = true
+			s.Stats.StoredSets++
+			s.Stats.StoredWords += sets.Get(id).Words()
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"slices"
 
 	"vsfs/internal/andersen"
-	"vsfs/internal/bitset"
 	"vsfs/internal/cfgfree"
 	"vsfs/internal/core"
 	"vsfs/internal/ir"
@@ -317,17 +316,11 @@ func (c *checker) checkWitnesses() {
 	g := b.VSFS.Graph
 	prog := b.Prog
 
-	summaries := map[ir.ID]*bitset.Sparse{}
 	holds := func(x ir.ID, o ir.Obj) bool {
 		if prog.IsPointer(x) {
 			return b.VSFS.PointsTo(x).Has(uint32(o))
 		}
-		s := summaries[x]
-		if s == nil {
-			s = b.VSFS.ObjectSummary(prog.ObjNum(x))
-			summaries[x] = s
-		}
-		return s.Has(uint32(o))
+		return b.VSFS.ObjectSummary(prog.ObjNum(x)).Has(uint32(o))
 	}
 
 	checked := 0

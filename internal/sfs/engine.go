@@ -21,19 +21,21 @@ type EngineStats struct {
 	TopLevelWords  int // words backing top-level points-to sets
 	CallEdges      int // resolved (call site, callee) pairs
 	WorklistHW     int // worklist high-water mark
+
+	Store bitset.StoreStats // the solve's set store
 }
 
 // Memory is the address-taken half of a flow-sensitive solve: where
 // (node, object) points-to facts live and how they move. The engine
 // calls it once per popped load (per pointee), store or identity node,
-// and once per newly resolved call edge.
+// and once per newly resolved call edge. Sets are IDs in the engine's
+// store, Engine.Sets.
 type Memory interface {
-	// Consumed returns what a load reads for its slot sl = (ℓ, o). The
-	// engine does not mutate it.
-	Consumed(sl int) *bitset.Sparse
+	// Consumed returns what a load reads for its slot sl = (ℓ, o).
+	Consumed(sl int) uint32
 	// Store applies [STORE] and [SU/WU] at the store in, *p = q, given
 	// pt(p), pt(q) and whether the store strongly updates.
-	Store(in *ir.Instr, ptp, ptq *bitset.Sparse, strong bool)
+	Store(in *ir.Instr, ptp, ptq uint32, strong bool)
 	// Forward applies the object transfer of an identity node: MEMPHI,
 	// CallRet, FUNENTRY, FUNEXIT or a call.
 	Forward(in *ir.Instr)
@@ -48,8 +50,9 @@ type Memory interface {
 type TopLevel struct {
 	Graph *svfg.Graph
 
-	// pt[v] is the points-to set of top-level pointer v. Like every set
-	// here it holds object numbers.
+	// pt[v] is the points-to set of top-level pointer v, nil when empty;
+	// equal sets are one shared set. Like every set here it holds object
+	// numbers. The engine fills it when its solve ends.
 	pt []*bitset.Sparse
 
 	// callees[ℓ] holds the resolved callees of the call at label ℓ.
@@ -81,20 +84,16 @@ func (t *TopLevel) CalleesOf(call *ir.Instr) []*ir.Function {
 	return out
 }
 
-// Canon replaces every top-level set with in's canonical equal set.
-func (t *TopLevel) Canon(in *bitset.Interner) {
-	for v, set := range t.pt {
-		if set != nil {
-			t.pt[v] = in.Canon(set)
-		}
-	}
-}
-
 // Engine is the top-level half of a flow-sensitive solve, shared by SFS
 // and VSFS: the worklist, the Alloc, Copy, Phi, Field and Load rules,
 // and on-the-fly call resolution. A Memory supplies the rest.
 type Engine struct {
 	*TopLevel
+
+	// Sets is the solve's set store, which the memory side shares;
+	// ptIDs[v] is top-level pointer v's set in it.
+	Sets  *bitset.Store
+	ptIDs []uint32
 
 	mem   Memory
 	stats *EngineStats
@@ -131,11 +130,12 @@ func NewEngine(ctx context.Context, g *svfg.Graph, top *TopLevel, stats *EngineS
 	}
 	*top = TopLevel{
 		Graph:   g,
-		pt:      make([]*bitset.Sparse, g.Prog.NumValues()+1),
 		callees: make(map[uint32]map[*ir.Function]bool, calls),
 	}
 	return Engine{
 		TopLevel:  top,
+		Sets:      bitset.NewStore(),
+		ptIDs:     make([]uint32, g.Prog.NumValues()+1),
 		stats:     stats,
 		ctx:       ctx,
 		attr:      obs.AttrFrom(ctx),
@@ -149,9 +149,9 @@ func NewEngine(ctx context.Context, g *svfg.Graph, top *TopLevel, stats *EngineS
 // polls in the solving loop.
 const cancelCheckInterval = 1024
 
-// Run solves to fixpoint with mem as the memory side. It polls the
-// budget every cancelCheckInterval pops and returns its error, with
-// the graph mutated and to be discarded.
+// Run solves to fixpoint with mem as the memory side and fills the
+// top-level sets. It polls the budget every cancelCheckInterval pops
+// and returns its error, with the graph mutated and to be discarded.
 func (e *Engine) Run(mem Memory) error {
 	e.mem = mem
 	prog := e.Graph.Prog
@@ -174,11 +174,10 @@ func (e *Engine) Run(mem Memory) error {
 		e.process(in)
 	}
 	e.stats.WorklistHW = e.work.HighWater()
-	for _, set := range e.pt {
-		if set != nil {
-			e.stats.TopLevelWords += set.Words()
-		}
+	for _, id := range e.ptIDs {
+		e.stats.TopLevelWords += e.Sets.Get(id).Words()
 	}
+	e.pt = e.Sets.Sets(e.ptIDs)
 	return nil
 }
 
@@ -210,29 +209,37 @@ func popOwner(g *svfg.Graph, in *ir.Instr) uint32 {
 	return 0
 }
 
-func (e *Engine) ptOf(v ir.ID) *bitset.Sparse {
-	if int(v) >= len(e.pt) {
-		grown := make([]*bitset.Sparse, e.Graph.Prog.NumValues()+1)
-		copy(grown, e.pt)
-		e.pt = grown
+// ptOf returns the ID of v's top-level set.
+func (e *Engine) ptOf(v ir.ID) uint32 {
+	if int(v) < len(e.ptIDs) {
+		return e.ptIDs[v]
 	}
-	if e.pt[v] == nil {
-		e.pt[v] = bitset.New()
+	return 0
+}
+
+// setPt makes id v's top-level set; if that changes the set, it counts
+// the change and reschedules v's users.
+func (e *Engine) setPt(v ir.ID, id uint32) {
+	if id == e.ptOf(v) {
+		return
 	}
-	return e.pt[v]
+	if int(v) >= len(e.ptIDs) {
+		// Values created since the solve began.
+		e.ptIDs = append(e.ptIDs, make([]uint32, e.Graph.Prog.NumValues()+1-len(e.ptIDs))...)
+	}
+	e.ptIDs[v] = id
+	e.stats.Changed++
+	for _, u := range e.Graph.UsersOf(v) {
+		e.Push(u)
+	}
 }
 
 // addPt unions src into the top-level set of v and reschedules v's users
 // on change.
-func (e *Engine) addPt(v ir.ID, src *bitset.Sparse) {
+func (e *Engine) addPt(v ir.ID, src uint32) {
 	e.stats.Propagations++
 	e.attr.Prop(0)
-	if e.ptOf(v).UnionWith(src) {
-		e.stats.Changed++
-		for _, u := range e.Graph.UsersOf(v) {
-			e.Push(u)
-		}
-	}
+	e.setPt(v, e.Sets.Union(e.ptOf(v), src))
 }
 
 // process applies the rules of a node visit. Stores and identity nodes
@@ -245,12 +252,7 @@ func (e *Engine) process(in *ir.Instr) {
 	case ir.Alloc:
 		e.stats.Propagations++
 		e.attr.Prop(0)
-		if e.ptOf(in.Def).Set(uint32(g.Prog.ObjNum(in.Obj))) {
-			e.stats.Changed++
-			for _, u := range g.UsersOf(in.Def) {
-				e.Push(u)
-			}
-		}
+		e.setPt(in.Def, e.Sets.Insert(e.ptOf(in.Def), uint32(g.Prog.ObjNum(in.Obj))))
 
 	case ir.Copy:
 		e.addPt(in.Def, e.ptOf(in.Uses[0]))
@@ -263,20 +265,21 @@ func (e *Engine) process(in *ir.Instr) {
 	case ir.Field:
 		prog := g.Prog
 		add := bitset.New()
-		e.ptOf(in.Uses[0]).ForEach(func(o uint32) {
+		e.Sets.Get(e.ptOf(in.Uses[0])).ForEach(func(o uint32) {
 			if prog.ObjValue(ir.Obj(o)).ObjKind == ir.FuncObj {
 				return
 			}
 			add.Set(uint32(prog.ObjNum(prog.FieldObj(prog.ObjID(ir.Obj(o)), in.Off))))
 		})
-		e.addPt(in.Def, add)
+		e.addPt(in.Def, e.Sets.CanonID(add))
 
 	case ir.Load:
 		// [LOAD]: pt(p) ⊇ what the load consumes for (ℓ, o), for each
-		// o ∈ pt(q).
+		// o ∈ pt(q). Stored sets are frozen, so the loop walks pt(q) as
+		// it was when the visit began.
 		l := in.Label
-		e.ptOf(in.Uses[0]).Clone().ForEach(func(o uint32) {
-			set := empty
+		e.Sets.Get(e.ptOf(in.Uses[0])).ForEach(func(o uint32) {
+			set := uint32(0)
 			if sl, ok := g.Slot(l, ir.Obj(o)); ok {
 				set = e.mem.Consumed(sl)
 			}
@@ -334,7 +337,7 @@ func (e *Engine) processCall(in *ir.Instr) {
 		return
 	}
 	prog := g.Prog
-	e.ptOf(in.CalleePtr()).Clone().ForEach(func(o uint32) {
+	e.Sets.Get(e.ptOf(in.CalleePtr())).ForEach(func(o uint32) {
 		v := prog.ObjValue(ir.Obj(o))
 		if v.ObjKind == ir.FuncObj {
 			e.wireCallee(in, v.Func)

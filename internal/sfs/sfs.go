@@ -30,14 +30,19 @@ type Stats struct {
 	PtsWords int // total 64-bit words backing those sets
 }
 
-// Result holds the analysis outcome.
+// Result holds the analysis outcome. Equal sets in it are one shared
+// set.
 type Result struct {
 	TopLevel
 
 	// in[s] and out[s] are IN[ℓ](o) and OUT[ℓ](o) for the SVFG slot
-	// s = (ℓ, o), nil until first written (out at store slots only).
+	// s = (ℓ, o). in[s] is nil when empty; out[s] is set at store slots
+	// only, where every visit of the store writes it.
 	in  []*bitset.Sparse
 	out []*bitset.Sparse
+
+	// summary[o] is ObjectSummary(o), nil when empty.
+	summary []*bitset.Sparse
 
 	Stats Stats
 }
@@ -46,16 +51,10 @@ type Result struct {
 // program point: everything the object may ever hold. Used by clients
 // that want a per-variable (rather than per-point) answer.
 func (r *Result) ObjectSummary(o ir.Obj) *bitset.Sparse {
-	out := bitset.New()
-	for _, sl := range r.Graph.ObjSlots(o) {
-		if set := r.in[sl]; set != nil {
-			out.UnionWith(set)
-		}
-		if set := r.out[sl]; set != nil {
-			out.UnionWith(set)
-		}
+	if int(o) < len(r.summary) && r.summary[o] != nil {
+		return r.summary[o]
 	}
-	return out
+	return empty
 }
 
 // ConsumedSet returns IN[ℓ](o): what object o may hold immediately
@@ -103,25 +102,37 @@ func Solve(g *svfg.Graph) *Result {
 // context is done. A cancelled solve returns no Result; the mutated
 // graph must be discarded.
 func SolveContext(ctx context.Context, g *svfg.Graph) (*Result, error) {
-	r := &Result{
-		in:  make([]*bitset.Sparse, g.NumSlots()),
-		out: make([]*bitset.Sparse, g.NumSlots()),
+	sp := obs.StartSpan(ctx, "sfs")
+	r := &Result{}
+	m := &memory{
+		Result: r,
+		attr:   obs.AttrFrom(ctx),
+		inIDs:  make([]uint32, g.NumSlots()),
+		outIDs: make([]uint32, g.NumSlots()),
 	}
-	m := &memory{Result: r, attr: obs.AttrFrom(ctx)}
 	m.e = NewEngine(ctx, g, &r.TopLevel, &r.Stats.EngineStats)
 	if err := m.e.Run(m); err != nil {
 		return nil, err
 	}
-	m.collectStats()
+	m.finish()
+	sp.Arg("nodesProcessed", r.Stats.NodesProcessed).
+		Arg("propagations", r.Stats.Propagations).
+		Arg("ptsSets", r.Stats.PtsSets).
+		Arg("storeSets", r.Stats.Store.Sets).
+		Arg("memoHits", r.Stats.Store.MemoHits).
+		Arg("memoMisses", r.Stats.Store.MemoMisses).
+		End()
 	return r, nil
 }
 
 // memory is SFS's memory side: IN and OUT sets per (node, object) slot,
-// equations (6)–(7).
+// equations (6)–(7), as IDs in the engine's store until the solve ends.
 type memory struct {
 	*Result
 	e    Engine
 	attr *obs.ObjectAttr
+
+	inIDs, outIDs []uint32
 
 	// gained holds the successors one slot gained, while they are read.
 	gained []uint32
@@ -130,23 +141,16 @@ type memory struct {
 // owner returns the value ID attribution charges object o's work to.
 func (m *memory) owner(o ir.Obj) uint32 { return uint32(m.Graph.Prog.ObjID(o)) }
 
-// slotSet returns sets[sl], materialising it on first use.
-func slotSet(sets []*bitset.Sparse, sl int) *bitset.Sparse {
-	if sets[sl] == nil {
-		sets[sl] = bitset.New()
-	}
-	return sets[sl]
-}
-
 // propagate pushes a source set into the IN set of slot t = (ℓ, o),
 // rescheduling ℓ on change ([A-PROP] of the SFS formulation).
-func (m *memory) propagate(t int, src *bitset.Sparse) {
-	if src.IsEmpty() {
+func (m *memory) propagate(t int, src uint32) {
+	if src == 0 {
 		return
 	}
 	m.Stats.Propagations++
 	m.attr.Prop(m.owner(m.Graph.SlotObj(t)))
-	if slotSet(m.in, t).UnionWith(src) {
+	if in := m.e.Sets.Union(m.inIDs[t], src); in != m.inIDs[t] {
+		m.inIDs[t] = in
 		m.Stats.Changed++
 		m.e.Push(m.Graph.SlotNode(t))
 	}
@@ -154,7 +158,7 @@ func (m *memory) propagate(t int, src *bitset.Sparse) {
 
 // propagateOut runs [A-PROP] from slot sl along every outgoing indirect
 // edge, the built ones and then the gained ones.
-func (m *memory) propagateOut(sl int, src *bitset.Sparse) {
+func (m *memory) propagateOut(sl int, src uint32) {
 	g := m.Graph
 	for _, t := range g.SlotSuccs(sl) {
 		m.propagate(int(t), src)
@@ -168,7 +172,7 @@ func (m *memory) propagateOut(sl int, src *bitset.Sparse) {
 }
 
 // Consumed reads IN[ℓ](o) for a load.
-func (m *memory) Consumed(sl int) *bitset.Sparse { return m.inAt(sl) }
+func (m *memory) Consumed(sl int) uint32 { return m.inIDs[sl] }
 
 // Forward implements the identity transfer of non-store nodes: OUT = IN,
 // then [A-PROP] along every outgoing indirect edge, in slot (so
@@ -176,7 +180,7 @@ func (m *memory) Consumed(sl int) *bitset.Sparse { return m.inAt(sl) }
 func (m *memory) Forward(in *ir.Instr) {
 	lo, hi := m.Graph.SlotRange(in.Label)
 	for sl := lo; sl < hi; sl++ {
-		if src := m.in[sl]; src != nil {
+		if src := m.inIDs[sl]; src != 0 {
 			m.propagateOut(sl, src)
 		}
 	}
@@ -186,35 +190,33 @@ func (m *memory) Forward(in *ir.Instr) {
 // pt(q) if the store strongly updates o, else IN(o) ∪ pt(q); χ'd objects
 // not pointed to by p (per flow-sensitive information) pass through,
 // OUT(o) = IN(o).
-func (m *memory) Store(in *ir.Instr, ptp, ptq *bitset.Sparse, strong bool) {
-	g := m.Graph
+func (m *memory) Store(in *ir.Instr, ptp, ptq uint32, strong bool) {
+	g, sets := m.Graph, m.e.Sets
+	pointees := sets.Get(ptp)
 	// A store's slots are its χ.
 	lo, hi := g.SlotRange(in.Label)
 	for sl := lo; sl < hi; sl++ {
 		o := g.SlotObj(sl)
-		out := slotSet(m.out, sl)
-		changed := false
+		out := m.outIDs[sl]
+		m.Stats.Propagations++
+		m.attr.Prop(m.owner(o))
 		if strong {
 			// Kill: only the stored value survives.
-			m.Stats.Propagations++
-			m.attr.Prop(m.owner(o))
-			changed = out.UnionWith(ptq)
+			out = sets.Union(out, ptq)
 		} else {
-			m.Stats.Propagations++
-			m.attr.Prop(m.owner(o))
-			changed = out.UnionWith(m.inAt(sl))
-			if ptp.Has(uint32(o)) {
+			out = sets.Union(out, m.inIDs[sl])
+			if pointees.Has(uint32(o)) {
 				m.Stats.Propagations++
 				m.attr.Prop(m.owner(o))
-				if out.UnionWith(ptq) {
-					changed = true
-				}
+				out = sets.Union(out, ptq)
 			}
 		}
+		changed := out != m.outIDs[sl]
+		m.outIDs[sl] = out
 		if changed {
 			m.Stats.Changed++
 		}
-		if changed || !out.IsEmpty() {
+		if changed || out != 0 {
 			m.propagateOut(sl, out)
 		}
 	}
@@ -228,13 +230,38 @@ func (m *memory) Wire(call *ir.Instr, callee *ir.Function) {
 	g.AddCallEdges(call, callee, nil)
 	g.MSSA.CallChains(call, callee, func(from, to int) {
 		if g.SlotNode(from) == callee.ExitInstr.Label {
-			m.propagate(to, m.inAt(from))
+			m.propagate(to, m.inIDs[from])
 		}
 	})
 }
 
-// collectStats sizes the IN/OUT storage at fixpoint. Sets only grow
-// during solving, so the fixpoint sizes are also the peaks.
+// finish hands the solved sets to the Result: IN at every slot, OUT at
+// every store slot (every store is visited, so each has written its
+// OUT), and each object's summary, the union of its IN and OUT sets.
+// It then sizes the IN/OUT storage.
+func (m *memory) finish() {
+	g, sets := m.Graph, m.e.Sets
+	m.in = sets.Sets(m.inIDs)
+	m.out = make([]*bitset.Sparse, len(m.outIDs))
+	for sl, id := range m.outIDs {
+		if g.Prog.Instrs[g.SlotNode(sl)].Op == ir.Store {
+			m.out[sl] = sets.Get(id)
+		}
+	}
+	summary := make([]uint32, g.Prog.NumObjects())
+	for o := range summary {
+		for _, sl := range g.ObjSlots(ir.Obj(o)) {
+			summary[o] = sets.Union(summary[o], sets.Union(m.inIDs[sl], m.outIDs[sl]))
+		}
+	}
+	m.summary = sets.Sets(summary)
+	m.collectStats()
+	m.Stats.Store = sets.Stats()
+}
+
+// collectStats sizes the IN/OUT storage at fixpoint, counting each
+// slot's sets as the paper's SFS stores them, one per slot. Sets only
+// grow during solving, so the fixpoint sizes are also the peaks.
 func (m *memory) collectStats() {
 	for _, sets := range [2][]*bitset.Sparse{m.in, m.out} {
 		for sl, set := range sets {

@@ -490,7 +490,10 @@ func (r *Result) analyze(ctx context.Context, opts Options) (*Result, error) {
 	}
 	err := r.phase(ctx, guard.PhaseAndersen, func(sp *obs.Span) (err error) {
 		if r.aux, err = andersen.AnalyzeContext(ctx, r.prog); err == nil {
-			sp.Arg("pops", r.aux.Stats.Pops).Arg("propagations", r.aux.Stats.Propagations)
+			st := r.aux.Stats
+			sp.Arg("pops", st.Pops).Arg("propagations", st.Propagations).
+				Arg("storeSets", st.Store.Sets).Arg("memoHits", st.Store.MemoHits).
+				Arg("memoMisses", st.Store.MemoMisses)
 		}
 		return err
 	})
