@@ -63,7 +63,7 @@ func run(args []string, ctx context.Context, ready chan<- string, stdout, stderr
 	logFormat := fs.String("log-format", "text", `structured access-log format: "text", "json", or "off"`)
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/")
 	maxSteps := fs.Int64("max-steps", 0, "server-wide worklist-step budget, split across workers; over-budget solves degrade to Andersen (0 = no limit)")
-	maxMem := fs.Int64("max-mem", 0, "server-wide points-to storage budget in bytes, split across workers (0 = no limit)")
+	maxMem := fs.Int64("max-mem", 0, "server-wide memory budget in bytes for the storage a solve's phases grow (points-to sets, memory SSA, SVFG overflow, meld labels), split across workers (0 = no limit)")
 	ledgerPath := fs.String("ledger", "", "append a run record per solve to this JSONL ledger, served at GET /runs")
 	ledgerMax := fs.Int64("ledger-max-bytes", obs.DefaultLedgerMaxBytes, "rotate the ledger past this many bytes (one .1 generation kept)")
 	traceDir := fs.String("trace-dir", "", "write one Chrome trace_event file per solve into this directory, tagged with the request ID")

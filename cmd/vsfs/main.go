@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "print the full result (points-to, call graph, findings, stats) as canonical JSON")
 	timeout := fs.Duration("timeout", 0, "abort analysis after this long, exiting 4 (0 = no limit)")
 	maxSteps := fs.Int64("max-steps", 0, "worklist-step budget; past it the run degrades to the flow-insensitive result and exits 3 (0 = no limit)")
-	maxMem := fs.Int64("max-mem", 0, "points-to storage budget in bytes; past it the run degrades and exits 3 (0 = no limit)")
+	maxMem := fs.Int64("max-mem", 0, "memory budget in bytes for the storage the phases grow (points-to sets, memory SSA, SVFG overflow, meld labels); past it the run degrades and exits 3 (0 = no limit)")
 	traceOut := fs.String("trace", "", "write the pipeline phases as Chrome trace_event JSON to this file (open in Perfetto)")
 	attr := fs.Bool("attr", false, "attribute solver cost (pops, propagations, sets, melds) to abstract objects and print the hot-object table")
 	attrTop := fs.Int("attr-top", 10, "with -attr: number of hot objects to print")

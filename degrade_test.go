@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"vsfs/internal/guard"
+	"vsfs/internal/workload"
 )
 
 // analyzeWith runs demoC under the given fault plan and budget.
@@ -217,5 +219,46 @@ func TestAndersenBudgetBreachFailsOutright(t *testing.T) {
 	}
 	if be.Phase != "andersen" {
 		t.Fatalf("breach phase = %q", be.Phase)
+	}
+}
+
+// TestBudgetIgnoresOtherSolves: a budget counts only what its own run's
+// phases charge. du under a memory limit 10% above its solo spend is
+// not degraded, and reports the same bytes as the solo run, even after
+// an unbudgeted bash solve ran between arming the budget and solving.
+func TestBudgetIgnoresOtherSolves(t *testing.T) {
+	du := workload.ProfileByName("du")
+	solve := func(b *guard.Budget, p *workload.Profile) *Result {
+		t.Helper()
+		res, err := AnalyzeProgramContext(guard.WithBudget(context.Background(), b), p.Build(), Options{Mode: VSFS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	full := guard.NewBudget(0, math.MaxInt64, 0)
+	solo := solve(full, du)
+	want, err := solo.Report().MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	limit := full.BytesUsed() + full.BytesUsed()/10
+	b := guard.NewBudget(0, limit, 0)
+	solve(nil, workload.ProfileByName("bash"))
+	res := solve(b, du)
+	if res.Degraded() {
+		t.Fatalf("du degraded under %d bytes, 10%% above its solo spend of %d: %s",
+			limit, full.BytesUsed(), res.Degradation())
+	}
+	got, err := res.Report().MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("du's report under the budget differs from its solo run's")
+	}
+	if b.BytesUsed() != full.BytesUsed() {
+		t.Fatalf("du charged %d bytes, its solo run %d", b.BytesUsed(), full.BytesUsed())
 	}
 }

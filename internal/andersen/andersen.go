@@ -176,6 +176,7 @@ type solver struct {
 	pts       []uint32
 	processed []uint32
 	succs     []*bitset.Sparse // copy edges, as successor bitsets
+	succWords int              // the words succs grew by, merged-away rows included
 
 	// Complex constraints, indexed by the (representative of the)
 	// pointer whose points-to set drives them.
@@ -193,6 +194,9 @@ type solver struct {
 	attr   *obs.ObjectAttr
 
 	work graph.Worklist
+
+	// meter charges the budget with the storage of sets and succs.
+	meter guard.Meter
 
 	stats     Stats
 	pops      int
@@ -262,9 +266,11 @@ func (s *solver) addCopy(dst, src ir.ID) {
 	if s.succs[c] == nil {
 		s.succs[c] = bitset.New()
 	}
+	words := s.succs[c].Words()
 	if !s.succs[c].Set(d) {
 		return
 	}
+	s.succWords += s.succs[c].Words() - words
 	if s.pts[c] != 0 {
 		s.propagate(d, s.pts[c])
 	}
@@ -363,7 +369,8 @@ func (s *solver) solve() error {
 	s.collapseCycles()
 	for steps := 0; ; steps++ {
 		if steps%cancelCheckInterval == 0 {
-			if err := guard.Tick(s.ctx, s.phase, cancelCheckInterval); err != nil {
+			bytes := int64(s.sets.Words()+s.succWords) * bitset.WordBytes
+			if err := s.meter.Tick(s.ctx, s.phase, cancelCheckInterval, bytes); err != nil {
 				return err
 			}
 		}
@@ -493,7 +500,9 @@ func (s *solver) merge(a, b uint32) {
 		if s.succs[a] == nil {
 			s.succs[a] = bitset.New()
 		}
+		words := s.succs[a].Words()
 		s.succs[a].UnionWith(s.succs[b])
+		s.succWords += s.succs[a].Words() - words
 		s.succs[b] = nil
 	}
 	s.loadsAt[a] = append(s.loadsAt[a], s.loadsAt[b]...)

@@ -15,6 +15,7 @@ type Interner struct {
 	// grows with the sets stored.
 	table []uint32
 	shift uint
+	words int // the words of the sets stored
 }
 
 // NewInterner returns an empty interner. ID 0 is pre-assigned to the empty
@@ -78,6 +79,7 @@ func (in *Interner) add(s *Sparse, h uint64) uint32 {
 	id := uint32(len(in.sets))
 	in.sets = append(in.sets, s)
 	in.hashes = append(in.hashes, h)
+	in.words += s.Words()
 	if 3*len(in.table) < 4*len(in.sets) {
 		in.rehash(max(8, 2*len(in.table)))
 	} else {
@@ -111,6 +113,11 @@ func (in *Interner) place(id uint32) {
 
 // Get returns the canonical set for an ID. The result must not be mutated.
 func (in *Interner) Get(id uint32) *Sparse { return in.sets[id] }
+
+// Words returns the words of the sets stored, adopted or copied: the
+// element storage the interner keeps, which a phase charges to its
+// memory budget.
+func (in *Interner) Words() int { return in.words }
 
 // Len returns the number of distinct sets stored (including the empty
 // set).

@@ -29,6 +29,11 @@ type element struct {
 	word uint64
 }
 
+// WordBytes is the in-memory size of one element of a Sparse set: a
+// 64-bit word plus its 32-bit base (padded). Phases multiply the words
+// they grow by it to charge a memory budget in bytes.
+const WordBytes = 16
+
 // Sparse is a sparse bit vector over uint32 IDs. The zero value is an
 // empty, ready-to-use set. Sparse is not safe for concurrent mutation.
 type Sparse struct {
@@ -71,7 +76,6 @@ func (s *Sparse) Set(id uint32) bool {
 	s.elems = append(s.elems, element{})
 	copy(s.elems[i+1:], s.elems[i:])
 	s.elems[i] = element{base: base, word: bit}
-	trackAlloc(1)
 	return true
 }
 
@@ -136,7 +140,6 @@ func (s *Sparse) Single() (uint32, bool) {
 
 // Copy replaces the contents of s with those of t.
 func (s *Sparse) Copy(t *Sparse) {
-	trackAlloc(len(t.elems) - len(s.elems))
 	s.elems = append(s.elems[:0], t.elems...)
 }
 
@@ -175,7 +178,6 @@ func (s *Sparse) UnionWith(t *Sparse) bool {
 	}
 	if len(s.elems) == 0 {
 		s.elems = append(s.elems[:0], t.elems...)
-		trackAlloc(len(t.elems))
 		return true
 	}
 	// Pass 1: OR the words of shared bases in place and count the bases
@@ -225,13 +227,12 @@ func (s *Sparse) UnionWith(t *Sparse) bool {
 		k--
 	}
 	s.elems = out
-	trackAlloc(missing)
 	return true
 }
 
-// setUnion replaces s with a ∪ b, reusing s's storage and charging
-// nothing to AllocatedWords, and reports whether b has a member a lacks
-// and whether a has one b lacks. s must be neither a nor b.
+// setUnion replaces s with a ∪ b, reusing s's storage, and reports
+// whether b has a member a lacks and whether a has one b lacks. s must
+// be neither a nor b.
 func (s *Sparse) setUnion(a, b *Sparse) (bAdds, aAdds bool) {
 	out := s.elems[:0]
 	ae, be := a.elems, b.elems
@@ -262,9 +263,9 @@ func (s *Sparse) setUnion(a, b *Sparse) (bAdds, aAdds bool) {
 	return bAdds, aAdds
 }
 
-// setDiff replaces s with a \ b, reusing s's storage and charging
-// nothing to AllocatedWords, and reports whether any member of a was
-// removed. s must be neither a nor b.
+// setDiff replaces s with a \ b, reusing s's storage, and reports
+// whether any member of a was removed. s may be a, since it writes no
+// element before reading it, but not b.
 func (s *Sparse) setDiff(a, b *Sparse) bool {
 	out := s.elems[:0]
 	removed := false
@@ -326,34 +327,7 @@ func (s *Sparse) IntersectWith(t *Sparse) bool {
 }
 
 // DifferenceWith removes members of t from s, reporting whether s changed.
-func (s *Sparse) DifferenceWith(t *Sparse) bool {
-	changed := false
-	out := s.elems[:0]
-	i, j := 0, 0
-	for i < len(s.elems) && j < len(t.elems) {
-		a, b := s.elems[i], t.elems[j]
-		switch {
-		case a.base < b.base:
-			out = append(out, a)
-			i++
-		case a.base > b.base:
-			j++
-		default:
-			m := a.word &^ b.word
-			if m != a.word {
-				changed = true
-			}
-			if m != 0 {
-				out = append(out, element{base: a.base, word: m})
-			}
-			i++
-			j++
-		}
-	}
-	out = append(out, s.elems[i:]...)
-	s.elems = out
-	return changed
-}
+func (s *Sparse) DifferenceWith(t *Sparse) bool { return s.setDiff(s, t) }
 
 // Intersects reports whether s and t share at least one member.
 func (s *Sparse) Intersects(t *Sparse) bool {

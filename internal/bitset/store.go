@@ -140,8 +140,7 @@ func (s *Store) Insert(a, x uint32) uint32 {
 }
 
 // keep returns the ID of scratch's contents, storing a copy when they
-// are new. The copy is the store's only allocation of set elements,
-// charged to AllocatedWords.
+// are new. The copy is the store's only allocation of set elements.
 func (s *Store) keep() uint32 {
 	if len(s.scratch.elems) == 0 {
 		return 0
@@ -150,7 +149,6 @@ func (s *Store) keep() uint32 {
 	if id, ok := s.find(&s.scratch, h); ok {
 		return id
 	}
-	trackAlloc(len(s.scratch.elems))
 	return s.add(&Sparse{elems: slices.Clone(s.scratch.elems)}, h)
 }
 

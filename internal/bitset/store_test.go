@@ -16,8 +16,8 @@ type storeOp struct {
 // ID's set has the model's contents, equal contents always have one ID,
 // an immediate repeat is a memo hit with the same ID, and replaying the
 // whole history afterwards, when the lossy memo has lost or kept any
-// entry, gives every ID again. The store charges AllocatedWords exactly
-// the words of the sets it keeps.
+// entry, gives every ID again. Words counts exactly the words of the
+// sets the store keeps.
 func FuzzStoreLaws(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 2, 1, 1, 2, 0, 2, 3, 1, 0})
@@ -25,7 +25,6 @@ func FuzzStoreLaws(f *testing.F) {
 	f.Add([]byte{0, 0, 250, 0, 0, 1, 3, 232, 1, 1, 2, 0, 1, 3, 1, 0, 2, 3, 2, 0, 2, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := NewStore()
-		var charged int64 // AllocatedWords' advance inside store operations
 		ids := []uint32{0}
 		owner := map[uint64][]uint32{New().Hash(): {0}} // content hash -> IDs seen with it
 		var ops []storeOp
@@ -45,18 +44,14 @@ func FuzzStoreLaws(f *testing.F) {
 			}
 			owner[h] = append(owner[h], op.r)
 		}
-		apply := func(op storeOp) (r uint32) {
-			words := AllocatedWords()
+		apply := func(op storeOp) uint32 {
 			switch op.kind {
 			case 0:
-				r = st.Insert(op.a, op.x)
+				return st.Insert(op.a, op.x)
 			case 1:
-				r = st.Union(op.a, op.b)
-			default:
-				r = st.Diff(op.a, op.b)
+				return st.Union(op.a, op.b)
 			}
-			charged += AllocatedWords() - words
-			return r
+			return st.Diff(op.a, op.b)
 		}
 
 		for i := 0; i+3 < len(data); i += 4 {
@@ -101,8 +96,8 @@ func FuzzStoreLaws(f *testing.F) {
 		for id := 1; id < st.Len(); id++ {
 			kept += st.Get(uint32(id)).Words()
 		}
-		if charged != int64(kept) {
-			t.Fatalf("AllocatedWords advanced %d, but the store keeps %d words", charged, kept)
+		if st.Words() != kept {
+			t.Fatalf("Words = %d, but the store keeps %d words", st.Words(), kept)
 		}
 	})
 }

@@ -164,12 +164,12 @@ type labeller struct {
 	row, gained []uint32
 
 	// Governance: checkpoints fall every cancelCheckInterval slot
-	// visits and charge the steps and the table's growth in bytes since
-	// the last one (charged); attr takes one meld charge per MeldOps
+	// visits and charge the steps and, through meter, the table's
+	// growth in bytes; attr takes one meld charge per MeldOps
 	// increment, by the object's value ID.
-	attr    *obs.ObjectAttr
-	visits  int
-	charged int64
+	attr   *obs.ObjectAttr
+	visits int
+	meter  guard.Meter
 }
 
 // frame is one suspended DFS call of the iterative Tarjan.
@@ -214,9 +214,7 @@ func newLabeller(g *svfg.Graph, attr *obs.ObjectAttr) *labeller {
 // cancelCheckInterval visits.
 func (lb *labeller) poll(ctx context.Context) error {
 	if lb.visits%cancelCheckInterval == 0 {
-		grown := lb.tab.Bytes() - lb.charged
-		lb.charged += grown
-		if err := guard.TickBytes(ctx, "solve", cancelCheckInterval, grown); err != nil {
+		if err := lb.meter.Tick(ctx, "solve", cancelCheckInterval, lb.tab.Bytes()); err != nil {
 			return err
 		}
 	}

@@ -82,7 +82,7 @@ type FaultPlan struct {
 	mu     sync.Mutex
 	faults []Fault
 	count  map[string]int // checkpoints seen in the current phase entry
-	fired  []int          // phase entries during which each fault fired
+	fired  []int          // entries of each fault's phase, for Times
 }
 
 // NewFaultPlan returns a plan that injects exactly the given faults.
@@ -134,40 +134,29 @@ func (p *FaultPlan) Faults() []Fault {
 // enterPhase resets phase's checkpoint counter; called by Recover at
 // phase entry so Step indexes are per-phase-run, not cumulative.
 func (p *FaultPlan) enterPhase(phase string) {
+	if len(p.faults) == 0 {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.count == nil {
-		p.count = make(map[string]int)
-	}
 	p.count[phase] = 0
 	for i := range p.faults {
 		if p.faults[i].Phase == phase {
-			p.ensureFired()
-			p.fired[i]++ // counts phase entries; decremented back if unfired below Step
+			p.fired[i]++ // counts phase entries
 		}
-	}
-}
-
-func (p *FaultPlan) ensureFired() {
-	if len(p.fired) < len(p.faults) {
-		p.fired = append(p.fired, make([]int, len(p.faults)-len(p.fired))...)
 	}
 }
 
 // checkpoint advances phase's counter and fires any due fault. A panic
 // fault does not return.
 func (p *FaultPlan) checkpoint(ctx context.Context, phase string) {
-	if p == nil {
+	if p == nil || len(p.faults) == 0 {
 		return
 	}
 	p.mu.Lock()
-	if p.count == nil {
-		p.count = make(map[string]int)
-	}
 	step := p.count[phase]
 	p.count[phase] = step + 1
 	var due []Fault
-	p.ensureFired()
 	for i, f := range p.faults {
 		if f.Phase != phase || f.Step != step {
 			continue

@@ -1,17 +1,20 @@
 // Package guard is the resource-governance layer of the pipeline: it
-// bounds how much a single analysis may cost (worklist steps, points-to
-// storage, wall clock), converts panics in any pipeline phase into
-// typed, loggable errors instead of process death, and provides
-// deterministic fault injection so every one of those failure paths can
-// be exercised end-to-end in tests.
+// bounds how much a single analysis may cost (worklist steps, the
+// storage its phases grow, wall clock), converts panics in any
+// pipeline phase into typed, loggable errors instead of process death,
+// and provides deterministic fault injection so every one of those
+// failure paths can be exercised end-to-end in tests.
 //
 // The pieces compose through context.Context: WithBudget installs a
 // *Budget, WithFaults installs a *FaultPlan, and Tick — called at the
 // solvers' existing cancelCheckInterval sites and at the build passes of
 // memssa/svfg — polls cancellation, fires due faults, charges the
-// budget, and returns a typed error the facade can act on. Recover
-// wraps one pipeline phase and turns any panic (organic or injected)
-// into a *PhaseError carrying the phase name, program hash, and stack.
+// budget, and returns a typed error the facade can act on. A phase that
+// grows storage keeps a Meter and ticks through it, which charges the
+// storage's growth since its last tick, so a budget counts only the
+// bytes its own run's phases charged to it. Recover wraps one pipeline
+// phase and turns any panic (organic or injected) into a *PhaseError
+// carrying the phase name, program hash, and stack.
 //
 // Budgets exist so a production deployment can bound cost and fall back
 // to the cheaper (still sound) auxiliary Andersen result rather than
@@ -27,8 +30,6 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 	"time"
-
-	"vsfs/internal/bitset"
 )
 
 // Resource names the budget dimension that was exhausted.
@@ -38,9 +39,9 @@ type Resource string
 const (
 	// ResourceSteps is worklist/build iterations across all phases.
 	ResourceSteps Resource = "steps"
-	// ResourceMem is bytes of points-to storage allocated by the bitset
-	// layer since the budget was armed, plus the bytes charged to it at
-	// checkpoints by phases with storage of their own.
+	// ResourceMem is the bytes of storage the run's phases charged to
+	// the budget through their Meters: points-to sets, copy edges,
+	// memory SSA, the SVFG's overflow and meld labels.
 	ResourceMem Resource = "mem"
 	// ResourceWall is elapsed wall clock since the budget was armed.
 	ResourceWall Resource = "wall"
@@ -68,16 +69,15 @@ func (e *ErrBudgetExceeded) Error() string {
 // Budget is one analysis run's resource envelope. Create with
 // NewBudget, install with WithBudget, and the pipeline's Tick sites
 // charge and check it. A nil *Budget is valid everywhere and means
-// "unbounded". A Budget must not be reused across runs: the memory
-// baseline is recorded once, at creation.
+// "unbounded". A Budget must not be reused across runs: the wall
+// clock starts at creation, and what a run charges stays charged.
 type Budget struct {
 	maxSteps int64
 	maxBytes int64
 	maxWall  time.Duration
 
 	steps        atomic.Int64
-	chargedBytes atomic.Int64 // charged by TickBytes and FaultAllocSpike
-	baseWords    int64
+	chargedBytes atomic.Int64 // charged by Meter.Tick and FaultAllocSpike
 	armedAt      time.Time
 }
 
@@ -89,11 +89,10 @@ func NewBudget(maxSteps, maxBytes int64, maxWall time.Duration) *Budget {
 		return nil
 	}
 	return &Budget{
-		maxSteps:  maxSteps,
-		maxBytes:  maxBytes,
-		maxWall:   maxWall,
-		baseWords: bitset.AllocatedWords(),
-		armedAt:   time.Now(),
+		maxSteps: maxSteps,
+		maxBytes: maxBytes,
+		maxWall:  maxWall,
+		armedAt:  time.Now(),
 	}
 }
 
@@ -115,16 +114,14 @@ func (b *Budget) StepsUsed() int64 {
 	return b.steps.Load()
 }
 
-// BytesUsed returns the points-to storage growth observed so far, plus
-// the bytes charged to this budget. Accounting at the bitset layer is
-// process-global, so the growth includes every concurrent solve's: in
-// vsfs-serve, where each solve gets its own budget, another solve's set
-// growth counts against this one. Charged bytes are this budget's own.
+// BytesUsed returns the bytes charged to this budget so far. Only the
+// phases of the run the budget is installed on charge it, so no other
+// solve, concurrent or earlier, changes what it reads.
 func (b *Budget) BytesUsed() int64 {
 	if b == nil {
 		return 0
 	}
-	return (bitset.AllocatedWords()-b.baseWords)*bitset.WordBytes + b.chargedBytes.Load()
+	return b.chargedBytes.Load()
 }
 
 // addSteps charges n steps and reports whether the step limit is now
@@ -177,21 +174,30 @@ func BudgetFrom(ctx context.Context) *Budget {
 // against the budget and enforces every limit. It returns nil when the
 // run may continue.
 func Tick(ctx context.Context, phase string, n int64) error {
-	return TickBytes(ctx, phase, n, 0)
+	return new(Meter).Tick(ctx, phase, n, 0)
 }
 
-// TickBytes is Tick for a phase that grows storage of its own outside
-// the bitset layer: it also charges that growth, in bytes, to the
-// budget's memory dimension before enforcing the limits.
-func TickBytes(ctx context.Context, phase string, n, bytes int64) error {
+// Meter is how a phase charges the storage it grows: it remembers the
+// bytes it has charged, and each Tick charges only the growth since.
+// A phase keeps one per total it meters; the zero value has charged
+// nothing.
+type Meter struct{ charged int64 }
+
+// Tick is guard.Tick for a phase whose storage now holds total bytes:
+// it also charges the budget's memory dimension with what total grew by
+// since this meter's last Tick, before enforcing the limits. A total
+// below the most the meter has seen charges nothing.
+func (m *Meter) Tick(ctx context.Context, phase string, n, total int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if p := FaultsFrom(ctx); p != nil {
 		p.checkpoint(ctx, phase)
 	}
+	grown := max(0, total-m.charged)
+	m.charged += grown
 	if b := BudgetFrom(ctx); b != nil {
-		return b.check(phase, n, bytes)
+		return b.check(phase, n, grown)
 	}
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"vsfs/internal/bitset"
 )
 
 func TestNilBudgetIsUnlimited(t *testing.T) {
@@ -44,46 +42,54 @@ func TestStepBudget(t *testing.T) {
 	}
 }
 
+// TestMemBudget: a Meter charges each byte its total grows by exactly
+// once, however the growth falls across polls, charges nothing while
+// the total stands still or falls back, and trips the memory limit on
+// the poll whose growth passes it.
 func TestMemBudget(t *testing.T) {
-	b := NewBudget(0, 64, 0)
+	b := NewBudget(0, 100, 0)
 	ctx := WithBudget(context.Background(), b)
-	if err := Tick(ctx, "solve", 1); err != nil {
-		t.Fatalf("tick before allocation: %v", err)
+	var m Meter
+	for _, poll := range []struct{ total, used int64 }{
+		{0, 0}, {10, 10}, {10, 10}, {40, 40}, {25, 40}, {40, 40}, {100, 100},
+	} {
+		if err := m.Tick(ctx, "solve", 1, poll.total); err != nil {
+			t.Fatalf("poll at total %d: %v", poll.total, err)
+		}
+		if got := b.BytesUsed(); got != poll.used {
+			t.Fatalf("after a poll at total %d: BytesUsed = %d, want %d", poll.total, got, poll.used)
+		}
 	}
-	// Allocate well past 64 bytes of set storage.
-	s := bitset.New()
-	for i := uint32(0); i < 64; i++ {
-		s.Set(i * 64) // one element each
-	}
-	err := Tick(ctx, "solve", 1)
+	err := m.Tick(ctx, "solve", 1, 101)
 	var be *ErrBudgetExceeded
-	if !errors.As(err, &be) || be.Resource != ResourceMem {
-		t.Fatalf("tick after allocation: %v, want mem breach", err)
+	if !errors.As(err, &be) || be.Resource != ResourceMem || be.Phase != "solve" {
+		t.Fatalf("poll past the limit: %v, want mem breach in solve", err)
 	}
-	if b.BytesUsed() < 64*bitset.WordBytes {
-		t.Fatalf("BytesUsed = %d, want >= %d", b.BytesUsed(), 64*bitset.WordBytes)
+	if got := b.BytesUsed(); got != 101 {
+		t.Fatalf("BytesUsed = %d, want 101", got)
 	}
 }
 
 // TestTickBytesChargesMemBudget: bytes charged at checkpoints count
-// toward the memory limit beside the bitset layer's growth, and only
-// toward the budget they were charged to.
+// toward the memory limit, and only toward the budget they were
+// charged to.
 func TestTickBytesChargesMemBudget(t *testing.T) {
 	b := NewBudget(0, 1024, 0)
 	other := NewBudget(0, 1024, 0)
 	ctx := WithBudget(context.Background(), b)
-	if err := TickBytes(ctx, "solve", 1, 1000); err != nil {
+	var m Meter
+	if err := m.Tick(ctx, "solve", 1, 1000); err != nil {
 		t.Fatalf("charge under the limit: %v", err)
 	}
-	err := TickBytes(ctx, "solve", 1, 100)
+	err := m.Tick(ctx, "solve", 1, 1100)
 	var be *ErrBudgetExceeded
 	if !errors.As(err, &be) || be.Resource != ResourceMem || be.Phase != "solve" {
 		t.Fatalf("charge past the limit: %v, want mem breach in solve", err)
 	}
-	if b.BytesUsed() < 1100 {
-		t.Fatalf("BytesUsed = %d, want >= 1100", b.BytesUsed())
+	if b.BytesUsed() != 1100 {
+		t.Fatalf("BytesUsed = %d, want 1100", b.BytesUsed())
 	}
-	if other.BytesUsed() >= 1100 {
+	if other.BytesUsed() != 0 {
 		t.Fatalf("another budget sees the charge: BytesUsed = %d", other.BytesUsed())
 	}
 }

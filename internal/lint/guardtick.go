@@ -6,7 +6,8 @@ import (
 )
 
 // GuardTick requires every unbounded loop in the solver worklist
-// packages to reach a guard.Tick (or guard.TickBytes) checkpoint. The
+// packages to reach a checkpoint: guard.Tick, or the Tick of a
+// guard.Meter, through which a phase charges its storage. The
 // guard subsystem's budget accounting (and its exact-conservation
 // oracle invariant) only sees work that passes a checkpoint; an
 // unbounded drain loop with no reachable Tick is work the budget
@@ -44,13 +45,12 @@ func runGuardTick(p *Pass) []Finding {
 	ticking := tickingFuncs(p)
 	var out []Finding
 	for _, file := range p.Files {
-		imports := importsOf(file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			loop, ok := n.(*ast.ForStmt)
 			if !ok || boundedFor(loop) || !doesWork(loop.Body) {
 				return true
 			}
-			if reachesTick(p, imports, loop.Body, ticking) {
+			if reachesTick(p, loop.Body, ticking) {
 				return true
 			}
 			out = append(out, findingf(p, "guardtick", loop.Pos(),
@@ -103,19 +103,16 @@ func tickingFuncs(p *Pass) map[*types.Func]bool {
 		}
 	}
 	ticking := map[*types.Func]bool{}
-	// Seed: functions with a direct guard.Tick call.
+	// Seed: functions with a direct checkpoint call.
 	for fn, fd := range decls {
-		imports := importsOf(fileOf(p, fd))
 		direct := false
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if direct {
 				return false
 			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if _, ok := isPkgCall(p, imports, call, guardPath, "Tick", "TickBytes"); ok {
-					direct = true
-					return false
-				}
+			if call, ok := n.(*ast.CallExpr); ok && isCheckpoint(p, call) {
+				direct = true
+				return false
 			}
 			return true
 		})
@@ -154,9 +151,9 @@ func tickingFuncs(p *Pass) map[*types.Func]bool {
 	return ticking
 }
 
-// reachesTick reports whether body contains a direct guard.Tick or
-// guard.TickBytes call or a call to a same-package function known to tick.
-func reachesTick(p *Pass, imports map[string]string, body *ast.BlockStmt, ticking map[*types.Func]bool) bool {
+// reachesTick reports whether body contains a direct checkpoint call or
+// a call to a same-package function known to tick.
+func reachesTick(p *Pass, body *ast.BlockStmt, ticking map[*types.Func]bool) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -166,7 +163,7 @@ func reachesTick(p *Pass, imports map[string]string, body *ast.BlockStmt, tickin
 		if !ok {
 			return true
 		}
-		if _, ok := isPkgCall(p, imports, call, guardPath, "Tick", "TickBytes"); ok {
+		if isCheckpoint(p, call) {
 			found = true
 			return false
 		}
@@ -177,6 +174,17 @@ func reachesTick(p *Pass, imports map[string]string, body *ast.BlockStmt, tickin
 		return true
 	})
 	return found
+}
+
+// isCheckpoint reports a call of guard.Tick or of a guard.Meter's Tick
+// method: the guard package's functions and methods named Tick.
+func isCheckpoint(p *Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Name() == "Tick" && fn.Pkg() != nil && fn.Pkg().Path() == guardPath
 }
 
 // calleeFunc resolves a call to its *types.Func when the callee is a
@@ -196,14 +204,4 @@ func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	return fn
-}
-
-// fileOf returns the *ast.File containing decl.
-func fileOf(p *Pass, decl ast.Node) *ast.File {
-	for _, f := range p.Files {
-		if f.Pos() <= decl.Pos() && decl.Pos() <= f.End() {
-			return f
-		}
-	}
-	return p.Files[0]
 }

@@ -22,6 +22,32 @@ func drainTicked(ctx context.Context, q []int) error {
 	return nil
 }
 
+// drainMetered ticks through a guard.Meter, which charges the
+// storage the loop grows: a checkpoint like guard.Tick.
+func drainMetered(ctx context.Context, q []int) error {
+	var m guard.Meter
+	for len(q) > 0 {
+		if err := m.Tick(ctx, "solve", 0, int64(len(q))); err != nil {
+			return err
+		}
+		q = q[1:]
+	}
+	return nil
+}
+
+// tick is a method of this package named Tick: not a checkpoint.
+type meter struct{}
+
+func (meter) Tick(ctx context.Context) error { return nil }
+
+func drainLocalTick(ctx context.Context, q []int) {
+	var m meter
+	for len(q) > 0 { // want "unbounded loop never reaches guard.Tick"
+		_ = m.Tick(ctx)
+		q = q[1:]
+	}
+}
+
 // drainViaHelper ticks one call away; drainTwoLevels two calls away —
 // the fixpoint must see both.
 func drainViaHelper(ctx context.Context, q []int) {

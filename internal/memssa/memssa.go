@@ -200,8 +200,7 @@ func Build(prog *ir.Program, aux *andersen.Result) *Result {
 // passes and periodically inside the mod/ref fixpoint and while linking
 // def-use chains, returning the context or budget error instead of a
 // Result. Each poll also charges the budget's memory dimension with the
-// Result's storage grown since the last one, except its bitsets, whose
-// words the bitset layer counts itself.
+// storage grown since the last one: the Result's and the mod/ref sets.
 func BuildContext(ctx context.Context, prog *ir.Program, aux *andersen.Result) (*Result, error) {
 	b := &builder{
 		ctx:  ctx,
@@ -250,9 +249,9 @@ type builder struct {
 	mod map[*ir.Function]*bitset.Sparse
 	ref map[*ir.Function]*bitset.Sparse
 
-	// bytes is the Result's storage outside its bitsets, and charged
-	// the part of it the budget has been charged with.
-	bytes, charged int64
+	// bytes is the storage grown so far, which meter charges at polls.
+	bytes int64
+	meter guard.Meter
 
 	// Linking walks the renaming twice: the first walk counts each
 	// slot's successors and polls, the second, filling, writes them
@@ -308,13 +307,20 @@ type reachingDef struct {
 	prev int32
 }
 
-// grew records n bytes of new Result storage, charged at the next poll.
+// grew records n bytes of new storage, charged at the next poll.
 func (b *builder) grew(n int64) { b.bytes += n }
 
+// union adds src to dst, recording the words dst grows by, and reports
+// whether dst changed.
+func (b *builder) union(dst, src *bitset.Sparse) bool {
+	words := dst.Words()
+	changed := dst.UnionWith(src)
+	b.grew(int64(dst.Words()-words) * bitset.WordBytes)
+	return changed
+}
+
 func (b *builder) tick(n int64) error {
-	grown := b.bytes - b.charged
-	b.charged = b.bytes
-	return guard.TickBytes(b.ctx, "memssa", n, grown)
+	return b.meter.Tick(b.ctx, "memssa", n, b.bytes)
 }
 
 // normalizeEntries guarantees no entry block has CFG predecessors, so
@@ -357,9 +363,9 @@ func (b *builder) modRef() error {
 		f.ForEachInstr(func(in *ir.Instr) {
 			switch in.Op {
 			case ir.Store:
-				b.mod[f].UnionWith(b.aux.PointsTo(in.Uses[0]))
+				b.union(b.mod[f], b.aux.PointsTo(in.Uses[0]))
 			case ir.Load:
-				b.ref[f].UnionWith(b.aux.PointsTo(in.Uses[0]))
+				b.union(b.ref[f], b.aux.PointsTo(in.Uses[0]))
 			case ir.Call:
 				for _, callee := range b.aux.CalleesOf(in) {
 					callers[callee] = append(callers[callee], f)
@@ -383,8 +389,8 @@ func (b *builder) modRef() error {
 		work = work[:len(work)-1]
 		inWork[g] = false
 		for _, f := range callers[g] {
-			changed := b.mod[f].UnionWith(b.mod[g])
-			if b.ref[f].UnionWith(b.ref[g]) {
+			changed := b.union(b.mod[f], b.mod[g])
+			if b.union(b.ref[f], b.ref[g]) {
 				changed = true
 			}
 			if changed && !inWork[f] {
@@ -397,8 +403,8 @@ func (b *builder) modRef() error {
 	for _, f := range b.prog.Funcs {
 		fin := b.ref[f].Clone()
 		fin.UnionWith(b.mod[f])
-		b.res.FormalIn[f] = fin
-		b.res.FormalOut[f] = b.mod[f].Clone()
+		b.res.FormalIn[f], b.res.FormalOut[f] = fin, b.mod[f].Clone()
+		b.grew(int64(fin.Words()+b.mod[f].Words()) * bitset.WordBytes)
 	}
 	return nil
 }
@@ -460,7 +466,7 @@ func (b *builder) calleeSet(call *ir.Instr, of map[*ir.Function]*bitset.Sparse) 
 	}
 	out := bitset.New()
 	for _, callee := range callees {
-		out.UnionWith(of[callee])
+		b.union(out, of[callee])
 	}
 	return out
 }
@@ -671,6 +677,7 @@ func (b *builder) annotate() {
 			}
 		})
 	}
+	b.grew(int64(sets.Words()) * bitset.WordBytes)
 }
 
 // link adds slot t to slot s's successors: the counting walk counts it,

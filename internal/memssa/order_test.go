@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
 	"vsfs/internal/andersen"
-	"vsfs/internal/bitset"
 	"vsfs/internal/cfg"
 	"vsfs/internal/guard"
 	"vsfs/internal/ir"
@@ -117,22 +117,27 @@ func TestArenaRowsInOrder(t *testing.T) {
 	}
 }
 
-// TestMemSSAByteBudget: memory SSA's own storage (the slot numbering,
-// the successor arena, the μ/χ tables, the MEMPHI and CallRet slabs) is
-// charged to the memory budget at its polls. A bash build under a limit
-// that covers the bitset words it grows, with 64 KiB to spare,
-// breaches in the memssa phase.
+// TestMemSSAByteBudget: memory SSA's own storage (the mod/ref and
+// formal sets, the slot numbering, the successor arena, the μ/χ tables
+// and their interned sets, the MEMPHI and CallRet slabs) is charged to
+// the memory budget at its polls. A bash build under a limit one byte
+// short of what an unbounded build charges breaches in the memssa
+// phase.
 func TestMemSSAByteBudget(t *testing.T) {
 	p := workload.ProfileByName("bash")
 	prog := p.Build()
 	aux := andersen.Analyze(prog)
-	before := bitset.AllocatedWords()
-	Build(prog, aux)
-	words := bitset.AllocatedWords() - before
+	full := guard.NewBudget(0, math.MaxInt64, 0)
+	if _, err := BuildContext(guard.WithBudget(context.Background(), full), prog, aux); err != nil {
+		t.Fatal(err)
+	}
+	if full.BytesUsed() == 0 {
+		t.Fatal("an unbounded bash build charged nothing")
+	}
 
 	prog = p.Build()
 	aux = andersen.Analyze(prog)
-	b := guard.NewBudget(0, words*bitset.WordBytes+64<<10, 0)
+	b := guard.NewBudget(0, full.BytesUsed()-1, 0)
 	r, err := BuildContext(guard.WithBudget(context.Background(), b), prog, aux)
 	var be *guard.ErrBudgetExceeded
 	if !errors.As(err, &be) || r != nil {

@@ -88,74 +88,56 @@ func CheckDegradation(src string, opts Options) []Violation {
 		return []Violation{{Invariant: "degrade-baseline", Detail: err.Error()}}
 	}
 
+	// A slowdown fault at a phase's first checkpoint charges a huge step
+	// count, so the budget deterministically survives every earlier
+	// phase and blows exactly there. The rung's fresh budget then
+	// carries the run to the CFG-free result, unless a second fault
+	// breaches the rung too: then provenance must keep naming the
+	// original breach and the facts must be Andersen's.
+	rungs := []struct {
+		faults []guard.Fault // beyond the phase's own
+		suffix string
+		mode   vsfs.Mode
+		alone  *vsfs.Result
+		eq     string
+	}{
+		{nil, "", vsfs.CFGFree, cfree, "degrade-eq-cfgfree"},
+		{[]guard.Fault{{Phase: "cfgfree", Step: 0, Kind: guard.FaultSlow}}, "+cfgfree", vsfs.FlowInsensitive, plain, "degrade-eq-aux"},
+	}
 	for _, phase := range degradablePhases {
-		if v.full() {
-			break
-		}
-		// A slowdown fault at the phase's first checkpoint charges a
-		// huge step count, so the budget deterministically survives
-		// every earlier phase and blows exactly here. The rung's fresh
-		// budget then carries the run to the CFG-free result.
-		plan := guard.NewFaultPlan(guard.Fault{Phase: phase, Step: 0, Kind: guard.FaultSlow})
-		deg, err := analyzeIR(src, vsfs.VSFS, plan, guard.NewBudget(1<<30, 0, 0))
-		if err != nil {
-			v.failf("degrade-run", "%s: budget blowout became an error: %v", phase, err)
-			continue
-		}
-		if !deg.Degraded() || deg.Degradation() == "" {
-			v.failf("degrade-flag", "%s: over-budget run not marked degraded", phase)
-			continue
-		}
-		if deg.Mode() != vsfs.CFGFree {
-			v.failf("degrade-mode", "%s: degraded mode = %v, want the CFG-free rung", phase, deg.Mode())
-			continue
-		}
-		causePhase, _ := deg.DegradedCause()
-		if causePhase != phase {
-			v.failf("degrade-cause", "%s: degradation attributed to %q", phase, causePhase)
-		}
-		// The degraded program went through (part of) the memory-SSA
-		// rewrite, so labels differ from the standalone run's raw
-		// program even though the facts agree; compare label-free.
-		if dj, cj := factsJSON(deg, true), factsJSON(cfree, true); !bytes.Equal(dj, cj) {
-			v.failf("degrade-eq-cfgfree", "%s: degraded facts differ from standalone cfgfree at %s",
-				phase, jsonDiffPath(dj, cj))
-		}
-		if deg.Dump() != cfree.Dump() {
-			v.failf("degrade-eq-cfgfree", "%s: degraded Dump differs from standalone cfgfree", phase)
-		}
-		rep := deg.Report()
-		if !rep.Degraded || rep.Degradation == "" {
-			v.failf("degrade-report", "%s: report does not carry the degradation marker", phase)
-		}
-
-		// Ladder bottom: breach the rung too. Provenance must keep
-		// naming the original breach and the facts must be Andersen's.
-		if v.full() {
-			break
-		}
-		plan = guard.NewFaultPlan(
-			guard.Fault{Phase: phase, Step: 0, Kind: guard.FaultSlow},
-			guard.Fault{Phase: "cfgfree", Step: 0, Kind: guard.FaultSlow},
-		)
-		bot, err := analyzeIR(src, vsfs.VSFS, plan, guard.NewBudget(1<<30, 0, 0))
-		if err != nil {
-			v.failf("degrade-run", "%s+cfgfree: double blowout became an error: %v", phase, err)
-			continue
-		}
-		if !bot.Degraded() || bot.Mode() != vsfs.FlowInsensitive {
-			v.failf("degrade-mode", "%s+cfgfree: mode = %v, want the flow-insensitive bottom", phase, bot.Mode())
-			continue
-		}
-		if causePhase, _ := bot.DegradedCause(); causePhase != phase {
-			v.failf("degrade-cause", "%s+cfgfree: degradation attributed to %q, want the original breach", phase, causePhase)
-		}
-		if bj, pj := factsJSON(bot, true), factsJSON(plain, true); !bytes.Equal(bj, pj) {
-			v.failf("degrade-eq-aux", "%s+cfgfree: ladder-bottom facts differ from standalone Andersen at %s",
-				phase, jsonDiffPath(bj, pj))
-		}
-		if bot.Dump() != plain.Dump() {
-			v.failf("degrade-eq-aux", "%s+cfgfree: ladder-bottom Dump differs from standalone Andersen", phase)
+		for _, rung := range rungs {
+			if v.full() {
+				return v.out
+			}
+			name := phase + rung.suffix
+			plan := guard.NewFaultPlan(append([]guard.Fault{{Phase: phase, Step: 0, Kind: guard.FaultSlow}}, rung.faults...)...)
+			deg, err := analyzeIR(src, vsfs.VSFS, plan, guard.NewBudget(1<<30, 0, 0))
+			switch {
+			case err != nil:
+				v.failf("degrade-run", "%s: budget blowout became an error: %v", name, err)
+				continue
+			case !deg.Degraded() || deg.Degradation() == "":
+				v.failf("degrade-flag", "%s: over-budget run not marked degraded", name)
+				continue
+			case deg.Mode() != rung.mode:
+				v.failf("degrade-mode", "%s: degraded mode = %v, want %v", name, deg.Mode(), rung.mode)
+				continue
+			}
+			if cause, _ := deg.DegradedCause(); cause != phase {
+				v.failf("degrade-cause", "%s: degradation attributed to %q, want the original breach", name, cause)
+			}
+			// The degraded program went through (part of) the memory-SSA
+			// rewrite, so labels differ from the standalone run's raw
+			// program even though the facts agree; compare label-free.
+			if dj, aj := factsJSON(deg, true), factsJSON(rung.alone, true); !bytes.Equal(dj, aj) {
+				v.failf(rung.eq, "%s: degraded facts differ from standalone %v at %s", name, rung.mode, jsonDiffPath(dj, aj))
+			}
+			if deg.Dump() != rung.alone.Dump() {
+				v.failf(rung.eq, "%s: degraded Dump differs from standalone %v", name, rung.mode)
+			}
+			if rep := deg.Report(); !rep.Degraded || rep.Degradation == "" {
+				v.failf("degrade-report", "%s: report does not carry the degradation marker", name)
+			}
 		}
 	}
 	return v.out
@@ -226,29 +208,18 @@ func CheckFaults(src string, seed int64, opts Options) []Violation {
 	case res.Degraded():
 		// The ladder has two rungs; compare against the standalone run
 		// of whichever backend actually answered.
-		switch res.Mode() {
-		case vsfs.CFGFree:
-			cfree, perr := analyzeIR(src, vsfs.CFGFree, nil, nil)
-			if perr != nil {
-				v.failf("fault-baseline", "seed %d: standalone cfgfree failed: %v", seed, perr)
-				break
-			}
-			if rj, cj := factsJSON(res, true), factsJSON(cfree, true); !bytes.Equal(rj, cj) {
-				v.failf("degrade-eq-cfgfree", "seed %d: degraded facts differ from standalone cfgfree at %s",
-					seed, jsonDiffPath(rj, cj))
-			}
-		case vsfs.FlowInsensitive:
-			plain, perr := analyzeIR(src, vsfs.FlowInsensitive, nil, nil)
-			if perr != nil {
-				v.failf("fault-baseline", "seed %d: standalone Andersen failed: %v", seed, perr)
-				break
-			}
-			if rj, pj := factsJSON(res, true), factsJSON(plain, true); !bytes.Equal(rj, pj) {
-				v.failf("degrade-eq-aux", "seed %d: degraded facts differ from standalone Andersen at %s",
-					seed, jsonDiffPath(rj, pj))
-			}
-		default:
+		eq := map[vsfs.Mode]string{vsfs.CFGFree: "degrade-eq-cfgfree", vsfs.FlowInsensitive: "degrade-eq-aux"}[res.Mode()]
+		if eq == "" {
 			v.failf("degrade-mode", "seed %d: degraded run answers in mode %v", seed, res.Mode())
+			break
+		}
+		alone, perr := analyzeIR(src, res.Mode(), nil, nil)
+		if perr != nil {
+			v.failf("fault-baseline", "seed %d: standalone %v failed: %v", seed, res.Mode(), perr)
+			break
+		}
+		if rj, aj := factsJSON(res, true), factsJSON(alone, true); !bytes.Equal(rj, aj) {
+			v.failf(eq, "seed %d: degraded facts differ from standalone %v at %s", seed, res.Mode(), jsonDiffPath(rj, aj))
 		}
 	default:
 		// The fault did not bite (e.g. its step index was past the

@@ -535,23 +535,21 @@ func (c *checker) checkResolve() {
 			c.failf("solve-determinism", "VSFS re-solve differs at pts(%s)", b.Prog.NameOf(id))
 		}
 	}
-	c.walk(nil, func(in *ir.Instr) {
-		if v1, v2, eq := sameCallees(b.VSFS, vsfs2, in); !eq {
-			if len(v1) != len(v2) {
-				c.failf("solve-determinism", "VSFS re-solve call graph differs at ℓ%d", in.Label)
-			} else {
-				c.failf("solve-determinism", "VSFS re-solve callee order differs at ℓ%d: %v vs %v",
-					in.Label, v1, v2)
-			}
-			return
+	// same reports whether a and its re-solve resolve call alike.
+	same := func(invariant, backend string, a, again resolver, call *ir.Instr) bool {
+		x, y, eq := sameCallees(a, again, call)
+		switch {
+		case eq:
+		case len(x) != len(y):
+			c.failf(invariant, "%s re-solve call graph differs at ℓ%d", backend, call.Label)
+		default:
+			c.failf(invariant, "%s re-solve callee order differs at ℓ%d: %v vs %v", backend, call.Label, x, y)
 		}
-		if c1, c2, eq := sameCallees(b.CFGFree, cf2, in); !eq {
-			if len(c1) != len(c2) {
-				c.failf("cfgfree-determinism", "cfgfree re-solve call graph differs at ℓ%d", in.Label)
-			} else {
-				c.failf("cfgfree-determinism", "cfgfree re-solve callee order differs at ℓ%d: %v vs %v",
-					in.Label, c1, c2)
-			}
+		return eq
+	}
+	c.walk(nil, func(in *ir.Instr) {
+		if same("solve-determinism", "VSFS", b.VSFS, vsfs2, in) {
+			same("cfgfree-determinism", "cfgfree", b.CFGFree, cf2, in)
 		}
 	})
 }

@@ -76,8 +76,10 @@ type Config struct {
 	// flow-insensitive result; earlier breaches fail with 503. Zero
 	// means unbounded.
 	StepBudget int64
-	// MemBudget is the server-wide pool of points-to storage bytes,
-	// split across Workers like StepBudget. Zero means unbounded.
+	// MemBudget is the server-wide pool of bytes the solves' phases
+	// may grow (points-to sets, memory SSA, SVFG overflow, meld
+	// labels), split across Workers like StepBudget. Zero means
+	// unbounded.
 	MemBudget int64
 
 	// Faults injects a deterministic guard.FaultPlan into every solve.
@@ -425,7 +427,8 @@ func (s *Server) solveOn(solveCtx context.Context, key string, mode vsfs.Mode, i
 				s.logger.Warn("solve degraded", "id", reqID, "key", key, "reason", res.Degradation())
 			}
 			// Only complete solves are cached — including degraded ones,
-			// which are deterministic for a fixed server budget, so a
+			// which are deterministic for a fixed server budget, since a
+			// budget is charged only by its own solve's phases, so a
 			// repeat of an over-budget program is a cache hit rather than
 			// another doomed solve. A cancelled or failed solve can never
 			// corrupt an entry.

@@ -111,9 +111,11 @@ type Engine struct {
 	// so a growing return value reschedules its callers.
 	fsCallers map[*ir.Function][]uint32
 
-	// charged is the part of the graph's overflow (the edges it gained)
-	// already charged to the budget.
-	charged int64
+	// meter charges the budget with the edges the graph's overflow
+	// gained past overflow0, its size when the solve began, and the
+	// sets the store keeps.
+	meter     guard.Meter
+	overflow0 int64
 }
 
 // NewEngine returns an engine over g that answers into top and counts
@@ -141,7 +143,7 @@ func NewEngine(ctx context.Context, g *svfg.Graph, top *TopLevel, stats *EngineS
 		attr:      obs.AttrFrom(ctx),
 		work:      graph.NewWorklist(len(g.Prog.Instrs)),
 		fsCallers: make(map[*ir.Function][]uint32),
-		charged:   g.OverflowBytes(),
+		overflow0: g.OverflowBytes(),
 	}
 }
 
@@ -181,12 +183,11 @@ func (e *Engine) Run(mem Memory) error {
 	return nil
 }
 
-// tick polls the budget, charging it with the graph's overflow grown
-// since the last poll.
+// tick polls the budget, charging it with the storage grown since the
+// last poll.
 func (e *Engine) tick() error {
-	grown := e.Graph.OverflowBytes() - e.charged
-	e.charged += grown
-	return guard.TickBytes(e.ctx, "solve", cancelCheckInterval, grown)
+	bytes := e.Graph.OverflowBytes() - e.overflow0 + int64(e.Sets.Words())*bitset.WordBytes
+	return e.meter.Tick(e.ctx, "solve", cancelCheckInterval, bytes)
 }
 
 // Push schedules the node labelled l unless it is already queued.

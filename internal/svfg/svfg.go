@@ -121,11 +121,9 @@ func build(ctx context.Context, prog *ir.Program, aux *andersen.Result, mssa *me
 	}
 	g.NumIndirectEdges = len(g.static.Adj)
 	// The poll after prewiring charges the overflow it grew.
-	var charged int64
+	var meter guard.Meter
 	for _, pass := range []func(){g.buildDirect, g.prewireIndirectCalls, g.markDelta, g.computeSingletons, g.countStats} {
-		grown := g.OverflowBytes() - charged
-		charged += grown
-		if err := guard.TickBytes(ctx, "svfg", 0, grown); err != nil {
+		if err := meter.Tick(ctx, "svfg", 0, g.OverflowBytes()); err != nil {
 			return nil, err
 		}
 		pass()

@@ -361,7 +361,7 @@ func (r *Result) degradeTo(m Mode, b backend, be *guard.ErrBudgetExceeded) {
 // breached its budget retries on the CFG-free backend — still
 // flow-sensitive, but with none of the memory-SSA/SVFG construction
 // cost — under a fresh budget with the original envelope (the original
-// is spent, and re-arming re-bases the memory baseline). Only if the
+// is spent, and the rung's phases charge the fresh one). Only if the
 // rung itself breaches does the run bottom out on the auxiliary
 // Andersen result. A requested CFGFree or FlowInsensitive run has no
 // rung above Andersen and degrades directly. A panic or cancellation
